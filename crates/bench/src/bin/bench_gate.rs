@@ -1,9 +1,9 @@
 //! `bench_gate` — the CI performance gate over the cf-runtime service
 //! layer.
 //!
-//! Measures four headline numbers, writes them to `BENCH_runtime.json`
-//! (the artifact CI uploads) and compares the cache-effectiveness
-//! number against a committed baseline:
+//! Measures seven numbers, writes them to `BENCH_runtime.json`
+//! (the artifact CI uploads) and gates three of them against a
+//! committed baseline:
 //!
 //! * `cached_speedup` — best-case (per-iteration minimum) uncached
 //!   simulate latency over best-case cached simulate latency for the
@@ -24,6 +24,16 @@
 //! * `profile_overhead` — `simulate_profiled` wall time over plain
 //!   `simulate` for the same program (informational; the *disabled*
 //!   profiler costs one branch and is covered by the gated number).
+//! * `http_rtt_us` — median round trip of 32 sequential `GET /jobs/<id>`
+//!   polls of a finished job through an in-process `RouterServer` →
+//!   `StatusServer` pair, each after a 15 ms idle gap (longer than a
+//!   10 ms idle poll, so a polling accept loop would be asleep). The
+//!   router answers `/healthz` from its own table, so the gate polls a
+//!   record instead: that crosses both listeners, like every job's
+//!   poll. **Gated** like `uncached_us`
+//!   (ceiling = baseline with the headroom undone × 3), and never above
+//!   4 ms — a bar that two 10 ms polling hops (median ≈ 10 ms) cannot
+//!   meet.
 //!
 //! ```text
 //! bench_gate [--out PATH] [--baseline PATH] [--write-baseline]
@@ -36,16 +46,20 @@
 //!
 //! Exit codes: `0` pass, `1` gate failure or I/O error.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use cf_core::{Machine, MachineConfig};
 use cf_runtime::journal::{encode_record, scan_valid_prefix, JOURNAL_VERSION};
 use cf_runtime::serve::serve_manifest;
 use cf_runtime::{
-    JobEntry, JobOptions, JobOutput, Record, RunHeader, Runtime, RuntimeConfig, ServeOptions,
+    JobApi, JobEntry, JobOptions, JobOutput, Obs, Record, Router, RouterConfig, RouterServer,
+    RunHeader, Runtime, RuntimeConfig, ServeOptions, StatusServer,
 };
 use cf_workloads::nets;
 use serde_json::{Map, Serialize, Value};
@@ -71,6 +85,17 @@ const GATE_FRACTION: f64 = 0.8;
 const COLD_GATE_FACTOR: f64 = 1.2;
 /// Headroom applied by `--write-baseline` (baseline = measured / 2).
 const BASELINE_HEADROOM: f64 = 0.5;
+/// Sequential round trips behind the `http_rtt_us` median.
+const HTTP_RTT_ITERS: usize = 32;
+/// Idle time before each round trip: longer than a 10 ms accept poll.
+const HTTP_IDLE_GAP: Duration = Duration::from_millis(15);
+/// HTTP gate: fail when the median round trip exceeds the baseline's
+/// at-write-time value by more than this factor (loopback round trips
+/// cross two thread spawns, so the allowance is wider than the cold
+/// gate's) …
+const HTTP_GATE_FACTOR: f64 = 3.0;
+/// … or exceeds this many µs, whatever the baseline says.
+const HTTP_RTT_CEILING_US: f64 = 4000.0;
 
 fn repo_root() -> PathBuf {
     // crates/bench/ -> crates/ -> repo root.
@@ -85,6 +110,7 @@ struct GateReport {
     serve_jobs_per_s: f64,
     replay_records_per_s: f64,
     profile_overhead: f64,
+    http_rtt_us: f64,
 }
 
 /// Rounds to two decimals so the committed baseline diffs stay readable.
@@ -101,6 +127,7 @@ impl Serialize for GateReport {
         obj.insert("serve_jobs_per_s", round2(self.serve_jobs_per_s));
         obj.insert("replay_records_per_s", self.replay_records_per_s.round());
         obj.insert("profile_overhead", round2(self.profile_overhead));
+        obj.insert("http_rtt_us", round2(self.http_rtt_us));
         Value::Object(obj)
     }
 }
@@ -225,6 +252,53 @@ fn measure_profile_overhead() -> f64 {
     profiled.as_secs_f64() / plain.as_secs_f64()
 }
 
+/// One `Connection: close` exchange; returns the whole response.
+fn http(addr: SocketAddr, request: &str) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.write_all(request.as_bytes())?;
+    let mut response = String::new();
+    stream.read_to_string(&mut response)?;
+    Ok(response)
+}
+
+/// Median µs of [`HTTP_RTT_ITERS`] idle-gapped `GET /jobs/0` polls of a
+/// finished job through a router in front of one status server.
+fn measure_http_rtt() -> Result<f64, String> {
+    let obs = Obs::new(64);
+    let runtime = Arc::new(Runtime::new(RuntimeConfig { workers: 1, ..Default::default() }));
+    obs.publish(runtime.stats_arc(), runtime.load_policy());
+    obs.publish_api(JobApi::new(Arc::clone(&runtime), 4096));
+    let backend = StatusServer::bind(0, obs).map_err(|e| format!("backend bind: {e}"))?;
+    let router = Router::new(RouterConfig {
+        backends: vec![backend.local_addr().to_string()],
+        ..RouterConfig::default()
+    });
+    let server = RouterServer::bind(0, router).map_err(|e| format!("router bind: {e}"))?;
+    let addr = server.local_addr();
+    let spec = r#"{"workload":"matmul","order":32,"machine":"tiny","label":"rtt"}"#;
+    let submit = format!("POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
+    let accepted = http(addr, &submit).map_err(|e| format!("submit: {e}"))?;
+    if !accepted.starts_with("HTTP/1.1 202") {
+        return Err(format!("submit answered {accepted:?}"));
+    }
+    // The first poll waits the job out; the timed ones find it done.
+    let poll = "GET /jobs/0 HTTP/1.1\r\nHost: bench\r\n\r\n";
+    let mut samples = Vec::with_capacity(HTTP_RTT_ITERS);
+    for i in 0..=HTTP_RTT_ITERS {
+        thread::sleep(HTTP_IDLE_GAP);
+        let t0 = Instant::now();
+        let record = http(addr, poll).map_err(|e| format!("poll: {e}"))?;
+        if !record.starts_with("HTTP/1.1 200") {
+            return Err(format!("poll answered {record:?}"));
+        }
+        if i > 0 {
+            samples.push(t0.elapsed());
+        }
+    }
+    samples.sort_unstable();
+    Ok(samples[HTTP_RTT_ITERS / 2].as_secs_f64() * 1e6)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out = PathBuf::from("BENCH_runtime.json");
@@ -274,6 +348,14 @@ fn main() -> ExitCode {
     eprintln!("bench_gate: journal replay {replay:.0} records/s");
     let profile_overhead = measure_profile_overhead();
     eprintln!("bench_gate: simulate_profiled overhead {profile_overhead:.2}x of plain simulate");
+    let http_rtt_us = match measure_http_rtt() {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("bench_gate: http round trip: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    eprintln!("bench_gate: router -> status round trip {http_rtt_us:.1}µs (median)");
 
     let report = GateReport {
         cached_speedup: speedup,
@@ -282,6 +364,7 @@ fn main() -> ExitCode {
         serve_jobs_per_s: serve,
         replay_records_per_s: replay,
         profile_overhead,
+        http_rtt_us,
     };
     let json = serde_json::to_string(&report) + "\n";
     if let Err(e) = std::fs::write(&out, &json) {
@@ -298,6 +381,7 @@ fn main() -> ExitCode {
             serve_jobs_per_s: serve * BASELINE_HEADROOM,
             replay_records_per_s: replay * BASELINE_HEADROOM,
             profile_overhead,
+            http_rtt_us: http_rtt_us * BASELINE_HEADROOM,
         };
         let json = serde_json::to_string(&conservative) + "\n";
         if let Some(dir) = baseline.parent() {
@@ -361,6 +445,19 @@ fn main() -> ExitCode {
         }
     } else {
         eprintln!("bench_gate: baseline has no uncached_us; cold gate skipped");
+    }
+    // HTTP round-trip gate. Older baselines predate the field; skip then.
+    if let Some(base_rtt) = baseline_field(&text, "http_rtt_us") {
+        let ceiling = (base_rtt / BASELINE_HEADROOM * HTTP_GATE_FACTOR).min(HTTP_RTT_CEILING_US);
+        let verdict = if http_rtt_us > ceiling { "FAIL" } else { "PASS" };
+        eprintln!(
+            "bench_gate: {verdict} — http round trip {http_rtt_us:.1}µs vs ceiling {ceiling:.1}µs \
+             (baseline {base_rtt:.1}µs, headroom undone, x{HTTP_GATE_FACTOR} allowed, \
+             {HTTP_RTT_CEILING_US:.0}µs cap)",
+        );
+        failed |= http_rtt_us > ceiling;
+    } else {
+        eprintln!("bench_gate: baseline has no http_rtt_us; http gate skipped");
     }
     if failed {
         ExitCode::FAILURE

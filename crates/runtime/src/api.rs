@@ -955,10 +955,11 @@ fn duration_us(d: Duration) -> u64 {
 /// Computes a settled job's latency [`Attribution`] from its own spans:
 /// `total_us` is the measured accept → settle wall time; `queue_us`,
 /// `run_us` and `retry_us` are mined from the span ring by scheduler
-/// token; `other_us` is the unattributed remainder, so the execution
-/// components sum to `total_us` exactly. With tracing disabled the
-/// mined stages read 0 and `other_us` absorbs the whole window — the
-/// sum contract still holds.
+/// token and clipped into that window latest-first (a coalesced
+/// follower owns only the tail of its leader's spans); `other_us` is
+/// the remainder, so the execution components sum to `total_us`
+/// exactly. With tracing disabled the mined stages read 0 and
+/// `other_us` absorbs the whole window.
 fn render_attribution(
     tracer: &Tracer,
     accepted_at: Instant,
@@ -966,7 +967,7 @@ fn render_attribution(
     sched_token: Option<u64>,
     cached: Option<bool>,
 ) -> String {
-    let mut total_us = duration_us(accepted_at.elapsed());
+    let total_us = duration_us(accepted_at.elapsed());
     let (mut queue_us, mut run_us, mut retry_us) = (0u64, 0u64, 0u64);
     if let Some(token) = sched_token {
         for e in tracer.recent(usize::MAX) {
@@ -982,16 +983,19 @@ fn render_attribution(
             }
         }
     }
-    let parts =
-        admission_us.saturating_add(queue_us).saturating_add(run_us).saturating_add(retry_us);
-    total_us = total_us.max(parts);
+    let admission_us = admission_us.min(total_us);
+    let mut other_us = total_us - admission_us;
+    for stage in [&mut run_us, &mut retry_us, &mut queue_us] {
+        *stage = (*stage).min(other_us);
+        other_us -= *stage;
+    }
     let mut a = Attribution::new();
     a.push(TOTAL_KEY, total_us);
     a.push("admission_us", admission_us);
     a.push("queue_us", queue_us);
     a.push("run_us", run_us);
     a.push("retry_us", retry_us);
-    a.push("other_us", total_us - parts);
+    a.push("other_us", other_us);
     if let Some(cached) = cached {
         a.push("cached", u64::from(cached));
     }

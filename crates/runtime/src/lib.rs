@@ -110,6 +110,7 @@ pub mod cache;
 pub mod fault;
 pub mod job;
 pub mod journal;
+pub mod listener;
 pub mod manifest;
 pub mod metrics;
 pub mod netfault;

@@ -29,21 +29,23 @@
 //! Two deployment shapes share the same plan: the in-process
 //! [`FaultConnector`] decorating the router's real dialer (the
 //! [`Connector`] seam in [`crate::router`]), and the standalone
-//! byte-level [`FaultProxy`] (`cfrouter --fault-proxy`) for black-box
-//! end-to-end runs where the victim must not even link the fault code.
+//! byte-level [`FaultProxy`] (`cfrouter --fault-proxy`, on the shared
+//! blocking [`AcceptLoop`]) for black-box end-to-end runs where the
+//! victim must not even link the fault code.
 //! See DESIGN.md §11.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::api;
 use crate::fault::{fnv1a, mix};
+use crate::listener::AcceptLoop;
 use crate::router::{CancelSlot, Connector};
 use crate::sync;
 
@@ -396,8 +398,6 @@ const PROXY_CONNECT: Duration = Duration::from_secs(2);
 const PROXY_READ: Duration = Duration::from_secs(150);
 /// Time a proxied client gets to deliver one complete request.
 const PROXY_CLIENT_READ: Duration = Duration::from_secs(10);
-/// How long the accept loop sleeps when no connection is pending.
-const PROXY_POLL: Duration = Duration::from_millis(10);
 /// Trickle chunk size: small enough that a trickled record crosses many
 /// writes, large enough to finish inside a test timeout.
 const TRICKLE_CHUNK: usize = 256;
@@ -406,12 +406,11 @@ const TRICKLE_CHUNK: usize = 256;
 /// forwards each complete request to `upstream`, and applies the plan's
 /// faults to the raw response bytes on the way back. Black-box: the
 /// process under test just dials the proxy's address as if it were the
-/// backend (`cfrouter --fault-proxy`).
+/// backend (`cfrouter --fault-proxy`). Runs on the shared blocking
+/// [`AcceptLoop`], one thread per proxied connection.
 #[derive(Debug)]
 pub struct FaultProxy {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+    listener: AcceptLoop,
 }
 
 impl FaultProxy {
@@ -420,66 +419,24 @@ impl FaultProxy {
     ///
     /// # Errors
     ///
-    /// Any socket bind/configure failure, unchanged.
+    /// Any socket bind failure, unchanged.
     pub fn bind(port: u16, upstream: &str, plan: NetFaultPlan) -> std::io::Result<FaultProxy> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let ledger = AttemptLedger::default();
         let upstream = upstream.to_string();
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            thread::Builder::new().name("cf-fault-proxy".to_string()).spawn(move || {
-                accept_loop(&listener, &upstream, plan, &shutdown);
-            })?
-        };
-        Ok(FaultProxy { addr, shutdown, thread: Some(thread) })
+        let listener = AcceptLoop::bind(port, "cf-fault-proxy", move |stream, _| {
+            let _ = proxy_connection(stream, &upstream, &plan, &ledger);
+        })?;
+        Ok(FaultProxy { listener })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Stops the accept loop and joins its thread (also done on drop).
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FaultProxy {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, upstream: &str, plan: NetFaultPlan, shutdown: &AtomicBool) {
-    let ledger = Arc::new(AttemptLedger::default());
-    let plan = Arc::new(plan);
-    let upstream = Arc::new(upstream.to_string());
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let ledger = Arc::clone(&ledger);
-                let plan = Arc::clone(&plan);
-                let upstream = Arc::clone(&upstream);
-                let spawned = thread::Builder::new().name("cf-fault-proxy-conn".to_string()).spawn(
-                    move || {
-                        let _ = proxy_connection(stream, &upstream, &plan, &ledger);
-                    },
-                );
-                drop(spawned);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(PROXY_POLL),
-            Err(_) => thread::sleep(PROXY_POLL),
-        }
+        self.listener.stop();
     }
 }
 

@@ -47,18 +47,21 @@
 //! `GET /jobs/<id>` and `GET /jobs/<id>/status` proxy to the owning
 //! backend with the backend-local job id translated to the router's
 //! fleet-wide id, so a client cannot tell the fleet from one big
-//! instance. See DESIGN.md §10.
+//! instance. [`RouterServer`] serves it all on the shared blocking
+//! [`AcceptLoop`], so no idle poll sits between a client and the
+//! router. See DESIGN.md §10.
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::api::{self, HttpRequest};
 use crate::fault::fnv1a;
+use crate::listener::AcceptLoop;
 use crate::netfault::{FaultConnector, NetFaultPlan};
 use crate::obs::LatencyHistogram;
 use crate::serve::{json_str, verify_record_json};
@@ -66,9 +69,6 @@ use crate::stats::RouterStats;
 use crate::supervisor::{next_retry, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::sync;
 use crate::trace::{Attribution, TraceContext, ATTRIBUTION_HEADER, TRACE_HEADER};
-
-/// How long the accept loop sleeps when no connection is pending.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Per-read/write socket timeout on *client* connections.
 const IO_TIMEOUT: Duration = Duration::from_millis(500);
@@ -910,8 +910,8 @@ struct JobRoute {
     trace: TraceContext,
     /// When the router accepted the submission (attribution clock).
     accepted_at: Instant,
-    /// Submit-exchange time (dial + transfer + backend accept), µs.
-    net_submit_us: u64,
+    /// Accept → booking time minus submit-side backoff sleeps, µs.
+    submit_us: u64,
     /// Failover/backoff sleeps attributed to this job so far, µs.
     backoff_us: u64,
 }
@@ -958,7 +958,9 @@ pub struct Router {
     next_id: AtomicU64,
     stats: RouterStats,
     submit_latency: LatencyHistogram,
-    shutdown: Arc<AtomicBool>,
+    /// Set by [`stop`](Router::stop), which signals `stop_signal`.
+    stopping: Mutex<bool>,
+    stop_signal: Condvar,
     prober: Mutex<Option<thread::JoinHandle<()>>>,
     connector: Arc<dyn Connector>,
     /// The router's span clock zero (span offsets are µs since this).
@@ -992,7 +994,8 @@ impl Router {
             next_id: AtomicU64::new(0),
             stats: RouterStats::default(),
             submit_latency: LatencyHistogram::default(),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            stopping: Mutex::new(false),
+            stop_signal: Condvar::new(),
             prober: Mutex::new(None),
             connector,
             started: Instant::now(),
@@ -1064,17 +1067,14 @@ impl Router {
             return;
         }
         let router = Arc::clone(self);
-        let shutdown = Arc::clone(&self.shutdown);
         let spawned =
             thread::Builder::new().name("cf-router-prober".to_string()).spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
+                while !*sync::lock(&router.stopping) {
                     router.probe_once();
-                    let mut slept = Duration::ZERO;
-                    while slept < router.config.probe_interval && !shutdown.load(Ordering::SeqCst) {
-                        let step = POLL_INTERVAL.min(router.config.probe_interval - slept);
-                        thread::sleep(step);
-                        slept += step;
-                    }
+                    // Sleep out the probe interval unless `stop` signals.
+                    let stopping = sync::lock(&router.stopping);
+                    let interval = router.config.probe_interval;
+                    drop(router.stop_signal.wait_timeout_while(stopping, interval, |s| !*s));
                 }
             });
         if let Ok(handle) = spawned {
@@ -1085,7 +1085,8 @@ impl Router {
     /// Stops the prober thread (also done when a [`RouterServer`] shuts
     /// down).
     pub fn stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        *sync::lock(&self.stopping) = true;
+        self.stop_signal.notify_all();
         if let Some(handle) = sync::lock(&self.prober).take() {
             let _ = handle.join();
         }
@@ -1507,7 +1508,7 @@ impl Router {
                         backend_id,
                         trace: root,
                         accepted_at,
-                        net_submit_us: dur_us(accepted_at.elapsed()),
+                        submit_us: dur_us(accepted_at.elapsed()).saturating_sub(backoff_us),
                         backoff_us,
                     },
                 );
@@ -1636,24 +1637,15 @@ impl Router {
     }
 
     /// Extends a backend's attribution with the router-side components
-    /// (submit network time, poll-side residue, retry backoff), folds
-    /// the result into the `/stats` aggregates, and classifies the job
-    /// against the SLO. Returns the encoded header value.
-    ///
-    /// `net_poll_us` is the residue of the router-observed wall clock
-    /// (accept → record streamed) not covered by the backend's own
-    /// `total_us`, the submit dial, or backoff sleeps — so the full
-    /// component sum equals the router's end-to-end measurement.
+    /// (see [`Attribution::push_router_view`]: the full sum equals the
+    /// router's accept → stream time), folds the result into the
+    /// `/stats` aggregates, and classifies the job against the SLO.
+    /// Returns the encoded header value.
     fn finish_attribution(&self, route: &JobRoute, mut attr: Attribution) -> String {
         let total = attr.total_us();
-        let router_total = dur_us(route.accepted_at.elapsed());
-        let net_poll = router_total
-            .saturating_sub(total)
-            .saturating_sub(route.net_submit_us)
-            .saturating_sub(route.backoff_us);
-        attr.push("net_submit_us", route.net_submit_us);
-        attr.push("net_poll_us", net_poll);
-        attr.push("backoff_us", route.backoff_us);
+        let router_us = dur_us(route.accepted_at.elapsed());
+        let (net_submit, net_poll) =
+            attr.push_router_view(router_us, route.submit_us, route.backoff_us);
         self.stats.attr_records.fetch_add(1, Ordering::Relaxed);
         self.stats.attr_total_us.fetch_add(total, Ordering::Relaxed);
         self.stats
@@ -1661,16 +1653,13 @@ impl Router {
             .fetch_add(attr.get("admission_us").unwrap_or(0), Ordering::Relaxed);
         self.stats.attr_queue_us.fetch_add(attr.get("queue_us").unwrap_or(0), Ordering::Relaxed);
         self.stats.attr_run_us.fetch_add(attr.get("run_us").unwrap_or(0), Ordering::Relaxed);
-        self.stats
-            .attr_net_us
-            .fetch_add(route.net_submit_us.saturating_add(net_poll), Ordering::Relaxed);
+        self.stats.attr_net_us.fetch_add(net_submit + net_poll, Ordering::Relaxed);
         self.stats.attr_backoff_us.fetch_add(route.backoff_us, Ordering::Relaxed);
         if let Some(slo) = &self.slo {
-            // SLO latency: backend execution + submit dial + backoff.
-            // Poll wait is excluded — it measures the client's polling
-            // cadence, not the fleet's service quality.
-            let latency =
-                total.saturating_add(route.net_submit_us).saturating_add(route.backoff_us);
+            // SLO latency: backend execution + submit network + backoff,
+            // each counted once. Poll wait is excluded — it measures the
+            // client's polling cadence, not the fleet's service quality.
+            let latency = total.saturating_add(net_submit).saturating_add(route.backoff_us);
             slo.record(Duration::from_micros(latency), self.started.elapsed());
         }
         attr.encode()
@@ -2303,14 +2292,12 @@ fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) ->
 // The router's HTTP server
 // ---------------------------------------------------------------------------
 
-/// The router's HTTP/1.1 listener: the same dependency-free
-/// thread-per-connection loop as [`crate::StatusServer`], dispatching
-/// into [`Router::handle`]. Binds 127.0.0.1 only.
+/// The router's HTTP/1.1 listener: the shared [`AcceptLoop`], one thread
+/// per connection dispatching into [`Router::handle`]. Binds 127.0.0.1
+/// only.
 #[derive(Debug)]
 pub struct RouterServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+    listener: AcceptLoop,
     router: Arc<Router>,
 }
 
@@ -2320,26 +2307,19 @@ impl RouterServer {
     ///
     /// # Errors
     ///
-    /// Any socket bind/configure failure, unchanged.
+    /// Any socket bind failure, unchanged.
     pub fn bind(port: u16, router: Arc<Router>) -> std::io::Result<RouterServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let handler = Arc::clone(&router);
+        let listener = AcceptLoop::bind(port, "cf-router", move |stream, _| {
+            let _ = serve_connection(stream, &handler);
+        })?;
         router.start_prober();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            let router = Arc::clone(&router);
-            thread::Builder::new()
-                .name("cf-router-server".to_string())
-                .spawn(move || accept_loop(&listener, &router, &shutdown))?
-        };
-        Ok(RouterServer { addr, shutdown, thread: Some(thread), router })
+        Ok(RouterServer { listener, router })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Stops the accept loop and the prober, joining both threads (also
@@ -2349,10 +2329,7 @@ impl RouterServer {
     }
 
     fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
+        self.listener.stop();
         self.router.stop();
     }
 }
@@ -2360,26 +2337,6 @@ impl RouterServer {
 impl Drop for RouterServer {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, router: &Arc<Router>, shutdown: &AtomicBool) {
-    let seq = AtomicU64::new(0);
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let router = Arc::clone(router);
-                let token = seq.fetch_add(1, Ordering::Relaxed);
-                let spawned = thread::Builder::new().name(format!("cf-router-conn-{token}")).spawn(
-                    move || {
-                        let _ = serve_connection(stream, &router);
-                    },
-                );
-                drop(spawned);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(POLL_INTERVAL),
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
     }
 }
 

@@ -19,11 +19,11 @@
 //! answers `405` with an `Allow` header instead of a silent drop;
 //! malformed request heads answer `400`; a `Content-Length` beyond the
 //! configured bound answers `413` before the body is read (see
-//! [`api::parse_request`]). The accept loop runs on one background
-//! thread and hands each connection to its own thread, so a long-poll
-//! on `GET /jobs/<id>` never blocks probes. Each request records one
-//! [`SpanKind::ApiRequest`] span and a [`Stage::ApiRequest`] latency
-//! sample on the hub's tracer. The server binds 127.0.0.1 only. See
+//! [`api::parse_request`]). The shared blocking [`AcceptLoop`] answers
+//! a connect the instant it lands and hands each connection to its own
+//! thread, so a long-poll on `GET /jobs/<id>` never blocks probes. Each
+//! request records one [`SpanKind::ApiRequest`] span and a
+//! [`Stage::ApiRequest`] latency sample on the hub's tracer. The server binds 127.0.0.1 only. See
 //! DESIGN.md §8–9.
 //!
 //! **Distributed tracing.** `POST /jobs` reads the `X-CF-Trace` request
@@ -39,14 +39,13 @@
 //! DESIGN.md §16.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use crate::api::{self, HttpParseError, HttpRequest, JobWait, SubmitError, SubmitOk};
 use crate::fault::fnv1a;
+use crate::listener::AcceptLoop;
 use crate::metrics;
 use crate::obs::{Obs, SpanKind, Stage};
 use crate::serve::json_str;
@@ -54,9 +53,6 @@ use crate::trace::{TraceContext, ATTRIBUTION_HEADER, TRACE_HEADER};
 
 /// Events returned by `/trace` per request.
 const TRACE_LIMIT: usize = 256;
-
-/// How long the accept loop sleeps when no connection is pending.
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Per-read/write socket timeout: a stalled peer must not wedge a
 /// connection thread forever.
@@ -78,9 +74,7 @@ const PROM_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 /// The status-and-jobs HTTP server (see the module docs).
 #[derive(Debug)]
 pub struct StatusServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    thread: Option<thread::JoinHandle<()>>,
+    listener: AcceptLoop,
 }
 
 impl StatusServer {
@@ -90,69 +84,25 @@ impl StatusServer {
     ///
     /// # Errors
     ///
-    /// Any socket bind/configure failure, unchanged.
+    /// Any socket bind failure, unchanged.
     pub fn bind(port: u16, obs: Arc<Obs>) -> std::io::Result<StatusServer> {
-        let listener = TcpListener::bind(("127.0.0.1", port))?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let thread = {
-            let shutdown = Arc::clone(&shutdown);
-            thread::Builder::new()
-                .name("cf-status-server".to_string())
-                .spawn(move || accept_loop(&listener, &obs, &shutdown))?
-        };
-        Ok(StatusServer { addr, shutdown, thread: Some(thread) })
+        // One slow or malformed peer must not kill the server:
+        // per-connection errors are dropped with the connection.
+        let listener = AcceptLoop::bind(port, "cf-status", move |stream, token| {
+            let _ = serve_connection(stream, &obs, token);
+        })?;
+        Ok(StatusServer { listener })
     }
 
     /// The bound address (resolves port 0 to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.listener.local_addr()
     }
 
     /// Stops the accept loop and joins its thread (also done on drop).
     /// Connection threads already serving a request finish on their own.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for StatusServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-fn accept_loop(listener: &TcpListener, obs: &Arc<Obs>, shutdown: &AtomicBool) {
-    let seq = Arc::new(AtomicU64::new(0));
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                // One thread per connection: a long-poll on /jobs/<id>
-                // must not block probes. One slow or malformed peer must
-                // not kill the loop: per-connection errors are dropped
-                // with the connection.
-                let obs = Arc::clone(obs);
-                let token = seq.fetch_add(1, Ordering::Relaxed);
-                let spawned = thread::Builder::new().name(format!("cf-status-conn-{token}")).spawn(
-                    move || {
-                        let _ = serve_connection(stream, &obs, token);
-                    },
-                );
-                drop(spawned);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => thread::sleep(POLL_INTERVAL),
-        }
+        self.listener.stop();
     }
 }
 
@@ -190,7 +140,6 @@ impl Response {
 fn serve_connection(mut stream: TcpStream, obs: &Arc<Obs>, token: u64) -> std::io::Result<()> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    stream.set_nonblocking(false)?;
 
     let max_body = obs.api().map_or(api::DEFAULT_MAX_BODY_BYTES, |a| a.max_body());
     let t0 = Instant::now();
@@ -499,6 +448,8 @@ mod tests {
     use crate::api::JobApi;
     use crate::scheduler::{LoadPolicy, Runtime, RuntimeConfig};
     use crate::stats::RuntimeStats;
+    use std::sync::atomic::Ordering;
+    use std::thread;
 
     /// A blocking one-shot HTTP exchange against a local address. Write
     /// and read errors are tolerated: a server rejecting an oversized

@@ -196,8 +196,9 @@ pub const TOTAL_KEY: &str = "total_us";
 ///   [`execution_sum_us`](Attribution::execution_sum_us) equals
 ///   `total_us` by construction.
 /// * `net_*_us` / `backoff_us` — router-side network and retry overhead
-///   *outside* the job's execution window (informational; excluded from
-///   the execution sum).
+///   *outside* the job's execution window (excluded from the execution
+///   sum); [`push_router_view`](Attribution::push_router_view) makes
+///   them partition the router's accept → stream time with `total_us`.
 /// * Keys not ending in `_us` (e.g. `cached=0|1`) are flags, not
 ///   durations.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -247,6 +248,26 @@ impl Attribution {
             })
             .map(|&(_, v)| v)
             .sum()
+    }
+
+    /// Appends the router's `net_submit_us`, `net_poll_us` and
+    /// `backoff_us` so that, with `total_us`, they sum to `router_us`,
+    /// the router's accept → stream time (exactly, whenever `total_us +
+    /// backoff_us` fits in it). `submit_us` overlaps `total_us` at its
+    /// tail, so `net_submit_us` is capped at what those two leave over
+    /// (DESIGN.md §16). Returns `(net_submit_us, net_poll_us)`.
+    pub fn push_router_view(
+        &mut self,
+        router_us: u64,
+        submit_us: u64,
+        backoff_us: u64,
+    ) -> (u64, u64) {
+        let net = router_us.saturating_sub(self.total_us()).saturating_sub(backoff_us);
+        let net_submit = submit_us.min(net);
+        self.push("net_submit_us", net_submit);
+        self.push("net_poll_us", net - net_submit);
+        self.push("backoff_us", backoff_us);
+        (net_submit, net - net_submit)
     }
 
     /// The `key=value,key=value` header form.
