@@ -29,12 +29,10 @@
 //! go through [`serve::render_record_json`](crate::serve::render_record_json)
 //! from the same deterministic [`JobOutput`]).
 //!
-//! The module also owns the dependency-free incremental HTTP/1.1
-//! request parser ([`parse_request`]) the server reads with: torn reads
-//! return `Ok(None)` (read more), malformed request lines and headers
-//! are typed errors the server maps to `400`, and a `Content-Length`
-//! beyond the configured bound fails *before* the body arrives, so the
-//! reader never buffers more than `--max-body-bytes`. See DESIGN.md §9.
+//! HTTP framing — reading requests, bounding bodies, writing responses —
+//! lives in [`crate::http`] (its request parser stays reachable here as
+//! [`parse_request`]); this module only sees parsed requests' bodies and
+//! hands back the JSON the status server answers with. See DESIGN.md §9.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -56,11 +54,10 @@ use crate::serve::{exec_output, json_str, render_record_json, sim_output, JobOut
 use crate::sync;
 use crate::trace::{Attribution, TraceContext, TOTAL_KEY};
 
+pub use crate::http::parse_request;
+
 /// Default request-body bound (`cfserve --max-body-bytes`).
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1 << 20;
-
-/// Request-head bound: the request line plus headers must fit here.
-const MAX_HEAD_BYTES: usize = 8192;
 
 /// Hottest-signature count for profiled API jobs (matches the manifest
 /// serving path so profiled records stay identical).
@@ -69,181 +66,6 @@ const PROFILE_TOP_SIGNATURES: usize = 16;
 /// Submission retries absorbed when admission capacity is raced away
 /// between the front-door check and the actual submit.
 const SUBMIT_RACE_RETRIES: u32 = 3;
-
-// ---------------------------------------------------------------------------
-// HTTP request parsing
-// ---------------------------------------------------------------------------
-
-/// One parsed HTTP/1.x request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HttpRequest {
-    /// The request method (`GET`, `POST`, …).
-    pub method: String,
-    /// The raw request target, query string included.
-    pub target: String,
-    /// Header `(name, value)` pairs in arrival order; folded
-    /// continuation lines are already joined into their header's value.
-    pub headers: Vec<(String, String)>,
-    /// The request body (`Content-Length` bytes; empty without one).
-    pub body: Vec<u8>,
-}
-
-impl HttpRequest {
-    /// The target's path component (query string stripped).
-    pub fn path(&self) -> &str {
-        self.target.split('?').next().unwrap_or(&self.target)
-    }
-
-    /// The target's query string, if any (without the `?`).
-    pub fn query(&self) -> Option<&str> {
-        self.target.split_once('?').map(|(_, q)| q)
-    }
-
-    /// The first header named `name` (ASCII case-insensitive).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-}
-
-/// Why a request did not parse (each maps to one HTTP error status).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HttpParseError {
-    /// The request line is not `METHOD SP TARGET SP HTTP/…`.
-    BadRequestLine,
-    /// The head (request line + headers) exceeds `MAX_HEAD_BYTES` (8 KiB).
-    HeadTooLarge,
-    /// A header line has no `:` or an empty/spaced name.
-    BadHeader,
-    /// `Content-Length` is not a single unsigned integer.
-    BadContentLength,
-    /// `Content-Length` exceeds the configured body bound.
-    BodyTooLarge {
-        /// The declared body length.
-        length: u64,
-        /// The configured bound.
-        max: usize,
-    },
-}
-
-impl HttpParseError {
-    /// The HTTP status line this error maps to.
-    pub fn status(&self) -> &'static str {
-        match self {
-            HttpParseError::BodyTooLarge { .. } => "413 Payload Too Large",
-            _ => "400 Bad Request",
-        }
-    }
-}
-
-impl std::fmt::Display for HttpParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            HttpParseError::BadRequestLine => write!(f, "malformed request line"),
-            HttpParseError::HeadTooLarge => {
-                write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes")
-            }
-            HttpParseError::BadHeader => write!(f, "malformed header line"),
-            HttpParseError::BadContentLength => write!(f, "malformed Content-Length"),
-            HttpParseError::BodyTooLarge { length, max } => {
-                write!(f, "body of {length} bytes exceeds the {max}-byte bound")
-            }
-        }
-    }
-}
-
-impl std::error::Error for HttpParseError {}
-
-/// Incrementally parses one request from the bytes read so far.
-///
-/// `Ok(None)` means the request is not complete yet — read more and
-/// call again (a torn read mid-head or mid-body is not an error).
-/// Errors are terminal for the connection: the head will never parse no
-/// matter how many more bytes arrive, or the declared body exceeds
-/// `max_body` (detected from the header alone, so the caller never
-/// buffers an oversized body).
-///
-/// # Errors
-///
-/// See [`HttpParseError`]; each variant maps to a 400/413 response.
-pub fn parse_request(buf: &[u8], max_body: usize) -> Result<Option<HttpRequest>, HttpParseError> {
-    let Some(head_end) = find_head_end(buf) else {
-        if buf.len() > MAX_HEAD_BYTES {
-            return Err(HttpParseError::HeadTooLarge);
-        }
-        return Ok(None);
-    };
-    if head_end > MAX_HEAD_BYTES {
-        return Err(HttpParseError::HeadTooLarge);
-    }
-    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| HttpParseError::BadRequestLine)?;
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().ok_or(HttpParseError::BadRequestLine)?;
-    let (method, target) = parse_request_line(request_line)?;
-
-    let mut headers: Vec<(String, String)> = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue;
-        }
-        if line.starts_with(' ') || line.starts_with('\t') {
-            // RFC 7230 obs-fold: a continuation line extends the
-            // previous header's value.
-            let (_, value) = headers.last_mut().ok_or(HttpParseError::BadHeader)?;
-            value.push(' ');
-            value.push_str(line.trim());
-            continue;
-        }
-        let (name, value) = line.split_once(':').ok_or(HttpParseError::BadHeader)?;
-        if name.is_empty() || name.contains(' ') || name.contains('\t') {
-            return Err(HttpParseError::BadHeader);
-        }
-        headers.push((name.to_string(), value.trim().to_string()));
-    }
-
-    let mut length: u64 = 0;
-    let mut seen_length = false;
-    for (name, value) in &headers {
-        if name.eq_ignore_ascii_case("content-length") {
-            let parsed: u64 = value.parse().map_err(|_| HttpParseError::BadContentLength)?;
-            if seen_length && parsed != length {
-                return Err(HttpParseError::BadContentLength);
-            }
-            length = parsed;
-            seen_length = true;
-        }
-    }
-    if length > max_body as u64 {
-        return Err(HttpParseError::BodyTooLarge { length, max: max_body });
-    }
-    let body_start = head_end + 4;
-    let body_end = body_start + length as usize;
-    if buf.len() < body_end {
-        return Ok(None);
-    }
-    Ok(Some(HttpRequest { method, target, headers, body: buf[body_start..body_end].to_vec() }))
-}
-
-/// Byte offset of the head's final line (start of `\r\n\r\n`), if the
-/// terminator has arrived.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
-}
-
-fn parse_request_line(line: &str) -> Result<(String, String), HttpParseError> {
-    let mut parts = line.split(' ');
-    let (Some(method), Some(target), Some(version), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Err(HttpParseError::BadRequestLine);
-    };
-    if method.is_empty() || !method.bytes().all(|b| b.is_ascii_uppercase()) {
-        return Err(HttpParseError::BadRequestLine);
-    }
-    if !target.starts_with('/') || !version.starts_with("HTTP/") {
-        return Err(HttpParseError::BadRequestLine);
-    }
-    Ok((method.to_string(), target.to_string()))
-}
 
 // ---------------------------------------------------------------------------
 // Job API
@@ -1217,77 +1039,6 @@ mod tests {
     use crate::scheduler::{LoadPolicy, RuntimeConfig};
     use std::sync::atomic::Ordering;
     use std::sync::mpsc;
-
-    // -- HTTP parser --------------------------------------------------------
-
-    #[test]
-    fn parses_a_simple_get() {
-        let req =
-            parse_request(b"GET /healthz?x=1 HTTP/1.1\r\nHost: a\r\n\r\n", 1024).unwrap().unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path(), "/healthz");
-        assert_eq!(req.query(), Some("x=1"));
-        assert_eq!(req.header("host"), Some("a"));
-        assert!(req.body.is_empty());
-    }
-
-    #[test]
-    fn torn_reads_ask_for_more() {
-        let full = b"POST /jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody";
-        for cut in 0..full.len() {
-            assert_eq!(parse_request(&full[..cut], 1024).unwrap(), None, "cut={cut}");
-        }
-        let req = parse_request(full, 1024).unwrap().unwrap();
-        assert_eq!(req.body, b"body");
-    }
-
-    #[test]
-    fn folded_headers_join_values() {
-        let req =
-            parse_request(b"GET / HTTP/1.1\r\nX-Long: first\r\n  second\r\n\tthird\r\n\r\n", 1024)
-                .unwrap()
-                .unwrap();
-        assert_eq!(req.header("x-long"), Some("first second third"));
-    }
-
-    #[test]
-    fn malformed_heads_are_typed_errors() {
-        assert_eq!(parse_request(b"garbage\r\n\r\n", 1024), Err(HttpParseError::BadRequestLine));
-        assert_eq!(
-            parse_request(b"get / HTTP/1.1\r\n\r\n", 1024),
-            Err(HttpParseError::BadRequestLine)
-        );
-        assert_eq!(
-            parse_request(b"GET nopath HTTP/1.1\r\n\r\n", 1024),
-            Err(HttpParseError::BadRequestLine)
-        );
-        assert_eq!(
-            parse_request(b"GET / HTTP/1.1\r\nno-colon-here\r\n\r\n", 1024),
-            Err(HttpParseError::BadHeader)
-        );
-        assert_eq!(
-            parse_request(b"GET / HTTP/1.1\r\nContent-Length: pony\r\n\r\n", 1024),
-            Err(HttpParseError::BadContentLength)
-        );
-    }
-
-    #[test]
-    fn oversized_bodies_fail_before_arriving() {
-        // The body has not arrived at all — the header alone rejects.
-        let head = b"POST /jobs HTTP/1.1\r\nContent-Length: 4096\r\n\r\n";
-        assert_eq!(
-            parse_request(head, 1024),
-            Err(HttpParseError::BodyTooLarge { length: 4096, max: 1024 })
-        );
-    }
-
-    #[test]
-    fn zero_length_bodies_are_fine() {
-        let req = parse_request(b"POST /jobs HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 1024)
-            .unwrap()
-            .unwrap();
-        assert!(req.body.is_empty());
-    }
 
     // -- canonical lines ----------------------------------------------------
 

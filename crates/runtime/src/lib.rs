@@ -47,6 +47,10 @@
 //!   files past a size threshold are compacted — superseded/failed
 //!   records dropped, checksummed framing preserved — on resume and
 //!   during live runs. See DESIGN.md §8.
+//! * [`http`] — the one HTTP/1.1 layer under every server and client
+//!   above: one request reader, one [`Response`] writer (exact
+//!   `Content-Length`, `X-CF-Digest` on every answer), one reply parser,
+//!   and the router's [`Connector`] seam. See DESIGN.md §8.
 //! * [`api`] — the HTTP job subsystem behind `POST /jobs`: JSON job
 //!   specs accepted over the status listener, journaled durably
 //!   *before* the id is acknowledged, coalesced across requests by
@@ -108,6 +112,7 @@ pub mod api;
 pub mod batch;
 pub mod cache;
 pub mod fault;
+pub mod http;
 pub mod job;
 pub mod journal;
 pub mod listener;
@@ -124,9 +129,13 @@ pub mod supervisor;
 pub(crate) mod sync;
 pub mod trace;
 
-pub use api::{ApiResume, HttpParseError, HttpRequest, JobApi, JobWait, SubmitError, SubmitOk};
+pub use api::{ApiResume, JobApi, JobWait, SubmitError, SubmitOk};
 pub use cache::{report_checksum, CacheKey, CacheLookup, PlanCache};
 pub use fault::{FaultPlan, FaultSite, FaultSpec};
+pub use http::{
+    digest_ok, parse_reply, CancelSlot, Connector, HttpParseError, HttpRequest, Reply, Response,
+    TcpConnector,
+};
 pub use job::{JobError, JobHandle, JobOptions};
 pub use journal::{
     CompactionStats, JobEntry, Journal, JournalError, Record, RecordError, RunHeader,
@@ -135,9 +144,7 @@ pub use netfault::{
     FaultConnector, FaultProxy, NetFault, NetFaultPlan, NetFaultSite, NetFaultSpec,
 };
 pub use obs::{LatencyHistogram, Obs, ProfileAgg, SpanEvent, SpanKind, Stage, Tracer};
-pub use router::{
-    BackendHealth, CancelSlot, Connector, Ring, Router, RouterConfig, RouterServer, TcpConnector,
-};
+pub use router::{BackendHealth, Ring, Router, RouterConfig, RouterServer};
 pub use scheduler::{ExecResult, LoadPolicy, ProfiledSimResult, Runtime, RuntimeConfig, SimResult};
 pub use serve::{
     JobOutput, JobRecord, JournalOptions, ServeError, ServeOptions, ServeReport,

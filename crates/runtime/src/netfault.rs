@@ -28,25 +28,28 @@
 //!
 //! Two deployment shapes share the same plan: the in-process
 //! [`FaultConnector`] decorating the router's real dialer (the
-//! [`Connector`] seam in [`crate::router`]), and the standalone
+//! [`Connector`] seam in [`crate::http`]), and the standalone
 //! byte-level [`FaultProxy`] (`cfrouter --fault-proxy`, on the shared
 //! blocking [`AcceptLoop`]) for black-box end-to-end runs where the
-//! victim must not even link the fault code.
+//! victim must not even link the fault code. The proxy reads each
+//! request with `http::read_request`, fingerprints the exact bytes it
+//! consumed — the same bytes the router's dialer would hash — and
+//! forwards them through [`TcpConnector`].
 //! See DESIGN.md §11.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::api;
 use crate::fault::{fnv1a, mix};
+use crate::http::{self, find_head_end, CancelSlot, Connector, TcpConnector};
 use crate::listener::AcceptLoop;
-use crate::router::{CancelSlot, Connector};
 use crate::sync;
 
 /// Where a wire fault can be injected.
@@ -275,7 +278,7 @@ impl NetFaultPlan {
 /// fault families. `key` seeds byte-position choices so the same
 /// decision point mangles the same way on every run.
 pub fn mangle(bytes: &mut Vec<u8>, fault: NetFault, key: u64) {
-    let head_end = bytes.windows(4).position(|w| w == b"\r\n\r\n");
+    let head_end = find_head_end(bytes);
     match fault {
         NetFault::Tear => {
             // Keep the head but cut the body short (or halve a headless
@@ -396,8 +399,6 @@ impl Connector for FaultConnector {
 const PROXY_CONNECT: Duration = Duration::from_secs(2);
 /// Proxy-side read timeout: must outlast a `/jobs/<id>` long-poll.
 const PROXY_READ: Duration = Duration::from_secs(150);
-/// Time a proxied client gets to deliver one complete request.
-const PROXY_CLIENT_READ: Duration = Duration::from_secs(10);
 /// Trickle chunk size: small enough that a trickled record crosses many
 /// writes, large enough to finish inside a test timeout.
 const TRICKLE_CHUNK: usize = 256;
@@ -448,36 +449,12 @@ fn proxy_connection(
     plan: &NetFaultPlan,
     ledger: &AttemptLedger,
 ) -> std::io::Result<()> {
-    client.set_read_timeout(Some(Duration::from_millis(500)))?;
-    client.set_write_timeout(Some(Duration::from_secs(5)))?;
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 4096];
-    let deadline = Instant::now() + PROXY_CLIENT_READ;
-    loop {
-        match api::parse_request(&buf, api::DEFAULT_MAX_BODY_BYTES) {
-            Ok(Some(_)) => break,
-            Ok(None) => {}
-            // Unparseable request: forward nothing, drop the client.
-            Err(_) => return Ok(()),
-        }
-        if Instant::now() > deadline {
-            return Ok(());
-        }
-        match client.read(&mut chunk) {
-            Ok(0) => return Ok(()),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            Err(_) => return Ok(()),
-        }
-    }
-
+    // Unparseable or empty request: forward nothing, drop the client.
+    let Ok(Some((_, raw))) = http::read_request(&mut client, api::DEFAULT_MAX_BODY_BYTES) else {
+        return Ok(());
+    };
     let backend = fnv1a(upstream.as_bytes());
-    let fingerprint = fnv1a(&buf);
+    let fingerprint = fnv1a(&raw);
     let attempt = ledger.next(backend, fingerprint);
     let fault = plan.decide(backend, fingerprint, attempt);
     if fault == Some(NetFault::Refuse) {
@@ -488,21 +465,7 @@ fn proxy_connection(
         thread::sleep(d);
     }
 
-    let sock: SocketAddr = upstream.parse().map_err(|e| {
-        std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{upstream}: {e}"))
-    })?;
-    let mut up = TcpStream::connect_timeout(&sock, PROXY_CONNECT)?;
-    up.set_read_timeout(Some(PROXY_READ))?;
-    up.set_write_timeout(Some(PROXY_CONNECT))?;
-    up.write_all(&buf)?;
-    let mut bytes = Vec::with_capacity(1024);
-    loop {
-        match up.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-            Err(_) => break,
-        }
-    }
+    let mut bytes = TcpConnector.exchange(upstream, &raw, PROXY_CONNECT, PROXY_READ, None)?;
 
     match fault {
         Some(f @ (NetFault::Tear | NetFault::Garbage | NetFault::Corrupt)) => {
@@ -589,7 +552,7 @@ mod tests {
         let mut torn = reply.clone();
         mangle(&mut torn, NetFault::Tear, 42);
         assert!(torn.len() < reply.len(), "tear must shorten the reply");
-        assert!(torn.windows(4).any(|w| w == b"\r\n\r\n"), "tear keeps the head");
+        assert!(find_head_end(&torn).is_some(), "tear keeps the head");
 
         let mut garbled = reply.clone();
         mangle(&mut garbled, NetFault::Garbage, 42);
@@ -601,7 +564,7 @@ mod tests {
         assert_eq!(flipped.len(), reply.len());
         let diff = reply.iter().zip(&flipped).filter(|(a, b)| a != b).count();
         assert_eq!(diff, 1, "corrupt flips exactly one byte");
-        let head_end = reply.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+        let head_end = find_head_end(&reply).unwrap() + 4;
         assert_eq!(&flipped[..head_end], &reply[..head_end], "corrupt stays in the body");
     }
 

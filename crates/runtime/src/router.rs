@@ -49,18 +49,22 @@
 //! fleet-wide id, so a client cannot tell the fleet from one big
 //! instance. [`RouterServer`] serves it all on the shared blocking
 //! [`AcceptLoop`], so no idle poll sits between a client and the
-//! router. See DESIGN.md §10.
+//! router. HTTP framing in both directions — reading client requests,
+//! writing digest-stamped responses, rendering backend requests,
+//! parsing backend replies — is [`crate::http`]'s. See DESIGN.md §10.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use crate::api::{self, HttpRequest};
+use crate::api;
 use crate::fault::fnv1a;
+use crate::http::{
+    self, digest_ok, CancelSlot, Connector, HttpRequest, Reply, Response, TcpConnector,
+};
 use crate::listener::AcceptLoop;
 use crate::netfault::{FaultConnector, NetFaultPlan};
 use crate::obs::LatencyHistogram;
@@ -69,12 +73,6 @@ use crate::stats::RouterStats;
 use crate::supervisor::{next_retry, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
 use crate::sync;
 use crate::trace::{Attribution, TraceContext, ATTRIBUTION_HEADER, TRACE_HEADER};
-
-/// Per-read/write socket timeout on *client* connections.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Total time a client gets to deliver one complete request.
-const READ_DEADLINE: Duration = Duration::from_secs(5);
 
 /// Minimum submit-latency samples before the hedge threshold trusts the
 /// histogram's quantile over the configured floor.
@@ -396,166 +394,6 @@ impl Default for RouterConfig {
     }
 }
 
-// ---------------------------------------------------------------------------
-// HTTP plumbing (client side)
-// ---------------------------------------------------------------------------
-
-/// One parsed backend reply.
-#[derive(Debug, Clone)]
-struct Reply {
-    status: u16,
-    headers: Vec<(String, String)>,
-    body: Vec<u8>,
-}
-
-impl Reply {
-    fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-}
-
-/// A handle the hedging path uses to abort the losing request: the
-/// in-flight stream is registered here, and `cancel` shuts it down so
-/// the loser unblocks instead of riding out its read timeout. Public
-/// only because it appears in the [`Connector`] seam's signature; a
-/// fault decorator just passes it through to the real dialer.
-#[derive(Debug, Default)]
-pub struct CancelSlot {
-    stream: Mutex<Option<TcpStream>>,
-    cancelled: AtomicBool,
-}
-
-impl CancelSlot {
-    fn arm(&self, stream: &TcpStream) {
-        let clone = stream.try_clone().ok();
-        *sync::lock(&self.stream) = clone;
-        if self.cancelled.load(Ordering::SeqCst) {
-            self.cancel();
-        }
-    }
-
-    fn cancel(&self) {
-        self.cancelled.store(true, Ordering::SeqCst);
-        if let Some(s) = sync::lock(&self.stream).take() {
-            let _ = s.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// The router's wire seam: one blocking HTTP/1.1 exchange returning the
-/// **raw response bytes** (parsing happens above the seam, so a
-/// decorator — [`crate::netfault::FaultConnector`] — can refuse, delay,
-/// tear, garble, or corrupt at the byte level exactly like a real
-/// network would).
-pub trait Connector: Send + Sync + std::fmt::Debug {
-    /// Dials `addr`, writes `raw`, reads the response to EOF (the peer
-    /// closes the connection after its response, which frames the
-    /// body). `cancel`, when present, lets a hedging caller abort the
-    /// exchange mid-flight.
-    ///
-    /// # Errors
-    ///
-    /// Connect/read/write failures, unchanged from the socket layer.
-    fn exchange(
-        &self,
-        addr: &str,
-        raw: &[u8],
-        connect_timeout: Duration,
-        read_timeout: Duration,
-        cancel: Option<&CancelSlot>,
-    ) -> std::io::Result<Vec<u8>>;
-}
-
-/// The real dialer: plain blocking TCP, no faults.
-#[derive(Debug, Default)]
-pub struct TcpConnector;
-
-impl Connector for TcpConnector {
-    fn exchange(
-        &self,
-        addr: &str,
-        raw: &[u8],
-        connect_timeout: Duration,
-        read_timeout: Duration,
-        cancel: Option<&CancelSlot>,
-    ) -> std::io::Result<Vec<u8>> {
-        let sock: SocketAddr = addr.parse().map_err(|e| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{addr}: {e}"))
-        })?;
-        let mut stream = TcpStream::connect_timeout(&sock, connect_timeout)?;
-        stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(Some(connect_timeout))?;
-        if let Some(slot) = cancel {
-            slot.arm(&stream);
-        }
-        stream.write_all(raw)?;
-        let mut bytes = Vec::with_capacity(1024);
-        let mut chunk = [0u8; 4096];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) => break,
-                Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-                Err(e) => {
-                    if bytes.is_empty() {
-                        return Err(e);
-                    }
-                    break;
-                }
-            }
-        }
-        Ok(bytes)
-    }
-}
-
-fn parse_reply(bytes: &[u8]) -> std::io::Result<Reply> {
-    let bad = |m: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, m.to_string());
-    let head_end =
-        bytes.windows(4).position(|w| w == b"\r\n\r\n").ok_or_else(|| bad("truncated reply"))?;
-    let head = std::str::from_utf8(&bytes[..head_end]).map_err(|_| bad("non-UTF-8 reply head"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().ok_or_else(|| bad("empty reply"))?;
-    // A real peer always leads with the protocol version; anything else
-    // is line noise (a garbled status line must not parse as a reply).
-    if !status_line.starts_with("HTTP/") {
-        return Err(bad("malformed status line"));
-    }
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| bad("malformed status line"))?;
-    let headers: Vec<(String, String)> = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.to_string(), v.trim().to_string()))
-        .collect();
-    let mut body = bytes[head_end + 4..].to_vec();
-    // Read-to-EOF framing cannot tell a complete body from a torn one
-    // on its own — hold the peer to its declared Content-Length.
-    if let Some(declared) = headers
-        .iter()
-        .find(|(n, _)| n.eq_ignore_ascii_case("content-length"))
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-    {
-        if body.len() < declared {
-            return Err(bad("torn reply: body shorter than Content-Length"));
-        }
-        body.truncate(declared);
-    }
-    Ok(Reply { status, headers, body })
-}
-
-/// Whether the reply's `X-CF-Digest` header (when present) matches its
-/// body bytes. Replies without the header pass — the check is for peers
-/// that stamp it (every `cfserve` does).
-fn digest_ok(reply: &Reply) -> bool {
-    match reply.header("x-cf-digest") {
-        Some(h) => {
-            u64::from_str_radix(h.trim(), 16).map(|d| d == fnv1a(&reply.body)).unwrap_or(false)
-        }
-        None => true,
-    }
-}
-
 /// One resolved (possibly hedged) submit attempt: which backend
 /// answered first, under which attempt trace context and cause, fired
 /// when, with what reply.
@@ -570,12 +408,7 @@ struct AttemptReply {
 /// The raw `POST /jobs` request for one attempt, stamped with the
 /// attempt's trace context so the backend's per-job spans parent to it.
 fn submit_raw(text: &str, ctx: TraceContext) -> Vec<u8> {
-    format!(
-        "POST /jobs HTTP/1.1\r\nHost: cfrouter\r\n{TRACE_HEADER}: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{text}",
-        ctx.encode(),
-        text.len(),
-    )
-    .into_bytes()
+    http::request("POST", "/jobs", &[(TRACE_HEADER, &ctx.encode())], Some(text))
 }
 
 /// One backend `/trace` event that belongs to the requested trace:
@@ -916,36 +749,6 @@ struct JobRoute {
     backoff_us: u64,
 }
 
-/// One response from the router, ready to serialize.
-struct RouterResponse {
-    status: &'static str,
-    content_type: &'static str,
-    retry_after: Option<u64>,
-    allow: Option<&'static str>,
-    /// Extra response headers (`X-CF-Trace`, `X-CF-Attribution`) —
-    /// trace identity and latency attribution ride as headers only, so
-    /// relayed record bodies stay byte-identical to the backend's.
-    extra: Vec<(&'static str, String)>,
-    body: String,
-}
-
-impl RouterResponse {
-    fn json(status: &'static str, body: String) -> RouterResponse {
-        RouterResponse {
-            status,
-            content_type: "application/json",
-            retry_after: None,
-            allow: None,
-            extra: Vec::new(),
-            body,
-        }
-    }
-
-    fn error(status: &'static str, message: &str) -> RouterResponse {
-        RouterResponse::json(status, format!("{{\"error\":{}}}", json_str(message)))
-    }
-}
-
 /// The shard router (see the module docs). Construct with
 /// [`Router::new`], serve with [`RouterServer::bind`], and start the
 /// health prober with [`Router::start_prober`].
@@ -1003,19 +806,6 @@ impl Router {
             slo,
             config,
         })
-    }
-
-    /// One HTTP exchange through the router's [`Connector`].
-    fn exchange(
-        &self,
-        addr: &str,
-        raw: &[u8],
-        connect_timeout: Duration,
-        read_timeout: Duration,
-        cancel: Option<&CancelSlot>,
-    ) -> std::io::Result<Reply> {
-        let bytes = self.connector.exchange(addr, raw, connect_timeout, read_timeout, cancel)?;
-        parse_reply(&bytes)
     }
 
     /// The router's counters.
@@ -1100,19 +890,17 @@ impl Router {
             backends.iter().enumerate().map(|(i, b)| (i, b.addr.clone())).collect()
         };
         for (idx, addr) in addrs {
-            let raw = b"GET /healthz HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n";
-            let reply = self.exchange(
+            let raw = http::request("GET", "/healthz", &[], None);
+            let reply = self.connector.fetch(
                 &addr,
-                raw,
+                &raw,
                 self.config.probe_timeout,
                 self.config.probe_timeout,
                 None,
             );
             let probe = match reply {
                 Ok(r) if r.status == 200 => Probe::Ok,
-                Ok(r) if String::from_utf8_lossy(&r.body).contains("\"status\":\"draining\"") => {
-                    Probe::Draining
-                }
+                Ok(r) if r.text().contains("\"status\":\"draining\"") => Probe::Draining,
                 Ok(r) => Probe::Failed(format!("healthz answered {}", r.status)),
                 Err(e) => Probe::Failed(e.to_string()),
             };
@@ -1246,9 +1034,7 @@ impl Router {
             let thread_tx = tx.clone();
             let spawned =
                 thread::Builder::new().name("cf-router-proxy".to_string()).spawn(move || {
-                    let reply = connector
-                        .exchange(&addr, &raw, connect, read, Some(&thread_slot))
-                        .and_then(|bytes| parse_reply(&bytes));
+                    let reply = connector.fetch(&addr, &raw, connect, read, Some(&thread_slot));
                     let _ = thread_tx.send((idx, reply, thread_slot));
                 });
             if spawned.is_err() {
@@ -1348,7 +1134,7 @@ impl Router {
     /// whole dispatch becomes the trace's root router span — parented
     /// to the client's context when one was propagated in — and the
     /// response echoes the root on `X-CF-Trace`.
-    fn submit(&self, body: &[u8], client: Option<TraceContext>) -> RouterResponse {
+    fn submit(&self, body: &[u8], client: Option<TraceContext>) -> Response {
         let root = match client {
             Some(c) => c.child(),
             None => TraceContext::mint(),
@@ -1371,9 +1157,9 @@ impl Router {
     }
 
     /// The submit failover loop under the dispatch span `root`.
-    fn submit_routed(&self, body: &[u8], root: TraceContext, t0: Instant) -> RouterResponse {
+    fn submit_routed(&self, body: &[u8], root: TraceContext, t0: Instant) -> Response {
         let Ok(text) = std::str::from_utf8(body) else {
-            return RouterResponse::error("400 Bad Request", "body is not UTF-8");
+            return Response::error("400 Bad Request", "body is not UTF-8");
         };
         let fingerprint = api::routing_fingerprint(text);
         let started = Instant::now();
@@ -1383,7 +1169,7 @@ impl Router {
         loop {
             let candidates = self.candidates(fingerprint);
             let Some(&target) = candidates.get(failures as usize % candidates.len().max(1)) else {
-                return RouterResponse::error("502 Bad Gateway", "no backends configured");
+                return Response::error("502 Bad Gateway", "no backends configured");
             };
             let hedge = hedge_pick(&candidates, target, |c| self.routable(c));
             let attempt = self.exchange_hedged(root, cause, target, hedge, text);
@@ -1423,7 +1209,7 @@ impl Router {
                     // The reply does not match its own digest: the wire
                     // (or the backend) is lying. Never trust it.
                     self.note_corruption(winner);
-                    let error = RouterResponse::error(
+                    let error = Response::error(
                         "502 Bad Gateway",
                         &format!("backend {}: corrupt response", self.backend_addr(winner)),
                     );
@@ -1436,7 +1222,7 @@ impl Router {
                 }
                 Err(e) => {
                     self.note_request_outcome(winner, false);
-                    let error = RouterResponse::error(
+                    let error = Response::error(
                         "502 Bad Gateway",
                         &format!("backend {}: {e}", self.backend_addr(winner)),
                     );
@@ -1473,10 +1259,10 @@ impl Router {
         root: TraceContext,
         accepted_at: Instant,
         backoff_us: u64,
-    ) -> Result<RouterResponse, RouterResponse> {
+    ) -> Result<Response, Response> {
         let text = String::from_utf8_lossy(&reply.body);
         let Ok(value) = serde_json::from_str(&text) else {
-            return Err(RouterResponse::error("502 Bad Gateway", "unparseable backend accept"));
+            return Err(Response::error("502 Bad Gateway", "unparseable backend accept"));
         };
         // Per-element specs: an array submission retains each element as
         // its own resubmittable body.
@@ -1492,7 +1278,7 @@ impl Router {
         } else if let Some(ids) = value.get("ids").and_then(|v| v.as_array()) {
             ids.iter().filter_map(|v| v.as_u64()).collect()
         } else {
-            return Err(RouterResponse::error("502 Bad Gateway", "backend accept carries no id"));
+            return Err(Response::error("502 Bad Gateway", "backend accept carries no id"));
         };
         let base = self.next_id.fetch_add(backend_ids.len() as u64, Ordering::Relaxed);
         {
@@ -1522,29 +1308,26 @@ impl Router {
                 (0..backend_ids.len() as u64).map(|o| (base + o).to_string()).collect();
             format!("{{\"ids\":[{}]}}", ids.join(","))
         };
-        Ok(RouterResponse::json("202 Accepted", body))
+        Ok(Response::json("202 Accepted", body))
     }
 
     // -- GET /jobs/<id>[/status] --------------------------------------------
 
     /// Proxies a job poll to the owning backend, translating ids both
     /// ways; a dead owner triggers resubmission to the next replica.
-    fn poll(&self, rid: u64, status_only: bool, query: Option<&str>) -> RouterResponse {
+    fn poll(&self, rid: u64, status_only: bool, query: Option<&str>) -> Response {
         let started = Instant::now();
         let mut failures = 0u32;
         loop {
             let Some(route) = sync::lock(&self.jobs).get(&rid).cloned() else {
-                return RouterResponse::error("404 Not Found", "no such job");
+                return Response::error("404 Not Found", "no such job");
             };
             let suffix = if status_only { "/status" } else { "" };
             let q = query.map(|q| format!("?{q}")).unwrap_or_default();
-            let raw = format!(
-                "GET /jobs/{}{suffix}{q} HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n",
-                route.backend_id
-            )
-            .into_bytes();
+            let target = format!("/jobs/{}{suffix}{q}", route.backend_id);
+            let raw = http::request("GET", &target, &[], None);
             let addr = self.backend_addr(route.backend);
-            let reply = self.exchange(
+            let reply = self.connector.fetch(
                 &addr,
                 &raw,
                 self.config.connect_timeout,
@@ -1596,7 +1379,7 @@ impl Router {
             let jitter = Self::failover_jitter(route.fingerprint ^ rid, failures);
             let Some(backoff) = next_retry(&self.config.retry, failures, started.elapsed(), jitter)
             else {
-                return RouterResponse::error(
+                return Response::error(
                     "502 Bad Gateway",
                     &format!("job {rid}: backend {addr} unreachable and failover exhausted"),
                 );
@@ -1682,7 +1465,7 @@ impl Router {
             let fired_at = Instant::now();
             let raw = submit_raw(&route.spec, ctx);
             let addr = self.backend_addr(target);
-            let reply = self.exchange(
+            let reply = self.connector.fetch(
                 &addr,
                 &raw,
                 self.config.connect_timeout,
@@ -1719,7 +1502,7 @@ impl Router {
 
     /// The router's `/healthz`: healthy while at least one backend is
     /// routable.
-    fn healthz(&self) -> RouterResponse {
+    fn healthz(&self) -> Response {
         let backends = sync::lock(&self.backends);
         let mut up = 0usize;
         let mut draining = 0usize;
@@ -1739,7 +1522,7 @@ impl Router {
             if healthy { "\"ok\"" } else { "\"no-backends\"" },
             backends.len(),
         );
-        RouterResponse::json(if healthy { "200 OK" } else { "503 Service Unavailable" }, body)
+        Response::json(if healthy { "200 OK" } else { "503 Service Unavailable" }, body)
     }
 
     /// The router's `/stats`: counters plus the live backend table.
@@ -1837,101 +1620,31 @@ impl Router {
         )
     }
 
-    /// Assembles the fleet-wide trace for `trace_id`: the router's own
-    /// spans plus matching spans scraped from every backend's `/trace`,
-    /// merged into one Chrome-trace (`traceEvents`) document. The
-    /// router is pid 0; each backend is pid `i + 1`. Backend events are
-    /// re-based into their parent attempt's router-clock window (their
-    /// `at_s` stamps are relative to the *backend's* tracer birth, a
-    /// different clock), preserving order and strict nesting.
-    pub fn trace_json(&self, trace_id: u128) -> String {
-        let router_spans: Vec<RouterSpan> =
-            sync::lock(&self.spans).iter().filter(|s| s.trace_id == trace_id).cloned().collect();
+    /// GETs `target` from every backend in parallel: the backend
+    /// addresses, plus the `200` bodies that pass their digest in
+    /// backend order. A corrupt or unreachable instance is simply absent
+    /// from the bodies; a corrupt one also counts against its backend.
+    fn scrape(&self, target: &str) -> (Vec<String>, Vec<(usize, String)>) {
         let addrs: Vec<String> = {
             let backends = sync::lock(&self.backends);
             backends.iter().map(|b| b.addr.clone()).collect()
         };
-        // Scrape every backend in parallel, mirroring `metrics()`: a
-        // corrupt or unreachable instance is simply absent from the
-        // merge.
+        let raw = http::request("GET", target, &[], None);
         let (tx, rx) = mpsc::channel::<(usize, Option<String>, bool)>();
         let mut expected = 0usize;
         for (i, addr) in addrs.iter().enumerate() {
-            let tx = tx.clone();
-            let addr = addr.clone();
+            let (tx, addr, raw) = (tx.clone(), addr.clone(), raw.clone());
             let connector = Arc::clone(&self.connector);
             let connect = self.config.connect_timeout;
             let read = self.config.probe_timeout.max(Duration::from_secs(2));
             let spawned =
                 thread::Builder::new().name("cf-router-scrape".to_string()).spawn(move || {
-                    let raw = format!(
-                        "GET /trace?trace={trace_id:032x}&limit=4096 HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n"
-                    );
                     let reply = connector
-                        .exchange(&addr, raw.as_bytes(), connect, read, None)
-                        .and_then(|bytes| parse_reply(&bytes))
+                        .fetch(&addr, &raw, connect, read, None)
                         .ok()
                         .filter(|r| r.status == 200);
                     let corrupt = reply.as_ref().is_some_and(|r| !digest_ok(r));
-                    let body = reply
-                        .filter(digest_ok)
-                        .map(|r| String::from_utf8_lossy(&r.body).to_string());
-                    let _ = tx.send((i, body, corrupt));
-                });
-            if spawned.is_ok() {
-                expected += 1;
-            }
-        }
-        drop(tx);
-        let mut scraped: Vec<(usize, Vec<BackendTraceEvent>)> = Vec::new();
-        for _ in 0..expected {
-            match rx.recv() {
-                Ok((i, Some(body), _)) => {
-                    if let Some(events) = parse_backend_trace(&body, trace_id) {
-                        scraped.push((i, events));
-                    }
-                }
-                Ok((i, None, true)) => self.note_corruption(i),
-                Ok((_, None, false)) => {}
-                Err(_) => break,
-            }
-        }
-        scraped.sort_by_key(|&(i, _)| i);
-        render_merged_trace(trace_id, &router_spans, &scraped, &addrs)
-    }
-
-    /// The aggregated `/metrics` body: every live backend's exposition
-    /// merged (comment headers kept once — the renderer is
-    /// schema-stable, so families align), plus the router's own
-    /// `cf_router_*` series.
-    pub fn metrics(&self) -> String {
-        let addrs: Vec<String> = {
-            let backends = sync::lock(&self.backends);
-            backends.iter().map(|b| b.addr.clone()).collect()
-        };
-        let (tx, rx) = mpsc::channel::<(usize, Option<String>, bool)>();
-        let mut expected = 0usize;
-        for (i, addr) in addrs.iter().enumerate() {
-            let tx = tx.clone();
-            let addr = addr.clone();
-            let connector = Arc::clone(&self.connector);
-            let connect = self.config.connect_timeout;
-            let read = self.config.probe_timeout.max(Duration::from_secs(2));
-            let spawned =
-                thread::Builder::new().name("cf-router-scrape".to_string()).spawn(move || {
-                    let raw =
-                        b"GET /metrics HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n";
-                    let reply = connector
-                        .exchange(&addr, raw, connect, read, None)
-                        .and_then(|bytes| parse_reply(&bytes))
-                        .ok()
-                        .filter(|r| r.status == 200);
-                    // A scraped exposition failing its digest is dropped
-                    // from the merge, exactly like an unreachable one.
-                    let corrupt = reply.as_ref().is_some_and(|r| !digest_ok(r));
-                    let body = reply
-                        .filter(digest_ok)
-                        .map(|r| String::from_utf8_lossy(&r.body).to_string());
+                    let body = reply.filter(digest_ok).map(|r| r.text());
                     let _ = tx.send((i, body, corrupt));
                 });
             if spawned.is_ok() {
@@ -1949,6 +1662,33 @@ impl Router {
             }
         }
         bodies.sort_by_key(|&(i, _)| i);
+        (addrs, bodies)
+    }
+
+    /// Assembles the fleet-wide trace for `trace_id`: the router's own
+    /// spans plus matching spans scraped from every backend's `/trace`,
+    /// merged into one Chrome-trace (`traceEvents`) document. The
+    /// router is pid 0; each backend is pid `i + 1`. Backend events are
+    /// re-based into their parent attempt's router-clock window (their
+    /// `at_s` stamps are relative to the *backend's* tracer birth, a
+    /// different clock), preserving order and strict nesting.
+    pub fn trace_json(&self, trace_id: u128) -> String {
+        let router_spans: Vec<RouterSpan> =
+            sync::lock(&self.spans).iter().filter(|s| s.trace_id == trace_id).cloned().collect();
+        let (addrs, bodies) = self.scrape(&format!("/trace?trace={trace_id:032x}&limit=4096"));
+        let scraped: Vec<(usize, Vec<BackendTraceEvent>)> = bodies
+            .into_iter()
+            .filter_map(|(i, body)| parse_backend_trace(&body, trace_id).map(|events| (i, events)))
+            .collect();
+        render_merged_trace(trace_id, &router_spans, &scraped, &addrs)
+    }
+
+    /// The aggregated `/metrics` body: every live backend's exposition
+    /// merged (comment headers kept once — the renderer is
+    /// schema-stable, so families align), plus the router's own
+    /// `cf_router_*` series.
+    pub fn metrics(&self) -> String {
+        let (_, bodies) = self.scrape("/metrics");
         let mut out = String::with_capacity(32 * 1024);
         for (n, (_, body)) in bodies.iter().enumerate() {
             if n == 0 {
@@ -2104,60 +1844,23 @@ impl Router {
 
     /// Routes one parsed client request (the [`RouterServer`] accept
     /// loop calls this per connection).
-    pub fn handle(&self, request: &HttpRequest) -> (String, String) {
-        let response = self.dispatch(request);
-        // The router stamps its own responses too, so a client can hold
-        // the whole chain (backend → router → client) to one check.
-        let mut head = format!(
-            "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\nX-CF-Digest: {:016x}\r\n",
-            response.status,
-            response.content_type,
-            response.body.len(),
-            fnv1a(response.body.as_bytes()),
-        );
-        if let Some(allow) = response.allow {
-            head.push_str(&format!("Allow: {allow}\r\n"));
-        }
-        if let Some(secs) = response.retry_after {
-            head.push_str(&format!("Retry-After: {secs}\r\n"));
-        }
-        for (name, value) in &response.extra {
-            head.push_str(&format!("{name}: {value}\r\n"));
-        }
-        head.push_str("\r\n");
-        (head, response.body)
-    }
-
-    fn dispatch(&self, request: &HttpRequest) -> RouterResponse {
+    fn dispatch(&self, request: &HttpRequest) -> Response {
         let path = request.path();
         match path {
             "/healthz" | "/stats" | "/ring" | "/metrics" => {
                 if request.method != "GET" {
-                    let mut r =
-                        RouterResponse::error("405 Method Not Allowed", "only GET is supported");
-                    r.allow = Some("GET");
-                    return r;
+                    return Response::method_not_allowed("GET", "only GET is supported");
                 }
                 match path {
                     "/healthz" => self.healthz(),
-                    "/stats" => RouterResponse::json("200 OK", self.stats_json()),
-                    "/ring" => RouterResponse::json("200 OK", self.ring_json()),
-                    _ => RouterResponse {
-                        status: "200 OK",
-                        content_type: "text/plain; version=0.0.4; charset=utf-8",
-                        retry_after: None,
-                        allow: None,
-                        extra: Vec::new(),
-                        body: self.metrics(),
-                    },
+                    "/stats" => Response::json("200 OK", self.stats_json()),
+                    "/ring" => Response::json("200 OK", self.ring_json()),
+                    _ => Response::prometheus(self.metrics()),
                 }
             }
             "/jobs" => {
                 if request.method != "POST" {
-                    let mut r =
-                        RouterResponse::error("405 Method Not Allowed", "submit jobs with POST");
-                    r.allow = Some("POST");
-                    return r;
+                    return Response::method_not_allowed("POST", "submit jobs with POST");
                 }
                 // A client-supplied trace context parents the router's
                 // dispatch span; a malformed one is the client's bug
@@ -2166,7 +1869,7 @@ impl Router {
                     Some(h) => match TraceContext::parse(h) {
                         Ok(c) => Some(c),
                         Err(e) => {
-                            return RouterResponse::error(
+                            return Response::error(
                                 "400 Bad Request",
                                 &format!("malformed {TRACE_HEADER} header: {e}"),
                             );
@@ -2179,18 +1882,13 @@ impl Router {
             _ => match path.strip_prefix("/trace/") {
                 Some(rest) => {
                     if request.method != "GET" {
-                        let mut r = RouterResponse::error(
-                            "405 Method Not Allowed",
-                            "fetch traces with GET",
-                        );
-                        r.allow = Some("GET");
-                        return r;
+                        return Response::method_not_allowed("GET", "fetch traces with GET");
                     }
                     match u128::from_str_radix(rest, 16) {
                         Ok(id) if rest.len() <= 32 && id != 0 => {
-                            RouterResponse::json("200 OK", self.trace_json(id))
+                            Response::json("200 OK", self.trace_json(id))
                         }
-                        _ => RouterResponse::error(
+                        _ => Response::error(
                             "400 Bad Request",
                             "trace id must be 1-32 hex digits, nonzero",
                         ),
@@ -2202,14 +1900,11 @@ impl Router {
     }
 
     /// The `/jobs/<id>` poll routes plus the 404 fallthrough.
-    fn dispatch_jobs(&self, request: &HttpRequest, path: &str) -> RouterResponse {
+    fn dispatch_jobs(&self, request: &HttpRequest, path: &str) -> Response {
         match path.strip_prefix("/jobs/") {
             Some(rest) => {
                 if request.method != "GET" {
-                    let mut r =
-                        RouterResponse::error("405 Method Not Allowed", "poll jobs with GET");
-                    r.allow = Some("GET");
-                    return r;
+                    return Response::method_not_allowed("GET", "poll jobs with GET");
                 }
                 let (id_part, status_only) = match rest.strip_suffix("/status") {
                     Some(id_part) => (id_part, true),
@@ -2217,13 +1912,12 @@ impl Router {
                 };
                 match id_part.parse::<u64>() {
                     Ok(id) => self.poll(id, status_only, request.query()),
-                    Err(_) => RouterResponse::error(
-                        "400 Bad Request",
-                        "job id must be an unsigned integer",
-                    ),
+                    Err(_) => {
+                        Response::error("400 Bad Request", "job id must be an unsigned integer")
+                    }
                 }
             }
-            None => RouterResponse::json(
+            None => Response::json(
                 "404 Not Found",
                 "{\"error\":\"not found\",\"routes\":[\"/healthz\",\"/stats\",\"/ring\",\
                  \"/metrics\",\"/jobs\",\"/jobs/<id>\",\"/jobs/<id>/status\",\
@@ -2252,11 +1946,8 @@ fn hedge_pick(
 }
 
 /// Relays a backend response verbatim (status, body, `Retry-After`).
-fn relay(reply: &Reply) -> RouterResponse {
-    let mut r = RouterResponse::json(
-        status_line(reply.status),
-        String::from_utf8_lossy(&reply.body).to_string(),
-    );
+fn relay(reply: &Reply) -> Response {
+    let mut r = Response::json(status_line(reply.status), reply.text());
     if let Some(after) = reply.header("retry-after").and_then(|v| v.parse().ok()) {
         r.retry_after = Some(after);
     }
@@ -2266,8 +1957,8 @@ fn relay(reply: &Reply) -> RouterResponse {
 /// Rewrites the backend-local id in a poll response to the router's
 /// fleet-wide id: records lead with `{"job":N,`, status JSON with
 /// `{"id":N,` — both exact prefixes of the deterministic renderers.
-fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) -> RouterResponse {
-    let body = String::from_utf8_lossy(&reply.body).to_string();
+fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) -> Response {
+    let body = reply.text();
     let rewritten = if reply.status == 200 && !status_only {
         let from = format!("{{\"job\":{backend_id},");
         let to = format!("{{\"job\":{rid},");
@@ -2285,7 +1976,7 @@ fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) ->
             body
         }
     };
-    RouterResponse::json(status_line(reply.status), rewritten)
+    Response::json(status_line(reply.status), rewritten)
 }
 
 // ---------------------------------------------------------------------------
@@ -2293,7 +1984,8 @@ fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) ->
 // ---------------------------------------------------------------------------
 
 /// The router's HTTP/1.1 listener: the shared [`AcceptLoop`], one thread
-/// per connection dispatching into [`Router::handle`]. Binds 127.0.0.1
+/// per connection: `http::read_request`, dispatch,
+/// [`Response::write_to`]. Binds 127.0.0.1
 /// only.
 #[derive(Debug)]
 pub struct RouterServer {
@@ -2340,42 +2032,17 @@ impl Drop for RouterServer {
     }
 }
 
-fn serve_connection(mut stream: TcpStream, router: &Arc<Router>) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
-    let deadline = Instant::now() + READ_DEADLINE;
-    let request = loop {
-        match api::parse_request(&buf, router.config.max_body) {
-            Ok(Some(request)) => break Ok(request),
-            Ok(None) => {}
-            Err(e) => break Err(e),
-        }
-        if Instant::now() > deadline {
-            break Err(api::HttpParseError::BadRequestLine);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) if buf.is_empty() => return Ok(()),
-            Ok(0) | Err(_) => break Err(api::HttpParseError::BadRequestLine),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-        }
+/// Reads one request, dispatches it, writes one response. The router
+/// stamps its own responses too — parse errors included — so a client
+/// can hold the whole chain (backend → router → client) to one digest
+/// check.
+fn serve_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
+    let response = match http::read_request(&mut stream, router.config.max_body) {
+        Ok(Some((request, _))) => router.dispatch(&request),
+        Ok(None) => return Ok(()),
+        Err(e) => Response::error(e.status(), &e.to_string()),
     };
-    let (head, body) = match request {
-        Ok(request) => router.handle(&request),
-        Err(e) => {
-            let body = format!("{{\"error\":{}}}", json_str(&e.to_string()));
-            let head = format!(
-                "HTTP/1.1 {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-                e.status(),
-                body.len(),
-            );
-            (head, body)
-        }
-    };
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    response.write_to(&mut stream)
 }
 
 #[cfg(test)]
@@ -2525,53 +2192,18 @@ mod tests {
     }
 
     #[test]
-    fn parse_reply_rejects_garbage_and_torn_bodies() {
-        // Garbled status line: not a reply at all.
-        assert!(parse_reply(b"GARBAGE! 200 OK\r\nContent-Length: 2\r\n\r\n{}").is_err());
-        // Body shorter than the declared Content-Length: torn.
-        assert!(parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n{}").is_err());
-        // Trailing bytes past Content-Length are dropped, not trusted.
-        let r = match parse_reply(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\n{}junk") {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        };
-        assert_eq!(r.body, b"{}");
-    }
-
-    #[test]
-    fn digest_header_verifies_the_body() {
-        let body = b"{\"id\":0}".to_vec();
-        let good = Reply {
-            status: 202,
-            headers: vec![("X-CF-Digest".to_string(), format!("{:016x}", fnv1a(&body)))],
-            body: body.clone(),
-        };
-        assert!(digest_ok(&good));
-        let bad = Reply {
-            status: 202,
-            headers: vec![("X-CF-Digest".to_string(), format!("{:016x}", fnv1a(&body) ^ 1))],
-            body: body.clone(),
-        };
-        assert!(!digest_ok(&bad));
-        let unstamped = Reply { status: 202, headers: Vec::new(), body };
-        assert!(digest_ok(&unstamped), "plain upstreams without the header still pass");
-    }
-
-    #[test]
-    fn reply_parsing_and_status_mapping() {
-        let reply = parse_reply(
-            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 7\r\nContent-Length: 2\r\n\r\n{}",
-        );
-        let reply = match reply {
-            Ok(r) => r,
-            Err(e) => panic!("{e}"),
-        };
-        assert_eq!(reply.status, 503);
-        assert_eq!(reply.header("retry-after"), Some("7"));
-        assert_eq!(reply.body, b"{}");
+    fn relayed_status_codes_map_to_status_lines() {
         assert_eq!(status_line(202), "202 Accepted");
         assert_eq!(status_line(999), "502 Bad Gateway");
-        assert!(parse_reply(b"HTTP/1.1 200").is_err());
+        let reply = Reply {
+            status: 503,
+            headers: vec![("Retry-After".to_string(), "7".to_string())],
+            body: b"{}".to_vec(),
+        };
+        let relayed = relay(&reply);
+        assert_eq!(relayed.status, "503 Service Unavailable");
+        assert_eq!(relayed.retry_after, Some(7));
+        assert_eq!(relayed.body, "{}");
     }
 
     #[test]
@@ -2665,14 +2297,39 @@ mod tests {
         assert_eq!(aged.burn_rate(&aged.w5m, 100), 0.0);
     }
 
+    /// The five requests the router sends its backends, pinned byte for
+    /// byte: the fault connector keys every decision on
+    /// `fnv1a(raw request)`, so one changed byte would reshuffle every
+    /// seeded chaos schedule.
     #[test]
     fn submit_raw_stamps_the_trace_header() {
         let ctx = TraceContext::mint();
         let raw = submit_raw("{\"x\":1}", ctx);
-        let text = String::from_utf8(raw).unwrap();
-        assert!(text.starts_with("POST /jobs HTTP/1.1\r\n"), "{text}");
-        assert!(text.contains(&format!("{TRACE_HEADER}: {}\r\n", ctx.encode())), "{text}");
-        assert!(text.ends_with("\r\n\r\n{\"x\":1}"), "{text}");
+        let expected = format!(
+            "POST /jobs HTTP/1.1\r\nHost: cfrouter\r\nX-CF-Trace: {}\r\nContent-Length: 7\r\nConnection: close\r\n\r\n{{\"x\":1}}",
+            ctx.encode()
+        );
+        assert_eq!(String::from_utf8(raw).unwrap(), expected);
+
+        let get =
+            |target: &str| String::from_utf8(http::request("GET", target, &[], None)).unwrap();
+        assert_eq!(
+            get("/healthz"),
+            "GET /healthz HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n"
+        );
+        assert_eq!(
+            get("/jobs/3/status?timeout_s=5"),
+            "GET /jobs/3/status?timeout_s=5 HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n"
+        );
+        let trace_id = 0xabc_u128;
+        assert_eq!(
+            get(&format!("/trace?trace={trace_id:032x}&limit=4096")),
+            "GET /trace?trace=00000000000000000000000000000abc&limit=4096 HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n"
+        );
+        assert_eq!(
+            get("/metrics"),
+            "GET /metrics HTTP/1.1\r\nHost: cfrouter\r\nConnection: close\r\n\r\n"
+        );
     }
 
     #[test]

@@ -13,13 +13,14 @@
 //! | `/jobs/<id>/status` | GET    | non-blocking job status JSON | `200`, `404` |
 //! | `/drain`            | POST   | begin graceful drain: stop admitting, finish in-flight, flip `/healthz` to `"draining"` | `200` |
 //!
-//! Every response carries an exact `Content-Length` and
-//! `Connection: close` — errors included — so `curl` and load-balancer
-//! probes need no keep-alive handling. A wrong method on a known route
-//! answers `405` with an `Allow` header instead of a silent drop;
-//! malformed request heads answer `400`; a `Content-Length` beyond the
-//! configured bound answers `413` before the body is read (see
-//! [`api::parse_request`]). The shared blocking [`AcceptLoop`] answers
+//! Each connection is `http::read_request`, then routing, then
+//! [`Response::write_to`], so every response carries an exact
+//! `Content-Length`, `Connection: close` and an `X-CF-Digest` — errors
+//! included — and `curl` and load-balancer probes need no keep-alive
+//! handling. A wrong method on a known route answers `405` with an
+//! `Allow` header instead of a silent drop; malformed request heads
+//! answer `400`; a `Content-Length` beyond the configured bound answers
+//! `413` before the body is read. The shared blocking [`AcceptLoop`] answers
 //! a connect the instant it lands and hands each connection to its own
 //! thread, so a long-poll on `GET /jobs/<id>` never blocks probes. Each
 //! request records one [`SpanKind::ApiRequest`] span and a
@@ -38,13 +39,12 @@
 //! `dropped` field counts them for the run's lifetime). See
 //! DESIGN.md §16.
 
-use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::api::{self, HttpParseError, HttpRequest, JobWait, SubmitError, SubmitOk};
-use crate::fault::fnv1a;
+use crate::api::{self, JobWait, SubmitError, SubmitOk};
+use crate::http::{self, HttpRequest, Response};
 use crate::listener::AcceptLoop;
 use crate::metrics;
 use crate::obs::{Obs, SpanKind, Stage};
@@ -54,22 +54,11 @@ use crate::trace::{TraceContext, ATTRIBUTION_HEADER, TRACE_HEADER};
 /// Events returned by `/trace` per request.
 const TRACE_LIMIT: usize = 256;
 
-/// Per-read/write socket timeout: a stalled peer must not wedge a
-/// connection thread forever.
-const IO_TIMEOUT: Duration = Duration::from_millis(500);
-
-/// Total time a client gets to deliver one complete request.
-const READ_DEADLINE: Duration = Duration::from_secs(5);
-
 /// Default `GET /jobs/<id>` long-poll patience.
 const DEFAULT_POLL: Duration = Duration::from_secs(30);
 
 /// Upper bound a client can raise the long-poll to via `?timeout_s=`.
 const MAX_POLL_SECS: u64 = 120;
-
-const JSON: &str = "application/json";
-/// The content type Prometheus' text parser expects.
-const PROM_TEXT: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 /// The status-and-jobs HTTP server (see the module docs).
 #[derive(Debug)]
@@ -106,45 +95,12 @@ impl StatusServer {
     }
 }
 
-/// One response, ready to serialize.
-struct Response {
-    status: &'static str,
-    content_type: &'static str,
-    /// `Allow` header for 405s.
-    allow: Option<&'static str>,
-    /// `Retry-After` seconds for 503 sheds.
-    retry_after: Option<u64>,
-    /// Extra response headers (`X-CF-Trace`, `X-CF-Attribution`, …).
-    extra: Vec<(&'static str, String)>,
-    body: String,
-}
-
-impl Response {
-    fn json(status: &'static str, body: String) -> Response {
-        Response {
-            status,
-            content_type: JSON,
-            allow: None,
-            retry_after: None,
-            extra: Vec::new(),
-            body,
-        }
-    }
-
-    fn error(status: &'static str, message: &str) -> Response {
-        Response::json(status, format!("{{\"error\":{}}}", json_str(message)))
-    }
-}
-
-/// Reads one complete request, routes it, writes one response.
+/// Reads one request, routes it, writes one response.
 fn serve_connection(mut stream: TcpStream, obs: &Arc<Obs>, token: u64) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(IO_TIMEOUT))?;
-    stream.set_write_timeout(Some(IO_TIMEOUT))?;
-
     let max_body = obs.api().map_or(api::DEFAULT_MAX_BODY_BYTES, |a| a.max_body());
     let t0 = Instant::now();
-    let (request, response) = match read_request(&mut stream, max_body) {
-        Ok(Some(request)) => {
+    let (request, response) = match http::read_request(&mut stream, max_body) {
+        Ok(Some((request, _))) => {
             let response = route(&request, obs);
             (Some(request), response)
         }
@@ -159,58 +115,7 @@ fn serve_connection(mut stream: TcpStream, obs: &Arc<Obs>, token: u64) -> std::i
         Some(r) => format!("{} {} -> {}", r.method, r.path(), response.status),
         None => format!("unparsed -> {}", response.status),
     });
-
-    // Every response carries an FNV-1a digest of its body so a
-    // downstream router (or any client) can reject bytes the wire
-    // mangled in flight — see `cf_runtime::netfault` and DESIGN.md §11.
-    let mut head = format!(
-        "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\nX-CF-Digest: {:016x}\r\n",
-        response.status,
-        response.content_type,
-        response.body.len(),
-        fnv1a(response.body.as_bytes()),
-    );
-    if let Some(allow) = response.allow {
-        head.push_str(&format!("Allow: {allow}\r\n"));
-    }
-    if let Some(secs) = response.retry_after {
-        head.push_str(&format!("Retry-After: {secs}\r\n"));
-    }
-    for (name, value) in &response.extra {
-        head.push_str(&format!("{name}: {value}\r\n"));
-    }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
-}
-
-/// Accumulates socket reads through [`api::parse_request`] until one
-/// request completes. `Ok(None)` is a connection with no request at all
-/// (a port probe); a truncated or overlong request is a parse error the
-/// caller answers with 400/413 rather than silently dropping.
-fn read_request(
-    stream: &mut TcpStream,
-    max_body: usize,
-) -> Result<Option<HttpRequest>, HttpParseError> {
-    let mut buf: Vec<u8> = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
-    let deadline = Instant::now() + READ_DEADLINE;
-    loop {
-        if let Some(request) = api::parse_request(&buf, max_body)? {
-            return Ok(Some(request));
-        }
-        if Instant::now() > deadline {
-            return Err(HttpParseError::BadRequestLine);
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) if buf.is_empty() => return Ok(None),
-            Ok(0) => return Err(HttpParseError::BadRequestLine),
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) if buf.is_empty() => return Ok(None),
-            Err(_) => return Err(HttpParseError::BadRequestLine),
-        }
-    }
+    response.write_to(&mut stream)
 }
 
 fn route(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
@@ -218,9 +123,7 @@ fn route(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
     match path {
         "/healthz" | "/stats" | "/trace" | "/metrics" | "/version" => {
             if request.method != "GET" {
-                let mut r = Response::error("405 Method Not Allowed", "only GET is supported");
-                r.allow = Some("GET");
-                return r;
+                return Response::method_not_allowed("GET", "only GET is supported");
             }
             match path {
                 "/healthz" => {
@@ -249,14 +152,7 @@ fn route(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
                         ),
                     )
                 }
-                _ => Response {
-                    status: "200 OK",
-                    content_type: PROM_TEXT,
-                    allow: None,
-                    retry_after: None,
-                    extra: Vec::new(),
-                    body: obs.metrics(),
-                },
+                _ => Response::prometheus(obs.metrics()),
             }
         }
         "/jobs" => route_submit(request, obs),
@@ -279,9 +175,7 @@ fn route(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
 /// journal and exits; this handler only initiates and reports.
 fn route_drain(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
     if request.method != "POST" {
-        let mut r = Response::error("405 Method Not Allowed", "initiate a drain with POST");
-        r.allow = Some("POST");
-        return r;
+        return Response::method_not_allowed("POST", "initiate a drain with POST");
     }
     obs.begin_drain();
     let pending = obs.api().map_or("null".to_string(), |api| api.pending().to_string());
@@ -291,9 +185,7 @@ fn route_drain(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
 /// `POST /jobs`: validate, journal the accept, answer the id.
 fn route_submit(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
     if request.method != "POST" {
-        let mut r = Response::error("405 Method Not Allowed", "submit jobs with POST");
-        r.allow = Some("POST");
-        return r;
+        return Response::method_not_allowed("POST", "submit jobs with POST");
     }
     if obs.draining() {
         return Response::json(
@@ -350,9 +242,7 @@ fn route_submit(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
 /// `GET /jobs/<id>` (long-poll) and `GET /jobs/<id>/status`.
 fn route_job(request: &HttpRequest, rest: &str, obs: &Arc<Obs>) -> Response {
     if request.method != "GET" {
-        let mut r = Response::error("405 Method Not Allowed", "poll jobs with GET");
-        r.allow = Some("GET");
-        return r;
+        return Response::method_not_allowed("GET", "poll jobs with GET");
     }
     let Some(api) = obs.api() else {
         return Response::error("503 Service Unavailable", "job api disabled");
@@ -446,40 +336,24 @@ fn poll_timeout(request: &HttpRequest) -> Duration {
 mod tests {
     use super::*;
     use crate::api::JobApi;
+    use crate::http::{Connector, Reply, TcpConnector};
     use crate::scheduler::{LoadPolicy, Runtime, RuntimeConfig};
     use crate::stats::RuntimeStats;
     use std::sync::atomic::Ordering;
     use std::thread;
 
-    /// A blocking one-shot HTTP exchange against a local address. Write
-    /// and read errors are tolerated: a server rejecting an oversized
-    /// body responds (and closes) while the client is still sending, so
-    /// the tail of the write may hit a reset — the response that made it
-    /// through is still what the test wants.
-    fn http(addr: SocketAddr, raw: &str) -> (String, String, String) {
-        let mut stream = TcpStream::connect(addr).unwrap();
-        let _ = stream.write_all(raw.as_bytes());
-        let mut bytes = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match stream.read(&mut chunk) {
-                Ok(0) | Err(_) => break,
-                Ok(n) => bytes.extend_from_slice(&chunk[..n]),
-            }
-        }
-        let response = String::from_utf8_lossy(&bytes).to_string();
-        let (head, body) = response.split_once("\r\n\r\n").unwrap();
-        let status = head.lines().next().unwrap().to_string();
-        (status, head.to_string(), body.to_string())
+    /// Connect/read patience of the test client (long-polls included).
+    const WAIT: Duration = Duration::from_secs(60);
+
+    fn http(addr: SocketAddr, raw: &str) -> Reply {
+        TcpConnector.fetch(&addr.to_string(), raw.as_bytes(), WAIT, WAIT, None).unwrap()
     }
 
-    fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-        let (status, _, body) =
-            http(addr, &format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n"));
-        (status, body)
+    fn http_get(addr: SocketAddr, path: &str) -> Reply {
+        http(addr, &format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n"))
     }
 
-    fn http_post(addr: SocketAddr, path: &str, body: &str) -> (String, String, String) {
+    fn http_post(addr: SocketAddr, path: &str, body: &str) -> Reply {
         http(
             addr,
             &format!(
@@ -496,42 +370,44 @@ mod tests {
         let addr = server.local_addr();
 
         // Before any run publishes: healthz is permissive, stats is 503.
-        let (status, body) = http_get(addr, "/healthz");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("starting"), "{body}");
-        let (status, body) = http_get(addr, "/stats");
-        assert!(status.contains("503"), "{status}");
-        assert!(body.contains("starting"), "{body}");
+        let r = http_get(addr, "/healthz");
+        assert_eq!(r.status, 200);
+        assert!(r.text().contains("starting"), "{}", r.text());
+        let r = http_get(addr, "/stats");
+        assert_eq!(r.status, 503);
+        assert!(r.text().contains("starting"), "{}", r.text());
 
         // After a publish: stats serves the snapshot, healthz headroom.
         let stats = Arc::new(RuntimeStats::new(1));
         stats.submitted.fetch_add(5, Ordering::Relaxed);
         obs.publish(Arc::clone(&stats), LoadPolicy::max_in_flight(3));
-        let (status, body) = http_get(addr, "/stats");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"submitted\":5"), "{body}");
-        let (status, body) = http_get(addr, "/healthz");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"headroom\":3"), "{body}");
+        let r = http_get(addr, "/stats");
+        assert_eq!(r.status, 200);
+        assert!(r.text().contains("\"submitted\":5"), "{}", r.text());
+        let r = http_get(addr, "/healthz");
+        assert_eq!(r.status, 200);
+        assert!(r.text().contains("\"headroom\":3"), "{}", r.text());
 
         // Overload flips healthz to 503.
         stats.in_flight.fetch_add(3, Ordering::Relaxed);
-        let (status, body) = http_get(addr, "/healthz");
-        assert!(status.contains("503"), "{status}");
-        assert!(body.contains("overloaded"), "{body}");
+        let r = http_get(addr, "/healthz");
+        assert_eq!(r.status, 503);
+        assert!(r.text().contains("overloaded"), "{}", r.text());
 
-        let (status, body) = http_get(addr, "/trace?limit=ignored");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"events\""), "{body}");
+        let r = http_get(addr, "/trace?limit=ignored");
+        assert_eq!(r.status, 200);
+        assert!(r.text().contains("\"events\""), "{}", r.text());
 
-        let (status, body) = http_get(addr, "/metrics");
-        assert!(status.contains("200"), "{status}");
+        let r = http_get(addr, "/metrics");
+        assert_eq!(r.status, 200);
+        let body = r.text();
         assert!(body.contains("# TYPE cf_jobs_submitted_total counter"), "{body}");
         assert!(body.contains("cf_jobs_submitted_total{instance=\"cf-serve\"} 5"), "{body}");
         assert!(body.contains("cf_max_in_flight{instance=\"cf-serve\"} 3"), "{body}");
 
-        let (status, body) = http_get(addr, "/nope");
-        assert!(status.contains("404"), "{status}");
+        let r = http_get(addr, "/nope");
+        assert_eq!(r.status, 404);
+        let body = r.text();
         assert!(body.contains("/healthz"), "{body}");
         assert!(body.contains("/version"), "{body}");
         assert!(body.contains("/jobs"), "{body}");
@@ -545,25 +421,24 @@ mod tests {
         let server = StatusServer::bind(0, Arc::clone(&obs)).unwrap();
         let addr = server.local_addr();
 
-        let (status, body) = http_get(addr, "/version");
-        assert!(status.contains("200"), "{status}");
+        let r = http_get(addr, "/version");
+        assert_eq!(r.status, 200);
         let (version, git) = metrics::build_info();
-        assert!(body.contains(&format!("\"version\":\"{version}\"")), "{body}");
-        assert!(body.contains(&format!("\"git\":\"{git}\"")), "{body}");
+        assert!(r.text().contains(&format!("\"version\":\"{version}\"")), "{}", r.text());
+        assert!(r.text().contains(&format!("\"git\":\"{git}\"")), "{}", r.text());
 
         for path in ["/healthz", "/stats", "/trace", "/metrics", "/version"] {
-            let (status, head, body) = http_post(addr, path, "{}");
-            assert!(status.contains("405"), "{path}: {status}");
-            assert!(head.contains("Allow: GET"), "{path}: {head}");
-            assert!(head.contains("Content-Length:"), "{path}: {head}");
-            assert!(head.contains("Connection: close"), "{path}: {head}");
-            assert!(body.contains("error"), "{path}: {body}");
+            let r = http_post(addr, path, "{}");
+            assert_eq!(r.status, 405, "{path}");
+            assert_eq!(r.header("allow"), Some("GET"), "{path}: {r:?}");
+            assert_eq!(r.header("connection"), Some("close"), "{path}: {r:?}");
+            assert!(r.text().contains("error"), "{path}: {}", r.text());
         }
 
         // Malformed request line: 400, not a silent drop.
-        let (status, _, body) = http(addr, "garbage\r\n\r\n");
-        assert!(status.contains("400"), "{status}");
-        assert!(body.contains("malformed"), "{body}");
+        let r = http(addr, "garbage\r\n\r\n");
+        assert_eq!(r.status, 400);
+        assert!(r.text().contains("malformed"), "{}", r.text());
 
         server.shutdown();
     }
@@ -579,39 +454,37 @@ mod tests {
         let addr = server.local_addr();
 
         // Submit, long-poll the record, check status.
-        let (status, _, body) = http_post(
+        let r = http_post(
             addr,
             "/jobs",
             r#"{"workload":"matmul","order":32,"machine":"tiny","label":"http"}"#,
         );
-        assert!(status.contains("202"), "{status}: {body}");
-        assert_eq!(body, "{\"id\":0}");
-        let (status, body) = http_get(addr, "/jobs/0?timeout_s=60");
-        assert!(status.contains("200"), "{status}: {body}");
-        assert!(body.starts_with("{\"job\":0,\"label\":\"http\""), "{body}");
-        assert!(body.contains("\"ok\":true"), "{body}");
-        let (status, body) = http_get(addr, "/jobs/0/status");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("\"state\":\"done\""), "{body}");
-        let (status, _) = http_get(addr, "/jobs/7");
-        assert!(status.contains("404"), "{status}");
+        assert_eq!(r.status, 202, "{}", r.text());
+        assert_eq!(r.text(), "{\"id\":0}");
+        let r = http_get(addr, "/jobs/0?timeout_s=60");
+        assert_eq!(r.status, 200, "{}", r.text());
+        assert!(r.text().starts_with("{\"job\":0,\"label\":\"http\""), "{}", r.text());
+        assert!(r.text().contains("\"ok\":true"), "{}", r.text());
+        let r = http_get(addr, "/jobs/0/status");
+        assert_eq!(r.status, 200);
+        assert!(r.text().contains("\"state\":\"done\""), "{}", r.text());
+        assert_eq!(http_get(addr, "/jobs/7").status, 404);
         let streamed = runtime.stats().api_streamed_bytes.load(Ordering::Relaxed);
         assert!(streamed > 0, "streamed bytes not accounted");
 
         // Malformed spec: 400. Oversized body: 413 from the header alone.
-        let (status, _, body) = http_post(addr, "/jobs", r#"{"workload":"nope"}"#);
-        assert!(status.contains("400"), "{status}: {body}");
+        let r = http_post(addr, "/jobs", r#"{"workload":"nope"}"#);
+        assert_eq!(r.status, 400, "{}", r.text());
         let big = "x".repeat(5000);
-        let (status, _, _) = http_post(addr, "/jobs", &big);
-        assert!(status.contains("413"), "{status}");
+        assert_eq!(http_post(addr, "/jobs", &big).status, 413);
 
         // Wrong method on /jobs and /jobs/<id>.
-        let (status, head, _) = http(addr, "DELETE /jobs HTTP/1.1\r\n\r\n");
-        assert!(status.contains("405"), "{status}");
-        assert!(head.contains("Allow: POST"), "{head}");
-        let (status, head, _) = http(addr, "DELETE /jobs/0 HTTP/1.1\r\n\r\n");
-        assert!(status.contains("405"), "{status}");
-        assert!(head.contains("Allow: GET"), "{head}");
+        let r = http(addr, "DELETE /jobs HTTP/1.1\r\n\r\n");
+        assert_eq!(r.status, 405);
+        assert_eq!(r.header("allow"), Some("POST"));
+        let r = http(addr, "DELETE /jobs/0 HTTP/1.1\r\n\r\n");
+        assert_eq!(r.status, 405);
+        assert_eq!(r.header("allow"), Some("GET"));
 
         server.shutdown();
     }
@@ -633,7 +506,7 @@ mod tests {
         // A propagated X-CF-Trace context is echoed verbatim on the 202.
         let ctx = crate::trace::TraceContext::mint();
         let spec = r#"{"workload":"matmul","order":32,"machine":"tiny"}"#;
-        let (status, head, body) = http(
+        let r = http(
             addr,
             &format!(
                 "POST /jobs HTTP/1.1\r\nHost: l\r\nX-CF-Trace: {}\r\nContent-Length: {}\r\n\r\n{spec}",
@@ -641,46 +514,44 @@ mod tests {
                 spec.len(),
             ),
         );
-        assert!(status.contains("202"), "{status}: {body}");
-        assert!(head.contains(&format!("X-CF-Trace: {}", ctx.encode())), "{head}");
+        assert_eq!(r.status, 202, "{}", r.text());
+        assert_eq!(r.header("x-cf-trace"), Some(ctx.encode().as_str()), "{r:?}");
 
         // The finished poll carries the per-job child context plus the
         // attribution breakdown — as headers; the body is unchanged.
-        let (status, head, body) =
-            http(addr, "GET /jobs/0?timeout_s=60 HTTP/1.1\r\nHost: l\r\n\r\n");
-        assert!(status.contains("200"), "{status}: {body}");
-        assert!(head.contains(&format!("X-CF-Trace: {:032x}-", ctx.trace_id)), "{head}");
-        assert!(head.contains(&format!("-{:016x}\r\n", ctx.span_id)), "child parent: {head}");
-        let attribution = head
-            .lines()
-            .find_map(|l| l.strip_prefix("X-CF-Attribution: "))
-            .unwrap_or_else(|| panic!("no attribution header in {head}"));
+        let r = http(addr, "GET /jobs/0?timeout_s=60 HTTP/1.1\r\nHost: l\r\n\r\n");
+        assert_eq!(r.status, 200, "{}", r.text());
+        let trace = r.header("x-cf-trace").unwrap_or_else(|| panic!("no trace header: {r:?}"));
+        assert!(trace.starts_with(&format!("{:032x}-", ctx.trace_id)), "{trace}");
+        assert!(trace.ends_with(&format!("-{:016x}", ctx.span_id)), "child parent: {trace}");
+        let attribution = r
+            .header("x-cf-attribution")
+            .unwrap_or_else(|| panic!("no attribution header in {r:?}"));
         let a = crate::trace::Attribution::parse(attribution).unwrap();
         assert_eq!(a.execution_sum_us(), a.total_us(), "{attribution}");
-        assert!(!body.contains("total_us="), "attribution must not leak into the body");
-        assert!(body.starts_with("{\"job\":0,"), "{body}");
+        assert!(!r.text().contains("total_us="), "attribution must not leak into the body");
+        assert!(r.text().starts_with("{\"job\":0,"), "{}", r.text());
 
         // A malformed header is a 400, not a panic or a silent drop.
-        let (status, _, body) = http(
+        let r = http(
             addr,
             &format!(
                 "POST /jobs HTTP/1.1\r\nHost: l\r\nX-CF-Trace: garbage\r\nContent-Length: {}\r\n\r\n{spec}",
                 spec.len(),
             ),
         );
-        assert!(status.contains("400"), "{status}: {body}");
+        assert_eq!(r.status, 400, "{}", r.text());
 
         // Without the header the backend mints its own root context.
-        let (status, head, _) = http_post(addr, "/jobs", spec);
-        assert!(status.contains("202"), "{status}");
-        assert!(head.contains("X-CF-Trace: "), "{head}");
+        let r = http_post(addr, "/jobs", spec);
+        assert_eq!(r.status, 202);
+        assert!(r.header("x-cf-trace").is_some(), "{r:?}");
 
         // /trace?trace= narrows to this trace's events (the settle event
         // lands moments after the poll returns, so retry briefly).
         let mut body = String::new();
         for _ in 0..500 {
-            let (_, b) = http_get(addr, &format!("/trace?trace={:032x}", ctx.trace_id));
-            body = b;
+            body = http_get(addr, &format!("/trace?trace={:032x}", ctx.trace_id)).text();
             if body.contains("job-settle") {
                 break;
             }
@@ -690,10 +561,10 @@ mod tests {
         assert!(body.contains(&format!("\"trace\":\"{:032x}\"", ctx.trace_id)), "{body}");
 
         // ?stage= narrows events and histograms; ?limit= caps events.
-        let (_, body) = http_get(addr, "/trace?stage=run");
+        let body = http_get(addr, "/trace?stage=run").text();
         assert!(body.contains("\"run\":{\"count\""), "{body}");
         assert!(!body.contains("\"cache_lookup\""), "{body}");
-        let (_, body) = http_get(addr, "/trace?limit=1");
+        let body = http_get(addr, "/trace?limit=1").text();
         assert_eq!(body.matches("\"kind\":").count(), 1, "{body}");
 
         server.shutdown();
@@ -718,11 +589,10 @@ mod tests {
         let blocker = runtime.submit_task(move || {
             let _ = hold_rx.recv();
         });
-        let (status, head, body) =
-            http_post(addr, "/jobs", r#"{"workload":"matmul","order":32,"machine":"tiny"}"#);
-        assert!(status.contains("503"), "{status}: {body}");
-        assert!(head.contains("Retry-After:"), "{head}");
-        assert!(body.contains("retry_after_s"), "{body}");
+        let r = http_post(addr, "/jobs", r#"{"workload":"matmul","order":32,"machine":"tiny"}"#);
+        assert_eq!(r.status, 503, "{}", r.text());
+        assert!(r.header("retry-after").is_some(), "{r:?}");
+        assert!(r.text().contains("retry_after_s"), "{}", r.text());
         assert_eq!(runtime.stats().api_shed.load(Ordering::Relaxed), 1);
         hold_tx.send(()).unwrap();
         blocker.join().unwrap();
@@ -741,31 +611,30 @@ mod tests {
         let addr = server.local_addr();
 
         // GET on /drain is a 405 — a probe must not trigger a drain.
-        let (status, head, _) = http(addr, "GET /drain HTTP/1.1\r\n\r\n");
-        assert!(status.contains("405"), "{status}");
-        assert!(head.contains("Allow: POST"), "{head}");
+        let r = http(addr, "GET /drain HTTP/1.1\r\n\r\n");
+        assert_eq!(r.status, 405);
+        assert_eq!(r.header("allow"), Some("POST"));
         assert!(!obs.draining());
 
         // Initiate: 200 with the pending count, healthz flips to
         // draining (distinct from overloaded), submissions refuse.
-        let (status, _, body) = http_post(addr, "/drain", "");
-        assert!(status.contains("200"), "{status}: {body}");
-        assert!(body.contains("\"status\":\"draining\""), "{body}");
-        assert!(body.contains("\"pending\":0"), "{body}");
+        let r = http_post(addr, "/drain", "");
+        assert_eq!(r.status, 200, "{}", r.text());
+        assert!(r.text().contains("\"status\":\"draining\""), "{}", r.text());
+        assert!(r.text().contains("\"pending\":0"), "{}", r.text());
         assert!(obs.draining());
-        let (status, body) = http_get(addr, "/healthz");
-        assert!(status.contains("503"), "{status}");
-        assert!(body.contains("\"status\":\"draining\""), "{body}");
-        assert!(!body.contains("overloaded"), "{body}");
-        let (status, _, body) =
-            http_post(addr, "/jobs", r#"{"workload":"matmul","order":32,"machine":"tiny"}"#);
-        assert!(status.contains("503"), "{status}");
-        assert!(body.contains("draining"), "{body}");
+        let r = http_get(addr, "/healthz");
+        assert_eq!(r.status, 503);
+        assert!(r.text().contains("\"status\":\"draining\""), "{}", r.text());
+        assert!(!r.text().contains("overloaded"), "{}", r.text());
+        let r = http_post(addr, "/jobs", r#"{"workload":"matmul","order":32,"machine":"tiny"}"#);
+        assert_eq!(r.status, 503);
+        assert!(r.text().contains("draining"), "{}", r.text());
 
         // Already-submitted jobs still poll fine; metrics report the gauge.
-        let (status, body) = http_get(addr, "/metrics");
-        assert!(status.contains("200"), "{status}");
-        assert!(body.contains("cf_draining{instance=\"cf-serve\"} 1"), "{body}");
+        let r = http_get(addr, "/metrics");
+        assert_eq!(r.status, 200);
+        assert!(r.text().contains("cf_draining{instance=\"cf-serve\"} 1"), "{}", r.text());
 
         server.shutdown();
     }
@@ -775,9 +644,9 @@ mod tests {
         let obs = Obs::new(64);
         let server = StatusServer::bind(0, Arc::clone(&obs)).unwrap();
         let addr = server.local_addr();
-        let (status, _, body) = http_post(addr, "/jobs", "{}");
-        assert!(status.contains("503"), "{status}");
-        assert!(body.contains("disabled"), "{body}");
+        let r = http_post(addr, "/jobs", "{}");
+        assert_eq!(r.status, 503);
+        assert!(r.text().contains("disabled"), "{}", r.text());
         server.shutdown();
     }
 }

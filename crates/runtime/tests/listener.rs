@@ -6,7 +6,9 @@
 //!   probe interval is waited out);
 //! * the wake connection `stop` makes never reaches a handler;
 //! * a request accepted just before shutdown is still answered in full;
-//! * after shutdown the port refuses connections.
+//! * after shutdown the port refuses connections;
+//! * a malformed request line gets a `400` whose digest verifies, from
+//!   the router as from the status server.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -15,6 +17,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cf_runtime::http::{digest_ok, parse_reply, Connector, Reply, TcpConnector};
 use cf_runtime::listener::AcceptLoop;
 use cf_runtime::obs::{Obs, SpanKind};
 use cf_runtime::{FaultProxy, NetFaultPlan, NetFaultSpec, Router, RouterConfig, RouterServer};
@@ -27,26 +30,15 @@ const PROMPT: Duration = Duration::from_millis(100);
 /// grace for a wrongly served wake connection to show up.
 const SETTLE: Duration = Duration::from_millis(50);
 
-/// Reads one `Connection: close` response to the end; returns the
-/// status line and checks the body against `Content-Length`.
-fn read_response(stream: &mut TcpStream) -> String {
-    let mut raw = String::new();
-    stream.read_to_string(&mut raw).unwrap();
-    let (head, body) = raw.split_once("\r\n\r\n").unwrap_or_else(|| panic!("no head: {raw:?}"));
-    let length: usize = head
-        .lines()
-        .find_map(|l| l.strip_prefix("Content-Length: "))
-        .unwrap_or_else(|| panic!("no Content-Length: {head}"))
-        .parse()
-        .unwrap();
-    assert_eq!(body.len(), length, "truncated response: {raw:?}");
-    head.lines().next().unwrap_or("").to_string()
+/// Patience of the test client.
+const WAIT: Duration = Duration::from_secs(10);
+
+fn http(addr: SocketAddr, raw: &str) -> Reply {
+    TcpConnector.fetch(&addr.to_string(), raw.as_bytes(), WAIT, WAIT, None).unwrap()
 }
 
-fn get_healthz(addr: SocketAddr) -> String {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    stream.write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").unwrap();
-    read_response(&mut stream)
+fn get_healthz(addr: SocketAddr) -> u16 {
+    http(addr, "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n").status
 }
 
 /// The four lifecycle checks against a server `bind` starts fresh each
@@ -56,7 +48,7 @@ fn check_lifecycle<S>(bind: impl Fn() -> S, addr: impl Fn(&S) -> SocketAddr, shu
     // closes behind it.
     let server = bind();
     let at = addr(&server);
-    assert!(get_healthz(at).contains("200"));
+    assert_eq!(get_healthz(at), 200);
     thread::sleep(SETTLE);
     let t0 = Instant::now();
     shutdown(server);
@@ -72,10 +64,12 @@ fn check_lifecycle<S>(bind: impl Fn() -> S, addr: impl Fn(&S) -> SocketAddr, shu
     let at = addr(&server);
     let mut peer = TcpStream::connect(at).unwrap();
     peer.write_all(b"GET /healthz HTTP/1.1\r\n").unwrap();
-    assert!(get_healthz(at).contains("200"));
+    assert_eq!(get_healthz(at), 200);
     shutdown(server);
     peer.write_all(b"Host: t\r\n\r\n").unwrap();
-    assert!(read_response(&mut peer).contains("200"));
+    let mut raw = Vec::new();
+    peer.read_to_end(&mut raw).unwrap();
+    assert_eq!(parse_reply(&raw).unwrap().status, 200);
     assert!(TcpStream::connect(at).is_err(), "{at} still accepts after shutdown");
 }
 
@@ -173,4 +167,30 @@ fn fault_proxy_lifecycle() {
     let spans = api_requests(obs.tracer());
     assert_eq!(spans, vec!["GET /healthz -> 200 OK"; 3], "{spans:?}");
     upstream.shutdown();
+}
+
+#[test]
+fn malformed_requests_get_a_digest_stamped_400_from_every_server() {
+    let obs = Obs::new(256);
+    let backend = StatusServer::bind(0, Arc::clone(&obs)).unwrap();
+    let router = RouterServer::bind(
+        0,
+        Router::new(RouterConfig {
+            backends: vec![backend.local_addr().to_string()],
+            probe_interval: Duration::from_secs(3600),
+            ..RouterConfig::default()
+        }),
+    )
+    .unwrap();
+    for addr in [backend.local_addr(), router.local_addr()] {
+        for raw in ["garbage\r\n\r\n", "get /healthz HTTP/1.1\r\n\r\n"] {
+            let reply = http(addr, raw);
+            assert_eq!(reply.status, 400, "{addr} {raw:?}: {reply:?}");
+            assert!(reply.header("x-cf-digest").is_some(), "{addr} {raw:?}: unstamped {reply:?}");
+            assert!(digest_ok(&reply), "{addr} {raw:?}: {reply:?}");
+            assert!(reply.text().contains("malformed request line"), "{}", reply.text());
+        }
+    }
+    router.shutdown();
+    backend.shutdown();
 }

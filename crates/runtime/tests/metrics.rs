@@ -7,11 +7,11 @@
 //! histogram buckets closed by `+Inf` that agree with `_count`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cf_runtime::http::{Connector, Reply, TcpConnector};
 use cf_runtime::obs::Obs;
 use cf_runtime::serve::{serve_manifest, ServeOptions};
 use cf_runtime::status::StatusServer;
@@ -33,15 +33,11 @@ fn manifest_text() -> String {
         )
 }
 
-/// One blocking HTTP GET; returns `(status_line, headers, body)`.
-fn http_get(addr: SocketAddr, path: &str) -> (String, String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, head.to_string(), body.to_string())
+/// One GET against `addr`.
+fn http_get(addr: SocketAddr, path: &str) -> Reply {
+    let raw = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    let wait = Duration::from_secs(30);
+    TcpConnector.fetch(&addr.to_string(), raw.as_bytes(), wait, wait, None).unwrap()
 }
 
 /// One parsed sample line.
@@ -228,9 +224,11 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
     // Idle: /metrics is already a valid exposition (families with no
     // samples yet, spans_dropped always present) with the right
     // content type.
-    let (status, head, body) = http_get(addr, "/metrics");
-    assert!(status.contains("200"), "{status}");
-    assert!(head.contains("text/plain; version=0.0.4"), "{head}");
+    let reply = http_get(addr, "/metrics");
+    assert_eq!(reply.status, 200);
+    let content_type = reply.header("content-type").unwrap_or_default();
+    assert!(content_type.starts_with("text/plain; version=0.0.4"), "{reply:?}");
+    let body = reply.text();
     let samples = validate_exposition(&body, "metrics-it");
     assert_eq!(value_of(&samples, "cf_spans_dropped_total", None), Some(0.0), "{body}");
     assert!(value_of(&samples, "cf_jobs_submitted_total", None).is_none(), "{body}");
@@ -243,8 +241,9 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
     // the submission counter moves.
     let t0 = Instant::now();
     loop {
-        let (status, _, body) = http_get(addr, "/metrics");
-        assert!(status.contains("200"), "{status}");
+        let reply = http_get(addr, "/metrics");
+        assert_eq!(reply.status, 200);
+        let body = reply.text();
         let samples = validate_exposition(&body, "metrics-it");
         if value_of(&samples, "cf_jobs_submitted_total", None).unwrap_or(0.0) > 0.0 {
             break;
@@ -260,8 +259,9 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
     // Final: every RuntimeStats counter family has its sample, the two
     // profiled manifest lines fed the per-machine profile series, and
     // the stage histograms are coherent (validated above).
-    let (status, _, body) = http_get(addr, "/metrics");
-    assert!(status.contains("200"), "{status}");
+    let reply = http_get(addr, "/metrics");
+    assert_eq!(reply.status, 200);
+    let body = reply.text();
     let samples = validate_exposition(&body, "metrics-it");
     assert_eq!(value_of(&samples, "cf_jobs_submitted_total", None), Some(19.0), "{body}");
     assert_eq!(value_of(&samples, "cf_jobs_completed_total", None), Some(19.0), "{body}");

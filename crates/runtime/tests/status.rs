@@ -4,12 +4,12 @@
 //! readiness, `/stats` counters moving, `/trace` spans, and the
 //! overload flip to 503 when [`LoadPolicy`] headroom is exhausted.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cf_runtime::http::{Connector, TcpConnector};
 use cf_runtime::obs::Obs;
 use cf_runtime::serve::{serve_manifest, ServeOptions};
 use cf_runtime::status::StatusServer;
@@ -23,28 +23,26 @@ fn manifest_text() -> String {
     text.replace("program=assets/", &format!("program={root}/assets/"))
 }
 
-/// One blocking HTTP GET; returns `(status_line, body)`.
-fn http_get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    (head.lines().next().unwrap_or("").to_string(), body.to_string())
+/// One GET against `addr`: (status code, body).
+fn http_get(addr: SocketAddr, path: &str) -> (u16, String) {
+    let raw = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    let wait = Duration::from_secs(30);
+    let reply = TcpConnector.fetch(&addr.to_string(), raw.as_bytes(), wait, wait, None).unwrap();
+    (reply.status, reply.text())
 }
 
-/// Polls `path` until `want(status_line, body)` holds or the deadline
-/// passes; returns the last `(status_line, body)` seen.
+/// Polls `path` until `want(status, body)` holds or the deadline
+/// passes; returns the last `(status, body)` seen.
 fn poll(
     addr: SocketAddr,
     path: &str,
-    want: impl Fn(&str, &str) -> bool,
+    want: impl Fn(u16, &str) -> bool,
     deadline: Duration,
-) -> (String, String) {
+) -> (u16, String) {
     let t0 = Instant::now();
     loop {
         let (status, body) = http_get(addr, path);
-        if want(&status, &body) || t0.elapsed() > deadline {
+        if want(status, &body) || t0.elapsed() > deadline {
             return (status, body);
         }
         std::thread::sleep(Duration::from_millis(10));
@@ -67,10 +65,10 @@ fn stats_counters_move_over_a_real_serve_run() {
     let addr = server.local_addr();
 
     // Before the run: the server is up, permissive, and /stats is 503.
-    let (status, body) = poll(addr, "/healthz", |s, _| s.contains("200"), Duration::from_secs(5));
-    assert!(status.contains("200"), "{status} {body}");
+    let (status, body) = poll(addr, "/healthz", |s, _| s == 200, Duration::from_secs(5));
+    assert_eq!(status, 200, "{status} {body}");
     let (status, _) = http_get(addr, "/stats");
-    assert!(status.contains("503"), "stats must be 503 before a run publishes: {status}");
+    assert_eq!(status, 503, "stats must be 503 before a run publishes: {status}");
 
     let text = manifest_text();
     let opts = ServeOptions { workers: 2, obs: Some(Arc::clone(&obs)), ..Default::default() };
@@ -79,10 +77,10 @@ fn stats_counters_move_over_a_real_serve_run() {
     // The serve engine publishes as soon as its pool exists: /stats
     // flips to 200 and its counters start moving.
     let (status, body) =
-        poll(addr, "/stats", |s, b| s.contains("200") && json_u64(b, "submitted") > Some(0), {
+        poll(addr, "/stats", |s, b| s == 200 && json_u64(b, "submitted") > Some(0), {
             Duration::from_secs(30)
         });
-    assert!(status.contains("200"), "{status} {body}");
+    assert_eq!(status, 200, "{status} {body}");
     assert!(json_u64(&body, "submitted") > Some(0), "{body}");
 
     let report = handle.join().unwrap().unwrap();
@@ -91,13 +89,13 @@ fn stats_counters_move_over_a_real_serve_run() {
 
     // After the run the hub still serves the final counters.
     let (status, body) = http_get(addr, "/stats");
-    assert!(status.contains("200"), "{status}");
+    assert_eq!(status, 200, "{status}");
     assert_eq!(json_u64(&body, "submitted"), Some(19), "{body}");
     assert_eq!(json_u64(&body, "completed"), Some(19), "{body}");
 
     // The tracer saw the run: /trace has submit/settle spans.
     let (status, body) = http_get(addr, "/trace");
-    assert!(status.contains("200"), "{status}");
+    assert_eq!(status, 200, "{status}");
     assert!(body.contains("job-submit") && body.contains("job-settle"), "{body}");
     assert!(body.contains("\"histograms\""), "{body}");
 
@@ -119,7 +117,7 @@ fn healthz_flips_to_overloaded_when_headroom_is_exhausted() {
     obs.publish(runtime.stats_arc(), runtime.load_policy());
 
     let (status, body) = http_get(addr, "/healthz");
-    assert!(status.contains("200"), "idle pool must be healthy: {status} {body}");
+    assert_eq!(status, 200, "idle pool must be healthy: {status} {body}");
     assert!(body.contains("\"headroom\":1"), "{body}");
 
     let (release_tx, release_rx) = mpsc::channel::<()>();
@@ -132,16 +130,16 @@ fn healthz_flips_to_overloaded_when_headroom_is_exhausted() {
     started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
 
     // The slot is taken: headroom 0, /healthz 503 "overloaded".
-    let (status, body) = poll(addr, "/healthz", |s, _| s.contains("503"), Duration::from_secs(10));
-    assert!(status.contains("503"), "{status} {body}");
+    let (status, body) = poll(addr, "/healthz", |s, _| s == 503, Duration::from_secs(10));
+    assert_eq!(status, 503, "{status} {body}");
     assert!(body.contains("overloaded"), "{body}");
     assert!(body.contains("\"headroom\":0"), "{body}");
 
     // Releasing the job restores health.
     release_tx.send(()).unwrap();
     assert_eq!(handle.join().unwrap(), 42);
-    let (status, body) = poll(addr, "/healthz", |s, _| s.contains("200"), Duration::from_secs(10));
-    assert!(status.contains("200"), "{status} {body}");
+    let (status, body) = poll(addr, "/healthz", |s, _| s == 200, Duration::from_secs(10));
+    assert_eq!(status, 200, "{status} {body}");
 
     runtime.shutdown();
     server.shutdown();

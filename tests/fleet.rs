@@ -9,12 +9,13 @@
 //! stops admissions, flips `/healthz` to draining, and the process
 //! exits 0 once in-flight work settles.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+use cambricon_f::runtime::{Connector, TcpConnector};
 
 /// The chaos manifest (`assets/serve.jobs`) expanded client-side: one
 /// JSON spec per job, `repeat=N` flattened to N identical submissions,
@@ -152,17 +153,12 @@ fn spawn_router(backends: &[&Proc]) -> Proc {
     Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: routing ")
 }
 
-/// One HTTP exchange against `addr`; the server closes the connection
-/// after every response, so reading to EOF frames the body.
-fn http(addr: &str, request: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
+/// One HTTP exchange against `addr`: (status code, body). Long-polls
+/// hold the line for a while, hence the generous timeout.
+fn http(addr: &str, request: &str) -> (u16, String) {
+    let wait = Duration::from_secs(150);
+    let reply = TcpConnector.fetch(addr, request.as_bytes(), wait, wait, None).expect("http");
+    (reply.status, reply.text())
 }
 
 /// Submits one spec through the router, asserting acceptance, and
@@ -171,7 +167,7 @@ fn submit(addr: &str, spec: &str) -> u64 {
     let request =
         format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
     let (status, body) = http(addr, &request);
-    assert!(status.contains("202"), "{status} {body}");
+    assert_eq!(status, 202, "{status} {body}");
     let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
     digits.parse().expect("job id")
 }
@@ -179,7 +175,7 @@ fn submit(addr: &str, spec: &str) -> u64 {
 /// Long-polls one job through the router until its record streams back.
 fn stream_record(addr: &str, id: u64) -> String {
     let (status, body) = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
+    assert_eq!(status, 200, "job {id}: {status} {body}");
     body
 }
 
@@ -252,7 +248,7 @@ fn killing_one_of_three_backends_keeps_output_byte_identical() {
     let merged = run_chaos(&router.addr, |addr| {
         // Kill the backend that owns the most jobs — maximum damage.
         let (status, stats) = http(addr, "GET /stats HTTP/1.1\r\n\r\n");
-        assert!(status.contains("200"), "{status}");
+        assert_eq!(status, 200, "{status}");
         let counts = backend_job_counts(&stats);
         assert_eq!(counts.len(), 3, "{stats}");
         assert_eq!(counts.iter().sum::<u64>(), 19, "{stats}");
@@ -276,7 +272,7 @@ fn killing_one_of_three_backends_keeps_output_byte_identical() {
         std::thread::sleep(Duration::from_millis(100));
     }
     let (status, _) = http(&router.addr, "GET /healthz HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "router stays healthy on two survivors: {status}");
+    assert_eq!(status, 200, "router stays healthy on two survivors: {status}");
 
     router.kill();
     for b in backends {
@@ -341,25 +337,25 @@ fn post_drain_stops_admissions_and_exits_cleanly() {
 
     // GET /drain is not a drain.
     let (status, _) = http(&backend.addr, "GET /drain HTTP/1.1\r\n\r\n");
-    assert!(status.contains("405"), "{status}");
+    assert_eq!(status, 405, "{status}");
     let (status, _) = http(&backend.addr, "GET /healthz HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "still healthy after GET /drain: {status}");
+    assert_eq!(status, 200, "still healthy after GET /drain: {status}");
 
     // POST /drain flips the instance into draining.
     let (status, body) = http(&backend.addr, "POST /drain HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
-    assert!(status.contains("200"), "{status} {body}");
+    assert_eq!(status, 200, "{status} {body}");
     assert!(body.contains("\"status\":\"draining\""), "{body}");
 
     // Draining is distinct from overload, and the front door is closed.
     let (status, body) = http(&backend.addr, "GET /healthz HTTP/1.1\r\n\r\n");
-    assert!(status.contains("503"), "{status}");
+    assert_eq!(status, 503, "{status}");
     assert!(body.contains("\"status\":\"draining\""), "{body}");
     assert!(!body.contains("overloaded"), "{body}");
     let spec = r#"{"workload":"matmul","order":256,"machine":"tiny","label":"late"}"#;
     let request =
         format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
     let (status, body) = http(&backend.addr, &request);
-    assert!(status.contains("503"), "{status} {body}");
+    assert_eq!(status, 503, "{status} {body}");
     assert!(body.contains("draining"), "{body}");
 
     // Nothing pending: the process settles and exits 0 on its own.

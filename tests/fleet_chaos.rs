@@ -13,8 +13,7 @@
 //! to prove repeated corruption moves it into the `quarantined` state
 //! (distinct from `ejected`) in `/stats` and `/ring`.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::OnceLock;
@@ -22,6 +21,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cambricon_f::runtime::serve::verify_record_json;
+use cambricon_f::runtime::{Connector, TcpConnector};
 
 /// The chaos manifest (`assets/serve.jobs`) expanded client-side, in
 /// manifest order — so router id K corresponds to baseline `"job":K`.
@@ -158,17 +158,12 @@ fn spawn_fault_proxy(upstream: &str, seed: u64, spec: &str) -> Proc {
     Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: fault proxy for ")
 }
 
-/// One HTTP exchange against `addr`; the server closes the connection
-/// after every response, so reading to EOF frames the body.
-fn http(addr: &str, request: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
+/// One HTTP exchange against `addr`: (status code, body). Long-polls
+/// hold the line for a while, hence the generous timeout.
+fn http(addr: &str, request: &str) -> (u16, String) {
+    let wait = Duration::from_secs(150);
+    let reply = TcpConnector.fetch(addr, request.as_bytes(), wait, wait, None).expect("http");
+    (reply.status, reply.text())
 }
 
 /// Submits one spec through the router, asserting acceptance, and
@@ -177,7 +172,7 @@ fn submit(addr: &str, spec: &str) -> u64 {
     let request =
         format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
     let (status, body) = http(addr, &request);
-    assert!(status.contains("202"), "{status} {body}");
+    assert_eq!(status, 202, "{status} {body}");
     let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
     digits.parse().expect("job id")
 }
@@ -185,7 +180,7 @@ fn submit(addr: &str, spec: &str) -> u64 {
 /// Long-polls one job through the router until its record streams back.
 fn stream_record(addr: &str, id: u64) -> String {
     let (status, body) = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
+    assert_eq!(status, 200, "job {id}: {status} {body}");
     body
 }
 
@@ -262,10 +257,10 @@ fn chaos_scenario(tag: &str, seed: u64, spec: &str) -> (String, String) {
     assert_eq!(merged, expected, "[{tag}] merged fleet output must match the fault-free run");
 
     let (status, stats) = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "[{tag}] {status}");
+    assert_eq!(status, 200, "[{tag}] {status}");
     assert_eq!(stat(&stats, "records_streamed"), 19, "[{tag}] {stats}");
     let (status, metrics) = http(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "[{tag}] {status}");
+    assert_eq!(status, 200, "[{tag}] {status}");
     assert!(metrics.contains("cf_router_corrupt_responses"), "[{tag}] {metrics}");
 
     router.kill();
@@ -367,7 +362,7 @@ fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
     // corruptions, which is the quarantine threshold.
     for _ in 0..2 {
         let (status, _) = http(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
-        assert!(status.contains("200"), "{status}");
+        assert_eq!(status, 200, "{status}");
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     let stats = loop {

@@ -13,14 +13,14 @@
 //! * with `--slo-ms` set, the merged `/metrics` carries the `cf_slo_*`
 //!   burn-rate families and classifies every streamed record.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use cambricon_f::runtime::trace::{Attribution, TraceContext};
+use cambricon_f::runtime::{Connector, Reply, TcpConnector};
 
 /// The chaos manifest (`assets/serve.jobs`) expanded client-side, in
 /// manifest order — so router id K corresponds to baseline `"job":K`.
@@ -124,27 +124,11 @@ fn spawn_router(backends: &[&str], extra: &[&str]) -> Proc {
     Proc::spawn(env!("CARGO_BIN_EXE_cfrouter"), &args, "cfrouter: routing ")
 }
 
-/// One HTTP exchange, returning (status line, headers, body) — the
-/// trace tests read response headers, which the plainer fleet helpers
-/// throw away.
-fn http_full(addr: &str, request: &str) -> (String, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let mut lines = head.lines();
-    let status = lines.next().unwrap_or("").to_string();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_string(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
-}
-
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
+/// One HTTP exchange against `addr`; the trace tests read response
+/// headers. Long-polls hold the line, hence the generous timeout.
+fn http(addr: &str, request: &str) -> Reply {
+    let wait = Duration::from_secs(150);
+    TcpConnector.fetch(addr, request.as_bytes(), wait, wait, None).expect("http")
 }
 
 /// Submits one spec, returning the fleet-wide id and the minted trace
@@ -152,27 +136,28 @@ fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
 fn submit_traced(addr: &str, spec: &str) -> (u64, TraceContext) {
     let request =
         format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
-    let (status, headers, body) = http_full(addr, &request);
-    assert!(status.contains("202"), "{status} {body}");
-    let trace = header(&headers, "X-CF-Trace")
-        .unwrap_or_else(|| panic!("no X-CF-Trace on accept: {headers:?}"));
+    let reply = http(addr, &request);
+    assert_eq!(reply.status, 202, "{}", reply.text());
+    let trace =
+        reply.header("X-CF-Trace").unwrap_or_else(|| panic!("no X-CF-Trace on accept: {reply:?}"));
     let ctx = TraceContext::parse(trace).expect("parseable trace header");
-    let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
+    let digits: String = reply.text().chars().filter(|c| c.is_ascii_digit()).collect();
     (digits.parse().expect("job id"), ctx)
 }
 
 /// Long-polls one record, returning (body, trace header, attribution).
 fn stream_traced(addr: &str, id: u64) -> (String, TraceContext, Attribution) {
-    let (status, headers, body) =
-        http_full(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
-    let trace = header(&headers, "X-CF-Trace")
-        .unwrap_or_else(|| panic!("job {id}: no X-CF-Trace on record: {headers:?}"));
+    let reply = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
+    assert_eq!(reply.status, 200, "job {id}: {}", reply.text());
+    let trace = reply
+        .header("X-CF-Trace")
+        .unwrap_or_else(|| panic!("job {id}: no X-CF-Trace on record: {reply:?}"));
     let ctx = TraceContext::parse(trace).expect("parseable trace header");
-    let attr = header(&headers, "X-CF-Attribution")
+    let attr = reply
+        .header("X-CF-Attribution")
         .and_then(Attribution::parse)
-        .unwrap_or_else(|| panic!("job {id}: no parseable X-CF-Attribution: {headers:?}"));
-    (body, ctx, attr)
+        .unwrap_or_else(|| panic!("job {id}: no parseable X-CF-Attribution: {reply:?}"));
+    (reply.text(), ctx, attr)
 }
 
 /// Scrapes one top-level counter off the router's `/stats` JSON.
@@ -217,9 +202,9 @@ fn interval(e: &serde_json::Value) -> (f64, f64) {
 /// inside its parent — backend events inside their attempt's window,
 /// attempt spans inside the dispatch span. Returns the parsed doc.
 fn validate_merged_trace(router: &str, ctx: TraceContext) -> serde_json::Value {
-    let (status, _, body) =
-        http_full(router, &format!("GET /trace/{:032x} HTTP/1.1\r\n\r\n", ctx.trace_id));
-    assert!(status.contains("200"), "{status} {body}");
+    let reply = http(router, &format!("GET /trace/{:032x} HTTP/1.1\r\n\r\n", ctx.trace_id));
+    assert_eq!(reply.status, 200, "{}", reply.text());
+    let body = reply.text();
     let doc = serde_json::from_str(&body).expect("merged trace parses as JSON");
     assert_eq!(
         doc.get("trace").and_then(|t| t.as_str()),
@@ -366,8 +351,9 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
 
     // Satellite: per-backend hedge outcome detail is in /stats (zero
     // here — hedging is disabled — but the fields must render).
-    let (status, _, stats) = http_full(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "{status}");
+    let reply = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
+    assert_eq!(reply.status, 200);
+    let stats = reply.text();
     assert_eq!(stat(&stats, "records_streamed"), 19, "{stats}");
     assert!(stats.contains("\"hedges_won\":"), "{stats}");
     assert!(stats.contains("\"hedges_cancelled\":"), "{stats}");
@@ -378,7 +364,7 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
 
     // SLO series: every record classified, all good under the generous
     // target, budget untouched, burn rate zero.
-    let (_, _, metrics) = http_full(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n");
+    let metrics = http(&router.addr, "GET /metrics HTTP/1.1\r\n\r\n").text();
     assert!(sample(&metrics, "cf_slo_good_total") as u64 >= 19, "{metrics}");
     assert_eq!(sample(&metrics, "cf_slo_bad_total") as u64, 0, "bad jobs under a 60s target");
     assert!((sample(&metrics, "cf_slo_error_budget_remaining") - 1.0).abs() < 1e-9);
@@ -439,7 +425,7 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
             "job {id}: trace id must survive tears and failovers"
         );
     }
-    let (_, _, stats) = http_full(&router.addr, "GET /stats HTTP/1.1\r\n\r\n");
+    let stats = http(&router.addr, "GET /stats HTTP/1.1\r\n\r\n").text();
     assert!(stat(&stats, "failovers") >= 1, "torn replies must fail over: {stats}");
 
     // Some trace carries more than one attempt span — the torn attempt
@@ -448,9 +434,10 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
     let mut multi_attempt = 0usize;
     let mut non_ok = 0usize;
     for &(_, ctx) in &submitted {
-        let (status, _, body) =
-            http_full(&router.addr, &format!("GET /trace/{:032x} HTTP/1.1\r\n\r\n", ctx.trace_id));
-        assert!(status.contains("200"), "{status}");
+        let reply =
+            http(&router.addr, &format!("GET /trace/{:032x} HTTP/1.1\r\n\r\n", ctx.trace_id));
+        assert_eq!(reply.status, 200);
+        let body = reply.text();
         let doc: serde_json::Value = serde_json::from_str(&body).expect("trace parses");
         let evs = doc.get("traceEvents").and_then(|e| e.as_array()).expect("traceEvents");
         let attempts: Vec<&serde_json::Value> = evs

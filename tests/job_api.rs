@@ -8,12 +8,13 @@
 //! front door with `Retry-After`, and the `cf_api_*` metrics agree with
 //! the journal's JSONL records.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use cambricon_f::runtime::{Connector, Reply, TcpConnector};
 
 /// A spawned `cfserve` with its announced status address and a stderr
 /// drain (so the child never blocks on a full pipe).
@@ -56,31 +57,15 @@ impl Serve {
     }
 }
 
-/// One HTTP exchange: status line, headers, body. The server closes the
-/// connection after every response, so reading to EOF frames the body;
-/// long-polls can hold the line for a while, hence the generous timeout.
-fn http(addr: &str, request: &str) -> (String, Vec<(String, String)>, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.set_read_timeout(Some(Duration::from_secs(150))).unwrap();
-    stream.write_all(request.as_bytes()).expect("write request");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read response");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let mut lines = head.lines();
-    let status = lines.next().unwrap_or("").to_string();
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(k, v)| (k.to_ascii_lowercase(), v.trim().to_string()))
-        .collect();
-    (status, headers, body.to_string())
+/// One HTTP exchange against `addr`. Long-polls can hold the line for
+/// a while, hence the generous timeout.
+fn http(addr: &str, request: &str) -> Reply {
+    let wait = Duration::from_secs(150);
+    TcpConnector.fetch(addr, request.as_bytes(), wait, wait, None).expect("http")
 }
 
-fn header<'a>(headers: &'a [(String, String)], name: &str) -> Option<&'a str> {
-    headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str())
-}
-
-/// POSTs one job spec and returns the (status line, body) of the reply.
-fn post_job(addr: &str, spec: &str) -> (String, Vec<(String, String)>, String) {
+/// POSTs one job spec and returns the reply.
+fn post_job(addr: &str, spec: &str) -> Reply {
     let request =
         format!("POST /jobs HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
     http(addr, &request)
@@ -88,23 +73,24 @@ fn post_job(addr: &str, spec: &str) -> (String, Vec<(String, String)>, String) {
 
 /// POSTs a spec that must be accepted, returning its job id.
 fn submit(addr: &str, spec: &str) -> u64 {
-    let (status, _, body) = post_job(addr, spec);
-    assert!(status.contains("202"), "{status} {body}");
-    let digits: String = body.chars().filter(|c| c.is_ascii_digit()).collect();
+    let reply = post_job(addr, spec);
+    assert_eq!(reply.status, 202, "{}", reply.text());
+    let digits: String = reply.text().chars().filter(|c| c.is_ascii_digit()).collect();
     digits.parse().expect("job id")
 }
 
 /// Long-polls one job to completion and returns its record body.
 fn stream_record(addr: &str, id: u64) -> String {
-    let (status, _, body) = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
-    assert!(status.contains("200"), "job {id}: {status} {body}");
-    body
+    let reply = http(addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
+    assert_eq!(reply.status, 200, "job {id}: {}", reply.text());
+    reply.text()
 }
 
 /// Scrapes one counter off `/metrics`.
 fn metric(addr: &str, name: &str) -> u64 {
-    let (status, _, body) = http(addr, "GET /metrics HTTP/1.1\r\n\r\n");
-    assert!(status.contains("200"), "{status}");
+    let reply = http(addr, "GET /metrics HTTP/1.1\r\n\r\n");
+    assert_eq!(reply.status, 200);
+    let body = reply.text();
     body.lines()
         .find(|l| l.starts_with(name) && !l.starts_with('#'))
         .and_then(|l| l.split_whitespace().nth(1))
@@ -216,14 +202,14 @@ fn coalesce_and_shed_with_metrics_agreeing_with_the_journal() {
     // In-flight is now 2 (leader running, queued job waiting; the
     // follower subscribed instead of submitting), so the front door
     // sheds the next spec before journaling anything.
-    let (status, headers, body) = post_job(
+    let shed = post_job(
         &serve.addr,
         r#"{"workload":"matmul","order":1024,"machine":"f1","label":"shed"}"#,
     );
-    assert!(status.contains("503"), "{status} {body}");
-    let retry: u64 = header(&headers, "retry-after").expect("Retry-After").parse().unwrap();
+    assert_eq!(shed.status, 503, "{}", shed.text());
+    let retry: u64 = shed.header("retry-after").expect("Retry-After").parse().unwrap();
     assert!((1..=30).contains(&retry), "{retry}");
-    assert!(body.contains("\"retry_after_s\""), "{body}");
+    assert!(shed.text().contains("\"retry_after_s\""), "{}", shed.text());
 
     // Every accepted job completes; leader and follower records differ
     // only in their id.

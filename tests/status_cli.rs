@@ -3,18 +3,18 @@
 //! probe `/healthz`, `/stats` and `/trace` over plain TCP while the run
 //! is live.
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::io::{BufRead, BufReader};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-fn http_get(addr: &str, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).unwrap();
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n").unwrap();
-    let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    (head.lines().next().unwrap_or("").to_string(), body.to_string())
+use cambricon_f::runtime::{Connector, TcpConnector};
+
+/// One GET against `addr`: (status code, body).
+fn http_get(addr: &str, path: &str) -> (u16, String) {
+    let raw = format!("GET {path} HTTP/1.1\r\nHost: localhost\r\n\r\n");
+    let wait = Duration::from_secs(30);
+    let reply = TcpConnector.fetch(addr, raw.as_bytes(), wait, wait, None).expect("http");
+    (reply.status, reply.text())
 }
 
 #[test]
@@ -54,24 +54,24 @@ fn cfserve_status_port_serves_health_stats_and_trace() {
     let t0 = Instant::now();
     let (status, body) = loop {
         let (status, body) = http_get(&addr, "/healthz");
-        if status.contains("200") || t0.elapsed() > Duration::from_secs(20) {
+        if status == 200 || t0.elapsed() > Duration::from_secs(20) {
             break (status, body);
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    assert!(status.contains("200"), "{status} {body}");
+    assert_eq!(status, 200, "{status} {body}");
     assert!(body.contains("\"status\""), "{body}");
 
     // /stats shows the live run's counters.
     let (status, body) = http_get(&addr, "/stats");
-    assert!(status.contains("200") || status.contains("503"), "{status}");
-    if status.contains("200") {
+    assert!(status == 200 || status == 503, "{status}");
+    if status == 200 {
         assert!(body.contains("\"submitted\""), "{body}");
     }
 
     // /trace serves the span ring.
     let (status, body) = http_get(&addr, "/trace");
-    assert!(status.contains("200"), "{status}");
+    assert_eq!(status, 200, "{status}");
     assert!(body.contains("\"events\""), "{body}");
 
     // Done probing: the run itself can finish or be cut short.
