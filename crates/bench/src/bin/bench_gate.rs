@@ -1,8 +1,8 @@
 //! `bench_gate` — the CI performance gate over the cf-runtime service
 //! layer.
 //!
-//! Measures seven numbers, writes them to `BENCH_runtime.json`
-//! (the artifact CI uploads) and gates three of them against a
+//! Measures eight numbers, writes them to `BENCH_runtime.json`
+//! (the artifact CI uploads) and gates four of them against a
 //! committed baseline:
 //!
 //! * `cached_speedup` — best-case (per-iteration minimum) uncached
@@ -17,6 +17,11 @@
 //!   gated**: the gate fails when the measured latency exceeds the
 //!   baseline's as-written value (headroom undone) by more than 20%
 //!   (`current > 1.2 × baseline / headroom`).
+//! * `cold_sim_2100_us` — best-case `Machine::simulate` of an f1 matmul
+//!   of order 2100, simulator only (no runtime, no cache): the
+//!   `cold-unique` fleet workload's cost plateau, where one level-1 plan
+//!   runs 512 SD steps of 32 children and the step memo times only the
+//!   distinct ones. **Gated** exactly like `uncached_us`.
 //! * `serve_jobs_per_s` — the 19-job `assets/serve.jobs` manifest
 //!   through `serve_manifest`, end to end (informational).
 //! * `replay_records_per_s` — `scan_valid_prefix` over a synthetic
@@ -69,6 +74,11 @@ const CACHED_ITERS: u32 = 200;
 /// Uncached-simulate iterations (each runs the full planner + model;
 /// enough samples for the minimum to escape scheduler noise).
 const UNCACHED_ITERS: u32 = 16;
+/// Simulator-only cold iterations of the order-2100 matmul (a few ms
+/// each).
+const COLD_SIM_ITERS: u32 = 12;
+/// f1 matmul order of the simulator-only cold gate.
+const COLD_SIM_ORDER: usize = 2100;
 /// Synthetic journal records for the replay-rate measurement.
 const REPLAY_RECORDS: u64 = 5000;
 /// Profiled-vs-plain simulate iterations for the overhead measurement.
@@ -107,6 +117,7 @@ struct GateReport {
     cached_speedup: f64,
     cached_us: f64,
     uncached_us: f64,
+    cold_sim_2100_us: f64,
     serve_jobs_per_s: f64,
     replay_records_per_s: f64,
     profile_overhead: f64,
@@ -124,6 +135,7 @@ impl Serialize for GateReport {
         obj.insert("cached_speedup", round2(self.cached_speedup));
         obj.insert("cached_us", round2(self.cached_us));
         obj.insert("uncached_us", round2(self.uncached_us));
+        obj.insert("cold_sim_2100_us", round2(self.cold_sim_2100_us));
         obj.insert("serve_jobs_per_s", round2(self.serve_jobs_per_s));
         obj.insert("replay_records_per_s", self.replay_records_per_s.round());
         obj.insert("profile_overhead", round2(self.profile_overhead));
@@ -173,6 +185,40 @@ fn measure_cached_speedup() -> (f64, f64, f64) {
         uncached = uncached.min(t0.elapsed());
     }
     (uncached.as_secs_f64() / cached.as_secs_f64(), cached.as_secs_f64(), uncached.as_secs_f64())
+}
+
+/// Per-iteration minimum µs of a cold `Machine::simulate` (every call
+/// builds a fresh simulator) of the order-[`COLD_SIM_ORDER`] f1 matmul.
+fn measure_cold_sim() -> f64 {
+    let program = nets::matmul_program(COLD_SIM_ORDER);
+    let machine = Machine::new(MachineConfig::cambricon_f1());
+    let mut best = Duration::MAX;
+    for _ in 0..COLD_SIM_ITERS {
+        let t0 = Instant::now();
+        std::hint::black_box(machine.simulate(&program).expect("cold simulate"));
+        best = best.min(t0.elapsed());
+    }
+    best.as_secs_f64() * 1e6
+}
+
+/// The cold-latency gate: fails (returns `true`) when `current_us`
+/// exceeds the baseline's `field` with the headroom undone by more than
+/// [`COLD_GATE_FACTOR`]. Baselines that predate `field` skip the gate.
+fn latency_gate(text: &str, field: &str, what: &str, current_us: f64) -> bool {
+    let Some(base) = baseline_field(text, field) else {
+        eprintln!("bench_gate: baseline has no {field}; {what} gate skipped");
+        return false;
+    };
+    let ceiling = base / BASELINE_HEADROOM * COLD_GATE_FACTOR;
+    let failed = current_us > ceiling;
+    eprintln!(
+        "bench_gate: {} — {what} {current_us:.1}µs {} {ceiling:.1}µs \
+         (baseline {base:.1}µs, headroom undone, +{:.0}% allowed)",
+        if failed { "FAIL" } else { "PASS" },
+        if failed { "is above" } else { "<=" },
+        (COLD_GATE_FACTOR - 1.0) * 100.0,
+    );
+    failed
 }
 
 fn measure_serve_throughput() -> Result<f64, String> {
@@ -336,6 +382,8 @@ fn main() -> ExitCode {
         cached_s * 1e6,
         uncached_s * 1e6,
     );
+    let cold_sim_2100_us = measure_cold_sim();
+    eprintln!("bench_gate: cold f1 matmul {COLD_SIM_ORDER} simulate {cold_sim_2100_us:.1}µs");
     let serve = match measure_serve_throughput() {
         Ok(v) => v,
         Err(e) => {
@@ -361,6 +409,7 @@ fn main() -> ExitCode {
         cached_speedup: speedup,
         cached_us: cached_s * 1e6,
         uncached_us: uncached_s * 1e6,
+        cold_sim_2100_us,
         serve_jobs_per_s: serve,
         replay_records_per_s: replay,
         profile_overhead,
@@ -378,6 +427,7 @@ fn main() -> ExitCode {
             cached_speedup: speedup * BASELINE_HEADROOM,
             cached_us: cached_s * 1e6 / BASELINE_HEADROOM,
             uncached_us: uncached_s * 1e6 * BASELINE_HEADROOM,
+            cold_sim_2100_us: cold_sim_2100_us * BASELINE_HEADROOM,
             serve_jobs_per_s: serve * BASELINE_HEADROOM,
             replay_records_per_s: replay * BASELINE_HEADROOM,
             profile_overhead,
@@ -425,27 +475,13 @@ fn main() -> ExitCode {
             GATE_FRACTION * 100.0,
         );
     }
-    // Cold-latency gate. Older baselines predate the field; skip then.
-    if let Some(base_uncached) = baseline_field(&text, "uncached_us") {
-        let uncached_us = uncached_s * 1e6;
-        let ceiling = base_uncached / BASELINE_HEADROOM * COLD_GATE_FACTOR;
-        if uncached_us > ceiling {
-            eprintln!(
-                "bench_gate: FAIL — cold simulate {uncached_us:.1}µs is above {ceiling:.1}µs \
-                 (baseline {base_uncached:.1}µs, headroom undone, +{:.0}% allowed)",
-                (COLD_GATE_FACTOR - 1.0) * 100.0,
-            );
-            failed = true;
-        } else {
-            eprintln!(
-                "bench_gate: PASS — cold simulate {uncached_us:.1}µs <= {ceiling:.1}µs \
-                 (baseline {base_uncached:.1}µs, headroom undone, +{:.0}% allowed)",
-                (COLD_GATE_FACTOR - 1.0) * 100.0,
-            );
-        }
-    } else {
-        eprintln!("bench_gate: baseline has no uncached_us; cold gate skipped");
-    }
+    failed |= latency_gate(&text, "uncached_us", "cold simulate", uncached_s * 1e6);
+    failed |= latency_gate(
+        &text,
+        "cold_sim_2100_us",
+        &format!("cold f1 matmul {COLD_SIM_ORDER} simulate"),
+        cold_sim_2100_us,
+    );
     // HTTP round-trip gate. Older baselines predate the field; skip then.
     if let Some(base_rtt) = baseline_field(&text, "http_rtt_us") {
         let ceiling = (base_rtt / BASELINE_HEADROOM * HTTP_GATE_FACTOR).min(HTTP_RTT_CEILING_US);

@@ -72,7 +72,7 @@ impl PlanArena {
         for mut s in steps.drain(..) {
             s.loads.clear();
             s.stores.clear();
-            s.child_insts.clear();
+            s.children = None;
             s.local_exec = None;
             s.streaming_exec = None;
             s.reduce = None;

@@ -110,7 +110,7 @@ fn exec_step(
     if let Some(inst) = &step.local_exec {
         cf_ops::exec::execute_instruction(inst, local)?;
     }
-    for child in &step.child_insts {
+    for child in step.child_insts() {
         let child_plan = planner.plan_instruction(level + 1, &child.inst, false)?;
         exec_plan(planner, level + 1, &child_plan, local, session)?;
     }

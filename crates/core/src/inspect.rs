@@ -147,11 +147,13 @@ fn absorb_step(
         if !step.raw_dep_prev {
             l.preassignable_steps += 1;
         }
-        for child in &step.child_insts {
-            *l.child_ops.entry(child.inst.op).or_insert(0) += 1;
+        if let Some(c) = &step.children {
+            for slot in 0..c.split.len() {
+                *l.child_ops.entry(c.split.piece(slot).op).or_insert(0) += 1;
+            }
         }
     }
-    for child in &step.child_insts {
+    for child in step.child_insts() {
         let key = (abs_level + 1, signature(&child.inst));
         let sub = match cache.get(&key) {
             Some(sub) => sub.clone(),

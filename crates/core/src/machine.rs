@@ -1,7 +1,7 @@
 use cf_isa::Program;
 use cf_tensor::Memory;
 
-use crate::perf::PerfSim;
+use crate::perf::{PerfSim, SimOptions};
 use crate::stats::Stats;
 use crate::timeline::Timeline;
 use crate::{CoreError, MachineConfig};
@@ -138,7 +138,7 @@ impl Machine {
         program: &Program,
         top: usize,
     ) -> Result<(PerfReport, crate::profile::ProfileReport), CoreError> {
-        let sim = PerfSim::with_profiling(&self.config);
+        let sim = PerfSim::with_options(&self.config, SimOptions::PROFILED);
         let out = sim.simulate(program)?;
         let profile = sim.profile_report(out.makespan, top).unwrap_or_default();
         Ok((self.report_of(out), profile))

@@ -9,6 +9,9 @@
 //! each decision on the canonical (offset-zeroed) form of the instruction
 //! and rebases the cached outcome onto each sibling's real operand
 //! addresses by translating every piece region by its operand's offset.
+//! PD splits are not rebased at all: the memo hands every step of the
+//! same shape one shared [`PdSplit`], and a step records only its own
+//! operand offsets ([`crate::plan::Children`]).
 //!
 //! One [`PlanMemo`] lives for the duration of one planner client — a
 //! [`crate::perf::PerfSim`] keeps one across a whole simulation, the
@@ -18,8 +21,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::rc::Rc;
 
 use crate::hash::{FxBuildHasher, FxHasher};
+use crate::plan::PdSplit;
 
 use cf_isa::{Instruction, Opcode};
 use cf_ops::fractal::{PartialPiece, SplitOutcome};
@@ -54,6 +59,35 @@ pub(crate) enum MemoKind {
     },
 }
 
+/// A cached decision, in canonical coordinates.
+#[derive(Debug)]
+pub(crate) enum Memoized {
+    /// A split outcome (`None` = no split): SD, direct and PD-fallback
+    /// decisions.
+    Split(Option<SplitOutcome>),
+    /// A PD split, shared as-is by every step of this shape.
+    Pd(Rc<PdSplit>),
+}
+
+impl Memoized {
+    /// The cached split outcome (`None` for a PD entry, which a
+    /// [`MemoKind::Parallel`] probe never asks for).
+    pub(crate) fn split(&self) -> &Option<SplitOutcome> {
+        match self {
+            Memoized::Split(outcome) => outcome,
+            Memoized::Pd(_) => &None,
+        }
+    }
+
+    /// The cached PD split, if this is one.
+    pub(crate) fn pd(&self) -> Option<Rc<PdSplit>> {
+        match self {
+            Memoized::Pd(pd) => Some(Rc::clone(pd)),
+            Memoized::Split(_) => None,
+        }
+    }
+}
+
 /// One cached split decision, stored in canonical coordinates.
 #[derive(Debug)]
 struct Entry {
@@ -62,8 +96,8 @@ struct Entry {
     /// Per-operand (dims, strides), inputs then outputs.
     operands: Vec<(Vec<usize>, Vec<u64>)>,
     kind: MemoKind,
-    /// The outcome for the offset-zeroed instruction (`None` = no split).
-    value: Option<SplitOutcome>,
+    /// The decision for the offset-zeroed instruction.
+    value: Memoized,
 }
 
 /// Memoization table for split decisions, keyed by instruction shape.
@@ -120,7 +154,7 @@ impl PlanMemo {
         &self,
         inst: &Instruction,
         kind: MemoKind,
-        map: impl FnOnce(&Option<SplitOutcome>) -> R,
+        map: impl FnOnce(&Memoized) -> R,
     ) -> Option<R> {
         debug_assert!(self.enabled);
         self.probes.set(self.probes.get() + 1);
@@ -137,7 +171,7 @@ impl PlanMemo {
     }
 
     /// Records a computed canonical outcome.
-    pub(crate) fn insert(&self, inst: &Instruction, kind: MemoKind, value: Option<SplitOutcome>) {
+    pub(crate) fn insert(&self, inst: &Instruction, kind: MemoKind, value: Memoized) {
         debug_assert!(self.enabled);
         self.misses.set(self.misses.get() + 1);
         let fp = fingerprint(inst, kind);
@@ -271,8 +305,8 @@ mod tests {
         let b = matmul(1_000_000, 64, 64, 64);
         let kind = MemoKind::Parallel { n: 4 };
         assert!(memo.lookup(&a, kind, |_| ()).is_none());
-        memo.insert(&a, kind, None);
-        assert!(memo.lookup(&b, kind, |v| assert!(v.is_none())).is_some());
+        memo.insert(&a, kind, Memoized::Split(None));
+        assert!(memo.lookup(&b, kind, |v| assert!(v.split().is_none())).is_some());
         assert_eq!((memo.hits(), memo.misses()), (1, 1));
     }
 
@@ -280,7 +314,7 @@ mod tests {
     fn kind_and_shape_discriminate() {
         let memo = PlanMemo::new();
         let a = matmul(0, 64, 64, 64);
-        memo.insert(&a, MemoKind::Parallel { n: 4 }, None);
+        memo.insert(&a, MemoKind::Parallel { n: 4 }, Memoized::Split(None));
         assert!(memo.lookup(&a, MemoKind::Parallel { n: 2 }, |_| ()).is_none());
         assert!(memo.lookup(&a, MemoKind::Sd { level: 0, static_avail: 0 }, |_| ()).is_none());
         let c = matmul(0, 64, 64, 128);

@@ -21,7 +21,7 @@
 //! step's children at the *steady-state* spacing instead of the full
 //! makespan whenever no read-after-write hazard forbids pre-assignment.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -32,7 +32,7 @@ use cf_tensor::Region;
 use crate::arena::PlanArena;
 use crate::hash::FxBuildHasher;
 use crate::memo::PlanMemo;
-use crate::plan::{NodePlan, Planner, Space, Step};
+use crate::plan::{ChildInst, DmaOp, NodePlan, Planner, Space, Step};
 use crate::profile::{ProfileReport, ProfileState};
 use crate::stats::Stats;
 use crate::{CoreError, MachineConfig};
@@ -82,6 +82,33 @@ pub struct StepSchedule {
     pub wb: (f64, f64),
 }
 
+/// What a [`PerfSim`] memoizes and records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SimOptions {
+    /// Serve split decisions from the shape memo and step timings from
+    /// the step memo. Off is the naive reference path: the planner
+    /// recomputes every split from the real operand addresses and every
+    /// step is timed child by child — the oracle the differential tests
+    /// hold the memoized path to, bit for bit.
+    pub memo: bool,
+    /// Accumulate the per-level / per-signature profile
+    /// ([`PerfSim::profile_report`]).
+    pub profile: bool,
+}
+
+impl Default for SimOptions {
+    fn default() -> Self {
+        SimOptions { memo: true, profile: false }
+    }
+}
+
+impl SimOptions {
+    /// The naive reference simulator: no shape memo, no step memo.
+    pub const NAIVE: SimOptions = SimOptions { memo: false, profile: false };
+    /// The default simulator with profiling on.
+    pub const PROFILED: SimOptions = SimOptions { memo: true, profile: true };
+}
+
 /// The memoizing performance simulator.
 #[derive(Debug)]
 pub struct PerfSim<'a> {
@@ -89,10 +116,12 @@ pub struct PerfSim<'a> {
     cache: RefCell<HashMap<Key, Rc<NodeOutcome>, FxBuildHasher>>,
     /// Shape-level split memo shared by every plan of this run.
     plan_memo: PlanMemo,
+    /// Step timings shared by every plan of this run.
+    steps: StepMemo,
     /// Pooled plan buffers, refilled as timed plans are retired.
     arena: PlanArena,
     /// Subtree simulations fanned out by [`PerfSim::simulate_parallel`].
-    parallel_tasks: std::cell::Cell<u64>,
+    parallel_tasks: Cell<u64>,
     /// Opt-in attribution state; `None` keeps the hot path to one branch.
     profile: Option<RefCell<ProfileState>>,
 }
@@ -111,6 +140,10 @@ pub struct ColdStats {
     /// Subtree simulations fanned out to worker threads
     /// (0 on the sequential path).
     pub parallel_tasks: u64,
+    /// Steps whose timing was served from the step memo.
+    pub step_memo_hits: u64,
+    /// Steps timed child by child (and cached).
+    pub step_memo_misses: u64,
 }
 
 #[derive(Debug, PartialEq, Eq, Hash)]
@@ -131,7 +164,10 @@ fn mask(bits: &[bool]) -> u32 {
 }
 
 impl Key {
-    fn new(level: usize, inst: &Instruction, resident: &[bool], shared: &[u32]) -> Self {
+    /// The outcome-cache key of `inst` (only its opcode, parameters and
+    /// operand shapes are read) arriving at `level` with `resident` as a
+    /// bit mask.
+    fn new(level: usize, inst: &Instruction, resident: u32, shared: &[u32]) -> Self {
         let operands = inst.inputs.len() + inst.outputs.len();
         let mut dims = Vec::with_capacity(1 + 5 * operands);
         dims.push(inst.inputs.len() as u64);
@@ -145,10 +181,69 @@ impl Key {
             op: inst.op,
             params: inst.params.stable_bits(),
             dims,
-            resident: mask(resident),
+            resident,
             shared: shared.to_vec(),
         }
     }
+}
+
+/// Everything one step's timing arithmetic reads, with every address
+/// resolved away. [`PerfSim::time_step`] computes a step's stage times
+/// and stats delta from its key plus its children's outcomes, and those
+/// outcomes are a pure function of `(level + 1, split pieces, resident
+/// masks, share counts)` — all fixed by `children`. Two steps with equal
+/// keys therefore time bit-identically, wherever their operands live.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct StepKey {
+    level: usize,
+    /// LD bytes served over the per-child link.
+    unique_bytes: u64,
+    /// LD bytes of broadcast-shared operands, and their once-per-group
+    /// share.
+    shared_bytes: u64,
+    shared_served: u64,
+    /// Loads elided by the TTT (planned plus resident-operand loads).
+    elided_bytes: u64,
+    /// Whether the step lists any load (DMA latency applies).
+    has_loads: bool,
+    /// Local work as `[MAC ops, flops, operand bytes]` (MAC ops and bytes
+    /// only at a leaf).
+    local: Option<[u64; 3]>,
+    /// Streaming work as `[flops, operand bytes]`.
+    streaming: Option<[u64; 2]>,
+    /// Reduction as `[partial bytes, partial count, ops, on LFU]`.
+    reduce: Option<[u64; 4]>,
+    /// WB bytes, including a reduction's parent-space result.
+    store_bytes: u64,
+    /// The RAW hazard [`schedule_pipeline`] reads, so a key covers
+    /// everything the step contributes to its node's schedule.
+    raw_dep_prev: bool,
+    /// PD split id and per-child resident masks.
+    children: Option<(u64, Vec<u32>)>,
+}
+
+/// A memoized step: its stage times, its stats delta, and — on a
+/// profiled run — each child's concatenation saving, replayed on hits.
+#[derive(Debug)]
+struct StepEntry {
+    times: StageTimes,
+    stats: Stats,
+    concat_saved: Vec<Option<f64>>,
+}
+
+/// Per-run step-timing memo. A disabled memo never probes, so the naive
+/// path times every step child by child.
+#[derive(Debug, Default)]
+struct StepMemo {
+    enabled: bool,
+    table: RefCell<HashMap<StepKey, StepEntry, FxBuildHasher>>,
+    probes: Cell<u64>,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+}
+
+fn bump(c: &Cell<u64>) {
+    c.set(c.get() + 1);
 }
 
 impl PerfSim<'_> {
@@ -164,42 +259,22 @@ impl PerfSim<'_> {
 }
 
 impl<'a> PerfSim<'a> {
-    /// A simulator over `cfg`.
+    /// A simulator over `cfg` with default options (memoized, no
+    /// profiling).
     pub fn new(cfg: &'a MachineConfig) -> Self {
-        PerfSim {
-            planner: Planner::new(cfg),
-            cache: RefCell::new(HashMap::default()),
-            plan_memo: PlanMemo::new(),
-            arena: PlanArena::new(),
-            parallel_tasks: std::cell::Cell::new(0),
-            profile: None,
-        }
+        PerfSim::with_options(cfg, SimOptions::default())
     }
 
-    /// The naive reference simulator: no shape memo, no buffer reuse —
-    /// the planner recomputes every split from the real operand
-    /// addresses. Differential tests compare its output (which must be
-    /// byte-identical) against [`PerfSim::new`].
-    pub fn naive(cfg: &'a MachineConfig) -> Self {
+    /// A simulator over `cfg` with `opts`.
+    pub fn with_options(cfg: &'a MachineConfig, opts: SimOptions) -> Self {
         PerfSim {
             planner: Planner::new(cfg),
             cache: RefCell::new(HashMap::default()),
-            plan_memo: PlanMemo::disabled(),
+            plan_memo: if opts.memo { PlanMemo::new() } else { PlanMemo::disabled() },
+            steps: StepMemo { enabled: opts.memo, ..StepMemo::default() },
             arena: PlanArena::new(),
-            parallel_tasks: std::cell::Cell::new(0),
-            profile: None,
-        }
-    }
-
-    /// A simulator over `cfg` with per-level/per-signature profiling on.
-    pub fn with_profiling(cfg: &'a MachineConfig) -> Self {
-        PerfSim {
-            planner: Planner::new(cfg),
-            cache: RefCell::new(HashMap::default()),
-            plan_memo: PlanMemo::new(),
-            arena: PlanArena::new(),
-            parallel_tasks: std::cell::Cell::new(0),
-            profile: Some(RefCell::new(ProfileState::default())),
+            parallel_tasks: Cell::new(0),
+            profile: opts.profile.then(|| RefCell::new(ProfileState::default())),
         }
     }
 
@@ -221,7 +296,16 @@ impl<'a> PerfSim<'a> {
             shape_memo_misses: self.plan_memo.misses(),
             arena_bytes: self.arena.high_water_bytes(),
             parallel_tasks: self.parallel_tasks.get(),
+            step_memo_hits: self.steps.hits.get(),
+            step_memo_misses: self.steps.misses.get(),
         }
+    }
+
+    /// Step-memo probes so far. Every probe ends as exactly one hit or
+    /// one timed-and-cached miss, so once a simulation has succeeded
+    /// `step_memo_probes() == step_memo_hits + step_memo_misses`.
+    pub fn step_memo_probes(&self) -> u64 {
+        self.steps.probes.get()
     }
 
     fn cfg(&self) -> &MachineConfig {
@@ -284,11 +368,15 @@ impl<'a> PerfSim<'a> {
             // Unique uncached level-1 signatures, in first-appearance order.
             let mut seen: std::collections::HashSet<Key, FxBuildHasher> =
                 std::collections::HashSet::default();
-            let mut tasks: Vec<&crate::plan::ChildInst> = Vec::new();
+            let mut tasks: Vec<ChildInst> = Vec::new();
             for step in &plan.steps {
-                for child in &step.child_insts {
-                    let key =
-                        Key::new(1, &child.inst, &child.resident_inputs, &child.shared_inputs);
+                for child in step.child_insts() {
+                    let key = Key::new(
+                        1,
+                        &child.inst,
+                        mask(&child.resident_inputs),
+                        &child.shared_inputs,
+                    );
                     if self.cache.borrow().contains_key(&key) {
                         continue;
                     }
@@ -301,7 +389,7 @@ impl<'a> PerfSim<'a> {
                 let cfg = self.cfg();
                 let workers = threads.min(tasks.len());
                 // Round-robin so similar-cost neighbours spread out.
-                let mut chunks: Vec<Vec<&crate::plan::ChildInst>> = vec![Vec::new(); workers];
+                let mut chunks: Vec<Vec<&ChildInst>> = vec![Vec::new(); workers];
                 for (i, t) in tasks.iter().enumerate() {
                     chunks[i % workers].push(t);
                 }
@@ -333,7 +421,7 @@ impl<'a> PerfSim<'a> {
                     for (c, out) in chunk.iter().zip(outs) {
                         if let Some(o) = out {
                             self.warm(1, &c.inst, &c.resident_inputs, &c.shared_inputs, o);
-                            self.parallel_tasks.set(self.parallel_tasks.get() + 1);
+                            bump(&self.parallel_tasks);
                         }
                     }
                 }
@@ -356,22 +444,45 @@ impl<'a> PerfSim<'a> {
         resident: &[bool],
         shared: &[u32],
     ) -> Result<Rc<NodeOutcome>, CoreError> {
-        let key = Key::new(level, inst, resident, shared);
+        self.probe(level, inst, mask(resident), shared, || inst.clone())
+    }
+
+    /// The outcome of an instruction arriving at `level`, from the outcome
+    /// cache or by planning and timing it. `sig` supplies the signature
+    /// (opcode, parameters, operand shapes); `inst` materialises the
+    /// instruction with its real addresses, and runs only on a miss.
+    fn probe(
+        &self,
+        level: usize,
+        sig: &Instruction,
+        resident: u32,
+        shared: &[u32],
+        inst: impl FnOnce() -> Instruction,
+    ) -> Result<Rc<NodeOutcome>, CoreError> {
+        let key = Key::new(level, sig, resident, shared);
+        let resident_bits = || crate::plan::mask_bits(resident, sig.inputs.len());
         if let Some(hit) = self.cache.borrow().get(&key) {
             if let Some(p) = &self.profile {
-                p.borrow_mut().record_hit(level, inst, resident, shared);
+                p.borrow_mut().record_hit(level, sig, &resident_bits(), shared);
             }
             return Ok(Rc::clone(hit));
         }
         if let Some(p) = &self.profile {
             p.borrow_mut().begin_compute();
         }
-        let plan =
-            self.planner.plan_instruction_with(level, inst, false, &self.plan_memo, &self.arena)?;
-        let outcome = Rc::new(self.time_plan(level, &plan, resident, shared, Some(inst))?);
+        let inst = inst();
+        let resident = resident_bits();
+        let plan = self.planner.plan_instruction_with(
+            level,
+            &inst,
+            false,
+            &self.plan_memo,
+            &self.arena,
+        )?;
+        let outcome = Rc::new(self.time_plan(level, &plan, &resident, shared, Some(&inst))?);
         self.recycle(plan);
         if let Some(p) = &self.profile {
-            p.borrow_mut().end_compute(level, inst, resident, shared, &outcome);
+            p.borrow_mut().end_compute(level, &inst, &resident, shared, &outcome);
         }
         self.cache.borrow_mut().insert(key, Rc::clone(&outcome));
         Ok(outcome)
@@ -391,7 +502,7 @@ impl<'a> PerfSim<'a> {
         shared: &[u32],
         outcome: NodeOutcome,
     ) {
-        let key = Key::new(level, inst, resident, shared);
+        let key = Key::new(level, inst, mask(resident), shared);
         self.cache.borrow_mut().entry(key).or_insert_with(|| Rc::new(outcome));
     }
 
@@ -414,10 +525,12 @@ impl<'a> PerfSim<'a> {
         Ok(self.stage_times_of_plan(level, &plan, resident, shared, Some(inst))?.0)
     }
 
-    /// Stage durations of one step plus its stats contribution.
+    /// Stage durations of one step plus its stats contribution, from the
+    /// step memo when an equal [`StepKey`] was timed before.
     ///
-    /// `incoming` provides the original operand regions and masks so
-    /// resident/broadcast operands can be recognised in the step's loads.
+    /// `resident_regions` / `shared_regions` are the incoming
+    /// instruction's resident and broadcast operands, recognised in the
+    /// step's loads.
     ///
     /// # Errors
     ///
@@ -430,8 +543,110 @@ impl<'a> PerfSim<'a> {
         shared_regions: &[(&Region, u32)],
         stats: &mut Stats,
     ) -> Result<StageTimes, CoreError> {
+        let key = self.step_key(level, step, resident_regions, shared_regions);
+        if self.steps.enabled {
+            bump(&self.steps.probes);
+            if let Some(hit) = self.steps.table.borrow().get(&key) {
+                bump(&self.steps.hits);
+                if let (Some(p), Some(c)) = (&self.profile, &step.children) {
+                    // Replay what timing the children one by one records:
+                    // every child is an outcome-cache hit by now.
+                    let mut p = p.borrow_mut();
+                    for (slot, saved) in hit.concat_saved.iter().enumerate() {
+                        let piece = c.split.piece(slot);
+                        let resident = crate::plan::mask_bits(c.resident[slot], piece.inputs.len());
+                        p.record_hit(level + 1, piece, &resident, c.split.shared(slot));
+                        if let Some(saved) = saved {
+                            p.record_concat_saved(level, *saved);
+                        }
+                    }
+                }
+                stats.absorb(&hit.stats);
+                return Ok(hit.times);
+            }
+        }
+        let mut delta = Stats::new();
+        let (times, concat_saved) = self.time_step(&key, step, &mut delta)?;
+        stats.absorb(&delta);
+        if self.steps.enabled {
+            bump(&self.steps.misses);
+            self.steps
+                .table
+                .borrow_mut()
+                .insert(key, StepEntry { times, stats: delta, concat_saved });
+        }
+        Ok(times)
+    }
+
+    /// The [`StepKey`] of `step` at `level`: loads classified against the
+    /// incoming resident/broadcast regions, the local, streaming and
+    /// reduction work reduced to the numbers timing reads, and the
+    /// children as split id plus resident masks.
+    fn step_key(
+        &self,
+        level: usize,
+        step: &Step,
+        resident_regions: &[&Region],
+        shared_regions: &[(&Region, u32)],
+    ) -> StepKey {
+        let opts = self.cfg().opts;
+        let mut key = StepKey {
+            level,
+            unique_bytes: 0,
+            shared_bytes: 0,
+            shared_served: 0,
+            elided_bytes: step.elided_bytes,
+            has_loads: !step.loads.is_empty(),
+            local: None,
+            streaming: None,
+            reduce: None,
+            store_bytes: step.stores.iter().map(DmaOp::bytes).sum(),
+            raw_dep_prev: step.raw_dep_prev,
+            children: step.children.as_ref().map(|c| (c.split.id(), c.resident.clone())),
+        };
+        for l in &step.loads {
+            if opts.ttt && resident_regions.iter().any(|r| r.may_overlap(&l.parent)) {
+                key.elided_bytes += l.bytes();
+                continue;
+            }
+            match shared_regions.iter().find(|(r, _)| r.may_overlap(&l.parent)) {
+                Some((_, group)) => {
+                    key.shared_bytes += l.bytes();
+                    key.shared_served += l.bytes() / (*group as u64).max(1);
+                }
+                None => key.unique_bytes += l.bytes(),
+            }
+        }
+        key.local = step.local_exec.as_ref().map(|inst| {
+            if self.cfg().is_leaf(level) {
+                [cost::mac_ops(inst), cost::flops(inst), inst.operand_bytes()]
+            } else {
+                [0, cost::flops(inst), 0]
+            }
+        });
+        key.streaming = step.streaming_exec.as_ref().map(|i| [cost::flops(i), i.operand_bytes()]);
+        if let Some(r) = &step.reduce {
+            let partial_bytes = r.partials.iter().flat_map(|v| v.iter()).map(Region::bytes).sum();
+            key.reduce = Some([partial_bytes, r.partials.len() as u64, r.ops, r.on_lfu as u64]);
+            if r.output_space == Space::Parent {
+                key.store_bytes += r.outputs.iter().map(Region::bytes).sum::<u64>();
+            }
+        }
+        key
+    }
+
+    /// Times one step from its key, probing its children's outcomes in
+    /// slot order. Returns the stage times and, on a profiled run, each
+    /// child's concatenation saving.
+    fn time_step(
+        &self,
+        key: &StepKey,
+        step: &Step,
+        stats: &mut Stats,
+    ) -> Result<(StageTimes, Vec<Option<f64>>), CoreError> {
         let cfg = self.cfg();
         let opts = cfg.opts;
+        let level = key.level;
         let is_leaf = cfg.is_leaf(level);
         let is_root = level == 0;
         let mut t = StageTimes::default();
@@ -458,23 +673,8 @@ impl<'a> PerfSim<'a> {
         t.id = decode;
 
         // --- LD ----------------------------------------------------------
-        let mut unique_bytes = 0u64;
-        let mut shared_bytes = 0u64;
-        let mut shared_served = 0u64; // once-per-group share of shared bytes
-        let mut elided = step.elided_bytes;
-        for l in &step.loads {
-            if opts.ttt && resident_regions.iter().any(|r| r.may_overlap(&l.parent)) {
-                elided += l.bytes();
-                continue;
-            }
-            match shared_regions.iter().find(|(r, _)| r.may_overlap(&l.parent)) {
-                Some((_, group)) => {
-                    shared_bytes += l.bytes();
-                    shared_served += l.bytes() / (*group as u64).max(1);
-                }
-                None => unique_bytes += l.bytes(),
-            }
-        }
+        let (unique_bytes, shared_bytes, shared_served) =
+            (key.unique_bytes, key.shared_bytes, key.shared_served);
         let (ld_time, link_in_bytes, bcast_saved) = if opts.broadcast {
             (
                 unique_bytes as f64 / link_bw + shared_bytes as f64 / full_bw,
@@ -484,98 +684,91 @@ impl<'a> PerfSim<'a> {
         } else {
             ((unique_bytes + shared_bytes) as f64 / link_bw, unique_bytes + shared_bytes, 0)
         };
-        t.ld = ld_time + if step.loads.is_empty() { 0.0 } else { dma_lat };
+        t.ld = ld_time + if key.has_loads { dma_lat } else { 0.0 };
 
         // --- EX ------------------------------------------------------------
-        if let Some(inst) = &step.local_exec {
+        if let Some([mac, flops, bytes]) = key.local {
             if is_leaf {
-                let mac = cost::mac_ops(inst);
-                let vec = cost::flops(inst).saturating_sub(mac);
+                let vec = flops.saturating_sub(mac);
                 let compute = mac as f64 / cfg.leaf.mac_ops + vec as f64 / cfg.leaf.vec_ops;
-                let scratch = inst.operand_bytes() as f64 / local_bw;
+                let scratch = bytes as f64 / local_bw;
                 t.ex_full = compute.max(scratch);
                 t.ex_steady = t.ex_full;
                 stats.mac_ops += mac;
                 stats.vec_ops += vec;
             } else {
                 // LFU-routed instruction executes in the RD slot.
-                let ops = cost::flops(inst);
-                t.rd += ops as f64 / lfu_rate.max(1.0);
-                stats.root_level_mut().lfu_ops += ops;
+                t.rd += flops as f64 / lfu_rate.max(1.0);
+                stats.root_level_mut().lfu_ops += flops;
             }
         }
-        if !step.child_insts.is_empty() {
+        let mut concat_saved = Vec::new();
+        if let Some(c) = &step.children {
             let fanout = cfg.fanout_at(level).max(1);
             let mut slot_full = vec![0.0f64; fanout];
             let mut slot_steady = vec![0.0f64; fanout];
             let mut slot_first = vec![true; fanout];
-            for (i, child) in step.child_insts.iter().enumerate() {
+            for i in 0..c.split.len() {
                 let slot = i % fanout;
-                let outcome = self.time_incoming(
+                let outcome = self.probe(
                     level + 1,
-                    &child.inst,
-                    &child.resident_inputs,
-                    &child.shared_inputs,
+                    c.split.piece(i),
+                    c.resident[i],
+                    c.split.shared(i),
+                    || step.child(i).inst,
                 )?;
                 stats.absorb_child(&outcome.stats);
+                let mut saved = None;
                 if slot_first[slot] {
                     slot_full[slot] += outcome.makespan;
                     slot_first[slot] = false;
                 } else if opts.concat {
                     slot_full[slot] += outcome.steady;
-                    if let Some(p) = &self.profile {
-                        p.borrow_mut()
-                            .record_concat_saved(level, outcome.makespan - outcome.steady);
-                    }
+                    saved = Some(outcome.makespan - outcome.steady);
                 } else {
                     slot_full[slot] += outcome.makespan;
                 }
                 slot_steady[slot] += outcome.steady;
+                if let Some(p) = &self.profile {
+                    if let Some(saved) = saved {
+                        p.borrow_mut().record_concat_saved(level, saved);
+                    }
+                    concat_saved.push(saved);
+                }
             }
             t.ex_full += slot_full.iter().copied().fold(0.0, f64::max);
             t.ex_steady += slot_steady.iter().copied().fold(0.0, f64::max);
-        } else if step.local_exec.is_none() {
-            t.ex_steady = t.ex_steady.max(0.0);
-        }
-        if step.child_insts.is_empty() && step.local_exec.is_some() && !is_leaf {
-            // Pure-LFU step: EX is a bubble.
         }
 
         // --- RD -------------------------------------------------------------
-        if let Some(inst) = &step.streaming_exec {
-            let ops = cost::flops(inst);
-            let bytes = inst.operand_bytes();
+        if let Some([ops, bytes]) = key.streaming {
             let stream_bw = if is_root { local_bw } else { link_bw };
             t.rd += (bytes as f64 / stream_bw).max(ops as f64 / lfu_rate.max(1.0));
             stats.root_level_mut().lfu_ops += ops;
         }
-        let mut reduce_parent_bytes = 0u64;
-        if let Some(r) = &step.reduce {
-            let partial_bytes: u64 =
-                r.partials.iter().flat_map(|v| v.iter()).map(Region::bytes).sum();
+        if let Some([partial_bytes, pieces, ops, on_lfu]) = key.reduce {
             // §8 extension: when the partials were just produced by this
             // step's own children (a PD-level reduction), sibling links
             // let them combine in a log-depth tree across the FFUs — the
             // parent memory never sees the partial traffic.
-            let sibling_time = (opts.sibling_links
-                && !step.child_insts.is_empty()
-                && r.partials.len() >= 2)
-                .then(|| {
+            let sibling_time =
+                (opts.sibling_links && key.children.is_some() && pieces >= 2).then(|| {
                     let fanout = cfg.fanout_at(level).max(1) as f64;
                     let sibling_bw = local_bw / fanout;
-                    let per_piece = partial_bytes as f64 / r.partials.len() as f64;
-                    let depth = (r.partials.len() as f64).log2().ceil().max(1.0);
+                    let per_piece = partial_bytes as f64 / pieces as f64;
+                    let depth = (pieces as f64).log2().ceil().max(1.0);
                     depth * per_piece / sibling_bw
-                        + r.ops as f64 / self.planner.subtree_peak_ops(level + 1).max(1.0)
+                        + ops as f64 / self.planner.subtree_peak_ops(level + 1).max(1.0)
                 });
             let lfu_time = {
-                let lfu_t = r.ops as f64 / lfu_rate.max(1.0);
+                let lfu_t = ops as f64 / lfu_rate.max(1.0);
                 let mem_t = 2.0 * partial_bytes as f64 / local_bw;
                 lfu_t.max(mem_t)
             };
             let commissioned_time = 3.0 * partial_bytes as f64 / local_bw
-                + r.ops as f64 / self.planner.subtree_peak_ops(level + 1).max(1.0);
-            let htree_time = if r.on_lfu { lfu_time } else { commissioned_time };
+                + ops as f64 / self.planner.subtree_peak_ops(level + 1).max(1.0);
+            let on_lfu = on_lfu != 0;
+            let htree_time = if on_lfu { lfu_time } else { commissioned_time };
             match sibling_time {
                 Some(sib) if sib < htree_time => {
                     t.rd += sib;
@@ -583,28 +776,24 @@ impl<'a> PerfSim<'a> {
                 }
                 _ => {
                     t.rd += htree_time;
-                    if r.on_lfu {
-                        stats.root_level_mut().lfu_ops += r.ops;
+                    if on_lfu {
+                        stats.root_level_mut().lfu_ops += ops;
                     }
                 }
-            }
-            if r.output_space == Space::Parent {
-                reduce_parent_bytes = r.outputs.iter().map(Region::bytes).sum();
             }
         }
 
         // --- WB ---------------------------------------------------------------
-        let store_bytes: u64 =
-            step.stores.iter().map(|s| s.bytes()).sum::<u64>() + reduce_parent_bytes;
+        let store_bytes = key.store_bytes;
         t.wb = store_bytes as f64 / link_bw + if store_bytes > 0 { dma_lat } else { 0.0 };
 
         // --- stats -------------------------------------------------------------
         let own = stats.root_level_mut();
         own.insts += 1;
         own.dma_bytes += link_in_bytes + store_bytes;
-        own.elided_bytes += elided;
+        own.elided_bytes += key.elided_bytes;
         own.broadcast_saved_bytes += bcast_saved;
-        Ok(t)
+        Ok((t, concat_saved))
     }
 
     /// Times a whole plan with the in-order pipeline scheduler.
@@ -896,6 +1085,37 @@ mod tests {
         assert_eq!(seq_out.stats, par_out.stats);
         assert!(par.cold_stats().parallel_tasks >= 2, "frontier should fan out");
         assert_eq!(seq.cold_stats().parallel_tasks, 0);
+    }
+
+    #[test]
+    fn step_memo_never_merges_steps_that_time_differently() {
+        // Steps that differ in one timed quantity only — loads listed or
+        // not, elided bytes, stores — must each time exactly as the naive
+        // path times them, even when an earlier step filled the memo.
+        let cfg = MachineConfig::cambricon_f1();
+        let memo = PerfSim::new(&cfg);
+        let naive = PerfSim::with_options(&cfg, SimOptions::NAIVE);
+        let region = Region::contiguous(0, cf_tensor::Shape::new(vec![64]));
+        let dma = DmaOp { parent: region.clone(), local: region.clone() };
+        let steps = [
+            // The load is resident at the node: elided, but still listed.
+            Step { loads: vec![dma.clone()], ..Step::default() },
+            Step { elided_bytes: region.bytes(), ..Step::default() },
+            Step { elided_bytes: 2 * region.bytes(), ..Step::default() },
+            Step { stores: vec![dma], ..Step::default() },
+            Step::default(),
+        ];
+        let bits =
+            |t: StageTimes| [t.id, t.ld, t.ex_full, t.ex_steady, t.rd, t.wb].map(f64::to_bits);
+        for step in &steps {
+            let (mut m, mut n) = (Stats::new(), Stats::new());
+            let tm = memo.step_times(1, step, &[&region], &[], &mut m).unwrap();
+            let tn = naive.step_times(1, step, &[&region], &[], &mut n).unwrap();
+            assert_eq!(bits(tm), bits(tn), "{step:?}");
+            assert_eq!(m, n, "{step:?}");
+        }
+        let cold = memo.cold_stats();
+        assert_eq!((cold.step_memo_hits, cold.step_memo_misses), (0, steps.len() as u64));
     }
 
     #[test]

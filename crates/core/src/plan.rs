@@ -13,13 +13,16 @@
 //! sequential split) live in the *static* segment (§3.5); children receive
 //! instructions whose operands live in this node's local memory.
 
+use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use cf_isa::{Instruction, Opcode};
 use cf_ops::cost;
 use cf_ops::fractal::{ReduceKind, SplitOutcome};
 use cf_tensor::{Region, Shape, ELEM_BYTES};
 
 use crate::arena::PlanArena;
-use crate::memo::{self, MemoKind, PlanMemo};
+use crate::memo::{self, MemoKind, Memoized, PlanMemo};
 use crate::memory::SegmentedAllocator;
 use crate::ttt::Ttt;
 use crate::{CoreError, MachineConfig};
@@ -85,6 +88,159 @@ pub struct ReduceStep {
     pub ops: u64,
 }
 
+/// A parallel decomposition in canonical coordinates: the pieces of the
+/// zero-based form of a step's local instruction (every operand moved to
+/// offset 0, shapes and strides kept).
+///
+/// Splitting depends only on shapes, so one `PdSplit` serves every step
+/// whose local instruction has the same shape — the shape memo hands out
+/// the same `Rc` to all of them, and a step only records where its own
+/// operands live ([`Children`]). Addresses are produced on demand by
+/// [`Step::child`].
+#[derive(Debug)]
+pub struct PdSplit {
+    /// Process-unique identity: two steps with the same id share pieces.
+    id: u64,
+    /// Zero-based pieces; piece operand `k` is a slice of parent operand
+    /// `k`. A reduce split's piece outputs are zero-based partials whose
+    /// real regions the step's [`ReduceStep::partials`] hold.
+    pieces: Vec<Instruction>,
+    /// Per piece and input: how many sibling pieces read the identical
+    /// region (see [`ChildInst::shared_inputs`]).
+    shared: Vec<Vec<u32>>,
+    /// The retrieving operator of an output-dependent split.
+    reduce: Option<ReduceKind>,
+    /// Per input, its smallest piece's bytes: above a child's residency
+    /// cap, no piece's copy of that input can be resident.
+    min_input_bytes: Vec<u64>,
+}
+
+static NEXT_SPLIT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Splits are equal when their pieces are: the id only names an
+/// allocation, and every other field derives from the pieces.
+impl PartialEq for PdSplit {
+    fn eq(&self, other: &Self) -> bool {
+        self.pieces == other.pieces && self.reduce == other.reduce
+    }
+}
+
+impl PdSplit {
+    /// The split of `inst` that `outcome` describes, with every piece
+    /// operand rebased from `inst`'s operand offsets to zero. No split
+    /// (`None`) hands the whole instruction to one child.
+    fn new(inst: &Instruction, outcome: Option<SplitOutcome>) -> Self {
+        let unbase = |pieces: Vec<Region>, bases: &[Region]| -> Vec<Region> {
+            pieces
+                .into_iter()
+                .zip(bases)
+                .map(|(p, b)| p.with_offset(p.offset() - b.offset()))
+                .collect()
+        };
+        let (pieces, reduce): (Vec<Instruction>, _) = match outcome {
+            None => (vec![memo::canonical(inst)], None),
+            Some(SplitOutcome::Direct(pieces)) => (
+                pieces
+                    .into_iter()
+                    .map(|p| Instruction {
+                        op: p.op,
+                        params: p.params,
+                        inputs: unbase(p.inputs, &inst.inputs),
+                        outputs: unbase(p.outputs, &inst.outputs),
+                    })
+                    .collect(),
+                None,
+            ),
+            Some(SplitOutcome::Reduce { pieces, kind }) => (
+                pieces
+                    .into_iter()
+                    .map(|p| Instruction {
+                        op: p.op,
+                        params: p.params,
+                        inputs: unbase(p.inputs, &inst.inputs),
+                        outputs: p
+                            .partial_shapes
+                            .into_iter()
+                            .map(|s| Region::contiguous(0, s))
+                            .collect(),
+                    })
+                    .collect(),
+                Some(kind),
+            ),
+        };
+        let shared = share_counts(&pieces);
+        let min_input_bytes = (0..inst.inputs.len())
+            .map(|i| pieces.iter().map(|p| p.inputs[i].bytes()).min().unwrap_or(0))
+            .collect();
+        let id = NEXT_SPLIT_ID.fetch_add(1, Ordering::Relaxed);
+        PdSplit { id, pieces, shared, reduce, min_input_bytes }
+    }
+
+    /// Identity for the simulator's step memo.
+    pub(crate) fn id(&self) -> u64 {
+        self.id
+    }
+
+    /// Number of pieces (children).
+    pub(crate) fn len(&self) -> usize {
+        self.pieces.len()
+    }
+
+    /// Zero-based piece `slot`: its opcode, parameters and operand shapes
+    /// are the child's, its offsets are not.
+    pub fn piece(&self, slot: usize) -> &Instruction {
+        &self.pieces[slot]
+    }
+
+    /// Sharing counts of piece `slot`'s inputs.
+    pub fn shared(&self, slot: usize) -> &[u32] {
+        &self.shared[slot]
+    }
+}
+
+/// Share count per (input index, region): how many sibling pieces read
+/// the identical region. Pieces are few (at most the fan-out), so a
+/// linear probe per input position beats hashing whole regions — the
+/// offset comparison rejects distinct regions on the first word.
+fn share_counts(pieces: &[Instruction]) -> Vec<Vec<u32>> {
+    let mut groups: Vec<Vec<(&Region, u32)>> = Vec::new();
+    for p in pieces {
+        for (i, r) in p.inputs.iter().enumerate() {
+            if groups.len() <= i {
+                groups.resize_with(i + 1, Vec::new);
+            }
+            match groups[i].iter_mut().find(|(g, _)| *g == r) {
+                Some((_, c)) => *c += 1,
+                None => groups[i].push((r, 1)),
+            }
+        }
+    }
+    pieces
+        .iter()
+        .map(|p| {
+            p.inputs
+                .iter()
+                .enumerate()
+                .map(|(i, r)| groups[i].iter().find(|(g, _)| *g == r).map(|(_, c)| *c).unwrap_or(1))
+                .collect()
+        })
+        .collect()
+}
+
+/// The EX-stage children of one step: a shared [`PdSplit`] placed on this
+/// step's local instruction.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Children {
+    /// The split, in canonical coordinates.
+    pub split: Rc<PdSplit>,
+    /// The local instruction the pieces slice: piece operand `k` sits at
+    /// its zero-based offset plus operand `k`'s offset here.
+    pub inst: Instruction,
+    /// Per child, bit `i` set ⇔ input `i` is resident at the child (see
+    /// [`ChildInst::resident_inputs`]).
+    pub resident: Vec<u32>,
+}
+
 /// One pipeline step (one FISA cycle at this node).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Step {
@@ -92,8 +248,9 @@ pub struct Step {
     pub loads: Vec<DmaOp>,
     /// Bytes of loads elided by the Tensor Transposition Table.
     pub elided_bytes: u64,
-    /// EX-stage sub-instructions (round-robin over the FFUs).
-    pub child_insts: Vec<ChildInst>,
+    /// EX-stage sub-instructions (round-robin over the FFUs), in compact
+    /// form; [`Step::child`] materialises one with addresses.
+    pub children: Option<Children>,
     /// Work executed on this node itself: the kernel at a leaf, or an
     /// LFU-routed low-intensity instruction at an inner node
     /// (operands in local memory).
@@ -108,6 +265,73 @@ pub struct Step {
     /// Read-after-write dependency on the previous step that survived TTT
     /// forwarding: LD must wait for the predecessor's WB.
     pub raw_dep_prev: bool,
+}
+
+impl Step {
+    /// Number of EX-stage sub-instructions.
+    pub fn child_count(&self) -> usize {
+        self.children.as_ref().map_or(0, |c| c.split.len())
+    }
+
+    /// The sub-instruction assigned to FFU slot `slot`, with its operands
+    /// in this node's local memory.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= self.child_count()`.
+    pub fn child(&self, slot: usize) -> ChildInst {
+        let c = self.children.as_ref().expect("step has no children");
+        let piece = c.split.piece(slot);
+        let n_in = piece.inputs.len();
+        let place = |k: usize| {
+            let (r, d) = self.placed(slot, k);
+            r.translated(d)
+        };
+        ChildInst {
+            inst: Instruction {
+                op: piece.op,
+                params: piece.params,
+                inputs: (0..n_in).map(place).collect(),
+                outputs: (n_in..n_in + piece.outputs.len()).map(place).collect(),
+            },
+            resident_inputs: mask_bits(c.resident[slot], n_in),
+            shared_inputs: c.split.shared(slot).to_vec(),
+        }
+    }
+
+    /// Every sub-instruction, materialised in slot order.
+    pub fn child_insts(&self) -> Vec<ChildInst> {
+        (0..self.child_count()).map(|slot| self.child(slot)).collect()
+    }
+
+    /// Operand `k` (inputs, then outputs) of the child in `slot`, as a
+    /// region and the offset that places it in local memory.
+    fn placed(&self, slot: usize, k: usize) -> (&Region, u64) {
+        let c = self.children.as_ref().expect("step has no children");
+        let piece = c.split.piece(slot);
+        let n_in = piece.inputs.len();
+        match (k.checked_sub(n_in), &self.reduce) {
+            (None, _) => (&piece.inputs[k], c.inst.inputs[k].offset()),
+            (Some(o), Some(r)) if c.split.reduce.is_some() => (&r.partials[slot][o], 0),
+            (Some(o), _) => (&piece.outputs[o], c.inst.outputs[o].offset()),
+        }
+    }
+
+    /// The local region operand `k` of every child lies within, or `None`
+    /// for PD partials (allocated per piece, anywhere in the segment).
+    fn operand_span(&self, k: usize) -> Option<&Region> {
+        let c = self.children.as_ref()?;
+        match k.checked_sub(c.inst.inputs.len()) {
+            None => Some(&c.inst.inputs[k]),
+            Some(_) if c.split.reduce.is_some() => None,
+            Some(o) => Some(&c.inst.outputs[o]),
+        }
+    }
+}
+
+/// The first `n` bits of `mask`, as booleans.
+pub(crate) fn mask_bits(mask: u32, n: usize) -> Vec<bool> {
+    (0..n).map(|i| i < 32 && mask & (1 << i) != 0).collect()
 }
 
 /// The planned execution of one incoming instruction at one node.
@@ -195,20 +419,23 @@ impl<'a> Planner<'a> {
                 _ => 0,
             };
         }
-        if fanout >= 2 {
-            if let Some(SplitOutcome::Direct(pieces)) = self.direct_split(inst, 2, mm) {
-                if pieces.len() >= 2 {
-                    return 0;
-                }
-            }
+        if fanout >= 2
+            && self.direct_decision(
+                inst,
+                2,
+                mm,
+                |v| matches!(v, Some(SplitOutcome::Direct(pieces)) if pieces.len() >= 2),
+            )
+        {
+            return 0;
         }
         let kind = MemoKind::PdFallback { n: fanout };
-        if let Some(bytes) = mm.lookup(inst, kind, memo::partial_bytes_of) {
+        if let Some(bytes) = mm.lookup(inst, kind, |v| memo::partial_bytes_of(v.split())) {
             return bytes;
         }
         let outcome = self.parallel_split_raw(&memo::canonical(inst), fanout, mm);
         let bytes = memo::partial_bytes_of(&outcome);
-        mm.insert(inst, kind, outcome);
+        mm.insert(inst, kind, Memoized::Split(outcome));
         bytes
     }
 
@@ -451,12 +678,14 @@ impl<'a> Planner<'a> {
             return self.choose_sd_split_raw(level, inst, static_avail_bytes);
         }
         let kind = MemoKind::Sd { level, static_avail: static_avail_bytes };
-        if let Some(cached) = mm.lookup(inst, kind, |v| v.as_ref().map(|c| memo::rebase(c, inst))) {
+        if let Some(cached) =
+            mm.lookup(inst, kind, |v| v.split().as_ref().map(|c| memo::rebase(c, inst)))
+        {
             return cached;
         }
         let outcome = self.choose_sd_split_raw(level, &memo::canonical(inst), static_avail_bytes);
         let rebased = outcome.as_ref().map(|c| memo::rebase(c, inst));
-        mm.insert(inst, kind, outcome);
+        mm.insert(inst, kind, Memoized::Split(outcome));
         rebased
     }
 
@@ -558,20 +787,21 @@ impl<'a> Planner<'a> {
         best.map(|(_, o)| o)
     }
 
-    /// Multi-axis parallel split filling up to `n` slots, memoized on the
-    /// canonical instruction and rebased on a hit.
-    fn parallel_split(&self, inst: &Instruction, n: usize, mm: &PlanMemo) -> Option<SplitOutcome> {
+    /// The PD split of `inst` over up to `n` slots as a shared
+    /// [`PdSplit`], memoized on the canonical instruction. A hit hands out
+    /// the cached `Rc` — no piece is rebased.
+    fn parallel_split(&self, inst: &Instruction, n: usize, mm: &PlanMemo) -> Rc<PdSplit> {
         if !mm.is_enabled() {
-            return self.parallel_split_raw(inst, n, mm);
+            return Rc::new(PdSplit::new(inst, self.parallel_split_raw(inst, n, mm)));
         }
         let kind = MemoKind::Parallel { n };
-        if let Some(cached) = mm.lookup(inst, kind, |v| v.as_ref().map(|c| memo::rebase(c, inst))) {
-            return cached;
+        if let Some(pd) = mm.lookup(inst, kind, Memoized::pd).flatten() {
+            return pd;
         }
-        let outcome = self.parallel_split_raw(&memo::canonical(inst), n, mm);
-        let rebased = outcome.as_ref().map(|c| memo::rebase(c, inst));
-        mm.insert(inst, kind, outcome);
-        rebased
+        let canon = memo::canonical(inst);
+        let pd = Rc::new(PdSplit::new(&canon, self.parallel_split_raw(&canon, n, mm)));
+        mm.insert(inst, kind, Memoized::Pd(Rc::clone(&pd)));
+        pd
     }
 
     /// Multi-axis parallel split filling up to `n` slots.
@@ -625,14 +855,27 @@ impl<'a> Planner<'a> {
         if !mm.is_enabled() {
             return choose_direct_split(inst, parts);
         }
+        self.direct_decision(inst, parts, mm, |v| v.as_ref().map(|c| memo::rebase(c, inst)))
+    }
+
+    /// The memoized canonical [`choose_direct_split`] of `inst`, mapped by
+    /// `map` (which sees the canonical outcome, so a caller that needs no
+    /// pieces pays no rebase).
+    fn direct_decision<R>(
+        &self,
+        inst: &Instruction,
+        parts: usize,
+        mm: &PlanMemo,
+        map: impl Fn(&Option<SplitOutcome>) -> R,
+    ) -> R {
         let kind = MemoKind::Direct { parts };
-        if let Some(cached) = mm.lookup(inst, kind, |v| v.as_ref().map(|c| memo::rebase(c, inst))) {
+        if let Some(cached) = mm.lookup(inst, kind, |v| map(v.split())) {
             return cached;
         }
         let outcome = choose_direct_split(&memo::canonical(inst), parts);
-        let rebased = outcome.as_ref().map(|c| memo::rebase(c, inst));
-        mm.insert(inst, kind, outcome);
-        rebased
+        let mapped = map(&outcome);
+        mm.insert(inst, kind, Memoized::Split(outcome));
+        mapped
     }
 
     /// Whether an instruction should run on this node's LFU rather than be
@@ -859,68 +1102,49 @@ impl<'a> Planner<'a> {
                     step.elided_bytes = elided;
 
                     // --- routing: leaf / LFU / PD ------------------------
-                    if is_leaf || self.route_to_lfu(level, &local_inst) {
+                    if is_leaf || fanout == 0 || self.route_to_lfu(level, &local_inst) {
                         step.local_exec = Some(local_inst);
                     } else {
-                        match self.parallel_split(&local_inst, fanout.max(1), memo) {
-                            Some(SplitOutcome::Direct(pieces)) => {
-                                step.child_insts =
-                                    annotate_pieces(pieces, &steps, opts.ttt, child_resident_cap);
+                        // Unsplittable instructions (granularity 1 or
+                        // fan-out 1) go whole to one child.
+                        let split = self.parallel_split(&local_inst, fanout, memo);
+                        if let Some(kind) = split.reduce {
+                            let mut partials = Vec::with_capacity(split.len());
+                            for piece in &split.pieces {
+                                let regions = piece
+                                    .outputs
+                                    .iter()
+                                    .map(|r| {
+                                        let off = alloc.alloc(idx, r.numel())?;
+                                        Ok(Region::contiguous(off + base, r.shape().clone()))
+                                    })
+                                    .collect::<Result<Vec<_>, CoreError>>()?;
+                                partials.push(regions);
                             }
-                            Some(SplitOutcome::Reduce { pieces, kind }) => {
-                                let mut partials = Vec::with_capacity(pieces.len());
-                                let mut insts = Vec::with_capacity(pieces.len());
-                                for piece in pieces {
-                                    let regions = piece
-                                        .partial_shapes
-                                        .iter()
-                                        .map(|s| {
-                                            let off = alloc.alloc(idx, s.numel())?;
-                                            Ok(Region::contiguous(off + base, s.clone()))
-                                        })
-                                        .collect::<Result<Vec<_>, CoreError>>()?;
-                                    insts.push(piece.into_instruction(regions.clone())?);
-                                    partials.push(regions);
+                            let total: u64 =
+                                partials.iter().flat_map(|v| v.iter()).map(Region::numel).sum();
+                            let out_elems: u64 = local_inst.outputs.iter().map(Region::numel).sum();
+                            let ops = match kind {
+                                ReduceKind::Add | ReduceKind::Mul => {
+                                    total.saturating_sub(out_elems)
                                 }
-                                let total: u64 =
-                                    partials.iter().flat_map(|v| v.iter()).map(Region::numel).sum();
-                                let out_elems: u64 =
-                                    local_inst.outputs.iter().map(Region::numel).sum();
-                                let ops = match kind {
-                                    ReduceKind::Add | ReduceKind::Mul => {
-                                        total.saturating_sub(out_elems)
-                                    }
-                                    ReduceKind::Merge => {
-                                        total * (partials.len().max(2)).ilog2() as u64
-                                    }
-                                };
-                                step.reduce = Some(ReduceStep {
-                                    kind,
-                                    partials,
-                                    outputs: local_inst.outputs.clone(),
-                                    output_space: Space::Local,
-                                    on_lfu: self.reduce_on_lfu(level, ops),
-                                    ops,
-                                });
-                                step.child_insts =
-                                    annotate_pieces(insts, &steps, opts.ttt, child_resident_cap);
-                            }
-                            None => {
-                                // Unsplittable (granularity 1 or fan-out 1):
-                                // pass the whole instruction to one child;
-                                // only LFU-capable childless cases stay.
-                                if fanout >= 1 {
-                                    step.child_insts = annotate_pieces(
-                                        vec![local_inst],
-                                        &steps,
-                                        opts.ttt,
-                                        child_resident_cap,
-                                    );
-                                } else {
-                                    step.local_exec = Some(local_inst);
-                                }
-                            }
+                                ReduceKind::Merge => total * (partials.len().max(2)).ilog2() as u64,
+                            };
+                            step.reduce = Some(ReduceStep {
+                                kind,
+                                partials,
+                                outputs: local_inst.outputs.clone(),
+                                output_space: Space::Local,
+                                on_lfu: self.reduce_on_lfu(level, ops),
+                                ops,
+                            });
                         }
+                        let resident = if opts.ttt {
+                            residency(&split, &local_inst, &steps, child_resident_cap)
+                        } else {
+                            vec![0; split.len()]
+                        };
+                        step.children = Some(Children { split, inst: local_inst, resident });
                     }
                 }
             }
@@ -951,65 +1175,54 @@ fn choose_direct_split(inst: &Instruction, parts: usize) -> Option<SplitOutcome>
     best.map(|(_, o)| o)
 }
 
-/// Computes residency and sharing masks for a step's pieces.
+/// Per-child residency masks for a step about to be placed as `split`
+/// over `inst`.
 ///
-/// An input is marked resident only when (a) the same child slot touched
-/// exactly the same region within the last two steps and (b) the region is
-/// small enough to have survived in the child's recycled segments
-/// (`max_resident_bytes`) — larger operands are physically re-staged.
-fn annotate_pieces(
-    pieces: Vec<Instruction>,
+/// Input `i` of the child in slot `s` is resident only when (a) the child
+/// in slot `s` of one of the last two steps touched exactly the same
+/// region and (b) the region is small enough to have survived in the
+/// child's recycled segments (`max_resident_bytes`) — larger operands are
+/// physically re-staged. Regions are compared as placed, without
+/// materialising either child, and an operand pair whose spans cannot
+/// overlap rules out every slot at once.
+fn residency(
+    split: &PdSplit,
+    inst: &Instruction,
     prev_steps: &[Step],
-    ttt_on: bool,
     max_resident_bytes: u64,
-) -> Vec<ChildInst> {
-    // Share count per (input index, region): how many sibling pieces read
-    // the identical region. Pieces are few (at most the fan-out), so a
-    // linear probe per input position beats hashing whole regions — the
-    // offset comparison rejects distinct regions on the first word.
-    let mut groups: Vec<Vec<(&Region, u32)>> = Vec::new();
-    for p in &pieces {
-        for (i, r) in p.inputs.iter().enumerate() {
-            if groups.len() <= i {
-                groups.resize_with(i + 1, Vec::new);
+) -> Vec<u32> {
+    let mut masks = vec![0u32; split.len()];
+    for prev in prev_steps.iter().rev().take(2) {
+        let Some(pc) = &prev.children else { continue };
+        let slots = split.len().min(pc.split.len());
+        let operands = pc.inst.inputs.len() + pc.inst.outputs.len();
+        for (i, whole) in inst.inputs.iter().enumerate().take(32) {
+            if split.min_input_bytes[i] > max_resident_bytes {
+                continue;
             }
-            match groups[i].iter_mut().find(|(g, _)| *g == r) {
-                Some((_, c)) => *c += 1,
-                None => groups[i].push((r, 1)),
+            let bit = 1u32 << i;
+            for k in 0..operands {
+                if prev.operand_span(k).is_some_and(|span| !whole.may_overlap(span)) {
+                    continue;
+                }
+                for (s, m) in masks.iter_mut().enumerate().take(slots) {
+                    let r = &split.pieces[s].inputs[i];
+                    if *m & bit == 0 && r.bytes() <= max_resident_bytes {
+                        let (q, dq) = prev.placed(s, k);
+                        if same_placed(r, whole.offset(), q, dq) {
+                            *m |= bit;
+                        }
+                    }
+                }
             }
         }
     }
-    let shared: Vec<Vec<u32>> = pieces
-        .iter()
-        .map(|p| {
-            p.inputs
-                .iter()
-                .enumerate()
-                .map(|(i, r)| groups[i].iter().find(|(g, _)| *g == r).map(|(_, c)| *c).unwrap_or(1))
-                .collect()
-        })
-        .collect();
-    pieces
-        .into_iter()
-        .enumerate()
-        .zip(shared)
-        .map(|((slot, inst), shared_inputs)| {
-            let resident_inputs = inst
-                .inputs
-                .iter()
-                .map(|r| {
-                    ttt_on
-                        && r.bytes() <= max_resident_bytes
-                        && prev_steps.iter().rev().take(2).any(|s| {
-                            s.child_insts.get(slot).is_some_and(|c| {
-                                c.inst.inputs.contains(r) || c.inst.outputs.contains(r)
-                            })
-                        })
-                })
-                .collect();
-            ChildInst { inst, resident_inputs, shared_inputs }
-        })
-        .collect()
+    masks
+}
+
+/// Whether `a` placed at `+da` is the same region as `b` placed at `+db`.
+fn same_placed(a: &Region, da: u64, b: &Region, db: u64) -> bool {
+    a.offset() + da == b.offset() + db && a.shape() == b.shape() && a.strides() == b.strides()
 }
 
 #[cfg(test)]
@@ -1040,7 +1253,7 @@ mod tests {
         let step = &plan.steps[0];
         assert_eq!(step.loads.len(), 2);
         assert_eq!(step.stores.len(), 1);
-        assert!(!step.child_insts.is_empty());
+        assert!(step.child_count() > 0);
     }
 
     #[test]
@@ -1106,7 +1319,7 @@ mod tests {
         .unwrap();
         let plan = planner.plan_instruction(0, &inst, false).unwrap();
         let reduces: Vec<&Step> =
-            plan.steps.iter().filter(|s| s.reduce.is_some() && s.child_insts.is_empty()).collect();
+            plan.steps.iter().filter(|s| s.reduce.is_some() && s.child_count() == 0).collect();
         assert!(!reduces.is_empty(), "expected an SD-level reduce step");
         let r = reduces.last().unwrap().reduce.as_ref().unwrap();
         assert_eq!(r.output_space, Space::Parent);
@@ -1122,7 +1335,7 @@ mod tests {
         let plan = planner.plan_instruction(0, &inst, false).unwrap();
         let step = &plan.steps[0];
         assert!(step.reduce.is_some());
-        assert!(step.child_insts.len() >= 2);
+        assert!(step.child_count() >= 2);
         let r = step.reduce.as_ref().unwrap();
         assert_eq!(r.kind, ReduceKind::Add);
         assert_eq!(r.output_space, Space::Local);
@@ -1142,8 +1355,8 @@ mod tests {
         .unwrap();
         let plan = planner.plan_instruction(0, &inst, false).unwrap();
         let step = &plan.steps[0];
-        assert!(step.child_insts.len() >= 2);
-        for c in &step.child_insts {
+        assert!(step.child_count() >= 2);
+        for c in &step.child_insts() {
             assert!(c.shared_inputs[1] > 1, "weight should be marked shared");
             assert_eq!(c.shared_inputs[0], 1, "input slices are private");
         }
@@ -1155,7 +1368,7 @@ mod tests {
         let planner = Planner::new(&cfg);
         // Level 1 is the leaf.
         let plan = planner.plan_instruction(1, &matmul(8, 8, 8), false).unwrap();
-        assert!(plan.steps.iter().all(|s| s.child_insts.is_empty()));
+        assert!(plan.steps.iter().all(|s| s.child_count() == 0));
         assert!(plan.steps[0].local_exec.is_some());
     }
 
@@ -1173,7 +1386,7 @@ mod tests {
         let plan = planner.plan_instruction(0, &inst, false).unwrap();
         // tiny level 0 has 4 LFU lanes: the elementwise op stays local.
         assert!(plan.steps[0].local_exec.is_some());
-        assert!(plan.steps[0].child_insts.is_empty());
+        assert_eq!(plan.steps[0].child_count(), 0);
     }
 
     #[test]

@@ -236,10 +236,10 @@ fn walk(
         if step.local_exec.is_some() && sim.planner().config().is_leaf(level) {
             rec.push(level, EventKind::Compute, t0 + s.ex.0, t0 + s.ex.1);
         }
-        if !step.child_insts.is_empty() {
+        if step.child_count() > 0 {
             if level < max_depth && rec.events.len() < rec.max_events {
                 // Recurse into the first child as the representative.
-                let child = &step.child_insts[0];
+                let child = step.child(0);
                 let child_plan = sim.planner().plan_instruction(level + 1, &child.inst, false)?;
                 walk(
                     sim,

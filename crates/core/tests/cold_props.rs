@@ -2,12 +2,12 @@
 //! machines and programs, the shape-memoized / arena-allocated /
 //! parallel simulator must be **byte-identical** to the naive reference
 //! path (same `PerfReport` numbers, same `Timeline` makespan), and the
-//! shape-memo counters must reconcile (every table probe ends as exactly
-//! one hit or one computed-and-inserted miss).
+//! shape-memo and step-memo counters must reconcile (every table probe
+//! ends as exactly one hit or one computed-and-inserted miss).
 
 use cf_core::arena::PlanArena;
 use cf_core::memo::PlanMemo;
-use cf_core::perf::PerfSim;
+use cf_core::perf::{PerfSim, SimOptions};
 use cf_core::plan::Planner;
 use cf_core::{Machine, MachineConfig};
 use cf_isa::{Opcode, Program, ProgramBuilder};
@@ -66,7 +66,7 @@ proptest! {
         let program = program_of(&ops, rows, cols);
         let cfg = config_of(pick, depth, fanout);
 
-        let naive = PerfSim::naive(&cfg).simulate(&program);
+        let naive = PerfSim::with_options(&cfg, SimOptions::NAIVE).simulate(&program);
         let opt_sim = PerfSim::new(&cfg);
         let opt = opt_sim.simulate(&program);
         let par_sim = PerfSim::new(&cfg);
@@ -121,6 +121,9 @@ proptest! {
             let sim = PerfSim::new(&cfg);
             if sim.simulate(&program).is_ok() {
                 let cold = sim.cold_stats();
+                prop_assert_eq!(sim.step_memo_probes(), cold.step_memo_hits + cold.step_memo_misses,
+                    "step memo: probes {} != hits {} + misses {}", sim.step_memo_probes(),
+                    cold.step_memo_hits, cold.step_memo_misses);
                 // Deterministic: a second identical run reports identical
                 // counters.
                 let sim2 = PerfSim::new(&cfg);

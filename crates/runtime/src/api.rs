@@ -205,12 +205,13 @@ struct ApiState {
 }
 
 impl ApiState {
-    /// Journals a completion; a failed append loses durability for this
-    /// record but must not take down the completion path (the in-memory
-    /// outcome still answers the client).
-    fn journal_entry(&mut self, entry: &JobEntry) {
+    /// Journals completions with one write and one fdatasync; a failed
+    /// append loses durability for these records but must not take down
+    /// the completion path (the in-memory outcomes still answer the
+    /// client).
+    fn journal_entries(&mut self, entries: &[JobEntry]) {
         if let Some(journal) = self.journal.as_mut() {
-            let _ = journal.append(entry);
+            let _ = journal.append_all(entries);
         }
     }
 }
@@ -436,18 +437,24 @@ impl JobApi {
         {
             let mut st = sync::lock(&self.state);
             // Durability before acknowledgement: every accept is on disk
-            // (fsync'd per record) before any id leaves this call. An
-            // append failure mid-batch rejects the whole request — the
-            // already-journaled accepts were never acknowledged and hold
-            // no in-memory job; a later resume runs them as unanswered.
+            // (one write, one fdatasync for the whole array) before any
+            // id leaves this call. An append failure rejects the whole
+            // request — whatever part of the batch reached disk was never
+            // acknowledged and holds no in-memory job; a later resume
+            // runs it as unanswered.
             let base = st.next_id;
-            for (offset, job) in parsed.iter().enumerate() {
-                let accept = AcceptedEntry { index: base + offset as u64, spec: job.line.clone() };
-                if let Some(journal) = st.journal.as_mut() {
-                    journal
-                        .append_accept(&accept)
-                        .map_err(|e| SubmitError::Journal(e.to_string()))?;
-                }
+            if let Some(journal) = st.journal.as_mut() {
+                let accepts: Vec<AcceptedEntry> = parsed
+                    .iter()
+                    .enumerate()
+                    .map(|(offset, job)| AcceptedEntry {
+                        index: base + offset as u64,
+                        spec: job.line.clone(),
+                    })
+                    .collect();
+                journal
+                    .append_accepts(&accepts)
+                    .map_err(|e| SubmitError::Journal(e.to_string()))?;
             }
             st.next_id = base + parsed.len() as u64;
             for (offset, job) in parsed.into_iter().enumerate() {
@@ -657,7 +664,7 @@ impl JobApi {
             None => Vec::new(),
         };
         st.leaders.retain(|_, leader| *leader != id);
-        st.journal_entry(&entry);
+        let mut entries = vec![entry];
         for fid in followers {
             let follower_entry = st.jobs.get_mut(&fid).map(|f| {
                 f.outcome = Some(outcome.clone());
@@ -681,10 +688,11 @@ impl JobApi {
                     outcome: outcome.clone(),
                 }
             });
-            if let Some(fe) = follower_entry {
-                st.journal_entry(&fe);
-            }
+            entries.extend(follower_entry);
         }
+        // The leader and its followers reach disk together, before the
+        // state lock (and so any of their records) is released.
+        st.journal_entries(&entries);
         drop(st);
         self.done.notify_all();
     }
@@ -740,7 +748,7 @@ impl JobApi {
     }
 
     /// Forces the API journal to durable storage (a no-op without one).
-    /// Appends fsync record-by-record already; drain calls this as a
+    /// Appends fsync before they return already; drain calls this as a
     /// final barrier before the process exits.
     pub fn sync_journal(&self) {
         let mut st = sync::lock(&self.state);

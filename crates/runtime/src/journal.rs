@@ -2,8 +2,9 @@
 //!
 //! A journal is a JSONL file: one [`RunHeader`] line followed by one
 //! [`JobEntry`] line per finished job, appended **in submission order**
-//! and fsync'd record-by-record, so the file is always a valid prefix of
-//! the run plus at most one torn trailing line. Every line carries an
+//! and fsync'd before each append returns (a batch of records shares one
+//! write and one fdatasync), so the file is always a valid prefix of the
+//! run plus at most one torn trailing line. Every line carries an
 //! FNV-1a content checksum (the same [`fnv1a`] the plan cache uses), so
 //! a torn or corrupted tail is *detected and truncated* on resume rather
 //! than silently replayed:
@@ -577,7 +578,7 @@ impl Journal {
             reclaimable: 0,
             pending_accepts: std::collections::HashMap::new(),
         };
-        journal.append_line(&encode_record(&Record::Header(header.clone())))?;
+        journal.append_lines(&[encode_record(&Record::Header(header.clone()))])?;
         Ok(journal)
     }
 
@@ -760,40 +761,69 @@ impl Journal {
         Ok(())
     }
 
-    /// Durably appends one finished job (write + fsync). A successful
-    /// completion supersedes any pending acceptance record for the same
-    /// index: the accept's bytes become reclaimable by compaction.
+    /// Durably appends one finished job: [`append_all`](Journal::append_all)
+    /// of one entry.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on any filesystem failure.
     pub fn append(&mut self, entry: &JobEntry) -> Result<(), JournalError> {
-        let line = encode_record(&Record::Job(entry.clone()));
-        self.append_line(&line)?;
-        if entry.outcome.is_err() {
-            self.reclaimable += line.len() as u64 + 1;
-        } else if let Some(accept_bytes) = self.pending_accepts.remove(&entry.index) {
-            self.reclaimable += accept_bytes;
+        self.append_all(std::slice::from_ref(entry))
+    }
+
+    /// Durably appends finished jobs, in order, with one write and one
+    /// fdatasync. A successful completion supersedes any pending
+    /// acceptance record for the same index: the accept's bytes become
+    /// reclaimable by compaction. The file bytes are exactly those of
+    /// one [`append`](Journal::append) per entry.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on any filesystem failure.
+    pub fn append_all(&mut self, entries: &[JobEntry]) -> Result<(), JournalError> {
+        let lines: Vec<String> =
+            entries.iter().map(|e| encode_record(&Record::Job(e.clone()))).collect();
+        self.append_lines(&lines)?;
+        for (entry, line) in entries.iter().zip(&lines) {
+            if entry.outcome.is_err() {
+                self.reclaimable += line.len() as u64 + 1;
+            } else if let Some(accept_bytes) = self.pending_accepts.remove(&entry.index) {
+                self.reclaimable += accept_bytes;
+            }
         }
         Ok(())
     }
 
-    /// Durably appends one acceptance record (write + fsync) — the
-    /// write-ahead half of the job API's acceptance handshake. Must
-    /// reach disk *before* the job id is acknowledged to the client.
+    /// Durably appends one acceptance record:
+    /// [`append_accepts`](Journal::append_accepts) of one record.
     ///
     /// # Errors
     ///
     /// [`JournalError::Io`] on any filesystem failure.
     pub fn append_accept(&mut self, accept: &AcceptedEntry) -> Result<(), JournalError> {
-        let line = encode_record(&Record::Accepted(accept.clone()));
-        self.append_line(&line)?;
-        self.pending_accepts.insert(accept.index, line.len() as u64 + 1);
+        self.append_accepts(std::slice::from_ref(accept))
+    }
+
+    /// Durably appends acceptance records, in order, with one write and
+    /// one fdatasync — the write-ahead half of the job API's acceptance
+    /// handshake. Must return *before* any of the job ids is
+    /// acknowledged to the client.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Io`] on any filesystem failure.
+    pub fn append_accepts(&mut self, accepts: &[AcceptedEntry]) -> Result<(), JournalError> {
+        let lines: Vec<String> =
+            accepts.iter().map(|a| encode_record(&Record::Accepted(a.clone()))).collect();
+        self.append_lines(&lines)?;
+        for (accept, line) in accepts.iter().zip(&lines) {
+            self.pending_accepts.insert(accept.index, line.len() as u64 + 1);
+        }
         Ok(())
     }
 
     /// Forces journal bytes to durable storage. Appends already fsync
-    /// record-by-record, so this is a final barrier for drain paths that
+    /// before they return, so this is a final barrier for drain paths that
     /// must not exit with anything buffered.
     ///
     /// # Errors
@@ -803,14 +833,24 @@ impl Journal {
         self.file.sync_data().map_err(|e| io_err(&self.path, &e))
     }
 
-    fn append_line(&mut self, line: &str) -> Result<(), JournalError> {
+    /// Writes `lines`, each newline-terminated, in one write, then one
+    /// fdatasync. A crash in between leaves a torn tail that resume
+    /// truncates back to the last complete line.
+    fn append_lines(&mut self, lines: &[String]) -> Result<(), JournalError> {
+        if lines.is_empty() {
+            return Ok(());
+        }
+        let mut buf = Vec::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+        for line in lines {
+            buf.extend_from_slice(line.as_bytes());
+            buf.push(b'\n');
+        }
         self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.write_all(b"\n"))
+            .write_all(&buf)
             .and_then(|()| self.file.sync_data())
             .map_err(|e| io_err(&self.path, &e))?;
-        self.bytes += line.len() as u64 + 1;
-        self.file_bytes += line.len() as u64 + 1;
+        self.bytes += buf.len() as u64;
+        self.file_bytes += buf.len() as u64;
         Ok(())
     }
 

@@ -96,7 +96,7 @@ pub fn render(
     let inst: &[(&str, &str)] = &[("instance", instance)];
 
     // -- Runtime counters -------------------------------------------------
-    let counters: [(&'static str, &'static str, Option<u64>); 24] = [
+    let counters: [(&'static str, &'static str, Option<u64>); 26] = [
         ("cf_jobs_submitted_total", "Jobs accepted into the queue.", snap.map(|s| s.submitted)),
         ("cf_jobs_completed_total", "Jobs finished with Ok.", snap.map(|s| s.completed)),
         ("cf_jobs_failed_total", "Jobs finished with Err.", snap.map(|s| s.failed)),
@@ -154,6 +154,16 @@ pub fn render(
             "cf_cold_simulate_parallel_tasks_total",
             "Cold subtrees fanned out to extra threads by parallel simulation.",
             snap.map(|s| s.cold_parallel_tasks),
+        ),
+        (
+            "cf_cold_step_memo_hits_total",
+            "Plan steps cold simulations timed from the step memo.",
+            snap.map(|s| s.cold_step_memo_hits),
+        ),
+        (
+            "cf_cold_step_memo_misses_total",
+            "Plan steps cold simulations timed child by child.",
+            snap.map(|s| s.cold_step_memo_misses),
         ),
         (
             "cf_faults_injected_total",
@@ -457,6 +467,8 @@ mod tests {
             "cf_cold_simulate_memo_hits_total",
             "cf_cold_simulate_memo_misses_total",
             "cf_cold_simulate_parallel_tasks_total",
+            "cf_cold_step_memo_hits_total",
+            "cf_cold_step_memo_misses_total",
         ] {
             assert!(body.contains(&format!("# TYPE {family} counter")), "{family}:\n{body}");
         }

@@ -65,6 +65,11 @@ pub struct RuntimeStats {
     pub cold_arena_bytes: AtomicU64,
     /// Cold subtrees fanned out to extra threads by parallel simulation.
     pub cold_parallel_tasks: AtomicU64,
+    /// Plan steps whose timing cold simulations served from the step
+    /// memo.
+    pub cold_step_memo_hits: AtomicU64,
+    /// Plan steps cold simulations timed child by child.
+    pub cold_step_memo_misses: AtomicU64,
     /// Faults the [`FaultPlan`](crate::FaultPlan) injected.
     pub faults_injected: AtomicU64,
     /// Worker loops respawned after an escaped panic.
@@ -111,6 +116,8 @@ impl RuntimeStats {
             cold_memo_misses: AtomicU64::new(0),
             cold_arena_bytes: AtomicU64::new(0),
             cold_parallel_tasks: AtomicU64::new(0),
+            cold_step_memo_hits: AtomicU64::new(0),
+            cold_step_memo_misses: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
             api_accepted: AtomicU64::new(0),
@@ -133,6 +140,8 @@ impl RuntimeStats {
         self.cold_memo_misses.fetch_add(cold.shape_memo_misses, Ordering::Relaxed);
         self.cold_arena_bytes.fetch_max(cold.arena_bytes, Ordering::Relaxed);
         self.cold_parallel_tasks.fetch_add(cold.parallel_tasks, Ordering::Relaxed);
+        self.cold_step_memo_hits.fetch_add(cold.step_memo_hits, Ordering::Relaxed);
+        self.cold_step_memo_misses.fetch_add(cold.step_memo_misses, Ordering::Relaxed);
     }
 
     /// Records one finished job body on worker `worker`.
@@ -177,6 +186,8 @@ impl RuntimeStats {
             cold_memo_misses: self.cold_memo_misses.load(Ordering::Relaxed),
             cold_arena_bytes: self.cold_arena_bytes.load(Ordering::Relaxed),
             cold_parallel_tasks: self.cold_parallel_tasks.load(Ordering::Relaxed),
+            cold_step_memo_hits: self.cold_step_memo_hits.load(Ordering::Relaxed),
+            cold_step_memo_misses: self.cold_step_memo_misses.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             api_accepted: self.api_accepted.load(Ordering::Relaxed),
@@ -234,6 +245,10 @@ pub struct StatsSnapshot {
     pub cold_arena_bytes: u64,
     /// Cold subtrees fanned out to extra threads.
     pub cold_parallel_tasks: u64,
+    /// Step-memo hits across cold simulations.
+    pub cold_step_memo_hits: u64,
+    /// Step-memo misses across cold simulations.
+    pub cold_step_memo_misses: u64,
     /// Faults injected by the fault plan.
     pub faults_injected: u64,
     /// Worker loops respawned after an escaped panic.
@@ -393,6 +408,8 @@ impl Serialize for StatsSnapshot {
         m.insert("cold_memo_misses", self.cold_memo_misses);
         m.insert("cold_arena_bytes", self.cold_arena_bytes);
         m.insert("cold_parallel_tasks", self.cold_parallel_tasks);
+        m.insert("cold_step_memo_hits", self.cold_step_memo_hits);
+        m.insert("cold_step_memo_misses", self.cold_step_memo_misses);
         m.insert("faults_injected", self.faults_injected);
         m.insert("worker_respawns", self.worker_respawns);
         m.insert("api_accepted", self.api_accepted);
@@ -454,12 +471,16 @@ mod tests {
             shape_memo_misses: 4,
             arena_bytes: 1024,
             parallel_tasks: 3,
+            step_memo_hits: 40,
+            step_memo_misses: 2,
         });
         stats.record_cold(&cf_core::perf::ColdStats {
             shape_memo_hits: 1,
             shape_memo_misses: 1,
             arena_bytes: 512, // smaller high-water: the max must stick
             parallel_tasks: 0,
+            step_memo_hits: 0,
+            step_memo_misses: 1,
         });
         let json = stats.snapshot().render_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
@@ -476,6 +497,8 @@ mod tests {
         assert!(json.contains("\"cold_memo_misses\":5"), "{json}");
         assert!(json.contains("\"cold_arena_bytes\":1024"), "{json}");
         assert!(json.contains("\"cold_parallel_tasks\":3"), "{json}");
+        assert!(json.contains("\"cold_step_memo_hits\":40"), "{json}");
+        assert!(json.contains("\"cold_step_memo_misses\":3"), "{json}");
         assert!(json.contains("\"in_flight\":4"), "{json}");
         assert!(json.contains("\"queued_bytes\":64"), "{json}");
         assert!(json.contains("\"workers\":[{"), "{json}");

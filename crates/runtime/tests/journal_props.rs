@@ -6,8 +6,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use cf_runtime::journal::{
-    compact_image, encode_record, parse_record, scan_valid_prefix, JobEntry, Journal, Record,
-    RunHeader, JOURNAL_VERSION,
+    compact_image, encode_record, parse_record, scan_valid_prefix, AcceptedEntry, JobEntry,
+    Journal, Record, Recovery, RunHeader, JOURNAL_VERSION,
 };
 use cf_runtime::JobOutput;
 use proptest::prelude::*;
@@ -233,6 +233,116 @@ proptest! {
         let (twice, stats2) = compact_image(&compacted, jobs);
         prop_assert_eq!(twice, compacted);
         prop_assert_eq!(stats2.dropped, 0);
+    }
+}
+
+/// Journal `n` jobs through a real file: every job is accepted, then
+/// each one whose bit in `done` is set completes. `batched` writes the
+/// accepts as one batch and the completions in batches of `batch`
+/// (leader plus followers, as the job API settles them); otherwise
+/// every record is its own append. Returns the file bytes.
+fn journal_jobs(path: &std::path::Path, entries: &[JobEntry], batched: Option<usize>) -> Vec<u8> {
+    let mut journal = Journal::create(path, &header(entries.len() as u64)).unwrap();
+    let accepts: Vec<AcceptedEntry> = entries
+        .iter()
+        .map(|e| AcceptedEntry {
+            index: e.index,
+            spec: format!("workload=matmul order={}", e.index),
+        })
+        .collect();
+    match batched {
+        Some(batch) => {
+            journal.append_accepts(&accepts).unwrap();
+            for chunk in entries.chunks(batch.max(1)) {
+                journal.append_all(chunk).unwrap();
+            }
+        }
+        None => {
+            for a in &accepts {
+                journal.append_accept(a).unwrap();
+            }
+            for e in entries {
+                journal.append(e).unwrap();
+            }
+        }
+    }
+    drop(journal);
+    std::fs::read(path).unwrap()
+}
+
+/// The comparable part of a [`Recovery`].
+fn recovered(r: &Recovery) -> (Vec<JobEntry>, Vec<AcceptedEntry>, u64) {
+    (r.entries.clone(), r.accepted.clone(), r.truncated_bytes)
+}
+
+proptest! {
+    /// A batched append writes exactly the bytes of one append per
+    /// record, and resumes to the same recovery.
+    #[test]
+    fn batched_appends_match_single_appends(
+        entries in prop::collection::vec(
+            (prop::collection::vec(0usize..CHARS.len(), 0..8), 0u8..3),
+            1..8,
+        ),
+        batch in 1usize..5,
+    ) {
+        let entries: Vec<JobEntry> = entries
+            .iter()
+            .enumerate()
+            .map(|(i, (label, sel))| {
+                entry(i as u64, label, &[2, 3], *sel == 1, *sel, (0.5, 0.25, 1.0, 0.75, 2.0), 16, 0)
+            })
+            .collect();
+        let (single_path, batch_path) = (temp_path("single"), temp_path("batch"));
+        let single = journal_jobs(&single_path, &entries, None);
+        let batched = journal_jobs(&batch_path, &entries, Some(batch));
+        prop_assert_eq!(&single, &batched);
+        let h = header(entries.len() as u64);
+        let (_, from_single) = Journal::resume(&single_path, &h).unwrap();
+        let (_, from_batch) = Journal::resume(&batch_path, &h).unwrap();
+        prop_assert_eq!(recovered(&from_single), recovered(&from_batch));
+        prop_assert_eq!(from_batch.entries.len(), entries.len());
+        std::fs::remove_file(&single_path).ok();
+        std::fs::remove_file(&batch_path).ok();
+    }
+
+    /// A crash inside one batch's write leaves a torn tail somewhere in
+    /// the batch: resume keeps exactly the complete lines before the cut
+    /// and truncates the rest.
+    #[test]
+    fn torn_batch_resumes_to_a_valid_prefix(
+        labels in prop::collection::vec(prop::collection::vec(0usize..CHARS.len(), 0..8), 2..8),
+        cut_sel in any::<usize>(),
+    ) {
+        let entries: Vec<JobEntry> = labels
+            .iter()
+            .enumerate()
+            .map(|(i, label)| entry(i as u64, label, &[1], false, 0, (1.0, 0.5, 2.0, 0.25, 8.0), 0, 0))
+            .collect();
+        let path = temp_path("torn-batch");
+        let mut journal = Journal::create(&path, &header(entries.len() as u64)).unwrap();
+        let before = journal.file_len() as usize;
+        journal.append_all(&entries).unwrap();
+        drop(journal);
+        let bytes = std::fs::read(&path).unwrap();
+        let cut = before + cut_sel % (bytes.len() - before + 1);
+        std::fs::write(&path, &bytes[..cut]).unwrap();
+
+        let mut line_end = before;
+        let mut complete = 0;
+        for e in &entries {
+            let next = line_end + encode_record(&Record::Job(e.clone())).len() + 1;
+            if next > cut {
+                break;
+            }
+            line_end = next;
+            complete += 1;
+        }
+        let (_, recovery) = Journal::resume(&path, &header(entries.len() as u64)).unwrap();
+        prop_assert_eq!(&recovery.entries[..], &entries[..complete]);
+        prop_assert_eq!(recovery.truncated_bytes as usize, cut - line_end);
+        prop_assert_eq!(std::fs::metadata(&path).unwrap().len() as usize, line_end);
+        std::fs::remove_file(&path).ok();
     }
 }
 

@@ -93,6 +93,7 @@ fn cold_simulation_populates_cold_counters_and_stays_identical() {
     let snap = rt.stats().snapshot();
     assert!(snap.cold_memo_misses > 0, "planner must have computed splits");
     assert!(snap.cold_memo_hits > 0, "self-similar siblings must hit the shape memo");
+    assert!(snap.cold_step_memo_misses > 0, "every distinct step is timed once");
     assert!(snap.cold_arena_bytes > 0, "arena high-water must be recorded");
     let json = snap.render_json();
     assert!(json.contains("\"cold_memo_hits\":"), "{json}");

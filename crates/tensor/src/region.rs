@@ -63,6 +63,11 @@ impl Region {
         }
     }
 
+    /// The same view starting at element `offset`.
+    pub fn with_offset(&self, offset: u64) -> Self {
+        Region { offset, shape: self.shape.clone(), strides: self.strides.clone() }
+    }
+
     /// The region's shape.
     pub fn shape(&self) -> &Shape {
         &self.shape
