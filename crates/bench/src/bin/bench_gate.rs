@@ -1,8 +1,8 @@
 //! `bench_gate` — the CI performance gate over the cf-runtime service
 //! layer.
 //!
-//! Measures eight numbers, writes them to `BENCH_runtime.json`
-//! (the artifact CI uploads) and gates four of them against a
+//! Measures nine numbers, writes them to `BENCH_runtime.json`
+//! (the artifact CI uploads) and gates five of them against a
 //! committed baseline:
 //!
 //! * `cached_speedup` — best-case (per-iteration minimum) uncached
@@ -22,6 +22,13 @@
 //!   `cold-unique` fleet workload's cost plateau, where one level-1 plan
 //!   runs 512 SD steps of 32 children and the step memo times only the
 //!   distinct ones. **Gated** exactly like `uncached_us`.
+//! * `warm_net_us` — best-case simulate of an f1 alexnet at batch
+//!   [`WARM_NET_BATCH`] on a [`SimCache`] that has just simulated the
+//!   same net at batch [`WARM_NET_PRIMER`] (a fresh cache per
+//!   iteration): what a cold `cold-shared` job costs once its worker's
+//!   tables hold a same-lane neighbour's layer shapes. **Gated** exactly
+//!   like `uncached_us`; a simulator that stopped reusing its tables
+//!   across calls would time the whole net cold.
 //! * `serve_jobs_per_s` — the 19-job `assets/serve.jobs` manifest
 //!   through `serve_manifest`, end to end (informational).
 //! * `replay_records_per_s` — `scan_valid_prefix` over a synthetic
@@ -59,6 +66,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cf_core::perf::SimCache;
 use cf_core::{Machine, MachineConfig};
 use cf_runtime::journal::{encode_record, scan_valid_prefix, JOURNAL_VERSION};
 use cf_runtime::serve::serve_manifest;
@@ -79,6 +87,12 @@ const UNCACHED_ITERS: u32 = 16;
 const COLD_SIM_ITERS: u32 = 12;
 /// f1 matmul order of the simulator-only cold gate.
 const COLD_SIM_ORDER: usize = 2100;
+/// Warm-net iterations (each primes a fresh cache, then times one net).
+const WARM_NET_ITERS: u32 = 24;
+/// The alexnet batch the warm-net gate times …
+const WARM_NET_BATCH: usize = 32;
+/// … after the same cache simulated this batch.
+const WARM_NET_PRIMER: usize = 29;
 /// Synthetic journal records for the replay-rate measurement.
 const REPLAY_RECORDS: u64 = 5000;
 /// Profiled-vs-plain simulate iterations for the overhead measurement.
@@ -118,6 +132,7 @@ struct GateReport {
     cached_us: f64,
     uncached_us: f64,
     cold_sim_2100_us: f64,
+    warm_net_us: f64,
     serve_jobs_per_s: f64,
     replay_records_per_s: f64,
     profile_overhead: f64,
@@ -136,6 +151,7 @@ impl Serialize for GateReport {
         obj.insert("cached_us", round2(self.cached_us));
         obj.insert("uncached_us", round2(self.uncached_us));
         obj.insert("cold_sim_2100_us", round2(self.cold_sim_2100_us));
+        obj.insert("warm_net_us", round2(self.warm_net_us));
         obj.insert("serve_jobs_per_s", round2(self.serve_jobs_per_s));
         obj.insert("replay_records_per_s", self.replay_records_per_s.round());
         obj.insert("profile_overhead", round2(self.profile_overhead));
@@ -196,6 +212,25 @@ fn measure_cold_sim() -> f64 {
     for _ in 0..COLD_SIM_ITERS {
         let t0 = Instant::now();
         std::hint::black_box(machine.simulate(&program).expect("cold simulate"));
+        best = best.min(t0.elapsed());
+    }
+    best.as_secs_f64() * 1e6
+}
+
+/// Per-iteration minimum µs of an f1 alexnet batch-[`WARM_NET_BATCH`]
+/// simulate on a fresh [`SimCache`] primed (untimed) by batch
+/// [`WARM_NET_PRIMER`].
+fn measure_warm_net() -> f64 {
+    let net = nets::alexnet();
+    let primer = nets::build_program(&net, WARM_NET_PRIMER).expect("alexnet primer");
+    let program = nets::build_program(&net, WARM_NET_BATCH).expect("alexnet");
+    let cfg = MachineConfig::cambricon_f1();
+    let mut best = Duration::MAX;
+    for _ in 0..WARM_NET_ITERS {
+        let mut cache = SimCache::new();
+        cache.simulate(&cfg, &primer, 1).expect("primer simulate");
+        let t0 = Instant::now();
+        std::hint::black_box(cache.simulate(&cfg, &program, 1).expect("warm simulate"));
         best = best.min(t0.elapsed());
     }
     best.as_secs_f64() * 1e6
@@ -384,6 +419,10 @@ fn main() -> ExitCode {
     );
     let cold_sim_2100_us = measure_cold_sim();
     eprintln!("bench_gate: cold f1 matmul {COLD_SIM_ORDER} simulate {cold_sim_2100_us:.1}µs");
+    let warm_net_us = measure_warm_net();
+    eprintln!(
+        "bench_gate: f1 alexnet b{WARM_NET_BATCH} simulate after b{WARM_NET_PRIMER} {warm_net_us:.1}µs"
+    );
     let serve = match measure_serve_throughput() {
         Ok(v) => v,
         Err(e) => {
@@ -410,6 +449,7 @@ fn main() -> ExitCode {
         cached_us: cached_s * 1e6,
         uncached_us: uncached_s * 1e6,
         cold_sim_2100_us,
+        warm_net_us,
         serve_jobs_per_s: serve,
         replay_records_per_s: replay,
         profile_overhead,
@@ -428,6 +468,7 @@ fn main() -> ExitCode {
             cached_us: cached_s * 1e6 / BASELINE_HEADROOM,
             uncached_us: uncached_s * 1e6 * BASELINE_HEADROOM,
             cold_sim_2100_us: cold_sim_2100_us * BASELINE_HEADROOM,
+            warm_net_us: warm_net_us * BASELINE_HEADROOM,
             serve_jobs_per_s: serve * BASELINE_HEADROOM,
             replay_records_per_s: replay * BASELINE_HEADROOM,
             profile_overhead,
@@ -481,6 +522,12 @@ fn main() -> ExitCode {
         "cold_sim_2100_us",
         &format!("cold f1 matmul {COLD_SIM_ORDER} simulate"),
         cold_sim_2100_us,
+    );
+    failed |= latency_gate(
+        &text,
+        "warm_net_us",
+        &format!("f1 alexnet b{WARM_NET_BATCH} simulate after b{WARM_NET_PRIMER}"),
+        warm_net_us,
     );
     // HTTP round-trip gate. Older baselines predate the field; skip then.
     if let Some(base_rtt) = baseline_field(&text, "http_rtt_us") {

@@ -101,7 +101,7 @@ impl Machine {
     pub fn simulate(&self, program: &Program) -> Result<PerfReport, CoreError> {
         let sim = PerfSim::new(&self.config);
         let out = sim.simulate(program)?;
-        Ok(self.report_of(out))
+        Ok(sim.report_of(out))
     }
 
     /// Simulates `program` with unique cold subtrees fanned out across up
@@ -119,10 +119,7 @@ impl Machine {
         program: &Program,
         threads: usize,
     ) -> Result<(PerfReport, crate::perf::ColdStats), CoreError> {
-        let sim = PerfSim::new(&self.config);
-        let out = sim.simulate_parallel(program, threads)?;
-        let cold = sim.cold_stats();
-        Ok((self.report_of(out), cold))
+        PerfSim::new(&self.config).simulate_report(program, threads)
     }
 
     /// Simulates `program` with profiling on, additionally returning the
@@ -141,21 +138,7 @@ impl Machine {
         let sim = PerfSim::with_options(&self.config, SimOptions::PROFILED);
         let out = sim.simulate(program)?;
         let profile = sim.profile_report(out.makespan, top).unwrap_or_default();
-        Ok((self.report_of(out), profile))
-    }
-
-    fn report_of(&self, out: crate::perf::NodeOutcome) -> PerfReport {
-        let ops = out.stats.total_ops();
-        let attained = if out.makespan > 0.0 { ops as f64 / out.makespan } else { 0.0 };
-        let traffic = out.stats.root_traffic_bytes();
-        PerfReport {
-            makespan_seconds: out.makespan,
-            steady_seconds: out.steady,
-            attained_ops: attained,
-            peak_fraction: attained / self.config.peak_ops(),
-            root_intensity: if traffic > 0 { ops as f64 / traffic as f64 } else { f64::INFINITY },
-            stats: out.stats,
-        }
+        Ok((sim.report_of(out), profile))
     }
 
     /// Extracts a Figure-13-style execution timeline, recursing

@@ -14,8 +14,9 @@
 //! operand offsets ([`crate::plan::Children`]).
 //!
 //! One [`PlanMemo`] lives for the duration of one planner client — a
-//! [`crate::perf::PerfSim`] keeps one across a whole simulation, the
-//! functional executor one per plan — so entries never outlive the
+//! [`crate::perf::PerfSim`] keeps one for as long as the simulator
+//! lives (across programs when a [`crate::perf::SimCache`] keeps it),
+//! the functional executor one per plan — so entries never outlive the
 //! machine configuration they were computed under.
 
 use std::cell::{Cell, RefCell};
@@ -86,6 +87,32 @@ impl Memoized {
             Memoized::Split(_) => None,
         }
     }
+
+    /// Estimated heap bytes of the decision.
+    fn heap_bytes(&self) -> usize {
+        match self {
+            Memoized::Split(None) => 0,
+            Memoized::Split(Some(SplitOutcome::Direct(pieces))) => {
+                pieces.iter().map(instruction_bytes).sum()
+            }
+            Memoized::Split(Some(SplitOutcome::Reduce { pieces, .. })) => pieces
+                .iter()
+                .map(|p| {
+                    std::mem::size_of::<PartialPiece>()
+                        + p.inputs.capacity() * std::mem::size_of::<Region>()
+                        + p.partial_shapes.capacity() * std::mem::size_of::<cf_tensor::Shape>()
+                })
+                .sum(),
+            Memoized::Pd(pd) => 2 * std::mem::size_of::<usize>() + pd.heap_bytes(),
+        }
+    }
+}
+
+/// Estimated bytes of an instruction held in a vector: the instruction
+/// and its operand regions (shapes and strides are inline).
+pub(crate) fn instruction_bytes(inst: &Instruction) -> usize {
+    std::mem::size_of::<Instruction>()
+        + (inst.inputs.capacity() + inst.outputs.capacity()) * std::mem::size_of::<Region>()
 }
 
 /// One cached split decision, stored in canonical coordinates.
@@ -112,6 +139,8 @@ pub struct PlanMemo {
     hits: Cell<u64>,
     misses: Cell<u64>,
     probes: Cell<u64>,
+    /// Estimated heap bytes of the entries.
+    bytes: Cell<u64>,
 }
 
 impl PlanMemo {
@@ -138,6 +167,11 @@ impl PlanMemo {
     /// Split decisions actually computed (and inserted).
     pub fn misses(&self) -> u64 {
         self.misses.get()
+    }
+
+    /// Estimated heap bytes of the cached decisions.
+    pub fn bytes(&self) -> u64 {
+        self.bytes.get()
     }
 
     /// Table probes (`lookup` calls). Every probe must
@@ -187,7 +221,48 @@ impl PlanMemo {
             kind,
             value,
         };
+        self.bytes.set(self.bytes.get() + entry.heap_bytes() as u64);
         self.table.borrow_mut().entry(fp).or_default().push(entry);
+    }
+
+    /// Drops the direct-split decisions ([`MemoKind::Direct`]) and keeps
+    /// every other entry. They are the PD grid search's working set —
+    /// read while a new PD split is built or a step's partial footprint
+    /// sized — and the bulk of a memo's bytes (half of an f1 matmul's),
+    /// while a later program mostly meets its own. A simulator kept across
+    /// programs sheds them after each one, so a program that shares
+    /// nothing with its predecessors reuses their memory instead of
+    /// faulting in fresh pages.
+    pub(crate) fn drop_direct_decisions(&self) {
+        let mut freed = 0;
+        self.table.borrow_mut().retain(|_, bucket| {
+            bucket.retain(|e| {
+                let direct = matches!(e.kind, MemoKind::Direct { .. });
+                if direct {
+                    freed += e.heap_bytes() as u64;
+                }
+                !direct
+            });
+            !bucket.is_empty()
+        });
+        self.bytes.set(self.bytes.get() - freed);
+    }
+}
+
+impl Entry {
+    /// Estimated heap bytes of the entry.
+    fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<Entry>()
+            + self
+                .operands
+                .iter()
+                .map(|(dims, strides)| {
+                    std::mem::size_of::<(Vec<usize>, Vec<u64>)>()
+                        + dims.capacity() * 8
+                        + strides.capacity() * 8
+                })
+                .sum::<usize>()
+            + self.value.heap_bytes()
     }
 }
 

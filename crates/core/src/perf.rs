@@ -35,7 +35,7 @@ use crate::memo::PlanMemo;
 use crate::plan::{ChildInst, DmaOp, NodePlan, Planner, Space, Step};
 use crate::profile::{ProfileReport, ProfileState};
 use crate::stats::Stats;
-use crate::{CoreError, MachineConfig};
+use crate::{CoreError, MachineConfig, PerfReport};
 
 /// Timing outcome of one incoming instruction at one node (a subtree).
 #[derive(Debug, Clone)]
@@ -110,13 +110,24 @@ impl SimOptions {
 }
 
 /// The memoizing performance simulator.
+///
+/// It owns its machine configuration, and its three tables — the
+/// outcome cache, the shape memo and the step memo — are pure functions
+/// of that configuration, so one simulator may time any number of
+/// programs and every call reuses what earlier calls computed
+/// ([`SimCache`] keeps one per machine across jobs).
 #[derive(Debug)]
-pub struct PerfSim<'a> {
-    planner: Planner<'a>,
+pub struct PerfSim {
+    cfg: MachineConfig,
     cache: RefCell<HashMap<Key, Rc<NodeOutcome>, FxBuildHasher>>,
-    /// Shape-level split memo shared by every plan of this run.
+    /// Outcome-cache hits and misses, and the estimated heap bytes of
+    /// its entries.
+    outcome_hits: Cell<u64>,
+    outcome_misses: Cell<u64>,
+    outcome_bytes: Cell<u64>,
+    /// Shape-level split memo shared by every plan this simulator times.
     plan_memo: PlanMemo,
-    /// Step timings shared by every plan of this run.
+    /// Step timings shared by every plan this simulator times.
     steps: StepMemo,
     /// Pooled plan buffers, refilled as timed plans are retired.
     arena: PlanArena,
@@ -129,6 +140,7 @@ pub struct PerfSim<'a> {
 /// Cold-path instrumentation of one simulation run. Deliberately *not*
 /// part of [`crate::PerfReport`]: the optimized and naive paths must
 /// produce byte-identical reports, and these counters differ by design.
+/// [`PerfSim::simulate_report`] reports one call's share of them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ColdStats {
     /// Split decisions served from the shape memo.
@@ -144,6 +156,27 @@ pub struct ColdStats {
     pub step_memo_hits: u64,
     /// Steps timed child by child (and cached).
     pub step_memo_misses: u64,
+    /// Subtree outcomes served from the outcome cache.
+    pub outcome_hits: u64,
+    /// Subtree outcomes planned and timed (and cached).
+    pub outcome_misses: u64,
+}
+
+impl ColdStats {
+    /// The counters accrued since `before`. The arena figure is a
+    /// high-water mark, not a flow, and is kept as it stands.
+    pub fn since(&self, before: &ColdStats) -> ColdStats {
+        ColdStats {
+            shape_memo_hits: self.shape_memo_hits - before.shape_memo_hits,
+            shape_memo_misses: self.shape_memo_misses - before.shape_memo_misses,
+            arena_bytes: self.arena_bytes,
+            parallel_tasks: self.parallel_tasks - before.parallel_tasks,
+            step_memo_hits: self.step_memo_hits - before.step_memo_hits,
+            step_memo_misses: self.step_memo_misses - before.step_memo_misses,
+            outcome_hits: self.outcome_hits - before.outcome_hits,
+            outcome_misses: self.outcome_misses - before.outcome_misses,
+        }
+    }
 }
 
 #[derive(Debug, PartialEq, Eq, Hash)]
@@ -231,8 +264,8 @@ struct StepEntry {
     concat_saved: Vec<Option<f64>>,
 }
 
-/// Per-run step-timing memo. A disabled memo never probes, so the naive
-/// path times every step child by child.
+/// Step-timing memo. A disabled memo never probes, so the naive path
+/// times every step child by child.
 #[derive(Debug, Default)]
 struct StepMemo {
     enabled: bool,
@@ -240,36 +273,57 @@ struct StepMemo {
     probes: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
+    /// Estimated heap bytes of the entries.
+    bytes: Cell<u64>,
 }
 
 fn bump(c: &Cell<u64>) {
     c.set(c.get() + 1);
 }
 
-impl PerfSim<'_> {
-    /// Test helper: simulate `program` on an owned config, returning
-    /// `(makespan, total sibling bytes)`.
-    #[doc(hidden)]
-    pub fn new_owned_cfg_for_tests(cfg: MachineConfig, program: &Program) -> (f64, u64) {
-        let sim = PerfSim::new(&cfg);
-        let out = sim.simulate(program).expect("simulation");
-        let sib = out.stats.levels.iter().map(|l| l.sibling_bytes).sum();
-        (out.makespan, sib)
-    }
+fn add(c: &Cell<u64>, n: usize) {
+    c.set(c.get() + n as u64);
 }
 
-impl<'a> PerfSim<'a> {
+/// Heap bytes of a stats block's per-level vector.
+fn stats_heap_bytes(stats: &Stats) -> usize {
+    stats.levels.capacity() * std::mem::size_of::<crate::LevelStats>()
+}
+
+/// Estimated heap bytes of one outcome-cache entry: the table slot, the
+/// key's vectors and the shared outcome with its counters.
+fn outcome_entry_bytes(key: &Key, outcome: &NodeOutcome) -> usize {
+    std::mem::size_of::<(Key, Rc<NodeOutcome>)>()
+        + key.dims.capacity() * 8
+        + key.shared.capacity() * 4
+        + std::mem::size_of::<NodeOutcome>()
+        + 2 * std::mem::size_of::<usize>()
+        + stats_heap_bytes(&outcome.stats)
+}
+
+/// Estimated heap bytes of one step-memo entry.
+fn step_entry_bytes(key: &StepKey, entry: &StepEntry) -> usize {
+    std::mem::size_of::<(StepKey, StepEntry)>()
+        + key.children.as_ref().map_or(0, |(_, masks)| masks.capacity() * 4)
+        + stats_heap_bytes(&entry.stats)
+        + entry.concat_saved.capacity() * std::mem::size_of::<Option<f64>>()
+}
+
+impl PerfSim {
     /// A simulator over `cfg` with default options (memoized, no
     /// profiling).
-    pub fn new(cfg: &'a MachineConfig) -> Self {
+    pub fn new(cfg: &MachineConfig) -> Self {
         PerfSim::with_options(cfg, SimOptions::default())
     }
 
-    /// A simulator over `cfg` with `opts`.
-    pub fn with_options(cfg: &'a MachineConfig, opts: SimOptions) -> Self {
+    /// A simulator over (a copy of) `cfg` with `opts`.
+    pub fn with_options(cfg: &MachineConfig, opts: SimOptions) -> Self {
         PerfSim {
-            planner: Planner::new(cfg),
+            cfg: cfg.clone(),
             cache: RefCell::new(HashMap::default()),
+            outcome_hits: Cell::new(0),
+            outcome_misses: Cell::new(0),
+            outcome_bytes: Cell::new(0),
             plan_memo: if opts.memo { PlanMemo::new() } else { PlanMemo::disabled() },
             steps: StepMemo { enabled: opts.memo, ..StepMemo::default() },
             arena: PlanArena::new(),
@@ -298,7 +352,15 @@ impl<'a> PerfSim<'a> {
             parallel_tasks: self.parallel_tasks.get(),
             step_memo_hits: self.steps.hits.get(),
             step_memo_misses: self.steps.misses.get(),
+            outcome_hits: self.outcome_hits.get(),
+            outcome_misses: self.outcome_misses.get(),
         }
+    }
+
+    /// Estimated heap bytes held by the three tables (outcome cache,
+    /// shape memo, step memo): what keeping this simulator costs.
+    pub fn table_bytes(&self) -> u64 {
+        self.outcome_bytes.get() + self.plan_memo.bytes() + self.steps.bytes.get()
     }
 
     /// Step-memo probes so far. Every probe ends as exactly one hit or
@@ -309,7 +371,7 @@ impl<'a> PerfSim<'a> {
     }
 
     fn cfg(&self) -> &MachineConfig {
-        self.planner.config()
+        &self.cfg
     }
 
     /// Simulates a whole program on the machine, data resident in global
@@ -319,7 +381,7 @@ impl<'a> PerfSim<'a> {
     ///
     /// Propagates planning errors.
     pub fn simulate(&self, program: &Program) -> Result<NodeOutcome, CoreError> {
-        let plan = self.planner.plan_root_with(
+        let plan = self.planner().plan_root_with(
             program.instructions(),
             program.extern_elems(),
             &self.plan_memo,
@@ -358,7 +420,7 @@ impl<'a> PerfSim<'a> {
         program: &Program,
         threads: usize,
     ) -> Result<NodeOutcome, CoreError> {
-        let plan = self.planner.plan_root_with(
+        let plan = self.planner().plan_root_with(
             program.instructions(),
             program.extern_elems(),
             &self.plan_memo,
@@ -432,6 +494,39 @@ impl<'a> PerfSim<'a> {
         Ok(out)
     }
 
+    /// [`PerfSim::simulate_parallel`] as a [`PerfReport`], with the
+    /// cold-path counters of this call alone: the tables may hold what
+    /// earlier calls computed, and those calls' counters are not this
+    /// one's.
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning errors.
+    pub fn simulate_report(
+        &self,
+        program: &Program,
+        threads: usize,
+    ) -> Result<(PerfReport, ColdStats), CoreError> {
+        let before = self.cold_stats();
+        let out = self.simulate_parallel(program, threads)?;
+        Ok((self.report_of(out), self.cold_stats().since(&before)))
+    }
+
+    /// The report of a whole-program outcome on this machine.
+    pub(crate) fn report_of(&self, out: NodeOutcome) -> PerfReport {
+        let ops = out.stats.total_ops();
+        let attained = if out.makespan > 0.0 { ops as f64 / out.makespan } else { 0.0 };
+        let traffic = out.stats.root_traffic_bytes();
+        PerfReport {
+            makespan_seconds: out.makespan,
+            steady_seconds: out.steady,
+            attained_ops: attained,
+            peak_fraction: attained / self.cfg.peak_ops(),
+            root_intensity: if traffic > 0 { ops as f64 / traffic as f64 } else { f64::INFINITY },
+            stats: out.stats,
+        }
+    }
+
     /// Simulates one parent-space instruction arriving at `level`.
     ///
     /// # Errors
@@ -462,6 +557,7 @@ impl<'a> PerfSim<'a> {
         let key = Key::new(level, sig, resident, shared);
         let resident_bits = || crate::plan::mask_bits(resident, sig.inputs.len());
         if let Some(hit) = self.cache.borrow().get(&key) {
+            bump(&self.outcome_hits);
             if let Some(p) = &self.profile {
                 p.borrow_mut().record_hit(level, sig, &resident_bits(), shared);
             }
@@ -472,7 +568,7 @@ impl<'a> PerfSim<'a> {
         }
         let inst = inst();
         let resident = resident_bits();
-        let plan = self.planner.plan_instruction_with(
+        let plan = self.planner().plan_instruction_with(
             level,
             &inst,
             false,
@@ -484,6 +580,8 @@ impl<'a> PerfSim<'a> {
         if let Some(p) = &self.profile {
             p.borrow_mut().end_compute(level, &inst, &resident, shared, &outcome);
         }
+        bump(&self.outcome_misses);
+        add(&self.outcome_bytes, outcome_entry_bytes(&key, &outcome));
         self.cache.borrow_mut().insert(key, Rc::clone(&outcome));
         Ok(outcome)
     }
@@ -503,12 +601,16 @@ impl<'a> PerfSim<'a> {
         outcome: NodeOutcome,
     ) {
         let key = Key::new(level, inst, mask(resident), shared);
-        self.cache.borrow_mut().entry(key).or_insert_with(|| Rc::new(outcome));
+        if let std::collections::hash_map::Entry::Vacant(slot) = self.cache.borrow_mut().entry(key)
+        {
+            add(&self.outcome_bytes, outcome_entry_bytes(slot.key(), &outcome));
+            slot.insert(Rc::new(outcome));
+        }
     }
 
     /// The planner in use (for timeline extraction).
-    pub fn planner(&self) -> &Planner<'a> {
-        &self.planner
+    pub fn planner(&self) -> Planner<'_> {
+        Planner::new(&self.cfg)
     }
 
     /// Per-step stage durations of an incoming instruction's plan —
@@ -521,7 +623,7 @@ impl<'a> PerfSim<'a> {
         resident: &[bool],
         shared: &[u32],
     ) -> Result<Vec<StageTimes>, CoreError> {
-        let plan = self.planner.plan_instruction(level, inst, false)?;
+        let plan = self.planner().plan_instruction(level, inst, false)?;
         Ok(self.stage_times_of_plan(level, &plan, resident, shared, Some(inst))?.0)
     }
 
@@ -570,10 +672,9 @@ impl<'a> PerfSim<'a> {
         stats.absorb(&delta);
         if self.steps.enabled {
             bump(&self.steps.misses);
-            self.steps
-                .table
-                .borrow_mut()
-                .insert(key, StepEntry { times, stats: delta, concat_saved });
+            let entry = StepEntry { times, stats: delta, concat_saved };
+            add(&self.steps.bytes, step_entry_bytes(&key, &entry));
+            self.steps.table.borrow_mut().insert(key, entry);
         }
         Ok(times)
     }
@@ -758,7 +859,7 @@ impl<'a> PerfSim<'a> {
                     let per_piece = partial_bytes as f64 / pieces as f64;
                     let depth = (pieces as f64).log2().ceil().max(1.0);
                     depth * per_piece / sibling_bw
-                        + ops as f64 / self.planner.subtree_peak_ops(level + 1).max(1.0)
+                        + ops as f64 / self.planner().subtree_peak_ops(level + 1).max(1.0)
                 });
             let lfu_time = {
                 let lfu_t = ops as f64 / lfu_rate.max(1.0);
@@ -766,7 +867,7 @@ impl<'a> PerfSim<'a> {
                 lfu_t.max(mem_t)
             };
             let commissioned_time = 3.0 * partial_bytes as f64 / local_bw
-                + ops as f64 / self.planner.subtree_peak_ops(level + 1).max(1.0);
+                + ops as f64 / self.planner().subtree_peak_ops(level + 1).max(1.0);
             let on_lfu = on_lfu != 0;
             let htree_time = if on_lfu { lfu_time } else { commissioned_time };
             match sibling_time {
@@ -863,6 +964,89 @@ impl<'a> PerfSim<'a> {
             .map(|s| self.step_times(level, s, &res_regions, &sh_regions, &mut stats))
             .collect::<Result<Vec<_>, _>>()?;
         Ok((times, stats))
+    }
+}
+
+/// Simulators kept across calls: one [`PerfSim`] per machine (keyed by
+/// [`MachineConfig::fingerprint`], which covers every field timing
+/// reads), so a program reuses the subtree outcomes, split decisions and
+/// step timings that earlier programs on the same machine computed.
+/// After each call the shape memo sheds its direct-split decisions
+/// (`PlanMemo::drop_direct_decisions`): the bulk of its bytes, and the
+/// part a program at new shapes gains least from.
+///
+/// The tables are capped by [`SimCache::BUDGET_BYTES`]: once a call
+/// leaves them larger, every simulator is dropped at once — one
+/// generation — and the next call starts cold. A reset can never change
+/// a result: every entry is a pure function of its machine and key, and
+/// PD split ids are process-unique, so no key computed before a reset
+/// can match an entry computed after it. A call that panics drops its
+/// machine's simulator with it.
+///
+/// Not `Send`: a cache belongs to the thread that fills it.
+#[derive(Debug, Default)]
+pub struct SimCache {
+    sims: Vec<(u64, PerfSim)>,
+    resets: u64,
+}
+
+impl SimCache {
+    /// Estimated table bytes above which the cache starts a new
+    /// generation.
+    pub const BUDGET_BYTES: u64 = 8 << 20;
+
+    /// An empty cache.
+    pub fn new() -> Self {
+        SimCache::default()
+    }
+
+    /// [`PerfSim::simulate_report`] on `cfg`'s kept simulator (a new one
+    /// for a machine not seen since the last reset).
+    ///
+    /// # Errors
+    ///
+    /// Propagates planning errors. A failed call keeps the tables: what
+    /// it had finished computing is as pure as any other entry.
+    pub fn simulate(
+        &mut self,
+        cfg: &MachineConfig,
+        program: &Program,
+        threads: usize,
+    ) -> Result<(PerfReport, ColdStats), CoreError> {
+        let fingerprint = cfg.fingerprint();
+        let kept = self.sims.iter().position(|(f, sim)| {
+            let c = &sim.cfg;
+            *f == fingerprint && c.levels == cfg.levels && c.leaf == cfg.leaf && c.opts == cfg.opts
+        });
+        // Out of the cache for the call, so an unwinding call drops it.
+        let sim = match kept {
+            Some(i) => self.sims.swap_remove(i).1,
+            None => PerfSim::new(cfg),
+        };
+        let result = sim.simulate_report(program, threads);
+        sim.plan_memo.drop_direct_decisions();
+        self.sims.push((fingerprint, sim));
+        if self.table_bytes() > SimCache::BUDGET_BYTES {
+            self.reset();
+        }
+        result
+    }
+
+    /// Estimated bytes held by every kept simulator's tables.
+    pub fn table_bytes(&self) -> u64 {
+        self.sims.iter().map(|(_, sim)| sim.table_bytes()).sum()
+    }
+
+    /// Generations ended so far (budget overruns and explicit resets).
+    pub fn resets(&self) -> u64 {
+        self.resets
+    }
+
+    /// Drops every kept simulator and its tables: the next call on any
+    /// machine starts cold.
+    pub fn reset(&mut self) {
+        self.sims.clear();
+        self.resets += 1;
     }
 }
 
@@ -1038,6 +1222,12 @@ mod tests {
         assert!(t_off >= t_on * 0.999, "concat off ({t_off}) should not beat on ({t_on})");
     }
 
+    /// `(makespan, total sibling bytes)` of `program` on `cfg`.
+    fn makespan_and_sibling_bytes(cfg: MachineConfig, program: &Program) -> (f64, u64) {
+        let out = PerfSim::new(&cfg).simulate(program).expect("simulation");
+        (out.makespan, out.stats.levels.iter().map(|l| l.sibling_bytes).sum())
+    }
+
     #[test]
     fn sibling_links_never_hurt_and_help_merges() {
         // §8 extension: a merge-reduction workload (sorts) benefits; the
@@ -1047,8 +1237,8 @@ mod tests {
         let y = b.alloc("y", vec![1 << 20]);
         b.emit(Opcode::Sort1D, [x], [y]).unwrap();
         let p = b.build();
-        let base = PerfSim::new_owned_cfg_for_tests(MachineConfig::cambricon_f100(), &p);
-        let ext = PerfSim::new_owned_cfg_for_tests(
+        let base = makespan_and_sibling_bytes(MachineConfig::cambricon_f100(), &p);
+        let ext = makespan_and_sibling_bytes(
             MachineConfig::cambricon_f100().with_opts(crate::OptFlags::with_sibling_links()),
             &p,
         );
@@ -1056,8 +1246,8 @@ mod tests {
         assert!(ext.1 > 0, "sibling traffic should be recorded");
         // And a plain matmul is unaffected.
         let mm = matmul_program(1024, 1024, 1024);
-        let b0 = PerfSim::new_owned_cfg_for_tests(MachineConfig::cambricon_f1(), &mm);
-        let b1 = PerfSim::new_owned_cfg_for_tests(
+        let b0 = makespan_and_sibling_bytes(MachineConfig::cambricon_f1(), &mm);
+        let b1 = makespan_and_sibling_bytes(
             MachineConfig::cambricon_f1().with_opts(crate::OptFlags::with_sibling_links()),
             &mm,
         );

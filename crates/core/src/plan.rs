@@ -196,6 +196,18 @@ impl PdSplit {
     pub fn shared(&self, slot: usize) -> &[u32] {
         &self.shared[slot]
     }
+
+    /// Estimated heap bytes of the split, pieces included.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<PdSplit>()
+            + self.pieces.iter().map(memo::instruction_bytes).sum::<usize>()
+            + self
+                .shared
+                .iter()
+                .map(|s| std::mem::size_of::<Vec<u32>>() + s.capacity() * 4)
+                .sum::<usize>()
+            + self.min_input_bytes.capacity() * 8
+    }
 }
 
 /// Share count per (input index, region): how many sibling pieces read
@@ -381,7 +393,7 @@ impl<'a> Planner<'a> {
     }
 
     /// The machine configuration.
-    pub fn config(&self) -> &MachineConfig {
+    pub fn config(&self) -> &'a MachineConfig {
         self.cfg
     }
 

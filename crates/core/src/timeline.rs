@@ -210,7 +210,7 @@ fn kind_rank(kind: EventKind) -> u8 {
 
 #[allow(clippy::too_many_arguments)]
 fn walk(
-    sim: &PerfSim<'_>,
+    sim: &PerfSim,
     level: usize,
     plan: &crate::plan::NodePlan,
     resident: &[bool],

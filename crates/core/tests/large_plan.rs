@@ -13,11 +13,7 @@ use cf_core::{Machine, MachineConfig, ProfileReport};
 use cf_isa::Program;
 use cf_workloads::nets;
 
-fn run<'a>(
-    cfg: &'a MachineConfig,
-    program: &Program,
-    opts: SimOptions,
-) -> (NodeOutcome, PerfSim<'a>) {
+fn run(cfg: &MachineConfig, program: &Program, opts: SimOptions) -> (NodeOutcome, PerfSim) {
     let sim = PerfSim::with_options(cfg, opts);
     let out = sim.simulate(program).expect("simulation");
     (out, sim)
@@ -25,7 +21,7 @@ fn run<'a>(
 
 /// The profile without the shape-memo counters, which differ between
 /// the paths by design.
-fn profile_of(sim: &PerfSim<'_>, out: &NodeOutcome) -> ProfileReport {
+fn profile_of(sim: &PerfSim, out: &NodeOutcome) -> ProfileReport {
     let mut p = sim.profile_report(out.makespan, usize::MAX).expect("profiling on");
     p.shape_memo_hits = 0;
     p.shape_memo_misses = 0;

@@ -207,7 +207,9 @@ pub struct JobOptions {
     /// *started* within this duration of submission. `None` means no
     /// deadline.
     pub deadline: Option<Duration>,
-    /// Skip the plan/report cache for this job (both lookup and fill).
+    /// Skip the plan/report cache for this job (both lookup and fill),
+    /// and simulate it from scratch: the job does not use the
+    /// simulation tables its worker keeps across jobs either.
     pub bypass_cache: bool,
     /// Estimated working-set bytes, charged against
     /// [`LoadPolicy::max_queued_bytes`](crate::LoadPolicy::max_queued_bytes)

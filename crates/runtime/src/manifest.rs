@@ -131,6 +131,14 @@ pub enum ManifestError {
         /// Manifest line.
         line: usize,
     },
+    /// A `batch=` or `order=` of zero: the generator would build a
+    /// tensor with a zero-sized dimension, which no shape admits.
+    ZeroDimension {
+        /// The key whose value is zero.
+        key: String,
+        /// Manifest line.
+        line: usize,
+    },
     /// A line with neither or both of `program=` / `workload=`.
     BadSource {
         /// Manifest line.
@@ -193,6 +201,9 @@ impl fmt::Display for ManifestError {
             }
             ManifestError::BadValue { key, value, line } => {
                 write!(f, "line {line}: bad value `{value}` for `{key}`")
+            }
+            ManifestError::ZeroDimension { key, line } => {
+                write!(f, "line {line}: `{key}` must be at least 1 (it sizes a tensor dimension)")
             }
             ManifestError::BadSource { line } => {
                 write!(f, "line {line}: need exactly one of `program=` or `workload=`")
@@ -303,6 +314,21 @@ fn parse_line(line: &str, line_no: usize) -> Result<JobSpec, ManifestError> {
 
     if machine_by_name(&machine).is_none() {
         return Err(ManifestError::UnknownMachine { name: machine, line: line_no });
+    }
+    // Rejected here, not in the generators: a zero extent would reach
+    // `Shape::new`'s assertion and panic whichever thread resolves the
+    // program — cfserve's main thread or an API connection.
+    for (key, value) in [("batch", batch), ("order", order)] {
+        if value == 0 {
+            return Err(ManifestError::ZeroDimension { key: key.to_string(), line: line_no });
+        }
+    }
+    if !["small", "paper"].contains(&size.as_str()) {
+        return Err(ManifestError::BadValue {
+            key: "size".to_string(),
+            value: size,
+            line: line_no,
+        });
     }
     let kind = match mode.as_str() {
         "simulate" => JobKind::Simulate,
@@ -467,6 +493,20 @@ mod tests {
         assert_eq!(
             parse_manifest("workload=nope\n").unwrap_err().reason(),
             &ManifestError::UnknownWorkload { name: "nope".into(), line: 1 }
+        );
+    }
+
+    #[test]
+    fn zero_dimensions_are_rejected_before_any_generator_runs() {
+        for key in ["order", "batch"] {
+            let err = parse_manifest(&format!("workload=vgg16\nworkload=matmul label=m {key}=0\n"))
+                .unwrap_err();
+            assert_eq!(err.reason(), &ManifestError::ZeroDimension { key: key.into(), line: 2 });
+            assert!(err.to_string().contains(&format!("`{key}` must be at least 1")), "{err}");
+        }
+        assert_eq!(
+            parse_manifest("workload=knn size=0\n").unwrap_err().reason(),
+            &ManifestError::BadValue { key: "size".into(), value: "0".into(), line: 1 }
         );
     }
 

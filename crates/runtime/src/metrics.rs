@@ -96,7 +96,7 @@ pub fn render(
     let inst: &[(&str, &str)] = &[("instance", instance)];
 
     // -- Runtime counters -------------------------------------------------
-    let counters: [(&'static str, &'static str, Option<u64>); 26] = [
+    let counters: [(&'static str, &'static str, Option<u64>); 29] = [
         ("cf_jobs_submitted_total", "Jobs accepted into the queue.", snap.map(|s| s.submitted)),
         ("cf_jobs_completed_total", "Jobs finished with Ok.", snap.map(|s| s.completed)),
         ("cf_jobs_failed_total", "Jobs finished with Err.", snap.map(|s| s.failed)),
@@ -166,6 +166,21 @@ pub fn render(
             snap.map(|s| s.cold_step_memo_misses),
         ),
         (
+            "cf_cold_outcome_hits_total",
+            "Subtree outcomes cold simulations served from the outcome cache.",
+            snap.map(|s| s.cold_outcome_hits),
+        ),
+        (
+            "cf_cold_outcome_misses_total",
+            "Subtree outcomes cold simulations planned and timed.",
+            snap.map(|s| s.cold_outcome_misses),
+        ),
+        (
+            "cf_sim_table_resets_total",
+            "Generations of the workers' kept simulation tables dropped.",
+            snap.map(|s| s.sim_table_resets),
+        ),
+        (
             "cf_faults_injected_total",
             "Faults injected by the fault plan.",
             snap.map(|s| s.faults_injected),
@@ -233,7 +248,7 @@ pub fn render(
     }
 
     // -- Gauges -----------------------------------------------------------
-    let gauges: [(&'static str, &'static str, Option<String>); 7] = [
+    let gauges: [(&'static str, &'static str, Option<String>); 8] = [
         (
             "cf_draining",
             "1 while the instance is draining (stopped admitting, finishing in-flight work).",
@@ -253,6 +268,11 @@ pub fn render(
             "cf_cold_simulate_arena_bytes",
             "High-water plan-buffer bytes retained by any one cold simulation's arena.",
             snap.map(|s| s.cold_arena_bytes.to_string()),
+        ),
+        (
+            "cf_sim_table_bytes",
+            "Estimated bytes of the simulation tables workers keep across jobs.",
+            snap.map(|s| s.sim_table_bytes.to_string()),
         ),
         (
             "cf_uptime_seconds",
@@ -469,9 +489,13 @@ mod tests {
             "cf_cold_simulate_parallel_tasks_total",
             "cf_cold_step_memo_hits_total",
             "cf_cold_step_memo_misses_total",
+            "cf_cold_outcome_hits_total",
+            "cf_cold_outcome_misses_total",
+            "cf_sim_table_resets_total",
         ] {
             assert!(body.contains(&format!("# TYPE {family} counter")), "{family}:\n{body}");
         }
+        assert!(body.contains("# TYPE cf_sim_table_bytes gauge"), "{body}");
         // Build info always has its constant sample.
         let (version, git) = build_info();
         assert!(

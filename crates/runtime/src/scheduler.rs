@@ -32,6 +32,7 @@
 //!   corruption, deadline expiries and DMA faults at every one of those
 //!   seams (see [`fault`](crate::fault)).
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -39,6 +40,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use cf_core::perf::SimCache;
 use cf_core::{Machine, MachineConfig, PerfReport};
 use cf_isa::Program;
 use cf_tensor::gen::DataGen;
@@ -574,9 +576,14 @@ impl Runtime {
             self.inner.not_empty.notify_all();
             self.inner.not_full.notify_all();
         }
+        if self.workers.is_empty() {
+            return;
+        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
+        // The workers took their simulation tables with them.
+        release_freed_memory();
     }
 
     /// Fills [`JobOptions::cost_bytes`] with the program's external
@@ -763,7 +770,7 @@ fn simulate_once(
 ) -> Result<SimResult, JobError> {
     let key = CacheKey::new(machine, program);
     if bypass || inner.cache.capacity() == 0 {
-        let report = Arc::new(cold_simulate(inner, machine, program)?);
+        let report = Arc::new(cold_simulate(inner, machine, program, false)?);
         return Ok(SimResult { report, cache_hit: false, key });
     }
     loop {
@@ -803,7 +810,7 @@ fn simulate_once(
                 return Ok(SimResult { report, cache_hit: true, key });
             }
             // Simulate, fill, release the waiters (guard drop).
-            let report = Arc::new(cold_simulate(inner, machine, program)?);
+            let report = Arc::new(cold_simulate(inner, machine, program, true)?);
             inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             fill_cache(inner, key, &report);
             return Ok(SimResult { report, cache_hit: false, key });
@@ -817,17 +824,87 @@ fn simulate_once(
     }
 }
 
-/// One *cold* (uncached) planner run: simulates through
-/// [`Machine::simulate_parallel`] so a large job's unique cold subtrees
-/// fan out across the pool's thread budget, and folds the planner's
-/// shape-memo / arena / fan-out instrumentation into [`RuntimeStats`].
-/// The report is byte-identical to a sequential `Machine::simulate` —
-/// the parallel pass only pre-warms the outcome cache — so cache fills
-/// and single-flight followers observe the exact same value either way.
+/// One worker's simulation tables, kept across the jobs it runs, and
+/// the bytes of them it has booked on the `sim_table_bytes` gauge.
+#[derive(Default)]
+struct WorkerSims {
+    cache: SimCache,
+    booked: u64,
+}
+
+impl WorkerSims {
+    /// [`SimCache::simulate`], keeping the table gauges current.
+    fn simulate(
+        &mut self,
+        stats: &RuntimeStats,
+        machine: &MachineConfig,
+        program: &Program,
+        threads: usize,
+    ) -> Result<(PerfReport, cf_core::perf::ColdStats), cf_core::CoreError> {
+        let resets = self.cache.resets();
+        let result = self.cache.simulate(machine, program, threads);
+        stats.sim_table_resets.fetch_add(self.cache.resets() - resets, Ordering::Relaxed);
+        let bytes = self.cache.table_bytes();
+        stats.sim_table_bytes.fetch_add(bytes.wrapping_sub(self.booked), Ordering::Relaxed);
+        self.booked = bytes;
+        result
+    }
+}
+
+thread_local! {
+    /// The running worker's [`WorkerSims`]: installed by
+    /// [`worker_entry`] for each run of the worker loop and discarded
+    /// when that loop ends or panics, so the tables live no longer than
+    /// the worker — and the worker no longer than its [`Runtime`].
+    static WORKER_SIMS: RefCell<Option<WorkerSims>> = const { RefCell::new(None) };
+}
+
+/// Drops the running worker's simulation tables, takes their bytes off
+/// the gauge, and returns how many bytes that was.
+fn discard_worker_sims(stats: &RuntimeStats) -> u64 {
+    let booked = WORKER_SIMS.with(|slot| slot.borrow_mut().take()).map_or(0, |sims| sims.booked);
+    stats.sim_table_bytes.fetch_sub(booked, Ordering::Relaxed);
+    booked
+}
+
+/// Hands the pages of freed heap memory back to the OS. Kept simulation
+/// tables are many small allocations interleaved with long-lived ones
+/// (reports, records), so once dropped the allocator keeps their pages
+/// resident, and a process that outlives its runtime — a benchmark that
+/// renders reference records before spawning a fleet — would carry them
+/// into every later `fork`.
+fn release_freed_memory() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    {
+        extern "C" {
+            fn malloc_trim(pad: usize) -> i32;
+        }
+        // SAFETY: glibc's `malloc_trim` only returns free pages to the
+        // OS; it takes the allocator's own locks and has no
+        // preconditions.
+        unsafe {
+            malloc_trim(0);
+        }
+    }
+}
+
+/// One *cold* (uncached) planner run. With `keep` it simulates on the
+/// worker's kept [`SimCache`], so the job reuses the subtree outcomes,
+/// split decisions and step timings earlier jobs on this worker computed
+/// for the same machine; a job that bypasses the plan cache passes
+/// `false` and is timed on tables of its own, from scratch. Either way a
+/// large job's unique cold subtrees fan out across the pool's thread
+/// budget, and the planner's instrumentation folds into
+/// [`RuntimeStats`]. The report is byte-identical to a fresh sequential
+/// `Machine::simulate` — every kept entry is a pure function of the
+/// machine and its key, and the parallel pass only pre-warms the outcome
+/// cache — so cache fills and single-flight followers observe the exact
+/// same value either way.
 fn cold_simulate(
     inner: &PoolInner,
     machine: &MachineConfig,
     program: &Program,
+    keep: bool,
 ) -> Result<PerfReport, JobError> {
     // Split the thread budget across concurrent cold simulations: each
     // runs on a worker thread already, so N distinct-key cold jobs each
@@ -843,8 +920,14 @@ fn cold_simulate(
     let in_flight = inner.cold_inflight.fetch_add(1, Ordering::Relaxed) + 1;
     let _guard = ColdGuard(&inner.cold_inflight);
     let threads = (inner.stats.workers.len() / in_flight).max(1);
-    let (report, cold) =
-        Machine::new(machine.clone()).simulate_parallel(program, threads).map_err(JobError::Sim)?;
+    let (report, cold) = WORKER_SIMS
+        .with(|slot| match slot.borrow_mut().as_mut() {
+            Some(sims) if keep => sims.simulate(&inner.stats, machine, program, threads),
+            // Off a pool worker (never, today) a job gets tables of its own
+            // too.
+            _ => SimCache::new().simulate(machine, program, threads),
+        })
+        .map_err(JobError::Sim)?;
     inner.stats.record_cold(&cold);
     Ok(report)
 }
@@ -867,13 +950,20 @@ fn fill_cache(inner: &PoolInner, key: CacheKey, report: &Arc<PerfReport>) {
 
 /// Worker thread entry: runs [`worker_loop`] behind an unwind barrier and
 /// respawns it (same OS thread, fresh loop) if it ever panics, so the
-/// pool never shrinks permanently.
+/// pool never shrinks permanently. Each run of the loop gets fresh
+/// simulation tables: a panic discards the worker's tables with it.
 fn worker_entry(inner: &PoolInner, worker_index: usize) {
     loop {
-        match catch_unwind(AssertUnwindSafe(|| worker_loop(inner, worker_index))) {
+        WORKER_SIMS.with(|slot| *slot.borrow_mut() = Some(WorkerSims::default()));
+        let outcome = catch_unwind(AssertUnwindSafe(|| worker_loop(inner, worker_index)));
+        let discarded = discard_worker_sims(&inner.stats);
+        match outcome {
             Ok(()) => return, // clean shutdown
             Err(_) => {
                 inner.stats.worker_respawns.fetch_add(1, Ordering::Relaxed);
+                if discarded > 0 {
+                    inner.stats.sim_table_resets.fetch_add(1, Ordering::Relaxed);
+                }
             }
         }
     }

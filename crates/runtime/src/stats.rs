@@ -70,6 +70,18 @@ pub struct RuntimeStats {
     pub cold_step_memo_hits: AtomicU64,
     /// Plan steps cold simulations timed child by child.
     pub cold_step_memo_misses: AtomicU64,
+    /// Subtree outcomes cold simulations served from the simulator's
+    /// outcome cache — including ones an earlier job on the same worker
+    /// computed.
+    pub cold_outcome_hits: AtomicU64,
+    /// Subtree outcomes cold simulations planned and timed.
+    pub cold_outcome_misses: AtomicU64,
+    /// Gauge: estimated bytes of the simulation tables the workers keep
+    /// across jobs.
+    pub sim_table_bytes: AtomicU64,
+    /// Times a worker's kept simulation tables were dropped as one
+    /// generation (budget overruns and worker respawns).
+    pub sim_table_resets: AtomicU64,
     /// Faults the [`FaultPlan`](crate::FaultPlan) injected.
     pub faults_injected: AtomicU64,
     /// Worker loops respawned after an escaped panic.
@@ -118,6 +130,10 @@ impl RuntimeStats {
             cold_parallel_tasks: AtomicU64::new(0),
             cold_step_memo_hits: AtomicU64::new(0),
             cold_step_memo_misses: AtomicU64::new(0),
+            cold_outcome_hits: AtomicU64::new(0),
+            cold_outcome_misses: AtomicU64::new(0),
+            sim_table_bytes: AtomicU64::new(0),
+            sim_table_resets: AtomicU64::new(0),
             faults_injected: AtomicU64::new(0),
             worker_respawns: AtomicU64::new(0),
             api_accepted: AtomicU64::new(0),
@@ -142,6 +158,8 @@ impl RuntimeStats {
         self.cold_parallel_tasks.fetch_add(cold.parallel_tasks, Ordering::Relaxed);
         self.cold_step_memo_hits.fetch_add(cold.step_memo_hits, Ordering::Relaxed);
         self.cold_step_memo_misses.fetch_add(cold.step_memo_misses, Ordering::Relaxed);
+        self.cold_outcome_hits.fetch_add(cold.outcome_hits, Ordering::Relaxed);
+        self.cold_outcome_misses.fetch_add(cold.outcome_misses, Ordering::Relaxed);
     }
 
     /// Records one finished job body on worker `worker`.
@@ -188,6 +206,10 @@ impl RuntimeStats {
             cold_parallel_tasks: self.cold_parallel_tasks.load(Ordering::Relaxed),
             cold_step_memo_hits: self.cold_step_memo_hits.load(Ordering::Relaxed),
             cold_step_memo_misses: self.cold_step_memo_misses.load(Ordering::Relaxed),
+            cold_outcome_hits: self.cold_outcome_hits.load(Ordering::Relaxed),
+            cold_outcome_misses: self.cold_outcome_misses.load(Ordering::Relaxed),
+            sim_table_bytes: self.sim_table_bytes.load(Ordering::Relaxed),
+            sim_table_resets: self.sim_table_resets.load(Ordering::Relaxed),
             faults_injected: self.faults_injected.load(Ordering::Relaxed),
             worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
             api_accepted: self.api_accepted.load(Ordering::Relaxed),
@@ -249,6 +271,15 @@ pub struct StatsSnapshot {
     pub cold_step_memo_hits: u64,
     /// Step-memo misses across cold simulations.
     pub cold_step_memo_misses: u64,
+    /// Outcome-cache hits across cold simulations.
+    pub cold_outcome_hits: u64,
+    /// Outcome-cache misses across cold simulations.
+    pub cold_outcome_misses: u64,
+    /// Gauge at snapshot time: estimated bytes of the workers' kept
+    /// simulation tables.
+    pub sim_table_bytes: u64,
+    /// Generations of kept simulation tables dropped so far.
+    pub sim_table_resets: u64,
     /// Faults injected by the fault plan.
     pub faults_injected: u64,
     /// Worker loops respawned after an escaped panic.
@@ -410,6 +441,10 @@ impl Serialize for StatsSnapshot {
         m.insert("cold_parallel_tasks", self.cold_parallel_tasks);
         m.insert("cold_step_memo_hits", self.cold_step_memo_hits);
         m.insert("cold_step_memo_misses", self.cold_step_memo_misses);
+        m.insert("cold_outcome_hits", self.cold_outcome_hits);
+        m.insert("cold_outcome_misses", self.cold_outcome_misses);
+        m.insert("sim_table_bytes", self.sim_table_bytes);
+        m.insert("sim_table_resets", self.sim_table_resets);
         m.insert("faults_injected", self.faults_injected);
         m.insert("worker_respawns", self.worker_respawns);
         m.insert("api_accepted", self.api_accepted);
@@ -473,6 +508,8 @@ mod tests {
             parallel_tasks: 3,
             step_memo_hits: 40,
             step_memo_misses: 2,
+            outcome_hits: 7,
+            outcome_misses: 5,
         });
         stats.record_cold(&cf_core::perf::ColdStats {
             shape_memo_hits: 1,
@@ -481,7 +518,11 @@ mod tests {
             parallel_tasks: 0,
             step_memo_hits: 0,
             step_memo_misses: 1,
+            outcome_hits: 2,
+            outcome_misses: 0,
         });
+        stats.sim_table_bytes.store(4096, Ordering::Relaxed);
+        stats.sim_table_resets.fetch_add(1, Ordering::Relaxed);
         let json = stats.snapshot().render_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"shed_jobs\":2"), "{json}");
@@ -499,6 +540,10 @@ mod tests {
         assert!(json.contains("\"cold_parallel_tasks\":3"), "{json}");
         assert!(json.contains("\"cold_step_memo_hits\":40"), "{json}");
         assert!(json.contains("\"cold_step_memo_misses\":3"), "{json}");
+        assert!(json.contains("\"cold_outcome_hits\":9"), "{json}");
+        assert!(json.contains("\"cold_outcome_misses\":5"), "{json}");
+        assert!(json.contains("\"sim_table_bytes\":4096"), "{json}");
+        assert!(json.contains("\"sim_table_resets\":1"), "{json}");
         assert!(json.contains("\"in_flight\":4"), "{json}");
         assert!(json.contains("\"queued_bytes\":64"), "{json}");
         assert!(json.contains("\"workers\":[{"), "{json}");

@@ -277,6 +277,10 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
         "cf_spans_dropped_total",
         "cf_in_flight",
         "cf_uptime_seconds",
+        "cf_cold_outcome_hits_total",
+        "cf_cold_outcome_misses_total",
+        "cf_sim_table_bytes",
+        "cf_sim_table_resets_total",
     ] {
         assert!(value_of(&samples, family, None).is_some(), "missing {family}: {body}");
     }
