@@ -1,7 +1,7 @@
 //! `bench_gate` — the CI performance gate over the cf-runtime service
 //! layer.
 //!
-//! Measures nine numbers, writes them to `BENCH_runtime.json`
+//! Measures ten numbers, writes them to `BENCH_runtime.json`
 //! (the artifact CI uploads) and gates five of them against a
 //! committed baseline:
 //!
@@ -46,6 +46,11 @@
 //!   (ceiling = baseline with the headroom undone × 3), and never above
 //!   4 ms — a bar that two 10 ms polling hops (median ≈ 10 ms) cannot
 //!   meet.
+//! * `http_submit_rtt_us` — median round trip of 32 sequential
+//!   `POST /jobs` of the same, plan-cached spec through the same pair,
+//!   each after the same 15 ms idle gap (informational). Unlike a poll,
+//!   a submit crosses the router's attempt handoff and the backend's
+//!   job completion handoff.
 //!
 //! ```text
 //! bench_gate [--out PATH] [--baseline PATH] [--write-baseline]
@@ -115,8 +120,8 @@ const HTTP_RTT_ITERS: usize = 32;
 const HTTP_IDLE_GAP: Duration = Duration::from_millis(15);
 /// HTTP gate: fail when the median round trip exceeds the baseline's
 /// at-write-time value by more than this factor (loopback round trips
-/// cross two thread spawns, so the allowance is wider than the cold
-/// gate's) …
+/// cross two listeners' thread wake-ups, so the allowance is wider than
+/// the cold gate's) …
 const HTTP_GATE_FACTOR: f64 = 3.0;
 /// … or exceeds this many µs, whatever the baseline says.
 const HTTP_RTT_CEILING_US: f64 = 4000.0;
@@ -137,6 +142,7 @@ struct GateReport {
     replay_records_per_s: f64,
     profile_overhead: f64,
     http_rtt_us: f64,
+    http_submit_rtt_us: f64,
 }
 
 /// Rounds to two decimals so the committed baseline diffs stay readable.
@@ -156,6 +162,7 @@ impl Serialize for GateReport {
         obj.insert("replay_records_per_s", self.replay_records_per_s.round());
         obj.insert("profile_overhead", round2(self.profile_overhead));
         obj.insert("http_rtt_us", round2(self.http_rtt_us));
+        obj.insert("http_submit_rtt_us", round2(self.http_submit_rtt_us));
         Value::Object(obj)
     }
 }
@@ -343,8 +350,10 @@ fn http(addr: SocketAddr, request: &str) -> std::io::Result<String> {
 }
 
 /// Median µs of [`HTTP_RTT_ITERS`] idle-gapped `GET /jobs/0` polls of a
-/// finished job through a router in front of one status server.
-fn measure_http_rtt() -> Result<f64, String> {
+/// finished job through a router in front of one status server, then of
+/// as many idle-gapped `POST /jobs` of the same spec (each a plan-cache
+/// hit, finished before the next gap ends): `(poll, submit)`.
+fn measure_http_rtt() -> Result<(f64, f64), String> {
     let obs = Obs::new(64);
     let runtime = Arc::new(Runtime::new(RuntimeConfig { workers: 1, ..Default::default() }));
     obs.publish(runtime.stats_arc(), runtime.load_policy());
@@ -364,17 +373,38 @@ fn measure_http_rtt() -> Result<f64, String> {
     }
     // The first poll waits the job out; the timed ones find it done.
     let poll = "GET /jobs/0 HTTP/1.1\r\nHost: bench\r\n\r\n";
-    let mut samples = Vec::with_capacity(HTTP_RTT_ITERS);
-    for i in 0..=HTTP_RTT_ITERS {
-        thread::sleep(HTTP_IDLE_GAP);
-        let t0 = Instant::now();
+    let polls = idle_gapped_median(|i| {
         let record = http(addr, poll).map_err(|e| format!("poll: {e}"))?;
         if !record.starts_with("HTTP/1.1 200") {
             return Err(format!("poll answered {record:?}"));
         }
-        if i > 0 {
+        Ok(i > 0)
+    })?;
+    let submits = idle_gapped_median(|_| {
+        let accepted = http(addr, &submit).map_err(|e| format!("submit: {e}"))?;
+        if !accepted.starts_with("HTTP/1.1 202") {
+            return Err(format!("submit answered {accepted:?}"));
+        }
+        Ok(true)
+    })?;
+    Ok((polls, submits))
+}
+
+/// Median µs of [`HTTP_RTT_ITERS`] timed calls of `exchange`, each after
+/// an [`HTTP_IDLE_GAP`]. `exchange(i)` returns whether call `i` counts;
+/// calls run until that many have.
+fn idle_gapped_median(
+    mut exchange: impl FnMut(usize) -> Result<bool, String>,
+) -> Result<f64, String> {
+    let mut samples = Vec::with_capacity(HTTP_RTT_ITERS);
+    let mut i = 0;
+    while samples.len() < HTTP_RTT_ITERS {
+        thread::sleep(HTTP_IDLE_GAP);
+        let t0 = Instant::now();
+        if exchange(i)? {
             samples.push(t0.elapsed());
         }
+        i += 1;
     }
     samples.sort_unstable();
     Ok(samples[HTTP_RTT_ITERS / 2].as_secs_f64() * 1e6)
@@ -435,7 +465,7 @@ fn main() -> ExitCode {
     eprintln!("bench_gate: journal replay {replay:.0} records/s");
     let profile_overhead = measure_profile_overhead();
     eprintln!("bench_gate: simulate_profiled overhead {profile_overhead:.2}x of plain simulate");
-    let http_rtt_us = match measure_http_rtt() {
+    let (http_rtt_us, http_submit_rtt_us) = match measure_http_rtt() {
         Ok(v) => v,
         Err(e) => {
             eprintln!("bench_gate: http round trip: {e}");
@@ -443,6 +473,7 @@ fn main() -> ExitCode {
         }
     };
     eprintln!("bench_gate: router -> status round trip {http_rtt_us:.1}µs (median)");
+    eprintln!("bench_gate: router -> status submit round trip {http_submit_rtt_us:.1}µs (median)");
 
     let report = GateReport {
         cached_speedup: speedup,
@@ -454,6 +485,7 @@ fn main() -> ExitCode {
         replay_records_per_s: replay,
         profile_overhead,
         http_rtt_us,
+        http_submit_rtt_us,
     };
     let json = serde_json::to_string(&report) + "\n";
     if let Err(e) = std::fs::write(&out, &json) {
@@ -473,6 +505,7 @@ fn main() -> ExitCode {
             replay_records_per_s: replay * BASELINE_HEADROOM,
             profile_overhead,
             http_rtt_us: http_rtt_us * BASELINE_HEADROOM,
+            http_submit_rtt_us: http_submit_rtt_us * BASELINE_HEADROOM,
         };
         let json = serde_json::to_string(&conservative) + "\n";
         if let Some(dir) = baseline.parent() {

@@ -510,7 +510,7 @@ impl JobApi {
                         self.runtime.tracer().attach(handle.id(), ctx);
                     }
                     self.note_scheduled(id, handle.id());
-                    self.spawn_completion(id, move || {
+                    self.complete_when_done(id, move || {
                         handle.join().map(|sim| (sim_output(&sim.report), Some(sim.cache_hit)))
                     });
                 }
@@ -536,11 +536,11 @@ impl JobApi {
         }
     }
 
-    /// Submits one job to the runtime and spawns its completion thread.
-    /// Admission was already checked at the front door; a capacity race
-    /// between that check and this submit is absorbed with a few
-    /// retries, after which the shed becomes the job's terminal outcome
-    /// (the accept is durable, so the id must settle either way).
+    /// Submits one job to the runtime and hands its completion to a
+    /// parked thread. Admission was already checked at the front door; a
+    /// capacity race between that check and this submit is absorbed with
+    /// a few retries, after which the shed becomes the job's terminal
+    /// outcome (the accept is durable, so the id must settle either way).
     fn run_job(self: &Arc<Self>, id: u64, job: ParsedJob, trace: Option<TraceContext>) {
         let mut attempt = 0u32;
         let opts = JobOptions { trace, ..Default::default() };
@@ -555,7 +555,7 @@ impl JobApi {
                     );
                     if admitted.is_ok() {
                         self.note_scheduled(id, h.id());
-                        self.spawn_completion(id, move || {
+                        self.complete_when_done(id, move || {
                             h.join().map(|p| (sim_output(&p.report), None))
                         });
                         return;
@@ -570,7 +570,7 @@ impl JobApi {
                     );
                     if admitted.is_ok() {
                         self.note_scheduled(id, h.id());
-                        self.spawn_completion(id, move || {
+                        self.complete_when_done(id, move || {
                             h.join().map(|sim| (sim_output(&sim.report), Some(sim.cache_hit)))
                         });
                         return;
@@ -586,7 +586,7 @@ impl JobApi {
                     );
                     if admitted.is_ok() {
                         self.note_scheduled(id, h.id());
-                        self.spawn_completion(id, move || {
+                        self.complete_when_done(id, move || {
                             h.join().map(|exec| (exec_output(&exec.memory), None))
                         });
                         return;
@@ -608,22 +608,22 @@ impl JobApi {
         }
     }
 
-    /// Joins `join` on a background thread and settles job `id` (and its
-    /// coalesced followers) with the outcome. The closure's second slot
-    /// reports whether the result came from the plan cache (when the
-    /// path knows), feeding the attribution's `cached` flag.
-    fn spawn_completion<F>(self: &Arc<Self>, id: u64, join: F)
+    /// Joins `join` on a parked thread and settles job `id` (and its
+    /// coalesced followers) with the outcome there, so the completion's
+    /// journal write never holds up a scheduler pool worker. The
+    /// closure's second slot reports whether the result came from the
+    /// plan cache (when the path knows), feeding the attribution's
+    /// `cached` flag.
+    fn complete_when_done<F>(self: &Arc<Self>, id: u64, join: F)
     where
         F: FnOnce() -> Result<(JobOutput, Option<bool>), JobError> + Send + 'static,
     {
         let api = Arc::clone(self);
-        let spawned = std::thread::Builder::new().name(format!("cf-api-job-{id}")).spawn(
-            move || match join() {
-                Ok((output, cached)) => api.complete(id, Ok(output), cached),
-                Err(e) => api.complete(id, Err(e.to_string()), None),
-            },
-        );
-        if spawned.is_err() {
+        let started = crate::parked::run(move || match join() {
+            Ok((output, cached)) => api.complete(id, Ok(output), cached),
+            Err(e) => api.complete(id, Err(e.to_string()), None),
+        });
+        if started.is_err() {
             self.complete(id, Err("completion thread spawn failed".to_string()), None);
         }
     }

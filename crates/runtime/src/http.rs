@@ -27,6 +27,7 @@
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -337,6 +338,14 @@ impl Response {
     /// A JSON `{"error":…}` response.
     pub fn error(status: &'static str, message: &str) -> Response {
         Response::json(status, format!("{{\"error\":{}}}", json_str(message)))
+    }
+
+    /// What `respond` returns, or a `500` if it panics: a handler bug
+    /// costs its request an error reply, never an empty one.
+    pub(crate) fn guarded(respond: impl FnOnce() -> Response) -> Response {
+        panic::catch_unwind(AssertUnwindSafe(respond)).unwrap_or_else(|_| {
+            Response::error("500 Internal Server Error", "internal error: the handler panicked")
+        })
     }
 
     /// A `405` naming the one method `allow`ed on the route.
@@ -665,6 +674,19 @@ mod tests {
         let reply = parse_reply(&out).unwrap();
         assert_eq!(reply.body, b"m 1\n");
         assert!(digest_ok(&reply));
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_a_stamped_500() {
+        let ok = Response::guarded(|| Response::json("200 OK", "{}".to_string()));
+        assert_eq!(ok.status, "200 OK");
+        let mut out = Vec::new();
+        Response::guarded(|| panic!("handler bug")).write_to(&mut out).unwrap();
+        let reply = parse_reply(&out).unwrap();
+        assert_eq!(reply.status, 500);
+        assert!(reply.header("x-cf-digest").is_some());
+        assert!(digest_ok(&reply));
+        assert!(reply.text().contains("panicked"), "{}", reply.text());
     }
 
     // -- replies ------------------------------------------------------------

@@ -120,6 +120,7 @@ pub mod manifest;
 pub mod metrics;
 pub mod netfault;
 pub mod obs;
+pub(crate) mod parked;
 pub mod router;
 pub mod scheduler;
 pub mod serve;

@@ -408,7 +408,8 @@ const TRICKLE_CHUNK: usize = 256;
 /// faults to the raw response bytes on the way back. Black-box: the
 /// process under test just dials the proxy's address as if it were the
 /// backend (`cfrouter --fault-proxy`). Runs on the shared blocking
-/// [`AcceptLoop`], one thread per proxied connection.
+/// [`AcceptLoop`]: each proxied connection is served, upstream exchange
+/// included, on the resident thread that accepted it.
 #[derive(Debug)]
 pub struct FaultProxy {
     listener: AcceptLoop,
@@ -435,7 +436,8 @@ impl FaultProxy {
         self.listener.local_addr()
     }
 
-    /// Stops the accept loop and joins its thread (also done on drop).
+    /// Stops the accept loop (also done on drop); connections already
+    /// being proxied finish on their own threads.
     pub fn shutdown(mut self) {
         self.listener.stop();
     }

@@ -49,9 +49,10 @@
 //! fleet-wide id, so a client cannot tell the fleet from one big
 //! instance. [`RouterServer`] serves it all on the shared blocking
 //! [`AcceptLoop`], so no idle poll sits between a client and the
-//! router. HTTP framing in both directions — reading client requests,
-//! writing digest-stamped responses, rendering backend requests,
-//! parsing backend replies — is [`crate::http`]'s. See DESIGN.md §10.
+//! router, and no request starts a thread. HTTP framing in both
+//! directions — reading client requests, writing digest-stamped
+//! responses, rendering backend requests, parsing backend replies — is
+//! [`crate::http`]'s. See DESIGN.md §10.
 
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
@@ -68,6 +69,7 @@ use crate::http::{
 use crate::listener::AcceptLoop;
 use crate::netfault::{FaultConnector, NetFaultPlan};
 use crate::obs::LatencyHistogram;
+use crate::parked;
 use crate::serve::{json_str, verify_record_json};
 use crate::stats::RouterStats;
 use crate::supervisor::{next_retry, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
@@ -1011,9 +1013,10 @@ impl Router {
     /// Fires one submit attempt at `primary` — with its own child trace
     /// context, so the backend's spans parent to this attempt — hedging
     /// one duplicate to `secondary` if no answer arrives within the
-    /// hedge threshold. First answer wins; the loser's stream is shut
-    /// down, its span recorded as `cancelled`, and the hedge outcome
-    /// booked on both backends' counters.
+    /// hedge threshold. Attempts run on parked threads; this one keeps
+    /// the timer and both cancel slots. First answer wins; the loser's
+    /// stream is shut down at once, its span recorded as `cancelled`,
+    /// and the hedge outcome booked on both backends' counters.
     fn exchange_hedged(
         &self,
         root: TraceContext,
@@ -1023,50 +1026,53 @@ impl Router {
         text: &str,
     ) -> AttemptReply {
         let threshold = self.hedge_threshold();
-        let (tx, rx) = mpsc::channel::<(usize, std::io::Result<Reply>, Arc<CancelSlot>)>();
-        let fire = |idx: usize, raw: Vec<u8>, tx: mpsc::Sender<_>| {
-            let addr = self.backend_addr(idx);
-            let connect = self.config.connect_timeout;
-            let read = self.config.read_timeout;
-            let connector = Arc::clone(&self.connector);
+        let (tx, rx) = mpsc::channel::<(usize, std::io::Result<Reply>)>();
+        let fire = |idx: usize, ctx: TraceContext| {
             let slot = Arc::new(CancelSlot::default());
-            let thread_slot = Arc::clone(&slot);
-            let thread_tx = tx.clone();
-            let spawned =
-                thread::Builder::new().name("cf-router-proxy".to_string()).spawn(move || {
-                    let reply = connector.fetch(&addr, &raw, connect, read, Some(&thread_slot));
-                    let _ = thread_tx.send((idx, reply, thread_slot));
-                });
-            if spawned.is_err() {
-                let refused = std::io::Error::other("proxy thread spawn failed");
-                let _ = tx.send((idx, Err(refused), slot));
+            let task_slot = Arc::clone(&slot);
+            let addr = self.backend_addr(idx);
+            let raw = submit_raw(text, ctx);
+            let (connect, read) = (self.config.connect_timeout, self.config.read_timeout);
+            let connector = Arc::clone(&self.connector);
+            let task_tx = tx.clone();
+            let started = parked::run(move || {
+                let reply = connector.fetch(&addr, &raw, connect, read, Some(&task_slot));
+                let _ = task_tx.send((idx, reply));
+            });
+            if let Err(e) = started {
+                let _ = tx.send((idx, Err(e)));
             }
+            slot
         };
 
         let primary_ctx = root.child();
         let primary_fired = Instant::now();
-        fire(primary, submit_raw(text, primary_ctx), tx.clone());
+        let primary_slot = fire(primary, primary_ctx);
         let hedge_target = match secondary {
             Some(s) if !threshold.is_zero() && s != primary => Some(s),
             _ => None,
         };
-        let mut hedge_fired: Option<(usize, TraceContext, Instant)> = None;
+        let mut hedge_fired: Option<(usize, TraceContext, Instant, Arc<CancelSlot>)> = None;
         let first = match hedge_target {
             Some(s) => match rx.recv_timeout(threshold) {
                 Ok(first) => Ok(first),
                 Err(mpsc::RecvTimeoutError::Timeout) => {
                     self.stats.hedges.fetch_add(1, Ordering::Relaxed);
                     let hedge_ctx = root.child();
-                    hedge_fired = Some((s, hedge_ctx, Instant::now()));
-                    fire(s, submit_raw(text, hedge_ctx), tx.clone());
-                    rx.recv().map_err(|_| ())
+                    hedge_fired = Some((s, hedge_ctx, Instant::now(), fire(s, hedge_ctx)));
+                    // Only the attempts hold senders now: if both die
+                    // unanswered, the receive fails instead of blocking.
+                    drop(tx);
+                    rx.recv()
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => Err(()),
+                Err(mpsc::RecvTimeoutError::Disconnected) => Err(mpsc::RecvError),
             },
-            None => rx.recv().map_err(|_| ()),
+            None => {
+                drop(tx);
+                rx.recv()
+            }
         };
-        drop(tx);
-        let Ok((idx, reply, _slot)) = first else {
+        let Ok((idx, reply)) = first else {
             let lost = std::io::Error::other("proxy channel lost");
             return AttemptReply {
                 backend: primary,
@@ -1076,26 +1082,20 @@ impl Router {
                 reply: Err(lost),
             };
         };
-        // A hedged duplicate that loses gets cancelled so it does not
-        // ride out its full read timeout against the slow backend.
-        if let Ok((loser_idx, loser_reply, loser_slot)) = rx.try_recv() {
-            drop((loser_idx, loser_reply));
-            loser_slot.cancel();
-        } else if hedge_fired.is_some() {
-            // The loser is still in flight: shut its stream down. A
-            // dedicated drainer reaps the channel so the send never
-            // blocks (it is unbounded anyway — this is belt and braces).
-            thread::spawn(move || while rx.recv().map(|(_, _, s)| s.cancel()).is_ok() {});
-        }
         // Resolve the race: the loser's span closes as `cancelled`,
         // and the per-backend hedge outcome lands on both sides.
         let (ctx, win_cause, fired_at) = match hedge_fired {
-            Some((hedge_idx, hedge_ctx, hedge_at)) => {
-                let (loser_idx, loser_ctx, loser_cause, loser_at) = if idx == primary {
-                    (hedge_idx, hedge_ctx, "hedge", hedge_at)
+            Some((hedge_idx, hedge_ctx, hedge_at, hedge_slot)) => {
+                // The loser is shut down now rather than left to ride out
+                // its read timeout against a slow backend; one that has
+                // already answered is unaffected, and its reply is dropped
+                // with the channel.
+                let (loser_idx, loser_ctx, loser_cause, loser_at, loser_slot) = if idx == primary {
+                    (hedge_idx, hedge_ctx, "hedge", hedge_at, hedge_slot)
                 } else {
-                    (primary, primary_ctx, cause, primary_fired)
+                    (primary, primary_ctx, cause, primary_fired, primary_slot)
                 };
+                loser_slot.cancel();
                 self.record_attempt(loser_ctx, loser_cause, loser_idx, loser_at, "cancelled");
                 {
                     let mut backends = sync::lock(&self.backends);
@@ -1637,17 +1637,16 @@ impl Router {
             let connector = Arc::clone(&self.connector);
             let connect = self.config.connect_timeout;
             let read = self.config.probe_timeout.max(Duration::from_secs(2));
-            let spawned =
-                thread::Builder::new().name("cf-router-scrape".to_string()).spawn(move || {
-                    let reply = connector
-                        .fetch(&addr, &raw, connect, read, None)
-                        .ok()
-                        .filter(|r| r.status == 200);
-                    let corrupt = reply.as_ref().is_some_and(|r| !digest_ok(r));
-                    let body = reply.filter(digest_ok).map(|r| r.text());
-                    let _ = tx.send((i, body, corrupt));
-                });
-            if spawned.is_ok() {
+            let started = parked::run(move || {
+                let reply = connector
+                    .fetch(&addr, &raw, connect, read, None)
+                    .ok()
+                    .filter(|r| r.status == 200);
+                let corrupt = reply.as_ref().is_some_and(|r| !digest_ok(r));
+                let body = reply.filter(digest_ok).map(|r| r.text());
+                let _ = tx.send((i, body, corrupt));
+            });
+            if started.is_ok() {
                 expected += 1;
             }
         }
@@ -1983,10 +1982,11 @@ fn translate_ids(reply: &Reply, backend_id: u64, rid: u64, status_only: bool) ->
 // The router's HTTP server
 // ---------------------------------------------------------------------------
 
-/// The router's HTTP/1.1 listener: the shared [`AcceptLoop`], one thread
-/// per connection: `http::read_request`, dispatch,
-/// [`Response::write_to`]. Binds 127.0.0.1
-/// only.
+/// The router's HTTP/1.1 listener: the shared [`AcceptLoop`], whose
+/// resident threads each serve the connection they accepted:
+/// `http::read_request`, dispatch (a panic answers `500`),
+/// [`Response::write_to`]. Submit attempts and scrapes run on parked,
+/// reused threads, so a request starts no thread. Binds 127.0.0.1 only.
 #[derive(Debug)]
 pub struct RouterServer {
     listener: AcceptLoop,
@@ -2014,8 +2014,8 @@ impl RouterServer {
         self.listener.local_addr()
     }
 
-    /// Stops the accept loop and the prober, joining both threads (also
-    /// done on drop).
+    /// Stops the accept loop and joins the prober (also done on drop).
+    /// Requests already being served finish on their own threads.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -2038,7 +2038,7 @@ impl Drop for RouterServer {
 /// check.
 fn serve_connection(mut stream: TcpStream, router: &Router) -> std::io::Result<()> {
     let response = match http::read_request(&mut stream, router.config.max_body) {
-        Ok(Some((request, _))) => router.dispatch(&request),
+        Ok(Some((request, _))) => Response::guarded(|| router.dispatch(&request)),
         Ok(None) => return Ok(()),
         Err(e) => Response::error(e.status(), &e.to_string()),
     };
@@ -2189,6 +2189,59 @@ mod tests {
         assert_eq!(hedge_pick(&[0, 1, 2], 0, |_| false), None);
         // Primary dead, two live replicas: hedge picks a live one.
         assert_eq!(hedge_pick(&[0, 1, 2], 0, |c| c > 0), Some(1));
+    }
+
+    /// A hedge that wins shuts the slow primary's connection down at
+    /// once, instead of leaving it to ride out the read timeout.
+    #[test]
+    fn a_winning_hedge_cancels_the_in_flight_primary() {
+        use std::io::Read;
+        use std::net::TcpListener;
+
+        // The primary accepts, reads, and never answers; it reports when
+        // the router closes the connection.
+        let stub = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stub_addr = stub.local_addr().unwrap().to_string();
+        let (closed_tx, closed_rx) = mpsc::channel();
+        let stub_thread = thread::spawn(move || {
+            let (mut conn, _) = stub.accept().unwrap();
+            conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = [0u8; 4096];
+            while matches!(conn.read(&mut buf), Ok(n) if n > 0) {}
+            let _ = closed_tx.send(Instant::now());
+        });
+        let obs = crate::Obs::new(64);
+        let runtime = Arc::new(crate::Runtime::new(crate::RuntimeConfig {
+            workers: 1,
+            ..Default::default()
+        }));
+        obs.publish(runtime.stats_arc(), runtime.load_policy());
+        obs.publish_api(crate::JobApi::new(Arc::clone(&runtime), 4096));
+        let hedge = crate::StatusServer::bind(0, obs).unwrap();
+        let router = Router::new(RouterConfig {
+            backends: vec![stub_addr, hedge.local_addr().to_string()],
+            hedge_floor: Duration::from_millis(10),
+            ..RouterConfig::default()
+        });
+        // A spec the ring places on the stub first.
+        let spec = (16u32..)
+            .map(|order| {
+                format!("{{\"workload\":\"matmul\",\"order\":{order},\"machine\":\"tiny\"}}")
+            })
+            .find(|spec| router.ring().replicas(api::routing_fingerprint(spec))[0] == 0)
+            .unwrap();
+
+        let response = router.submit(spec.as_bytes(), None);
+        let answered = Instant::now();
+        assert_eq!(response.status, "202 Accepted", "{}", response.body);
+        assert_eq!(router.stats.hedge_wins.load(Ordering::Relaxed), 1);
+        let closed = closed_rx
+            .recv_timeout(Duration::from_secs(1))
+            .expect("the losing primary's connection stayed open");
+        assert!(closed.saturating_duration_since(answered) < Duration::from_secs(1));
+        assert_eq!(sync::lock(&router.backends)[0].hedges_cancelled, 1);
+        stub_thread.join().unwrap();
+        hedge.shutdown();
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! handling. A wrong method on a known route answers `405` with an
 //! `Allow` header instead of a silent drop; malformed request heads
 //! answer `400`; a `Content-Length` beyond the configured bound answers
-//! `413` before the body is read. The shared blocking [`AcceptLoop`] answers
-//! a connect the instant it lands and hands each connection to its own
-//! thread, so a long-poll on `GET /jobs/<id>` never blocks probes. Each
-//! request records one [`SpanKind::ApiRequest`] span and a
-//! [`Stage::ApiRequest`] latency sample on the hub's tracer. The server binds 127.0.0.1 only. See
-//! DESIGN.md §8–9.
+//! `413` before the body is read; a route that panics answers `500`. The
+//! shared blocking [`AcceptLoop`] takes a connect the instant it lands and
+//! serves it on the resident thread that accepted it, keeping another
+//! thread waiting in `accept()`, so a long-poll on `GET /jobs/<id>` never
+//! blocks probes. Each request records one [`SpanKind::ApiRequest`] span
+//! and a [`Stage::ApiRequest`] latency sample on the hub's tracer. The
+//! server binds 127.0.0.1 only. See DESIGN.md §8–9.
 //!
 //! **Distributed tracing.** `POST /jobs` reads the `X-CF-Trace` request
 //! header (minting a fresh root context when absent — a lone backend
@@ -69,7 +70,7 @@ pub struct StatusServer {
 impl StatusServer {
     /// Binds `127.0.0.1:port` (`port` 0 picks a free port — read it back
     /// via [`local_addr`](StatusServer::local_addr)) and starts the
-    /// accept loop on a background thread.
+    /// accept loop's first thread.
     ///
     /// # Errors
     ///
@@ -88,8 +89,8 @@ impl StatusServer {
         self.listener.local_addr()
     }
 
-    /// Stops the accept loop and joins its thread (also done on drop).
-    /// Connection threads already serving a request finish on their own.
+    /// Stops the accept loop (also done on drop). Requests already being
+    /// served finish on their own threads.
     pub fn shutdown(mut self) {
         self.listener.stop();
     }
@@ -101,7 +102,7 @@ fn serve_connection(mut stream: TcpStream, obs: &Arc<Obs>, token: u64) -> std::i
     let t0 = Instant::now();
     let (request, response) = match http::read_request(&mut stream, max_body) {
         Ok(Some((request, _))) => {
-            let response = route(&request, obs);
+            let response = Response::guarded(|| route(&request, obs));
             (Some(request), response)
         }
         // Empty connect-and-close probe: nothing to answer.

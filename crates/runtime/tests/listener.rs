@@ -8,7 +8,9 @@
 //! * a request accepted just before shutdown is still answered in full;
 //! * after shutdown the port refuses connections;
 //! * a malformed request line gets a `400` whose digest verifies, from
-//!   the router as from the status server.
+//!   the router as from the status server;
+//! * a handler that panics costs its own connection, not the loop: the
+//!   next connection is still answered.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -193,4 +195,35 @@ fn malformed_requests_get_a_digest_stamped_400_from_every_server() {
     }
     router.shutdown();
     backend.shutdown();
+}
+
+#[test]
+fn a_panicking_handler_leaves_the_loop_serving() {
+    let mut listener = AcceptLoop::bind(0, "cf-test-panic", |mut stream, token| {
+        let mut byte = [0u8; 1];
+        if stream.read_exact(&mut byte).is_ok() {
+            assert!(token > 0, "handler bug on connection {token}");
+            let _ = stream.write_all(&byte);
+        }
+    })
+    .unwrap();
+    let at = listener.local_addr();
+    // The first connection's handler panics: the peer sees the
+    // connection close without an answer.
+    let mut first = TcpStream::connect(at).unwrap();
+    first.write_all(b"x").unwrap();
+    let mut raw = Vec::new();
+    first.read_to_end(&mut raw).unwrap();
+    assert!(raw.is_empty(), "{raw:?}");
+    // Every later connection is answered, by the same loop.
+    for _ in 0..3 {
+        let mut peer = TcpStream::connect(at).unwrap();
+        peer.write_all(b"y").unwrap();
+        let mut echo = [0u8; 1];
+        peer.read_exact(&mut echo).unwrap();
+        assert_eq!(&echo, b"y");
+    }
+    let t0 = Instant::now();
+    listener.stop();
+    assert!(t0.elapsed() < PROMPT, "stop took {:?}", t0.elapsed());
 }
