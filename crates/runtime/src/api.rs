@@ -22,7 +22,8 @@
 //!   same `(machine fingerprint, program content hash)` pair — the plan
 //!   cache key — run as *one* computation: the second joins the first
 //!   as a subscriber, gets its own durable id and record, and the
-//!   `cf_api_coalesced_total` counter ticks once per joined request.
+//!   [`RuntimeStats::api_coalesced`](crate::RuntimeStats::api_coalesced)
+//!   counter ticks once per joined request.
 //!
 //! The byte-exact record contract: a job submitted over the API and the
 //! identical manifest line produce byte-identical result records (both
@@ -360,8 +361,7 @@ impl JobApi {
         &self.runtime
     }
 
-    /// Accounts bytes of a finished record streamed to a client
-    /// (`cf_api_streamed_bytes_total`).
+    /// Accounts bytes of a finished record streamed to a client.
     pub fn note_streamed(&self, bytes: u64) {
         self.runtime.stats().api_streamed_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
@@ -1016,7 +1016,9 @@ fn parse_spec_line(line: &str) -> Result<ParsedJob, String> {
     let [spec] = specs.as_slice() else {
         return Err("spec must describe exactly one job".to_string());
     };
-    let program = Arc::new(manifest::resolve_program(&spec.source).map_err(|e| e.to_string())?);
+    let program = manifest::resolve_program(&spec.source).map_err(|e| e.to_string())?;
+    manifest::check_exec_footprint(spec, &program).map_err(|e| e.to_string())?;
+    let program = Arc::new(program);
     let machine = manifest::machine_by_name(&spec.machine)
         .ok_or_else(|| format!("unknown machine `{}`", spec.machine))?;
     let mode = match spec.kind {

@@ -30,7 +30,8 @@
 //!   instead of unbounded queueing). See DESIGN.md §7.
 //! * [`RuntimeStats`] — lock-free counters (submissions, completions,
 //!   cache hits, retries, injected faults, queue wait, per-worker busy
-//!   time) snapshotted on demand.
+//!   time) snapshotted on demand, each declared once in a table that
+//!   also renders `/stats` and `/metrics` (see [`stats`]).
 //! * [`fault`] / [`supervisor`] — the resilience layer: a seeded,
 //!   deterministic [`FaultPlan`] injecting panics, latency, cache
 //!   corruption, deadline expiries and DMA faults; retry-with-backoff

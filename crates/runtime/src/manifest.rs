@@ -96,6 +96,8 @@ pub struct JobSpec {
     pub profile: bool,
     /// Write the profiled job's Chrome Trace Event JSON here.
     pub trace_json: Option<String>,
+    /// Manifest line the spec came from (1-based).
+    pub line: usize,
 }
 
 /// Manifest parsing/resolution errors, with 1-based line numbers.
@@ -136,6 +138,14 @@ pub enum ManifestError {
     ZeroDimension {
         /// The key whose value is zero.
         key: String,
+        /// Manifest line.
+        line: usize,
+    },
+    /// An exec job whose host footprint exceeds [`MAX_EXEC_BYTES`]; see
+    /// [`check_exec_footprint`].
+    ExecTooLarge {
+        /// The job's external memory in bytes (`extern_elems × 4`).
+        bytes: u64,
         /// Manifest line.
         line: usize,
     },
@@ -205,6 +215,11 @@ impl fmt::Display for ManifestError {
             ManifestError::ZeroDimension { key, line } => {
                 write!(f, "line {line}: `{key}` must be at least 1 (it sizes a tensor dimension)")
             }
+            ManifestError::ExecTooLarge { bytes, line } => write!(
+                f,
+                "line {line}: exec job needs {bytes} bytes of host memory, \
+                 above the {MAX_EXEC_BYTES}-byte exec limit (simulate it instead)"
+            ),
             ManifestError::BadSource { line } => {
                 write!(f, "line {line}: need exactly one of `program=` or `workload=`")
             }
@@ -380,7 +395,34 @@ fn parse_line(line: &str, line_no: usize) -> Result<JobSpec, ManifestError> {
         repeat,
         profile,
         trace_json,
+        line: line_no,
     })
+}
+
+/// The largest host footprint an exec job may need: 8 GiB of external
+/// memory. Exec mode allocates the program's whole external memory
+/// (`extern_elems × 4` bytes of `f32`) before the first instruction, so
+/// a spec like `workload=matmul order=200000 mode=exec` (480 GB) would
+/// abort the process. The largest exec spec the repo runs,
+/// `workload=svm size=paper`, needs 7.52 GB.
+pub const MAX_EXEC_BYTES: u64 = 8 << 30;
+
+/// Refuses an exec job whose resolved program needs more than
+/// [`MAX_EXEC_BYTES`] of host memory. The manifest run and the HTTP job
+/// API (including its resume path) both call this before a job is
+/// journaled or run; simulate jobs allocate no tensors and always pass.
+///
+/// # Errors
+///
+/// [`ManifestError::ExecTooLarge`] with the spec's line.
+pub fn check_exec_footprint(spec: &JobSpec, program: &Program) -> Result<(), ManifestError> {
+    let bytes = program.extern_elems().saturating_mul(std::mem::size_of::<f32>() as u64);
+    match spec.kind {
+        JobKind::Exec { .. } if bytes > MAX_EXEC_BYTES => {
+            Err(ManifestError::ExecTooLarge { bytes, line: spec.line })
+        }
+        _ => Ok(()),
+    }
 }
 
 /// Materialises a job's program (reads and parses the file, or runs the
@@ -493,6 +535,22 @@ mod tests {
         assert_eq!(
             parse_manifest("workload=nope\n").unwrap_err().reason(),
             &ManifestError::UnknownWorkload { name: "nope".into(), line: 1 }
+        );
+    }
+
+    #[test]
+    fn exec_footprint_is_capped_and_simulate_is_not() {
+        let check = |line: &str| {
+            let specs = parse_manifest(line).unwrap();
+            let program = resolve_program(&specs[0].source).unwrap();
+            check_exec_footprint(&specs[0], &program)
+        };
+        // The largest exec spec the repo runs passes.
+        assert_eq!(check("workload=svm size=paper mode=exec"), Ok(()));
+        assert_eq!(check("workload=matmul order=200000"), Ok(()));
+        assert_eq!(
+            check("\nworkload=matmul order=200000 mode=exec"),
+            Err(ManifestError::ExecTooLarge { bytes: 480_000_000_000, line: 2 })
         );
     }
 

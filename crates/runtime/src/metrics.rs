@@ -1,10 +1,17 @@
-//! Prometheus text-exposition rendering for the `/metrics` endpoint.
+//! Prometheus text-exposition rendering for the `/metrics` endpoint —
+//! the one exposition writer of the crate.
 //!
-//! One renderer turns a [`StatsSnapshot`], the run's [`LoadPolicy`] and
+//! [`render`] turns a [`StatsSnapshot`], the run's [`LoadPolicy`] and
 //! the live [`Tracer`] (latency histograms, span-drop counter, simulator
-//! profile aggregate) into the Prometheus text format, version 0.0.4:
+//! profile aggregate) into the Prometheus text format, version 0.0.4.
+//! The counters and gauges come from the declaration table in
+//! [`crate::stats`] through `write_stats`; the histograms, per-worker
+//! series, profile aggregate and process-state gauges are written here
+//! by hand. The router renders its `cf_router_*` and `cf_slo_*` series
+//! through the same `Family` writer.
 //!
-//! * every series carries the `cf_` prefix and an `instance` label;
+//! * every series carries the `cf_` prefix; backend series carry an
+//!   `instance` label, the router's own series none;
 //! * counters end in `_total`, durations are seconds, sizes are bytes;
 //! * histograms use cumulative `le` buckets derived from the tracer's
 //!   power-of-two-microsecond buckets, closed by `+Inf`;
@@ -16,7 +23,7 @@
 
 use crate::obs::{Tracer, HISTOGRAM_BUCKETS, STAGES};
 use crate::scheduler::LoadPolicy;
-use crate::stats::StatsSnapshot;
+use crate::stats::{Stat, StatsSnapshot};
 
 /// Escapes a label value per the exposition format (`\` → `\\`,
 /// `"` → `\"`, newline → `\n`).
@@ -33,35 +40,57 @@ fn label_escape(v: &str) -> String {
     out
 }
 
-/// Appends one sample line: `name{labels} value`.
-fn sample_line(out: &mut String, name: &str, labels: &[(&str, &str)], value: &str) {
-    out.push_str(name);
-    out.push('{');
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{k}=\"{}\"", label_escape(v)));
-    }
-    out.push_str(&format!("}} {value}\n"));
-}
-
 /// One metric family under construction.
-struct Family<'a> {
+pub(crate) struct Family<'a> {
     out: &'a mut String,
     name: &'static str,
 }
 
 impl<'a> Family<'a> {
     /// Opens a family: writes its `# HELP` and `# TYPE` headers.
-    fn new(out: &'a mut String, name: &'static str, kind: &str, help: &str) -> Family<'a> {
+    pub(crate) fn new(
+        out: &'a mut String,
+        name: &'static str,
+        kind: &str,
+        help: &str,
+    ) -> Family<'a> {
         out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
         Family { out, name }
     }
 
-    /// Emits one sample with the given labels (values escaped here).
-    fn sample(&mut self, labels: &[(&str, &str)], value: &str) {
-        sample_line(self.out, self.name, labels, value);
+    /// Emits one sample with the given labels (values escaped here);
+    /// no labels writes a bare `name value` line.
+    pub(crate) fn sample(&mut self, labels: &[(&str, &str)], value: &str) {
+        self.sample_of("", labels, value);
+    }
+
+    /// Emits one sample of the family's `name{suffix}` series (a
+    /// histogram's `_bucket`, `_sum` and `_count`).
+    fn sample_of(&mut self, suffix: &str, labels: &[(&str, &str)], value: &str) {
+        self.out.push_str(self.name);
+        self.out.push_str(suffix);
+        if !labels.is_empty() {
+            let pairs: Vec<String> =
+                labels.iter().map(|(k, v)| format!("{k}=\"{}\"", label_escape(v))).collect();
+            self.out.push_str(&format!("{{{}}}", pairs.join(",")));
+        }
+        self.out.push_str(&format!(" {value}\n"));
+    }
+}
+
+/// Writes one family per declared stat, each sampled from `of` when
+/// there is one (without, the headers still declare the family).
+pub(crate) fn write_stats<T>(
+    out: &mut String,
+    stats: &[Stat<T>],
+    of: Option<&T>,
+    labels: &[(&str, &str)],
+) {
+    for stat in stats {
+        let mut f = Family::new(out, stat.family, stat.kind, stat.help);
+        if let Some(of) = of {
+            f.sample(labels, &(stat.value)(of).to_string());
+        }
     }
 }
 
@@ -95,294 +124,109 @@ pub fn render(
     let mut out = String::with_capacity(16 * 1024);
     let inst: &[(&str, &str)] = &[("instance", instance)];
 
-    // -- Runtime counters -------------------------------------------------
-    let counters: [(&'static str, &'static str, Option<u64>); 29] = [
-        ("cf_jobs_submitted_total", "Jobs accepted into the queue.", snap.map(|s| s.submitted)),
-        ("cf_jobs_completed_total", "Jobs finished with Ok.", snap.map(|s| s.completed)),
-        ("cf_jobs_failed_total", "Jobs finished with Err.", snap.map(|s| s.failed)),
-        ("cf_jobs_cancelled_total", "Jobs cancelled before starting.", snap.map(|s| s.cancelled)),
+    // -- The declared counters and gauges ----------------------------------
+    write_stats(&mut out, StatsSnapshot::STATS, snap, inst);
+
+    // -- Tracer, process and configuration state ----------------------------
+    let state: [(&'static str, &str, &str, Option<String>); 6] = [
         (
-            "cf_jobs_expired_total",
-            "Jobs whose deadline passed in the queue.",
-            snap.map(|s| s.expired),
-        ),
-        ("cf_cache_hits_total", "Plan/report cache hits.", snap.map(|s| s.cache_hits)),
-        ("cf_cache_misses_total", "Plan/report cache misses.", snap.map(|s| s.cache_misses)),
-        (
-            "cf_cache_corruptions_total",
-            "Checksum-detected corrupt cache hits.",
-            snap.map(|s| s.cache_corruptions),
-        ),
-        ("cf_retries_total", "Retried supervised attempts.", snap.map(|s| s.retries)),
-        ("cf_shed_breaker_total", "Jobs shed by the open circuit breaker.", snap.map(|s| s.shed)),
-        (
-            "cf_shed_jobs_total",
-            "Submissions rejected by admission control.",
-            snap.map(|s| s.shed_jobs),
-        ),
-        (
-            "cf_resumed_jobs_total",
-            "Jobs answered from a resume journal.",
-            snap.map(|s| s.resumed_jobs),
-        ),
-        (
-            "cf_journal_bytes_total",
-            "Bytes appended to the serve journal.",
-            snap.map(|s| s.journal_bytes),
-        ),
-        (
-            "cf_journal_compactions_total",
-            "Serve-journal compactions (resume + live).",
-            snap.map(|s| s.journal_compactions),
-        ),
-        (
-            "cf_journal_bytes_reclaimed_total",
-            "Bytes reclaimed from the serve journal by compaction.",
-            snap.map(|s| s.journal_bytes_reclaimed),
-        ),
-        (
-            "cf_cold_simulate_memo_hits_total",
-            "Shape-memo hits across cold (uncached) simulations.",
-            snap.map(|s| s.cold_memo_hits),
-        ),
-        (
-            "cf_cold_simulate_memo_misses_total",
-            "Shape-memo misses across cold (uncached) simulations.",
-            snap.map(|s| s.cold_memo_misses),
-        ),
-        (
-            "cf_cold_simulate_parallel_tasks_total",
-            "Cold subtrees fanned out to extra threads by parallel simulation.",
-            snap.map(|s| s.cold_parallel_tasks),
-        ),
-        (
-            "cf_cold_step_memo_hits_total",
-            "Plan steps cold simulations timed from the step memo.",
-            snap.map(|s| s.cold_step_memo_hits),
-        ),
-        (
-            "cf_cold_step_memo_misses_total",
-            "Plan steps cold simulations timed child by child.",
-            snap.map(|s| s.cold_step_memo_misses),
-        ),
-        (
-            "cf_cold_outcome_hits_total",
-            "Subtree outcomes cold simulations served from the outcome cache.",
-            snap.map(|s| s.cold_outcome_hits),
-        ),
-        (
-            "cf_cold_outcome_misses_total",
-            "Subtree outcomes cold simulations planned and timed.",
-            snap.map(|s| s.cold_outcome_misses),
-        ),
-        (
-            "cf_sim_table_resets_total",
-            "Generations of the workers' kept simulation tables dropped.",
-            snap.map(|s| s.sim_table_resets),
-        ),
-        (
-            "cf_faults_injected_total",
-            "Faults injected by the fault plan.",
-            snap.map(|s| s.faults_injected),
-        ),
-        (
-            "cf_worker_respawns_total",
-            "Worker loops respawned after an escaped panic.",
-            snap.map(|s| s.worker_respawns),
-        ),
-        (
-            "cf_api_accepted_total",
-            "Jobs accepted through the HTTP job API.",
-            snap.map(|s| s.api_accepted),
-        ),
-        (
-            "cf_api_shed_total",
-            "HTTP submissions shed at the front door with 503.",
-            snap.map(|s| s.api_shed),
-        ),
-        (
-            "cf_api_coalesced_total",
-            "HTTP submissions coalesced onto an identical in-flight job.",
-            snap.map(|s| s.api_coalesced),
-        ),
-        (
-            "cf_api_streamed_bytes_total",
-            "Result bytes streamed to HTTP clients by GET /jobs/<id>.",
-            snap.map(|s| s.api_streamed_bytes),
-        ),
-    ];
-    for (name, help, value) in counters {
-        let mut f = Family::new(&mut out, name, "counter", help);
-        if let Some(v) = value {
-            f.sample(inst, &v.to_string());
-        }
-    }
-    {
-        let mut f = Family::new(
-            &mut out,
-            "cf_queue_wait_seconds_total",
-            "counter",
-            "Cumulative queue waiting time across jobs.",
-        );
-        if let Some(s) = snap {
-            f.sample(inst, &fmt_f64(s.queue_wait.as_secs_f64()));
-        }
-    }
-    {
-        let mut f = Family::new(
-            &mut out,
             "cf_spans_dropped_total",
             "counter",
             "Span events dropped from the observability ring buffer.",
-        );
-        f.sample(inst, &tracer.dropped().to_string());
-    }
-    {
-        let mut f = Family::new(
-            &mut out,
+            Some(tracer.dropped().to_string()),
+        ),
+        (
             "cf_trace_attached_total",
             "counter",
             "Jobs attached to a distributed trace context.",
-        );
-        f.sample(inst, &tracer.attached_total().to_string());
-    }
-
-    // -- Gauges -----------------------------------------------------------
-    let gauges: [(&'static str, &'static str, Option<String>); 8] = [
+            Some(tracer.attached_total().to_string()),
+        ),
         (
             "cf_draining",
+            "gauge",
             "1 while the instance is draining (stopped admitting, finishing in-flight work).",
-            Some(if draining { "1" } else { "0" }.to_string()),
-        ),
-        (
-            "cf_in_flight",
-            "Jobs accepted into the queue and not yet terminal.",
-            snap.map(|s| s.in_flight.to_string()),
-        ),
-        (
-            "cf_queued_bytes",
-            "Estimated bytes of queued, not-yet-started work.",
-            snap.map(|s| s.queued_bytes.to_string()),
-        ),
-        (
-            "cf_cold_simulate_arena_bytes",
-            "High-water plan-buffer bytes retained by any one cold simulation's arena.",
-            snap.map(|s| s.cold_arena_bytes.to_string()),
-        ),
-        (
-            "cf_sim_table_bytes",
-            "Estimated bytes of the simulation tables workers keep across jobs.",
-            snap.map(|s| s.sim_table_bytes.to_string()),
+            Some(u8::from(draining).to_string()),
         ),
         (
             "cf_uptime_seconds",
+            "gauge",
             "Seconds since the runtime started.",
             snap.map(|s| fmt_f64(s.uptime.as_secs_f64())),
         ),
         (
             "cf_max_in_flight",
+            "gauge",
             "Admission-control in-flight limit (0 = unlimited).",
             load.map(|l| l.max_in_flight.to_string()),
         ),
         (
             "cf_max_queued_bytes",
+            "gauge",
             "Admission-control queued-bytes limit (0 = unlimited).",
             load.map(|l| l.max_queued_bytes.to_string()),
         ),
     ];
-    for (name, help, value) in gauges {
-        let mut f = Family::new(&mut out, name, "gauge", help);
+    for (name, kind, help, value) in state {
+        let mut f = Family::new(&mut out, name, kind, help);
         if let Some(v) = value {
             f.sample(inst, &v);
         }
     }
-    {
-        let mut f = Family::new(
-            &mut out,
-            "cf_build_info",
-            "gauge",
-            "Build identity of this instance (constant 1; version and git labels).",
-        );
-        let (version, git) = build_info();
-        f.sample(&[("instance", instance), ("version", version), ("git", git)], "1");
-    }
+    let (version, git) = build_info();
+    Family::new(
+        &mut out,
+        "cf_build_info",
+        "gauge",
+        "Build identity of this instance (constant 1; version and git labels).",
+    )
+    .sample(&[("instance", instance), ("version", version), ("git", git)], "1");
 
     // -- Per-worker counters ----------------------------------------------
-    {
-        let mut f =
-            Family::new(&mut out, "cf_worker_jobs_total", "counter", "Jobs the worker ran.");
-        if let Some(s) = snap {
-            for (i, w) in s.per_worker.iter().enumerate() {
-                let idx = i.to_string();
-                f.sample(&[("instance", instance), ("worker", &idx)], &w.jobs.to_string());
-            }
-        }
-    }
-    {
-        let mut f = Family::new(
-            &mut out,
-            "cf_worker_busy_seconds_total",
-            "counter",
-            "Seconds the worker spent in job bodies.",
-        );
-        if let Some(s) = snap {
-            for (i, w) in s.per_worker.iter().enumerate() {
-                let idx = i.to_string();
-                f.sample(
-                    &[("instance", instance), ("worker", &idx)],
-                    &fmt_f64(w.busy.as_secs_f64()),
-                );
-            }
+    type WorkerValue = fn(&crate::stats::WorkerSnapshot) -> String;
+    let per_worker: [(&'static str, &'static str, WorkerValue); 2] = [
+        ("cf_worker_jobs_total", "Jobs the worker ran.", |w| w.jobs.to_string()),
+        ("cf_worker_busy_seconds_total", "Seconds the worker spent in job bodies.", |w| {
+            fmt_f64(w.busy.as_secs_f64())
+        }),
+    ];
+    for (name, help, value) in per_worker {
+        let mut f = Family::new(&mut out, name, "counter", help);
+        for (i, w) in snap.map_or(&[][..], |s| &s.per_worker).iter().enumerate() {
+            f.sample(&[("instance", instance), ("worker", &i.to_string())], &value(w));
         }
     }
 
     // -- Stage latency histograms -----------------------------------------
+    let mut f = Family::new(
+        &mut out,
+        "cf_stage_latency_seconds",
+        "histogram",
+        "Runtime pipeline-stage latency \
+         (queue wait, run, cache lookup, retry backoff, journal append, api request).",
+    );
+    // One bucket snapshot per stage: `+Inf` and `_count` are both
+    // derived from it, so the exposition stays internally consistent
+    // even while workers are observing concurrently (reading `count()`
+    // separately could disagree with the buckets mid-run).
     let mut stage_totals: Vec<u64> = Vec::with_capacity(STAGES.len());
-    {
-        out.push_str(concat!(
-            "# HELP cf_stage_latency_seconds Runtime pipeline-stage latency ",
-            "(queue wait, run, cache lookup, retry backoff, journal append, api request).\n",
-            "# TYPE cf_stage_latency_seconds histogram\n",
-        ));
-        // One bucket snapshot per stage: `+Inf` and `_count` are both
-        // derived from it, so the exposition stays internally
-        // consistent even while workers are observing concurrently
-        // (reading `count()` separately could disagree with the
-        // buckets mid-run).
-        for &stage in &STAGES {
-            let h = tracer.histogram(stage);
-            let counts = h.bucket_counts();
-            let mut cumulative = 0u64;
-            for (i, &c) in counts.iter().enumerate().take(HISTOGRAM_BUCKETS) {
-                cumulative += c;
-                // Bucket i counts samples in [2^i, 2^(i+1)) µs.
-                let le = fmt_f64(f64::powi(2.0, i as i32 + 1) / 1e6);
-                sample_line(
-                    &mut out,
-                    "cf_stage_latency_seconds_bucket",
-                    &[("instance", instance), ("stage", stage.name()), ("le", &le)],
-                    &cumulative.to_string(),
-                );
-            }
-            sample_line(
-                &mut out,
-                "cf_stage_latency_seconds_bucket",
-                &[("instance", instance), ("stage", stage.name()), ("le", "+Inf")],
-                &cumulative.to_string(),
-            );
-            stage_totals.push(cumulative);
+    for &stage in &STAGES {
+        let counts = tracer.histogram(stage).bucket_counts();
+        let mut cumulative = 0u64;
+        for (i, &c) in counts.iter().enumerate().take(HISTOGRAM_BUCKETS) {
+            cumulative += c;
+            // Bucket i counts samples in [2^i, 2^(i+1)) µs.
+            let le = fmt_f64(f64::powi(2.0, i as i32 + 1) / 1e6);
+            let labels = [("instance", instance), ("stage", stage.name()), ("le", &le)];
+            f.sample_of("_bucket", &labels, &cumulative.to_string());
         }
+        let labels = [("instance", instance), ("stage", stage.name()), ("le", "+Inf")];
+        f.sample_of("_bucket", &labels, &cumulative.to_string());
+        stage_totals.push(cumulative);
     }
     for (&stage, &total) in STAGES.iter().zip(&stage_totals) {
-        let h = tracer.histogram(stage);
-        let labels: &[(&str, &str)] = &[("instance", instance), ("stage", stage.name())];
-        sample_line(
-            &mut out,
-            "cf_stage_latency_seconds_sum",
-            labels,
-            &fmt_f64(h.total().as_secs_f64()),
-        );
-        sample_line(&mut out, "cf_stage_latency_seconds_count", labels, &total.to_string());
+        let labels = [("instance", instance), ("stage", stage.name())];
+        f.sample_of("_sum", &labels, &fmt_f64(tracer.histogram(stage).total().as_secs_f64()));
+        f.sample_of("_count", &labels, &total.to_string());
     }
 
     // -- Simulator profile aggregate ---------------------------------------
@@ -478,24 +322,12 @@ mod tests {
         assert!(body.contains("cf_trace_attached_total{instance=\"t0\"} 0"), "{body}");
         // But stats counters have none.
         assert!(!body.contains("cf_jobs_submitted_total{"), "{body}");
-        // The api counter families are declared even without a snapshot.
-        for family in [
-            "cf_api_accepted_total",
-            "cf_api_shed_total",
-            "cf_api_coalesced_total",
-            "cf_api_streamed_bytes_total",
-            "cf_cold_simulate_memo_hits_total",
-            "cf_cold_simulate_memo_misses_total",
-            "cf_cold_simulate_parallel_tasks_total",
-            "cf_cold_step_memo_hits_total",
-            "cf_cold_step_memo_misses_total",
-            "cf_cold_outcome_hits_total",
-            "cf_cold_outcome_misses_total",
-            "cf_sim_table_resets_total",
-        ] {
-            assert!(body.contains(&format!("# TYPE {family} counter")), "{family}:\n{body}");
+        // Every declared counter and gauge is declared even without a
+        // snapshot.
+        for stat in StatsSnapshot::STATS {
+            let header = format!("# TYPE {} {}\n", stat.family, stat.kind);
+            assert!(body.contains(&header), "{}:\n{body}", stat.family);
         }
-        assert!(body.contains("# TYPE cf_sim_table_bytes gauge"), "{body}");
         // Build info always has its constant sample.
         let (version, git) = build_info();
         assert!(

@@ -31,7 +31,7 @@
 //!   trusts it: the `X-CF-Digest` header over the body, plus the
 //!   per-record digest field on streamed records (see
 //!   [`crate::serve::verify_record_json`]). A mismatch counts as a
-//!   failure (`cf_router_corrupt_responses`), feeds the breaker, and
+//!   failure ([`RouterStats::corrupt_responses`]), feeds the breaker, and
 //!   fails over; repeated corruption moves the backend to
 //!   [`BackendHealth::Quarantined`] — answering probes but untrusted —
 //!   until the quarantine window elapses. All backend traffic flows
@@ -43,7 +43,9 @@
 //! backend table), `/ring` (the routing table), and `/metrics` — every
 //! backend's Prometheus exposition merged into one fleet view (the
 //! per-backend `instance` label keeps series distinct) plus the
-//! router's own `cf_router_*` series. `POST /jobs`,
+//! router's own `cf_router_*` and `cf_slo_*` series (unlabelled). The
+//! `/stats` counters and the `cf_router_*` counter families render from
+//! one declaration each ([`RouterStats::COUNTERS`]). `POST /jobs`,
 //! `GET /jobs/<id>` and `GET /jobs/<id>/status` proxy to the owning
 //! backend with the backend-local job id translated to the router's
 //! fleet-wide id, so a client cannot tell the fleet from one big
@@ -61,12 +63,15 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use serde_json::{Map, Value};
+
 use crate::api;
 use crate::fault::fnv1a;
 use crate::http::{
     self, digest_ok, CancelSlot, Connector, HttpRequest, Reply, Response, TcpConnector,
 };
 use crate::listener::AcceptLoop;
+use crate::metrics::{self, Family};
 use crate::netfault::{FaultConnector, NetFaultPlan};
 use crate::obs::LatencyHistogram;
 use crate::parked;
@@ -473,7 +478,6 @@ fn render_merged_trace(
     addrs: &[String],
 ) -> String {
     use cf_core::profile::{trace_complete_event, trace_process_name, trace_thread_name};
-    use serde_json::{Map, Value};
 
     let mut evs: Vec<Value> = Vec::new();
     evs.push(trace_process_name(0, "cfrouter"));
@@ -1535,7 +1539,7 @@ impl Router {
                 *n += 1;
             }
         }
-        let rows: Vec<String> = backends
+        let rows: Vec<Value> = backends
             .iter()
             .zip(&per_backend)
             .map(|(b, &n)| {
@@ -1544,51 +1548,34 @@ impl Router {
                     BreakerState::Open => "open",
                     BreakerState::HalfOpen => "half-open",
                 };
-                let (probe_error, probe_error_age) = match (&b.last_probe_error, b.last_probe_error_at)
-                {
-                    (Some(e), Some(at)) => (json_str(e), at.elapsed().as_secs().to_string()),
-                    _ => ("null".to_string(), "null".to_string()),
+                let probe_error = match (&b.last_probe_error, b.last_probe_error_at) {
+                    (Some(e), Some(at)) => Some((e.as_str(), at.elapsed().as_secs())),
+                    _ => None,
                 };
-                format!(
-                    "{{\"addr\":{},\"health\":{},\"breaker\":{},\"jobs\":{n},\"consecutive_failures\":{},\"consecutive_successes\":{},\"consecutive_corruptions\":{},\"hedges_won\":{},\"hedges_cancelled\":{},\"last_probe_error\":{probe_error},\"last_probe_error_age_s\":{probe_error_age}}}",
-                    json_str(&b.addr),
-                    json_str(b.health.name()),
-                    json_str(breaker),
-                    b.consecutive_failures,
-                    b.consecutive_successes,
-                    b.consecutive_corruptions,
-                    b.hedges_won,
-                    b.hedges_cancelled,
-                )
+                let mut row = Map::new();
+                row.insert("addr", b.addr.as_str());
+                row.insert("health", b.health.name());
+                row.insert("breaker", breaker);
+                row.insert("jobs", n);
+                row.insert("consecutive_failures", b.consecutive_failures);
+                row.insert("consecutive_successes", b.consecutive_successes);
+                row.insert("consecutive_corruptions", b.consecutive_corruptions);
+                row.insert("hedges_won", b.hedges_won);
+                row.insert("hedges_cancelled", b.hedges_cancelled);
+                row.insert("last_probe_error", probe_error.map(|(e, _)| e));
+                row.insert("last_probe_error_age_s", probe_error.map(|(_, age)| age));
+                Value::Object(row)
             })
             .collect();
-        let s = &self.stats;
-        let attribution = format!(
-            "{{\"records\":{},\"total_us\":{},\"admission_us\":{},\"queue_us\":{},\"run_us\":{},\"net_us\":{},\"backoff_us\":{}}}",
-            s.attr_records.load(Ordering::Relaxed),
-            s.attr_total_us.load(Ordering::Relaxed),
-            s.attr_admission_us.load(Ordering::Relaxed),
-            s.attr_queue_us.load(Ordering::Relaxed),
-            s.attr_run_us.load(Ordering::Relaxed),
-            s.attr_net_us.load(Ordering::Relaxed),
-            s.attr_backoff_us.load(Ordering::Relaxed),
-        );
-        format!(
-            "{{\"routed\":{},\"records_streamed\":{},\"failovers\":{},\"hedges\":{},\"hedge_wins\":{},\"ejections\":{},\"readmissions\":{},\"probe_failures\":{},\"corrupt_responses\":{},\"quarantines\":{},\"jobs\":{},\"spans\":{},\"attribution\":{attribution},\"backends\":[{}]}}",
-            s.routed.load(Ordering::Relaxed),
-            s.records_streamed.load(Ordering::Relaxed),
-            s.failovers.load(Ordering::Relaxed),
-            s.hedges.load(Ordering::Relaxed),
-            s.hedge_wins.load(Ordering::Relaxed),
-            s.ejections.load(Ordering::Relaxed),
-            s.readmissions.load(Ordering::Relaxed),
-            s.probe_failures.load(Ordering::Relaxed),
-            s.corrupt_responses.load(Ordering::Relaxed),
-            s.quarantines.load(Ordering::Relaxed),
-            jobs.len(),
-            sync::lock(&self.spans).len(),
-            rows.join(","),
-        )
+        let mut m = Map::new();
+        for stat in RouterStats::COUNTERS {
+            m.insert(stat.key, (stat.value)(&self.stats));
+        }
+        m.insert("jobs", jobs.len());
+        m.insert("spans", sync::lock(&self.spans).len());
+        m.insert("attribution", self.stats.attribution());
+        m.insert("backends", rows);
+        Value::Object(m).to_string()
     }
 
     /// The `/ring` routing table: vnode count, the backend list with
@@ -1703,80 +1690,22 @@ impl Router {
         out
     }
 
-    /// The router's own `cf_router_*` series.
+    /// The router's own `cf_router_*` and `cf_slo_*` series (no
+    /// `instance` label: there is one router per fleet).
     fn own_metrics(&self) -> String {
-        let s = &self.stats;
-        let counters: [(&str, &str, u64); 10] = [
-            (
-                "cf_router_routed_total",
-                "Jobs accepted and routed to a backend.",
-                s.routed.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_records_streamed_total",
-                "Finished records streamed through the router.",
-                s.records_streamed.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_failovers_total",
-                "Requests failed over to another ring replica.",
-                s.failovers.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_hedges_total",
-                "Hedged duplicate requests fired past the latency quantile.",
-                s.hedges.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_hedge_wins_total",
-                "Hedged duplicates that answered first.",
-                s.hedge_wins.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_ejections_total",
-                "Backends ejected by the health prober.",
-                s.ejections.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_readmissions_total",
-                "Ejected backends re-admitted after consecutive healthy probes.",
-                s.readmissions.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_probe_failures_total",
-                "Health probes that failed (503 / timeout / connect error).",
-                s.probe_failures.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_corrupt_responses",
-                "Backend responses rejected for a digest mismatch (header or record field).",
-                s.corrupt_responses.load(Ordering::Relaxed),
-            ),
-            (
-                "cf_router_quarantines_total",
-                "Backends quarantined after repeated corrupt responses.",
-                s.quarantines.load(Ordering::Relaxed),
-            ),
-        ];
         let mut out = String::with_capacity(2048);
-        for (name, help, value) in counters {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
+        metrics::write_stats(&mut out, RouterStats::COUNTERS, Some(&self.stats), &[]);
+        let mut up = Family::new(
+            &mut out,
+            "cf_router_backend_up",
+            "gauge",
+            "Backend routability as seen by the prober \
+             (1 = up, 0 = ejected, draining or quarantined).",
+        );
+        for b in sync::lock(&self.backends).iter() {
+            let value = if b.health == BackendHealth::Up { "1" } else { "0" };
+            up.sample(&[("backend", &b.addr), ("state", b.health.name())], value);
         }
-        out.push_str(concat!(
-            "# HELP cf_router_backend_up Backend routability as seen by the prober ",
-            "(1 = up, 0 = ejected, draining or quarantined).\n",
-            "# TYPE cf_router_backend_up gauge\n",
-        ));
-        let backends = sync::lock(&self.backends);
-        for b in backends.iter() {
-            out.push_str(&format!(
-                "cf_router_backend_up{{backend=\"{}\",state=\"{}\"}} {}\n",
-                b.addr.replace('"', ""),
-                b.health.name(),
-                u8::from(b.health == BackendHealth::Up),
-            ));
-        }
-        drop(backends);
         self.slo_metrics(&mut out);
         out
     }
@@ -1787,54 +1716,54 @@ impl Router {
     fn slo_metrics(&self, out: &mut String) {
         let slo = self.slo.as_ref();
         let uptime = self.started.elapsed();
-        let series: [(&str, &str, &str, Option<String>); 7] = [
+        let series: [(&'static str, &str, &str, Option<Value>); 7] = [
             (
                 "cf_slo_good_total",
                 "counter",
                 "Finished jobs whose SLO latency met the target.",
-                slo.map(|s| s.good.load(Ordering::Relaxed).to_string()),
+                slo.map(|s| s.good.load(Ordering::Relaxed).into()),
             ),
             (
                 "cf_slo_bad_total",
                 "counter",
                 "Finished jobs whose SLO latency missed the target.",
-                slo.map(|s| s.bad.load(Ordering::Relaxed).to_string()),
+                slo.map(|s| s.bad.load(Ordering::Relaxed).into()),
             ),
             (
                 "cf_slo_error_budget_remaining",
                 "gauge",
                 "Fraction of the error budget still unspent (1 = untouched, 0 = exhausted).",
-                slo.map(|s| format!("{:?}", s.budget_remaining())),
+                slo.map(|s| s.budget_remaining().into()),
             ),
             (
                 "cf_slo_burn_rate_5m",
                 "gauge",
                 "Error-budget burn rate over the trailing 5 minutes (1 = burning exactly at budget).",
-                slo.map(|s| format!("{:?}", s.burn_rate(&s.w5m, uptime.as_secs() / 5))),
+                slo.map(|s| s.burn_rate(&s.w5m, uptime.as_secs() / 5).into()),
             ),
             (
                 "cf_slo_burn_rate_1h",
                 "gauge",
                 "Error-budget burn rate over the trailing hour (1 = burning exactly at budget).",
-                slo.map(|s| format!("{:?}", s.burn_rate(&s.w1h, uptime.as_secs() / 60))),
+                slo.map(|s| s.burn_rate(&s.w1h, uptime.as_secs() / 60).into()),
             ),
             (
                 "cf_slo_target_seconds",
                 "gauge",
                 "Configured SLO latency target.",
-                slo.map(|s| format!("{:?}", s.target.as_secs_f64())),
+                slo.map(|s| s.target.as_secs_f64().into()),
             ),
             (
                 "cf_slo_objective",
                 "gauge",
                 "Configured SLO availability objective (e.g. 0.99).",
-                slo.map(|s| format!("{:?}", s.objective)),
+                slo.map(|s| s.objective.into()),
             ),
         ];
-        for (name, kind, help, sample) in series {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            if let Some(value) = sample {
-                out.push_str(&format!("{name} {value}\n"));
+        for (name, kind, help, value) in series {
+            let mut f = Family::new(out, name, kind, help);
+            if let Some(value) = value {
+                f.sample(&[], &value.to_string());
             }
         }
     }

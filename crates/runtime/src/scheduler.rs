@@ -571,6 +571,9 @@ impl Runtime {
                     self.inner.stats.queued_bytes.fetch_sub(job.cost as u64, Ordering::Relaxed);
                     (job.run)(Disposition::Shutdown);
                     self.inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    // Discarded before starting: a cancellation, so
+                    // `submitted == finished() + in_flight` still holds.
+                    self.inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
                 }
             }
             self.inner.not_empty.notify_all();

@@ -472,7 +472,9 @@ pub fn serve_specs_on(
     // via Arc) so validation errors abort before any job runs.
     let mut flat: Vec<FlatJob> = Vec::new();
     for spec in specs {
-        let program = Arc::new(manifest::resolve_program(&spec.source)?);
+        let program = manifest::resolve_program(&spec.source)?;
+        manifest::check_exec_footprint(spec, &program)?;
+        let program = Arc::new(program);
         let machine = manifest::machine_by_name(&spec.machine).ok_or_else(|| {
             // Parsing already validated the name; this guards direct
             // `serve_specs` callers handing in unvalidated specs.

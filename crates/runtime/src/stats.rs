@@ -1,10 +1,237 @@
-//! The `RuntimeStats` registry: lock-free counters describing what the
-//! runtime has done so far, readable at any time from any thread.
+//! The counter registries — [`RuntimeStats`] for a backend,
+//! [`RouterStats`] for the fleet router — declared once each.
+//!
+//! Every counter and gauge is one line of a table below: its field, its
+//! `/stats` JSON key, its Prometheus family, kind and help text. The
+//! table generates the struct of lock-free atomics (so call sites keep
+//! writing `stats.<field>.fetch_add`), the plain-value
+//! [`StatsSnapshot`] and its `/stats` JSON, and a list of [`Stat`]
+//! declarations that [`crate::metrics`] renders as `/metrics` families.
+//! A new counter is one table line plus its increment site; DESIGN.md
+//! §8 has the naming rules.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use serde_json::{Map, Serialize, Value};
+
+/// One declared counter or gauge: everything `/stats` and `/metrics`
+/// need to render it, generated from its table line.
+pub struct Stat<T> {
+    /// The `/stats` JSON key.
+    pub key: &'static str,
+    /// The Prometheus family name.
+    pub family: &'static str,
+    /// The Prometheus type: `"counter"` or `"gauge"`.
+    pub kind: &'static str,
+    /// The `# HELP` text (also the field's doc comment).
+    pub help: &'static str,
+    /// Reads the value from a `T` as a JSON number, whose text is also
+    /// the exposition sample.
+    pub value: fn(&T) -> Value,
+}
+
+/// The Prometheus type of a table kind: `seconds` is a counter kept in
+/// nanoseconds and exported in seconds.
+macro_rules! stat_kind {
+    (counter) => {
+        "counter"
+    };
+    (gauge) => {
+        "gauge"
+    };
+    (seconds) => {
+        "counter"
+    };
+}
+
+/// A table value as a JSON number (`seconds` entries hold nanoseconds).
+macro_rules! stat_value {
+    (seconds, $v:expr) => {
+        Value::from(Duration::from_nanos($v).as_secs_f64())
+    };
+    ($kind:ident, $v:expr) => {
+        Value::from($v)
+    };
+}
+
+/// A table line's `/stats` key: the field name unless the line gives
+/// one in parentheses.
+macro_rules! stat_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Generates [`RuntimeStats`], [`StatsSnapshot`] (with its `/stats`
+/// JSON) and [`StatsSnapshot::STATS`] from one table. A line is
+/// `field("key")?: kind "family" "help";`. An `@name;` line before an
+/// entry places the snapshot-only field `name` there in `/stats`.
+macro_rules! runtime_stats {
+    ($(
+        $(@ $extra:ident;)?
+        $(#[$doc:meta])*
+        $field:ident $(($key:literal))?: $kind:ident $family:literal $help:literal;
+    )*) => {
+        /// Aggregate counters for one [`Runtime`](crate::Runtime) instance.
+        ///
+        /// All lock-free atomics; [`snapshot`] folds them into a plain
+        /// value for reporting.
+        ///
+        /// [`snapshot`]: RuntimeStats::snapshot
+        // Field docs are the help texts, which are plain text (`<id>`).
+        #[allow(rustdoc::invalid_html_tags)]
+        #[derive(Debug)]
+        pub struct RuntimeStats {
+            $(
+                #[doc = $help]
+                $(#[$doc])*
+                pub $field: AtomicU64,
+            )*
+            /// Per-worker slots, fixed at pool construction.
+            pub workers: Vec<WorkerStats>,
+            started: Instant,
+        }
+
+        impl RuntimeStats {
+            /// A zeroed registry for a pool of `workers` threads.
+            pub fn new(workers: usize) -> Self {
+                RuntimeStats {
+                    $($field: AtomicU64::new(0),)*
+                    workers: (0..workers).map(|_| WorkerStats::default()).collect(),
+                    started: Instant::now(),
+                }
+            }
+
+            /// A point-in-time copy of every counter.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($field: self.$field.load(Ordering::Relaxed),)*
+                    spans_dropped: 0,
+                    uptime: self.started.elapsed(),
+                    per_worker: self.workers.iter().map(WorkerStats::snapshot).collect(),
+                }
+            }
+        }
+
+        /// Plain-value view of [`RuntimeStats`]; see
+        /// [`RuntimeStats::snapshot`].
+        #[allow(rustdoc::invalid_html_tags)]
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct StatsSnapshot {
+            $(
+                #[doc = $help]
+                pub $field: u64,
+            )*
+            /// Span events dropped from the observability ring buffer
+            /// under pressure. [`RuntimeStats::snapshot`] sets this to 0
+            /// — the registry does not own the tracer — and holders of
+            /// both (the serve engine, the `Obs` hub) overwrite it from
+            /// [`Tracer::dropped`](crate::obs::Tracer::dropped).
+            pub spans_dropped: u64,
+            /// Time since the runtime started.
+            pub uptime: Duration,
+            /// Per-worker job/busy counters.
+            pub per_worker: Vec<WorkerSnapshot>,
+        }
+
+        impl StatsSnapshot {
+            /// Every table line, in `/stats` order.
+            pub const STATS: &'static [Stat<StatsSnapshot>] = &[$(
+                Stat {
+                    key: stat_key!($field $($key)?),
+                    family: $family,
+                    kind: stat_kind!($kind),
+                    help: $help,
+                    value: |s| stat_value!($kind, s.$field),
+                },
+            )*];
+        }
+
+        /// The `/stats` schema: the table in order, then `uptime_s` and
+        /// the `workers` array. Durations are seconds as JSON numbers.
+        impl Serialize for StatsSnapshot {
+            fn to_value(&self) -> Value {
+                let mut m = Map::new();
+                $(
+                    $(m.insert(stringify!($extra), self.$extra);)?
+                    m.insert(stat_key!($field $($key)?), stat_value!($kind, self.$field));
+                )*
+                m.insert("uptime_s", self.uptime.as_secs_f64());
+                m.insert("workers", self.per_worker.to_value());
+                Value::Object(m)
+            }
+        }
+    };
+}
+
+runtime_stats! {
+    submitted: counter "cf_jobs_submitted_total" "Jobs accepted into the queue.";
+    completed: counter "cf_jobs_completed_total" "Jobs finished with Ok.";
+    /// Includes panicked bodies.
+    failed: counter "cf_jobs_failed_total" "Jobs finished with Err.";
+    cancelled: counter "cf_jobs_cancelled_total" "Jobs cancelled before starting.";
+    expired: counter "cf_jobs_expired_total" "Jobs whose deadline passed in the queue.";
+    cache_hits: counter "cf_cache_hits_total" "Plan/report cache hits.";
+    cache_misses: counter "cf_cache_misses_total" "Plan/report cache misses.";
+    /// The entry is dropped and the job recomputed.
+    cache_corruptions: counter "cf_cache_corruptions_total" "Checksum-detected corrupt cache hits.";
+    retries: counter "cf_retries_total" "Retried supervised attempts.";
+    shed("shed_breaker"): counter "cf_shed_breaker_total" "Jobs shed by the open circuit breaker.";
+    /// See [`LoadPolicy`](crate::LoadPolicy).
+    shed_jobs: counter "cf_shed_jobs_total" "Submissions rejected by admission control.";
+    resumed_jobs: counter "cf_resumed_jobs_total" "Jobs answered from a resume journal.";
+    journal_bytes: counter "cf_journal_bytes_total" "Bytes appended to the serve journal.";
+    journal_compactions: counter "cf_journal_compactions_total"
+        "Serve-journal compactions (resume + live).";
+    journal_bytes_reclaimed: counter "cf_journal_bytes_reclaimed_total"
+        "Bytes reclaimed from the serve journal by compaction.";
+    /// Split decisions served from the planner's shape memo.
+    cold_memo_hits: counter "cf_cold_simulate_memo_hits_total"
+        "Shape-memo hits across cold (uncached) simulations.";
+    cold_memo_misses: counter "cf_cold_simulate_memo_misses_total"
+        "Shape-memo misses across cold (uncached) simulations.";
+    /// A maximum over simulations, not a sum.
+    cold_arena_bytes: gauge "cf_cold_simulate_arena_bytes"
+        "High-water plan-buffer bytes retained by any one cold simulation's arena.";
+    cold_parallel_tasks: counter "cf_cold_simulate_parallel_tasks_total"
+        "Cold subtrees fanned out to extra threads by parallel simulation.";
+    cold_step_memo_hits: counter "cf_cold_step_memo_hits_total"
+        "Plan steps cold simulations timed from the step memo.";
+    cold_step_memo_misses: counter "cf_cold_step_memo_misses_total"
+        "Plan steps cold simulations timed child by child.";
+    /// Including ones an earlier job on the same worker computed.
+    cold_outcome_hits: counter "cf_cold_outcome_hits_total"
+        "Subtree outcomes cold simulations served from the outcome cache.";
+    cold_outcome_misses: counter "cf_cold_outcome_misses_total"
+        "Subtree outcomes cold simulations planned and timed.";
+    sim_table_bytes: gauge "cf_sim_table_bytes"
+        "Estimated bytes of the simulation tables workers keep across jobs.";
+    /// Budget overruns and worker respawns each drop one generation.
+    sim_table_resets: counter "cf_sim_table_resets_total"
+        "Generations of the workers' kept simulation tables dropped.";
+    /// See [`FaultPlan`](crate::FaultPlan).
+    faults_injected: counter "cf_faults_injected_total" "Faults injected by the fault plan.";
+    worker_respawns: counter "cf_worker_respawns_total"
+        "Worker loops respawned after an escaped panic.";
+    /// Through `POST /jobs`.
+    api_accepted: counter "cf_api_accepted_total" "Jobs accepted through the HTTP job API.";
+    api_shed: counter "cf_api_shed_total" "HTTP submissions shed at the front door with 503.";
+    api_coalesced: counter "cf_api_coalesced_total"
+        "HTTP submissions coalesced onto an identical in-flight job.";
+    api_streamed_bytes: counter "cf_api_streamed_bytes_total"
+        "Result bytes streamed to HTTP clients by GET /jobs/<id>.";
+    // `/stats` carries the tracer's span-drop count here.
+    @spans_dropped;
+    /// In nanoseconds; see [`StatsSnapshot::queue_wait`].
+    queue_wait_nanos("queue_wait_s"): seconds "cf_queue_wait_seconds_total"
+        "Cumulative queue waiting time across jobs.";
+    in_flight: gauge "cf_in_flight" "Jobs accepted into the queue and not yet terminal.";
+    queued_bytes: gauge "cf_queued_bytes" "Estimated bytes of queued, not-yet-started work.";
+}
 
 /// Per-worker counters (one slot per pool thread).
 #[derive(Debug, Default)]
@@ -15,139 +242,16 @@ pub struct WorkerStats {
     pub busy_nanos: AtomicU64,
 }
 
-/// Aggregate counters for one [`Runtime`](crate::Runtime) instance.
-///
-/// All counters are monotonically increasing atomics; [`snapshot`] folds
-/// them into a plain value for reporting.
-///
-/// [`snapshot`]: RuntimeStats::snapshot
-#[derive(Debug)]
-pub struct RuntimeStats {
-    /// Jobs accepted into the queue.
-    pub submitted: AtomicU64,
-    /// Jobs that ran and produced `Ok`.
-    pub completed: AtomicU64,
-    /// Jobs that ran and produced `Err` (including panicked bodies).
-    pub failed: AtomicU64,
-    /// Jobs cancelled before they started.
-    pub cancelled: AtomicU64,
-    /// Jobs whose deadline passed before a worker picked them up.
-    pub expired: AtomicU64,
-    /// Simulation jobs answered from the plan/report cache.
-    pub cache_hits: AtomicU64,
-    /// Simulation jobs that had to run the planner.
-    pub cache_misses: AtomicU64,
-    /// Cache hits whose checksum failed (entry dropped, job recomputed).
-    pub cache_corruptions: AtomicU64,
-    /// Supervised attempts that were retried after a transient failure.
-    pub retries: AtomicU64,
-    /// Jobs shed by the open circuit breaker.
-    pub shed: AtomicU64,
-    /// Submissions rejected by [`LoadPolicy`](crate::LoadPolicy)
-    /// admission control.
-    pub shed_jobs: AtomicU64,
-    /// Jobs answered from a resume journal instead of re-running.
-    pub resumed_jobs: AtomicU64,
-    /// Bytes appended to the serve journal this run.
-    pub journal_bytes: AtomicU64,
-    /// Times the serve journal was compacted (resume + live).
-    pub journal_compactions: AtomicU64,
-    /// Bytes reclaimed from the serve journal by compaction.
-    pub journal_bytes_reclaimed: AtomicU64,
-    /// Shape-memo hits accumulated across cold (cache-miss / bypass)
-    /// simulations — split decisions served from the planner's shape
-    /// memo instead of recomputed.
-    pub cold_memo_hits: AtomicU64,
-    /// Shape-memo misses across cold simulations (decisions computed).
-    pub cold_memo_misses: AtomicU64,
-    /// High-water bytes of plan buffers retained by any one cold
-    /// simulation's arena (a maximum, not a sum).
-    pub cold_arena_bytes: AtomicU64,
-    /// Cold subtrees fanned out to extra threads by parallel simulation.
-    pub cold_parallel_tasks: AtomicU64,
-    /// Plan steps whose timing cold simulations served from the step
-    /// memo.
-    pub cold_step_memo_hits: AtomicU64,
-    /// Plan steps cold simulations timed child by child.
-    pub cold_step_memo_misses: AtomicU64,
-    /// Subtree outcomes cold simulations served from the simulator's
-    /// outcome cache — including ones an earlier job on the same worker
-    /// computed.
-    pub cold_outcome_hits: AtomicU64,
-    /// Subtree outcomes cold simulations planned and timed.
-    pub cold_outcome_misses: AtomicU64,
-    /// Gauge: estimated bytes of the simulation tables the workers keep
-    /// across jobs.
-    pub sim_table_bytes: AtomicU64,
-    /// Times a worker's kept simulation tables were dropped as one
-    /// generation (budget overruns and worker respawns).
-    pub sim_table_resets: AtomicU64,
-    /// Faults the [`FaultPlan`](crate::FaultPlan) injected.
-    pub faults_injected: AtomicU64,
-    /// Worker loops respawned after an escaped panic.
-    pub worker_respawns: AtomicU64,
-    /// Jobs accepted through the HTTP job API (`POST /jobs`).
-    pub api_accepted: AtomicU64,
-    /// HTTP submissions shed at the front door with 503.
-    pub api_shed: AtomicU64,
-    /// HTTP submissions coalesced onto an identical in-flight job.
-    pub api_coalesced: AtomicU64,
-    /// Result bytes streamed to HTTP clients by `GET /jobs/<id>`.
-    pub api_streamed_bytes: AtomicU64,
-    /// Total nanoseconds jobs waited in the queue before starting.
-    pub queue_wait_nanos: AtomicU64,
-    /// Gauge: jobs accepted into the queue and not yet terminal.
-    pub in_flight: AtomicU64,
-    /// Gauge: estimated bytes of queued, not-yet-started work.
-    pub queued_bytes: AtomicU64,
-    /// Per-worker slots, fixed at pool construction.
-    pub workers: Vec<WorkerStats>,
-    started: Instant,
+impl WorkerStats {
+    fn snapshot(&self) -> WorkerSnapshot {
+        WorkerSnapshot {
+            jobs: self.jobs.load(Ordering::Relaxed),
+            busy: Duration::from_nanos(self.busy_nanos.load(Ordering::Relaxed)),
+        }
+    }
 }
 
 impl RuntimeStats {
-    /// A zeroed registry for a pool of `workers` threads.
-    pub fn new(workers: usize) -> Self {
-        RuntimeStats {
-            submitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            expired: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
-            cache_corruptions: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            shed_jobs: AtomicU64::new(0),
-            resumed_jobs: AtomicU64::new(0),
-            journal_bytes: AtomicU64::new(0),
-            journal_compactions: AtomicU64::new(0),
-            journal_bytes_reclaimed: AtomicU64::new(0),
-            cold_memo_hits: AtomicU64::new(0),
-            cold_memo_misses: AtomicU64::new(0),
-            cold_arena_bytes: AtomicU64::new(0),
-            cold_parallel_tasks: AtomicU64::new(0),
-            cold_step_memo_hits: AtomicU64::new(0),
-            cold_step_memo_misses: AtomicU64::new(0),
-            cold_outcome_hits: AtomicU64::new(0),
-            cold_outcome_misses: AtomicU64::new(0),
-            sim_table_bytes: AtomicU64::new(0),
-            sim_table_resets: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            worker_respawns: AtomicU64::new(0),
-            api_accepted: AtomicU64::new(0),
-            api_shed: AtomicU64::new(0),
-            api_coalesced: AtomicU64::new(0),
-            api_streamed_bytes: AtomicU64::new(0),
-            queue_wait_nanos: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            queued_bytes: AtomicU64::new(0),
-            workers: (0..workers).map(|_| WorkerStats::default()).collect(),
-            started: Instant::now(),
-        }
-    }
-
     /// Folds one cold simulation's planner instrumentation into the
     /// registry: hits/misses/fan-out accumulate, arena bytes keep the
     /// maximum (it is a per-run high-water mark, not a flow).
@@ -173,187 +277,91 @@ impl RuntimeStats {
             self.failed.fetch_add(1, Ordering::Relaxed);
         }
     }
+}
 
-    /// A point-in-time copy of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let per_worker: Vec<WorkerSnapshot> = self
-            .workers
-            .iter()
-            .map(|w| WorkerSnapshot {
-                jobs: w.jobs.load(Ordering::Relaxed),
-                busy: Duration::from_nanos(w.busy_nanos.load(Ordering::Relaxed)),
-            })
-            .collect();
-        StatsSnapshot {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            expired: self.expired.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            cache_corruptions: self.cache_corruptions.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            shed: self.shed.load(Ordering::Relaxed),
-            shed_jobs: self.shed_jobs.load(Ordering::Relaxed),
-            resumed_jobs: self.resumed_jobs.load(Ordering::Relaxed),
-            journal_bytes: self.journal_bytes.load(Ordering::Relaxed),
-            journal_compactions: self.journal_compactions.load(Ordering::Relaxed),
-            journal_bytes_reclaimed: self.journal_bytes_reclaimed.load(Ordering::Relaxed),
-            cold_memo_hits: self.cold_memo_hits.load(Ordering::Relaxed),
-            cold_memo_misses: self.cold_memo_misses.load(Ordering::Relaxed),
-            cold_arena_bytes: self.cold_arena_bytes.load(Ordering::Relaxed),
-            cold_parallel_tasks: self.cold_parallel_tasks.load(Ordering::Relaxed),
-            cold_step_memo_hits: self.cold_step_memo_hits.load(Ordering::Relaxed),
-            cold_step_memo_misses: self.cold_step_memo_misses.load(Ordering::Relaxed),
-            cold_outcome_hits: self.cold_outcome_hits.load(Ordering::Relaxed),
-            cold_outcome_misses: self.cold_outcome_misses.load(Ordering::Relaxed),
-            sim_table_bytes: self.sim_table_bytes.load(Ordering::Relaxed),
-            sim_table_resets: self.sim_table_resets.load(Ordering::Relaxed),
-            faults_injected: self.faults_injected.load(Ordering::Relaxed),
-            worker_respawns: self.worker_respawns.load(Ordering::Relaxed),
-            api_accepted: self.api_accepted.load(Ordering::Relaxed),
-            api_shed: self.api_shed.load(Ordering::Relaxed),
-            api_coalesced: self.api_coalesced.load(Ordering::Relaxed),
-            api_streamed_bytes: self.api_streamed_bytes.load(Ordering::Relaxed),
-            queue_wait: Duration::from_nanos(self.queue_wait_nanos.load(Ordering::Relaxed)),
-            in_flight: self.in_flight.load(Ordering::Relaxed),
-            queued_bytes: self.queued_bytes.load(Ordering::Relaxed),
-            spans_dropped: 0,
-            uptime: self.started.elapsed(),
-            per_worker,
+/// Generates [`RouterStats`] and [`RouterStats::COUNTERS`]: `counters`
+/// lines (`field: kind "family" "help";`) are top-level `/stats` keys
+/// and `cf_router_*` families; `attribution` lines
+/// (`field("key"): "help";`) are the `/stats` `attribution` object only.
+macro_rules! router_stats {
+    (
+        counters {
+            $($field:ident: $kind:ident $family:literal $help:literal;)*
         }
+        attribution {
+            $($(#[$adoc:meta])* $afield:ident($akey:literal): $ahelp:literal;)*
+        }
+    ) => {
+        /// Counters for one [`Router`](crate::router::Router) instance —
+        /// the fleet-level analogue of [`RuntimeStats`]. All
+        /// monotonically increasing atomics.
+        #[derive(Debug, Default)]
+        pub struct RouterStats {
+            $(
+                #[doc = $help]
+                pub $field: AtomicU64,
+            )*
+            $(
+                #[doc = $ahelp]
+                $(#[$adoc])*
+                pub $afield: AtomicU64,
+            )*
+        }
+
+        impl RouterStats {
+            /// The headline counters, in `/stats` order.
+            pub const COUNTERS: &'static [Stat<RouterStats>] = &[$(
+                Stat {
+                    key: stringify!($field),
+                    family: $family,
+                    kind: stat_kind!($kind),
+                    help: $help,
+                    value: |s| Value::from(s.$field.load(Ordering::Relaxed)),
+                },
+            )*];
+
+            /// The `/stats` `attribution` object: sums over finished
+            /// records' `X-CF-Attribution` breakdowns.
+            pub fn attribution(&self) -> Map {
+                let mut m = Map::new();
+                $(m.insert($akey, self.$afield.load(Ordering::Relaxed));)*
+                m
+            }
+        }
+    };
+}
+
+router_stats! {
+    counters {
+        routed: counter "cf_router_routed_total" "Jobs accepted and routed to a backend.";
+        records_streamed: counter "cf_router_records_streamed_total"
+            "Finished records streamed through the router.";
+        failovers: counter "cf_router_failovers_total" "Requests failed over to another ring replica.";
+        hedges: counter "cf_router_hedges_total"
+            "Hedged duplicate requests fired past the latency quantile.";
+        hedge_wins: counter "cf_router_hedge_wins_total" "Hedged duplicates that answered first.";
+        ejections: counter "cf_router_ejections_total" "Backends ejected by the health prober.";
+        readmissions: counter "cf_router_readmissions_total"
+            "Ejected backends re-admitted after consecutive healthy probes.";
+        probe_failures: counter "cf_router_probe_failures_total"
+            "Health probes that failed (503 / timeout / connect error).";
+        corrupt_responses: counter "cf_router_corrupt_responses"
+            "Backend responses rejected for a digest mismatch (header or record field).";
+        quarantines: counter "cf_router_quarantines_total"
+            "Backends quarantined after repeated corrupt responses.";
     }
-}
-
-/// Plain-value view of [`RuntimeStats`]; see [`RuntimeStats::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct StatsSnapshot {
-    /// Jobs accepted into the queue.
-    pub submitted: u64,
-    /// Jobs finished with `Ok`.
-    pub completed: u64,
-    /// Jobs finished with `Err`.
-    pub failed: u64,
-    /// Jobs cancelled before starting.
-    pub cancelled: u64,
-    /// Jobs that missed their deadline in the queue.
-    pub expired: u64,
-    /// Plan/report cache hits.
-    pub cache_hits: u64,
-    /// Plan/report cache misses.
-    pub cache_misses: u64,
-    /// Checksum-detected corrupt cache hits (recomputed).
-    pub cache_corruptions: u64,
-    /// Retried supervised attempts.
-    pub retries: u64,
-    /// Jobs shed by the open circuit breaker.
-    pub shed: u64,
-    /// Submissions rejected by admission control.
-    pub shed_jobs: u64,
-    /// Jobs answered from a resume journal.
-    pub resumed_jobs: u64,
-    /// Bytes appended to the serve journal this run.
-    pub journal_bytes: u64,
-    /// Times the serve journal was compacted (resume + live).
-    pub journal_compactions: u64,
-    /// Bytes reclaimed from the serve journal by compaction.
-    pub journal_bytes_reclaimed: u64,
-    /// Shape-memo hits across cold simulations.
-    pub cold_memo_hits: u64,
-    /// Shape-memo misses across cold simulations.
-    pub cold_memo_misses: u64,
-    /// High-water arena bytes of any one cold simulation.
-    pub cold_arena_bytes: u64,
-    /// Cold subtrees fanned out to extra threads.
-    pub cold_parallel_tasks: u64,
-    /// Step-memo hits across cold simulations.
-    pub cold_step_memo_hits: u64,
-    /// Step-memo misses across cold simulations.
-    pub cold_step_memo_misses: u64,
-    /// Outcome-cache hits across cold simulations.
-    pub cold_outcome_hits: u64,
-    /// Outcome-cache misses across cold simulations.
-    pub cold_outcome_misses: u64,
-    /// Gauge at snapshot time: estimated bytes of the workers' kept
-    /// simulation tables.
-    pub sim_table_bytes: u64,
-    /// Generations of kept simulation tables dropped so far.
-    pub sim_table_resets: u64,
-    /// Faults injected by the fault plan.
-    pub faults_injected: u64,
-    /// Worker loops respawned after an escaped panic.
-    pub worker_respawns: u64,
-    /// Jobs accepted through the HTTP job API.
-    pub api_accepted: u64,
-    /// HTTP submissions shed at the front door with 503.
-    pub api_shed: u64,
-    /// HTTP submissions coalesced onto an identical in-flight job.
-    pub api_coalesced: u64,
-    /// Result bytes streamed to HTTP clients.
-    pub api_streamed_bytes: u64,
-    /// Cumulative queue waiting time across jobs.
-    pub queue_wait: Duration,
-    /// Gauge at snapshot time: accepted-but-unfinished jobs.
-    pub in_flight: u64,
-    /// Gauge at snapshot time: estimated bytes of queued work.
-    pub queued_bytes: u64,
-    /// Span events dropped from the observability ring buffer under
-    /// pressure. [`RuntimeStats::snapshot`] sets this to 0 — the registry
-    /// does not own the tracer — and holders of both (the serve engine,
-    /// the `Obs` hub) overwrite it from
-    /// [`Tracer::dropped`](crate::obs::Tracer::dropped).
-    pub spans_dropped: u64,
-    /// Time since the runtime started.
-    pub uptime: Duration,
-    /// Per-worker job/busy counters.
-    pub per_worker: Vec<WorkerSnapshot>,
-}
-
-/// Counters for one [`Router`](crate::router::Router) instance — the
-/// fleet-level analogue of [`RuntimeStats`]. All monotonically
-/// increasing atomics; the router renders them into its `/stats` JSON
-/// and `cf_router_*` Prometheus series.
-#[derive(Debug, Default)]
-pub struct RouterStats {
-    /// Jobs accepted and routed to a backend.
-    pub routed: AtomicU64,
-    /// Finished records streamed back through the router.
-    pub records_streamed: AtomicU64,
-    /// Requests failed over to another ring replica.
-    pub failovers: AtomicU64,
-    /// Hedged duplicate requests fired past the latency quantile.
-    pub hedges: AtomicU64,
-    /// Hedged duplicates that answered before the primary.
-    pub hedge_wins: AtomicU64,
-    /// Backends ejected by the health prober.
-    pub ejections: AtomicU64,
-    /// Ejected backends re-admitted after consecutive healthy probes.
-    pub readmissions: AtomicU64,
-    /// Health probes that failed (503 / timeout / connect error).
-    pub probe_failures: AtomicU64,
-    /// Backend responses rejected for a digest mismatch — the
-    /// `X-CF-Digest` header or the per-record digest field. Corrupt
-    /// payloads never reach a client; they count here and fail over.
-    pub corrupt_responses: AtomicU64,
-    /// Backends moved to `quarantined` after repeated corrupt responses.
-    pub quarantines: AtomicU64,
-    /// Finished records that carried an `X-CF-Attribution` breakdown
-    /// (the denominator for the `attr_*` sums below).
-    pub attr_records: AtomicU64,
-    /// Sum of backend-reported end-to-end job time (`total_us`).
-    pub attr_total_us: AtomicU64,
-    /// Sum of backend admission-control time (`admission_us`).
-    pub attr_admission_us: AtomicU64,
-    /// Sum of backend queue-wait time (`queue_us`).
-    pub attr_queue_us: AtomicU64,
-    /// Sum of backend simulate/execute time (`run_us`).
-    pub attr_run_us: AtomicU64,
-    /// Sum of router-measured network time (submit + poll dials and
-    /// transfers, `net_*_us` — overhead outside the backend's total).
-    pub attr_net_us: AtomicU64,
-    /// Sum of router-side retry/resubmit backoff sleeps (`backoff_us`).
-    pub attr_backoff_us: AtomicU64,
+    attribution {
+        attr_records("records"):
+            "Finished records that carried an X-CF-Attribution breakdown.";
+        attr_total_us("total_us"): "Sum of backend-reported end-to-end job time.";
+        attr_admission_us("admission_us"): "Sum of backend admission-control time.";
+        attr_queue_us("queue_us"): "Sum of backend queue-wait time.";
+        attr_run_us("run_us"): "Sum of backend simulate/execute time.";
+        /// Submit and poll dials and transfers: overhead outside the
+        /// backend's total.
+        attr_net_us("net_us"): "Sum of router-measured network time.";
+        attr_backoff_us("backoff_us"): "Sum of router-side retry/resubmit backoff sleeps.";
+    }
 }
 
 /// One worker's share of a [`StatsSnapshot`].
@@ -369,6 +377,11 @@ impl StatsSnapshot {
     /// Jobs that reached a terminal state.
     pub fn finished(&self) -> u64 {
         self.completed + self.failed + self.cancelled + self.expired
+    }
+
+    /// Cumulative queue waiting time across jobs.
+    pub fn queue_wait(&self) -> Duration {
+        Duration::from_nanos(self.queue_wait_nanos)
     }
 
     /// Completed jobs per second of runtime uptime.
@@ -400,9 +413,6 @@ impl StatsSnapshot {
     /// Renders the snapshot as one JSON object (for `--stats-json` and
     /// `/stats`) — [`Serialize::to_value`] printed compactly, so every
     /// consumer shares one schema.
-    ///
-    /// Durations are seconds as JSON numbers; `shed_breaker` is the
-    /// circuit-breaker shed count, `shed_jobs` the admission-control one.
     pub fn render_json(&self) -> String {
         serde_json::to_string(self)
     }
@@ -413,50 +423,6 @@ impl Serialize for WorkerSnapshot {
         let mut m = Map::new();
         m.insert("jobs", self.jobs);
         m.insert("busy_s", self.busy.as_secs_f64());
-        Value::Object(m)
-    }
-}
-
-impl Serialize for StatsSnapshot {
-    fn to_value(&self) -> Value {
-        let mut m = Map::new();
-        m.insert("submitted", self.submitted);
-        m.insert("completed", self.completed);
-        m.insert("failed", self.failed);
-        m.insert("cancelled", self.cancelled);
-        m.insert("expired", self.expired);
-        m.insert("cache_hits", self.cache_hits);
-        m.insert("cache_misses", self.cache_misses);
-        m.insert("cache_corruptions", self.cache_corruptions);
-        m.insert("retries", self.retries);
-        m.insert("shed_breaker", self.shed);
-        m.insert("shed_jobs", self.shed_jobs);
-        m.insert("resumed_jobs", self.resumed_jobs);
-        m.insert("journal_bytes", self.journal_bytes);
-        m.insert("journal_compactions", self.journal_compactions);
-        m.insert("journal_bytes_reclaimed", self.journal_bytes_reclaimed);
-        m.insert("cold_memo_hits", self.cold_memo_hits);
-        m.insert("cold_memo_misses", self.cold_memo_misses);
-        m.insert("cold_arena_bytes", self.cold_arena_bytes);
-        m.insert("cold_parallel_tasks", self.cold_parallel_tasks);
-        m.insert("cold_step_memo_hits", self.cold_step_memo_hits);
-        m.insert("cold_step_memo_misses", self.cold_step_memo_misses);
-        m.insert("cold_outcome_hits", self.cold_outcome_hits);
-        m.insert("cold_outcome_misses", self.cold_outcome_misses);
-        m.insert("sim_table_bytes", self.sim_table_bytes);
-        m.insert("sim_table_resets", self.sim_table_resets);
-        m.insert("faults_injected", self.faults_injected);
-        m.insert("worker_respawns", self.worker_respawns);
-        m.insert("api_accepted", self.api_accepted);
-        m.insert("api_shed", self.api_shed);
-        m.insert("api_coalesced", self.api_coalesced);
-        m.insert("api_streamed_bytes", self.api_streamed_bytes);
-        m.insert("spans_dropped", self.spans_dropped);
-        m.insert("queue_wait_s", self.queue_wait.as_secs_f64());
-        m.insert("in_flight", self.in_flight);
-        m.insert("queued_bytes", self.queued_bytes);
-        m.insert("uptime_s", self.uptime.as_secs_f64());
-        m.insert("workers", self.per_worker.to_value());
         Value::Object(m)
     }
 }

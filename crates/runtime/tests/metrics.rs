@@ -15,6 +15,7 @@ use cf_runtime::http::{Connector, Reply, TcpConnector};
 use cf_runtime::obs::Obs;
 use cf_runtime::serve::{serve_manifest, ServeOptions};
 use cf_runtime::status::StatusServer;
+use cf_runtime::StatsSnapshot;
 
 /// The repo's example manifest (19 jobs), program paths made absolute
 /// and two of the simulate lines switched to `profile=true` so the
@@ -256,7 +257,7 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
     assert_eq!(report.records.len(), 19);
     assert_eq!(report.failures(), 0);
 
-    // Final: every RuntimeStats counter family has its sample, the two
+    // Final: every declared counter and gauge family has its sample, the two
     // profiled manifest lines fed the per-machine profile series, and
     // the stage histograms are coherent (validated above).
     let reply = http_get(addr, "/metrics");
@@ -265,23 +266,8 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
     let samples = validate_exposition(&body, "metrics-it");
     assert_eq!(value_of(&samples, "cf_jobs_submitted_total", None), Some(19.0), "{body}");
     assert_eq!(value_of(&samples, "cf_jobs_completed_total", None), Some(19.0), "{body}");
-    for family in [
-        "cf_jobs_failed_total",
-        "cf_cache_hits_total",
-        "cf_cache_misses_total",
-        "cf_retries_total",
-        "cf_shed_jobs_total",
-        "cf_journal_bytes_total",
-        "cf_faults_injected_total",
-        "cf_queue_wait_seconds_total",
-        "cf_spans_dropped_total",
-        "cf_in_flight",
-        "cf_uptime_seconds",
-        "cf_cold_outcome_hits_total",
-        "cf_cold_outcome_misses_total",
-        "cf_sim_table_bytes",
-        "cf_sim_table_resets_total",
-    ] {
+    let declared = StatsSnapshot::STATS.iter().map(|stat| stat.family);
+    for family in declared.chain(["cf_spans_dropped_total", "cf_uptime_seconds"]) {
         assert!(value_of(&samples, family, None).is_some(), "missing {family}: {body}");
     }
     assert!(value_of(&samples, "cf_worker_jobs_total", Some(("worker", "0"))).is_some(), "{body}");

@@ -192,6 +192,7 @@ fn shutdown_now_discards_queued_jobs() {
     let rt = small_runtime(1);
     let _slow = rt.submit_task(|| std::thread::sleep(Duration::from_millis(80)));
     let queued: Vec<_> = (0..5).map(|i| rt.submit_task(move || i)).collect();
+    let stats = rt.stats_arc();
     rt.shutdown_now();
     let mut discarded = 0;
     for h in queued {
@@ -201,6 +202,10 @@ fn shutdown_now_discards_queued_jobs() {
     }
     // The worker may have started at most one of them before the close.
     assert!(discarded >= 4, "only {discarded} jobs were discarded");
+    // Discarded jobs count as cancelled: no job leaves the counters.
+    let snap = stats.snapshot();
+    assert!(snap.cancelled >= discarded, "{snap:?}");
+    assert_eq!(snap.submitted, snap.finished() + snap.in_flight, "{snap:?}");
 }
 
 #[test]

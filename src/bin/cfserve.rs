@@ -169,7 +169,7 @@ fn emit_report(
         snap.cache_misses,
         snap.cache_hit_rate() * 100.0,
         if submitted > 0 {
-            snap.queue_wait.as_secs_f64() * 1e3 / submitted as f64
+            snap.queue_wait().as_secs_f64() * 1e3 / submitted as f64
         } else {
             0.0
         },

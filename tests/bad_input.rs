@@ -1,9 +1,11 @@
 //! End-to-end: a job spec with a zero-sized dimension (`order=0`,
-//! `batch=0`) or an unknown `size=` is refused at parse time by both
-//! entry points that share `manifest::parse_line` — a manifest line makes
-//! `cfserve` exit 3 with a typed message instead of panicking its main
-//! thread, and `POST /jobs` answers 400 without journaling anything while
-//! the server keeps serving.
+//! `batch=0`), an unknown `size=`, or an exec footprint over the host
+//! memory cap is refused at parse time by both entry points that share
+//! `manifest::parse_line` and `manifest::check_exec_footprint` — a
+//! manifest line makes `cfserve` exit 3 with a typed message instead of
+//! panicking its main thread (or aborting it on a huge allocation), and
+//! `POST /jobs` answers 400 without journaling anything while the
+//! server keeps serving.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
@@ -11,10 +13,11 @@ use std::time::Duration;
 
 use cambricon_f::runtime::{Connector, Reply, TcpConnector};
 
-const BAD_LINES: [(&str, &str); 3] = [
+const BAD_LINES: [(&str, &str); 4] = [
     ("workload=matmul order=0", "`order` must be at least 1"),
     ("workload=vgg16 batch=0", "`batch` must be at least 1"),
     ("workload=knn size=0", "bad value `0` for `size`"),
+    ("workload=matmul order=200000 mode=exec", "exec job needs 480000000000 bytes"),
 ];
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -81,6 +84,7 @@ fn zero_dimension_api_specs_answer_400_and_are_never_journaled() {
         r#"{"workload":"vgg16","batch":0}"#,
         r#"{"workload":"knn","size":"0"}"#,
         r#"[{"workload":"matmul","order":32},{"workload":"matmul","order":0}]"#,
+        r#"{"workload":"matmul","order":200000,"mode":"exec"}"#,
     ] {
         let reply = post_job(&addr, spec);
         assert_eq!(reply.status, 400, "{spec}: {}", reply.text());
@@ -96,7 +100,7 @@ fn zero_dimension_api_specs_answer_400_and_are_never_journaled() {
     // The API journals next to the manifest journal, at `<PATH>.api`.
     let journaled = std::fs::read_to_string(dir.join("api.wal.api")).expect("api journal");
     assert!(journaled.contains("order=32"), "the good job is journaled: {journaled}");
-    for bad in ["order=0", "batch=0", "size=0"] {
+    for bad in ["order=0", "batch=0", "size=0", "order=200000"] {
         assert!(!journaled.contains(bad), "{bad} was journaled: {journaled}");
     }
     std::fs::remove_dir_all(&dir).ok();

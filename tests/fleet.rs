@@ -17,6 +17,8 @@ use std::time::{Duration, Instant};
 
 use cambricon_f::runtime::{Connector, TcpConnector};
 
+mod common;
+
 /// The chaos manifest (`assets/serve.jobs`) expanded client-side: one
 /// JSON spec per job, `repeat=N` flattened to N identical submissions,
 /// in manifest order — so router id K corresponds to baseline record
@@ -274,6 +276,10 @@ fn killing_one_of_three_backends_keeps_output_byte_identical() {
     let (status, _) = http(&router.addr, "GET /healthz HTTP/1.1\r\n\r\n");
     assert_eq!(status, 200, "router stays healthy on two survivors: {status}");
 
+    for b in &backends {
+        common::assert_jobs_conserved(&b.addr);
+    }
+
     router.kill();
     for b in backends {
         b.kill();
@@ -311,6 +317,10 @@ fn draining_one_of_three_backends_keeps_output_byte_identical() {
     let mut victim = drained.expect("drained backend");
     assert!(victim.wait_clean(Duration::from_secs(60)), "drained backend must exit 0");
     victim.kill();
+
+    for b in &backends {
+        common::assert_jobs_conserved(&b.addr);
+    }
 
     router.kill();
     for b in backends {

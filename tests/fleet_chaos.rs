@@ -23,6 +23,8 @@ use std::time::{Duration, Instant};
 use cambricon_f::runtime::serve::verify_record_json;
 use cambricon_f::runtime::{Connector, TcpConnector};
 
+mod common;
+
 /// The chaos manifest (`assets/serve.jobs`) expanded client-side, in
 /// manifest order — so router id K corresponds to baseline `"job":K`.
 fn chaos_specs() -> Vec<String> {
@@ -263,6 +265,10 @@ fn chaos_scenario(tag: &str, seed: u64, spec: &str) -> (String, String) {
     assert_eq!(status, 200, "[{tag}] {status}");
     assert!(metrics.contains("cf_router_corrupt_responses"), "[{tag}] {metrics}");
 
+    for b in &backends {
+        common::assert_jobs_conserved(&b.addr);
+    }
+
     router.kill();
     for b in backends {
         b.kill();
@@ -397,6 +403,10 @@ fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
         .unwrap_or_else(|| panic!("no cf_router_quarantines_total sample: {metrics}"));
     let sample: u64 = line.split_whitespace().nth(1).expect("sample").parse().expect("u64");
     assert!(sample >= 1, "{line}");
+    // Scraped directly, not through the corrupting proxy.
+    for b in &backends {
+        common::assert_jobs_conserved(&b.addr);
+    }
 
     router.kill();
     proxy.kill();

@@ -22,6 +22,8 @@ use std::time::{Duration, Instant};
 use cambricon_f::runtime::trace::{Attribution, TraceContext};
 use cambricon_f::runtime::{Connector, Reply, TcpConnector};
 
+mod common;
+
 /// The chaos manifest (`assets/serve.jobs`) expanded client-side, in
 /// manifest order — so router id K corresponds to baseline `"job":K`.
 fn chaos_specs() -> Vec<String> {
@@ -379,6 +381,9 @@ fn traced_fleet_run_attributes_latency_and_burns_no_budget() {
     validate_merged_trace(&router.addr, submitted[0].1);
     validate_merged_trace(&router.addr, submitted[18].1);
 
+    for b in &backends {
+        common::assert_jobs_conserved(&b.addr);
+    }
     router.kill();
     for b in backends {
         b.kill();
@@ -469,6 +474,9 @@ fn trace_id_survives_tear_failover_and_shows_both_attempts() {
     );
     assert!(non_ok >= 1, "the torn attempt's failed span must be visible");
 
+    for b in &backends {
+        common::assert_jobs_conserved(&b.addr);
+    }
     router.kill();
     for b in backends {
         b.kill();
