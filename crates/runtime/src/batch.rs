@@ -74,11 +74,6 @@ pub fn sweep_designs(
     handles.into_iter().map(|h| h.join().and_then(|r| r.map_err(JobError::Sim))).collect()
 }
 
-/// Joins a vector of handles in order.
-pub fn join_all<T>(handles: Vec<JobHandle<T>>) -> Vec<Result<T, JobError>> {
-    handles.into_iter().map(JobHandle::join).collect()
-}
-
 /// Groups jobs for batch submission by compatibility.
 ///
 /// Each input is `(machine fingerprint, batchable)`. Batchable jobs

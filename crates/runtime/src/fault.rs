@@ -1,5 +1,5 @@
-//! cf-fault: deterministic, seeded fault injection for the simulation
-//! service.
+//! cf-fault: deterministic, seeded fault injection — the one fault model
+//! of the serving stack, for job faults and wire faults alike.
 //!
 //! A [`FaultPlan`] decides, purely from a hash of `(seed, site, token,
 //! attempt, op)`, whether a given fault site fires. Decisions are
@@ -9,7 +9,8 @@
 //! reproducible — the same manifest under the same seed panics the same
 //! jobs at the same attempts on every run, regardless of worker count.
 //!
-//! Sites (see [`FaultSite`]):
+//! Job sites (see [`FaultSite`]; `cfserve --fault-spec`, parsed by
+//! [`FaultSpec::parse`]):
 //!
 //! * **WorkerPanic** — the job body panics on a worker (keyed by job
 //!   token and attempt, so a retried attempt draws a fresh decision);
@@ -26,8 +27,13 @@
 //!   [`cf_core::fault::DmaFaultHook`]);
 //! * **WorkerKill** — the worker loop itself panics *after* completing a
 //!   job, exercising the supervisor's respawn path.
+//!
+//! Wire sites (`cfrouter --netfault-spec`, parsed by
+//! [`FaultSpec::parse_wire`]) — **Refuse**, **ConnectLatency**,
+//! **Trickle**, **Tear**, **Garbage** and **WireCorrupt** — are drawn by
+//! [`crate::netfault`] once per router↔backend exchange, keyed on the
+//! request's stable identity.
 
-use std::fmt;
 use std::time::Duration;
 
 /// Where a fault can be injected.
@@ -45,9 +51,23 @@ pub enum FaultSite {
     MemFault,
     /// Panic the worker loop after a job completes (respawn test).
     WorkerKill,
+    /// Refuse a router↔backend connect outright.
+    Refuse,
+    /// Stall the connect / first response byte.
+    ConnectLatency,
+    /// Trickle the response bytes out slowly (slow-loris).
+    Trickle,
+    /// Tear the connection mid-body (truncated reply).
+    Tear,
+    /// Overwrite the reply's status line with garbage.
+    Garbage,
+    /// Flip one deterministic reply body byte.
+    WireCorrupt,
 }
 
 impl FaultSite {
+    /// Decision-hash tag; job and wire tags are disjoint so a shared
+    /// seed never correlates job and wire faults.
     fn tag(self) -> u64 {
         match self {
             FaultSite::WorkerPanic => 0x01,
@@ -56,11 +76,18 @@ impl FaultSite {
             FaultSite::DeadlineExpiry => 0x04,
             FaultSite::MemFault => 0x05,
             FaultSite::WorkerKill => 0x06,
+            FaultSite::Refuse => 0x11,
+            FaultSite::ConnectLatency => 0x12,
+            FaultSite::Trickle => 0x13,
+            FaultSite::Tear => 0x14,
+            FaultSite::Garbage => 0x15,
+            FaultSite::WireCorrupt => 0x16,
         }
     }
 }
 
-/// Per-site injection rates (each a probability in `[0, 1]`).
+/// Per-site injection rates (each a probability in `[0, 1]`) plus the
+/// timing-fault durations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Rate of injected job-body panics (per attempt).
@@ -77,7 +104,69 @@ pub struct FaultSpec {
     pub mem_rate: f64,
     /// Rate of worker-loop kills (per completed job).
     pub kill_rate: f64,
+    /// Rate of refused connects (per exchange).
+    pub refuse_rate: f64,
+    /// Rate of stalled connects (per exchange).
+    pub connect_latency_rate: f64,
+    /// How long a stalled connect waits.
+    pub connect_latency: Duration,
+    /// Rate of trickled responses (per exchange).
+    pub trickle_rate: f64,
+    /// Total extra time a trickled response takes to deliver.
+    pub trickle: Duration,
+    /// Rate of mid-body connection tears (per exchange).
+    pub tear_rate: f64,
+    /// Rate of garbage status lines (per exchange).
+    pub garbage_rate: f64,
+    /// Rate of single-byte reply body corruption (per exchange).
+    pub wire_corrupt_rate: f64,
 }
+
+/// What one spec key sets.
+#[derive(Clone, Copy)]
+enum Key {
+    /// A site's rate, in `[0, 1]`.
+    Rate(fn(&mut FaultSpec) -> &mut f64),
+    /// A duration, in whole milliseconds.
+    Millis(fn(&mut FaultSpec) -> &mut Duration),
+}
+
+/// One fault flag's grammar: the name its errors use and its keys, in
+/// canonical order. The two flags need separate tables because they
+/// give `corrupt` and `latency_ms` different meanings.
+struct Grammar {
+    flag: &'static str,
+    keys: &'static [(&'static str, Key)],
+}
+
+/// `cfserve --fault-spec`: the job sites.
+const JOB_KEYS: Grammar = Grammar {
+    flag: "fault",
+    keys: &[
+        ("panic", Key::Rate(|s| &mut s.panic_rate)),
+        ("latency", Key::Rate(|s| &mut s.latency_rate)),
+        ("latency_ms", Key::Millis(|s| &mut s.latency)),
+        ("corrupt", Key::Rate(|s| &mut s.corrupt_rate)),
+        ("expire", Key::Rate(|s| &mut s.expire_rate)),
+        ("mem", Key::Rate(|s| &mut s.mem_rate)),
+        ("kill", Key::Rate(|s| &mut s.kill_rate)),
+    ],
+};
+
+/// `cfrouter --netfault-spec`: the wire sites.
+const WIRE_KEYS: Grammar = Grammar {
+    flag: "netfault",
+    keys: &[
+        ("refuse", Key::Rate(|s| &mut s.refuse_rate)),
+        ("connect_latency", Key::Rate(|s| &mut s.connect_latency_rate)),
+        ("latency_ms", Key::Millis(|s| &mut s.connect_latency)),
+        ("trickle", Key::Rate(|s| &mut s.trickle_rate)),
+        ("trickle_ms", Key::Millis(|s| &mut s.trickle)),
+        ("tear", Key::Rate(|s| &mut s.tear_rate)),
+        ("garbage", Key::Rate(|s| &mut s.garbage_rate)),
+        ("corrupt", Key::Rate(|s| &mut s.wire_corrupt_rate)),
+    ],
+};
 
 impl FaultSpec {
     /// All rates zero: a plan that never fires.
@@ -90,6 +179,14 @@ impl FaultSpec {
             expire_rate: 0.0,
             mem_rate: 0.0,
             kill_rate: 0.0,
+            refuse_rate: 0.0,
+            connect_latency_rate: 0.0,
+            connect_latency: Duration::from_millis(25),
+            trickle_rate: 0.0,
+            trickle: Duration::from_millis(50),
+            tear_rate: 0.0,
+            garbage_rate: 0.0,
+            wire_corrupt_rate: 0.0,
         }
     }
 
@@ -105,42 +202,36 @@ impl FaultSpec {
     ///
     /// # Errors
     ///
-    /// A message naming the unparseable pair.
+    /// A message naming the unparseable pair or out-of-range rate.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut spec = FaultSpec::none();
-        for pair in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                pair.split_once('=').ok_or_else(|| format!("bad fault-spec item `{pair}`"))?;
-            let bad = |_| format!("bad fault-spec value `{value}` for `{key}`");
-            match key {
-                "panic" => spec.panic_rate = value.parse().map_err(bad)?,
-                "latency" => spec.latency_rate = value.parse().map_err(bad)?,
-                "latency_ms" => {
-                    let ms: u64 = value
-                        .parse()
-                        .map_err(|_| format!("bad fault-spec value `{value}` for `{key}`"))?;
-                    spec.latency = Duration::from_millis(ms);
-                }
-                "corrupt" => spec.corrupt_rate = value.parse().map_err(bad)?,
-                "expire" => spec.expire_rate = value.parse().map_err(bad)?,
-                "mem" => spec.mem_rate = value.parse().map_err(bad)?,
-                "kill" => spec.kill_rate = value.parse().map_err(bad)?,
-                other => return Err(format!("unknown fault site `{other}`")),
-            }
-        }
-        for (name, rate) in [
-            ("panic", spec.panic_rate),
-            ("latency", spec.latency_rate),
-            ("corrupt", spec.corrupt_rate),
-            ("expire", spec.expire_rate),
-            ("mem", spec.mem_rate),
-            ("kill", spec.kill_rate),
-        ] {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("fault rate `{name}` must be in [0, 1], got {rate}"));
-            }
-        }
-        Ok(spec)
+        parse_with(&JOB_KEYS, text)
+    }
+
+    /// Parses a `--netfault-spec` string: comma-separated `site=rate`
+    /// pairs, e.g.
+    /// `refuse=0.1,connect_latency=0.05,latency_ms=25,trickle=0.1,trickle_ms=50,tear=0.1,garbage=0.05,corrupt=0.1`.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the unparseable pair or out-of-range rate.
+    pub fn parse_wire(text: &str) -> Result<Self, String> {
+        parse_with(&WIRE_KEYS, text)
+    }
+
+    /// The canonical `--fault-spec` text of the job sites: every key, in
+    /// a fixed order, so [`FaultSpec::parse`] reads it back unchanged.
+    /// The journal fingerprints this text, not the struct's layout.
+    pub fn render(&self) -> String {
+        let mut spec = self.clone();
+        let pairs: Vec<String> = JOB_KEYS
+            .keys
+            .iter()
+            .map(|&(name, key)| match key {
+                Key::Rate(slot) => format!("{name}={}", slot(&mut spec)),
+                Key::Millis(slot) => format!("{name}={}", slot(&mut spec).as_millis()),
+            })
+            .collect();
+        pairs.join(",")
     }
 
     fn rate(&self, site: FaultSite) -> f64 {
@@ -151,22 +242,50 @@ impl FaultSpec {
             FaultSite::DeadlineExpiry => self.expire_rate,
             FaultSite::MemFault => self.mem_rate,
             FaultSite::WorkerKill => self.kill_rate,
+            FaultSite::Refuse => self.refuse_rate,
+            FaultSite::ConnectLatency => self.connect_latency_rate,
+            FaultSite::Trickle => self.trickle_rate,
+            FaultSite::Tear => self.tear_rate,
+            FaultSite::Garbage => self.garbage_rate,
+            FaultSite::WireCorrupt => self.wire_corrupt_rate,
         }
     }
 }
 
+/// The one spec parser: reads `key=value` pairs against `grammar`, then
+/// range-checks every rate key the grammar names.
+fn parse_with(grammar: &Grammar, text: &str) -> Result<FaultSpec, String> {
+    let flag = grammar.flag;
+    let mut spec = FaultSpec::none();
+    for pair in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let (name, value) =
+            pair.split_once('=').ok_or_else(|| format!("bad {flag}-spec item `{pair}`"))?;
+        let bad = || format!("bad {flag}-spec value `{value}` for `{name}`");
+        match grammar.keys.iter().find(|(key, _)| *key == name) {
+            Some((_, Key::Rate(slot))) => *slot(&mut spec) = value.parse().map_err(|_| bad())?,
+            Some((_, Key::Millis(slot))) => {
+                *slot(&mut spec) = Duration::from_millis(value.parse().map_err(|_| bad())?);
+            }
+            None => return Err(format!("unknown {flag} site `{name}`")),
+        }
+    }
+    for &(name, key) in grammar.keys {
+        if let Key::Rate(slot) = key {
+            let rate = *slot(&mut spec);
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("{flag} rate `{name}` must be in [0, 1], got {rate}"));
+            }
+        }
+    }
+    Ok(spec)
+}
+
 /// A seeded, stateless fault decider (see the module docs for the
 /// determinism argument).
-#[derive(Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     spec: FaultSpec,
-}
-
-impl fmt::Debug for FaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FaultPlan").field("seed", &self.seed).field("spec", &self.spec).finish()
-    }
 }
 
 impl FaultPlan {
@@ -187,10 +306,12 @@ impl FaultPlan {
 
     /// Whether `site` fires for decision point `(token, attempt, op)`.
     ///
-    /// `token` identifies the job (its submission id) or, for
-    /// [`FaultSite::CacheCorrupt`], the cache key; `attempt` is the retry
-    /// attempt (0-based); `op` numbers sub-decisions inside one attempt
-    /// (the DMA transfer index for [`FaultSite::MemFault`], 0 elsewhere).
+    /// `token` identifies the job (its submission id), for
+    /// [`FaultSite::CacheCorrupt`] the cache key, and for a wire site
+    /// the exchange (backend address and request identity, see
+    /// [`crate::netfault`]); `attempt` is the retry attempt (0-based);
+    /// `op` numbers sub-decisions inside one attempt (the DMA transfer
+    /// index for [`FaultSite::MemFault`], 0 elsewhere).
     pub fn fires_at(&self, site: FaultSite, token: u64, attempt: u32, op: u64) -> bool {
         let rate = self.spec.rate(site);
         if rate <= 0.0 {
@@ -220,8 +341,6 @@ impl FaultPlan {
 }
 
 /// SplitMix64-style finalizing mix: uniformly scrambles `state ⊕ value`.
-/// Shared with [`crate::netfault`] so wire-fault decisions draw from the
-/// same family of stateless hashes as job faults.
 pub(crate) fn mix(state: u64, value: u64) -> u64 {
     let mut z = state ^ value.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -291,6 +410,30 @@ mod tests {
         assert!(FaultSpec::parse("panic=2.0").is_err());
         assert!(FaultSpec::parse("panic").is_err());
         assert_eq!(FaultSpec::parse("").unwrap(), FaultSpec::none());
+        assert_eq!(FaultSpec::parse("refuse=0.1").unwrap_err(), "unknown fault site `refuse`");
+        assert_eq!(
+            FaultSpec::parse("latency_ms=x").unwrap_err(),
+            "bad fault-spec value `x` for `latency_ms`"
+        );
+        assert_eq!(
+            FaultSpec::parse("kill=-0.5").unwrap_err(),
+            "fault rate `kill` must be in [0, 1], got -0.5"
+        );
+    }
+
+    #[test]
+    fn render_round_trips_in_canonical_key_order() {
+        let full = FaultSpec::parse(
+            "panic=0.1,latency=0.25,latency_ms=7,corrupt=0.05,expire=0.01,mem=0.001,kill=0.005",
+        )
+        .unwrap();
+        for spec in [FaultSpec::none(), FaultSpec::chaos(), full] {
+            assert_eq!(FaultSpec::parse(&spec.render()).unwrap(), spec);
+        }
+        assert_eq!(
+            FaultSpec::chaos().render(),
+            "panic=0.1,latency=0,latency_ms=1,corrupt=0.05,expire=0,mem=0,kill=0"
+        );
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //!   time) snapshotted on demand, each declared once in a table that
 //!   also renders `/stats` and `/metrics` (see [`stats`]).
 //! * [`fault`] / [`supervisor`] — the resilience layer: a seeded,
-//!   deterministic [`FaultPlan`] injecting panics, latency, cache
-//!   corruption, deadline expiries and DMA faults; retry-with-backoff
+//!   deterministic [`FaultPlan`] (the one fault model, for job and wire
+//!   sites alike) injecting panics, latency, cache corruption, deadline
+//!   expiries and DMA faults; retry-with-backoff
 //!   under a budget; a consecutive-failure [`CircuitBreaker`]; worker
 //!   respawn on panic. See DESIGN.md §7.
 //! * [`obs`] / [`status`] — the observability layer: a lock-cheap
@@ -69,8 +70,9 @@
 //!   more fractal level, with the router as the parent node. See
 //!   DESIGN.md §10.
 //! * [`netfault`] — deterministic *network* chaos paired with
-//!   end-to-end record integrity: a seeded [`NetFaultPlan`] (the wire
-//!   sibling of [`FaultPlan`]) injects connect refusals, stalls,
+//!   end-to-end record integrity: [`WireFaults::draw`] draws the
+//!   [`FaultPlan`]'s wire sites on each request's stable identity
+//!   (`X-CF-Trace` left out) and injects connect refusals, stalls,
 //!   slow-loris trickle, mid-body tears, garbage status lines and
 //!   single-byte corruption — either in-process behind the router's
 //!   [`Connector`] seam or as a standalone byte-level [`FaultProxy`]
@@ -142,9 +144,7 @@ pub use job::{JobError, JobHandle, JobOptions};
 pub use journal::{
     CompactionStats, JobEntry, Journal, JournalError, Record, RecordError, RunHeader,
 };
-pub use netfault::{
-    FaultConnector, FaultProxy, NetFault, NetFaultPlan, NetFaultSite, NetFaultSpec,
-};
+pub use netfault::{FaultConnector, FaultProxy, NetFault, WireFaults};
 pub use obs::{LatencyHistogram, Obs, ProfileAgg, SpanEvent, SpanKind, Stage, Tracer};
 pub use router::{BackendHealth, Ring, Router, RouterConfig, RouterServer};
 pub use scheduler::{ExecResult, LoadPolicy, ProfiledSimResult, Runtime, RuntimeConfig, SimResult};

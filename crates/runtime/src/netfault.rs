@@ -1,195 +1,64 @@
-//! cf-netfault: deterministic, seeded *network* fault injection for the
-//! fleet — the wire-level sibling of [`crate::fault`].
+//! cf-netfault: the wire seams of the one fault model in
+//! [`crate::fault`] — seeded *network* faults between router and
+//! backends.
 //!
-//! A [`NetFaultPlan`] decides, purely from a hash of `(seed, site,
-//! backend token, request fingerprint, attempt)`, whether a given wire
-//! fault fires on a given exchange. The backend token is the FNV-1a of
-//! the dialed address, the request fingerprint is the FNV-1a of the raw
-//! request bytes, and the attempt numbers repeated exchanges of the
-//! same `(backend, request)` pair — so one seed reproduces the same
+//! Every wire decision is [`FaultPlan::fires_at`] on a wire
+//! [`FaultSite`], drawn by [`WireFaults::draw`]. The token is
+//! `mix(fnv1a(backend address), identity)`, where the request's identity
+//! hashes its method, target, headers and body with the `X-CF-Trace`
+//! line left out: the router stamps a freshly minted span on every
+//! submit attempt, so the raw bytes of a retried request differ while
+//! its identity does not. The attempt numbers repeated exchanges of the
+//! same `(backend, identity)` pair — so one seed reproduces the same
 //! fault *schedule* at any concurrency: the n-th identical request to a
 //! backend always draws the n-th decision, no matter how other traffic
 //! interleaves. Retries therefore draw fresh decisions (faults heal
 //! under failover) while a replayed run replays the same schedule.
 //!
-//! Sites (see [`NetFaultSite`]):
+//! The attempt ledger stays because the byte-level proxy sees only wire
+//! bytes, and they carry no attempt index; adding one would change the
+//! router's request bytes.
+//!
+//! Faults (see [`NetFault`]), at most one per exchange, in priority
+//! order refusal > garbage > tear > corruption > connect latency >
+//! trickle:
 //!
 //! * **Refuse** — the connect is refused outright;
-//! * **ConnectLatency** — the connect/first byte stalls for
-//!   [`NetFaultSpec::latency`] (timing-only);
-//! * **Trickle** — the response bytes trickle in over
-//!   [`NetFaultSpec::trickle`] (slow-loris; timing-only);
+//! * **Garbage** — the status line is overwritten with garbage;
 //! * **Tear** — the connection tears mid-body: the reply truncates and
 //!   the declared `Content-Length` no longer matches;
-//! * **Garbage** — the status line is overwritten with garbage;
 //! * **Corrupt** — one deterministic body byte flips, which the
 //!   end-to-end record digest must catch (see
-//!   [`crate::serve::verify_record_json`]).
+//!   [`crate::serve::verify_record_json`]);
+//! * **ConnectLatency** — the connect/first byte stalls for
+//!   [`FaultSpec::connect_latency`](crate::FaultSpec) (timing-only);
+//! * **Trickle** — the response bytes trickle in over
+//!   [`FaultSpec::trickle`](crate::FaultSpec) (slow-loris; timing-only).
 //!
-//! Two deployment shapes share the same plan: the in-process
+//! Two deployment shapes share the same draw: the in-process
 //! [`FaultConnector`] decorating the router's real dialer (the
 //! [`Connector`] seam in [`crate::http`]), and the standalone
 //! byte-level [`FaultProxy`] (`cfrouter --fault-proxy`, on the shared
 //! blocking [`AcceptLoop`]) for black-box end-to-end runs where the
 //! victim must not even link the fault code. The proxy reads each
-//! request with `http::read_request`, fingerprints the exact bytes it
-//! consumed — the same bytes the router's dialer would hash — and
+//! request with `http::read_request` and draws on the exact bytes it
+//! consumed — the same bytes the router's dialer draws on — then
 //! forwards them through [`TcpConnector`].
 //! See DESIGN.md §11.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 
 use crate::api;
-use crate::fault::{fnv1a, mix};
+use crate::fault::{fnv1a, mix, FaultPlan, FaultSite};
 use crate::http::{self, find_head_end, CancelSlot, Connector, TcpConnector};
 use crate::listener::AcceptLoop;
 use crate::sync;
-
-/// Where a wire fault can be injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NetFaultSite {
-    /// Refuse the connect outright.
-    Refuse,
-    /// Stall the connect / first response byte.
-    ConnectLatency,
-    /// Trickle the response bytes out slowly (slow-loris).
-    Trickle,
-    /// Tear the connection mid-body (truncated reply).
-    Tear,
-    /// Overwrite the status line with garbage.
-    Garbage,
-    /// Flip one deterministic body byte.
-    Corrupt,
-}
-
-impl NetFaultSite {
-    /// Decision-hash tag; disjoint from [`crate::fault::FaultSite`]
-    /// tags so a shared seed never correlates job and wire faults.
-    fn tag(self) -> u64 {
-        match self {
-            NetFaultSite::Refuse => 0x11,
-            NetFaultSite::ConnectLatency => 0x12,
-            NetFaultSite::Trickle => 0x13,
-            NetFaultSite::Tear => 0x14,
-            NetFaultSite::Garbage => 0x15,
-            NetFaultSite::Corrupt => 0x16,
-        }
-    }
-
-    /// Every site, in decision-priority order (at most one fault fires
-    /// per exchange; connection-level faults outrank payload ones).
-    pub const ALL: [NetFaultSite; 6] = [
-        NetFaultSite::Refuse,
-        NetFaultSite::Garbage,
-        NetFaultSite::Tear,
-        NetFaultSite::Corrupt,
-        NetFaultSite::ConnectLatency,
-        NetFaultSite::Trickle,
-    ];
-}
-
-/// Per-site injection rates (each a probability in `[0, 1]`) plus the
-/// timing-fault durations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetFaultSpec {
-    /// Rate of refused connects (per exchange).
-    pub refuse_rate: f64,
-    /// Rate of stalled connects (per exchange).
-    pub connect_latency_rate: f64,
-    /// How long a stalled connect waits.
-    pub latency: Duration,
-    /// Rate of trickled responses (per exchange).
-    pub trickle_rate: f64,
-    /// Total extra time a trickled response takes to deliver.
-    pub trickle: Duration,
-    /// Rate of mid-body connection tears (per exchange).
-    pub tear_rate: f64,
-    /// Rate of garbage status lines (per exchange).
-    pub garbage_rate: f64,
-    /// Rate of single-byte body corruption (per exchange).
-    pub corrupt_rate: f64,
-}
-
-impl NetFaultSpec {
-    /// All rates zero: a plan that never fires.
-    pub fn none() -> Self {
-        NetFaultSpec {
-            refuse_rate: 0.0,
-            connect_latency_rate: 0.0,
-            latency: Duration::from_millis(25),
-            trickle_rate: 0.0,
-            trickle: Duration::from_millis(50),
-            tear_rate: 0.0,
-            garbage_rate: 0.0,
-            corrupt_rate: 0.0,
-        }
-    }
-
-    /// Parses a `--netfault-spec` string: comma-separated `site=rate`
-    /// pairs, e.g.
-    /// `refuse=0.1,connect_latency=0.05,latency_ms=25,trickle=0.1,trickle_ms=50,tear=0.1,garbage=0.05,corrupt=0.1`.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unparseable pair or out-of-range rate.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let mut spec = NetFaultSpec::none();
-        for pair in text.split(',').map(str::trim).filter(|p| !p.is_empty()) {
-            let (key, value) =
-                pair.split_once('=').ok_or_else(|| format!("bad netfault-spec item `{pair}`"))?;
-            let rate = |v: &str| {
-                v.parse::<f64>().map_err(|_| format!("bad netfault-spec value `{v}` for `{key}`"))
-            };
-            let millis = |v: &str| {
-                v.parse::<u64>()
-                    .map(Duration::from_millis)
-                    .map_err(|_| format!("bad netfault-spec value `{v}` for `{key}`"))
-            };
-            match key {
-                "refuse" => spec.refuse_rate = rate(value)?,
-                "connect_latency" => spec.connect_latency_rate = rate(value)?,
-                "latency_ms" => spec.latency = millis(value)?,
-                "trickle" => spec.trickle_rate = rate(value)?,
-                "trickle_ms" => spec.trickle = millis(value)?,
-                "tear" => spec.tear_rate = rate(value)?,
-                "garbage" => spec.garbage_rate = rate(value)?,
-                "corrupt" => spec.corrupt_rate = rate(value)?,
-                other => return Err(format!("unknown netfault site `{other}`")),
-            }
-        }
-        for (name, rate) in [
-            ("refuse", spec.refuse_rate),
-            ("connect_latency", spec.connect_latency_rate),
-            ("trickle", spec.trickle_rate),
-            ("tear", spec.tear_rate),
-            ("garbage", spec.garbage_rate),
-            ("corrupt", spec.corrupt_rate),
-        ] {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(format!("netfault rate `{name}` must be in [0, 1], got {rate}"));
-            }
-        }
-        Ok(spec)
-    }
-
-    fn rate(&self, site: NetFaultSite) -> f64 {
-        match site {
-            NetFaultSite::Refuse => self.refuse_rate,
-            NetFaultSite::ConnectLatency => self.connect_latency_rate,
-            NetFaultSite::Trickle => self.trickle_rate,
-            NetFaultSite::Tear => self.tear_rate,
-            NetFaultSite::Garbage => self.garbage_rate,
-            NetFaultSite::Corrupt => self.corrupt_rate,
-        }
-    }
-}
+use crate::trace::TRACE_HEADER;
 
 /// One wire fault the plan decided to inject on one exchange.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,80 +73,13 @@ pub enum NetFault {
     Tear,
     /// Overwrite the status line.
     Garbage,
-    /// Flip one body byte.
-    Corrupt,
-}
-
-/// A seeded, stateless wire-fault decider (see the module docs for the
-/// determinism argument).
-#[derive(Clone, PartialEq)]
-pub struct NetFaultPlan {
-    seed: u64,
-    spec: NetFaultSpec,
-}
-
-impl fmt::Debug for NetFaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetFaultPlan").field("seed", &self.seed).field("spec", &self.spec).finish()
-    }
-}
-
-impl NetFaultPlan {
-    /// A plan that injects per `spec`, decided by hashing against `seed`.
-    pub fn new(seed: u64, spec: NetFaultSpec) -> Self {
-        NetFaultPlan { seed, spec }
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The per-site rates.
-    pub fn spec(&self) -> &NetFaultSpec {
-        &self.spec
-    }
-
-    /// Whether `site` fires for decision point
-    /// `(backend, fingerprint, attempt)`.
-    pub fn fires(&self, site: NetFaultSite, backend: u64, fingerprint: u64, attempt: u32) -> bool {
-        let rate = self.spec.rate(site);
-        if rate <= 0.0 {
-            return false;
-        }
-        if rate >= 1.0 {
-            return true;
-        }
-        let h = mix(mix(mix(mix(self.seed, site.tag()), backend), fingerprint), u64::from(attempt));
-        // Map the hash to [0, 1) with 53 bits of precision.
-        let unit = (h >> 11) as f64 / (1u64 << 53) as f64;
-        unit < rate
-    }
-
-    /// The fault (if any) to inject on one exchange: sites are checked
-    /// in [`NetFaultSite::ALL`] priority order and the first firing one
-    /// wins, so at most one fault applies per exchange.
-    pub fn decide(&self, backend: u64, fingerprint: u64, attempt: u32) -> Option<NetFault> {
-        for site in NetFaultSite::ALL {
-            if self.fires(site, backend, fingerprint, attempt) {
-                return Some(match site {
-                    NetFaultSite::Refuse => NetFault::Refuse,
-                    NetFaultSite::ConnectLatency => NetFault::ConnectLatency(self.spec.latency),
-                    NetFaultSite::Trickle => NetFault::Trickle(self.spec.trickle),
-                    NetFaultSite::Tear => NetFault::Tear,
-                    NetFaultSite::Garbage => NetFault::Garbage,
-                    NetFaultSite::Corrupt => NetFault::Corrupt,
-                });
-            }
-        }
-        None
-    }
+    /// Flip one body byte, at a position this key seeds.
+    Corrupt(u64),
 }
 
 /// Deterministically mangles raw reply bytes in place for the payload
-/// fault families. `key` seeds byte-position choices so the same
-/// decision point mangles the same way on every run.
-pub fn mangle(bytes: &mut Vec<u8>, fault: NetFault, key: u64) {
+/// fault families (the timing and refusal faults leave them alone).
+pub(crate) fn mangle(bytes: &mut Vec<u8>, fault: NetFault) {
     let head_end = find_head_end(bytes);
     match fault {
         NetFault::Tear => {
@@ -294,7 +96,7 @@ pub fn mangle(bytes: &mut Vec<u8>, fault: NetFault, key: u64) {
                 *b = b"GARBAGE!"[i];
             }
         }
-        NetFault::Corrupt => {
+        NetFault::Corrupt(key) => {
             let body_start = head_end.map(|h| h + 4).unwrap_or(0);
             if bytes.len() > body_start {
                 let span = bytes.len() - body_start;
@@ -309,21 +111,71 @@ pub fn mangle(bytes: &mut Vec<u8>, fault: NetFault, key: u64) {
     }
 }
 
-/// Numbers repeated exchanges of the same `(backend, fingerprint)`
-/// pair: the n-th call returns n-1. Shared by the connector decorator
-/// and the proxy so both key decisions the same way.
+/// A request's stable identity: its head lines and body, hashed with
+/// the `X-CF-Trace` line left out.
+fn identity(raw: &[u8]) -> u64 {
+    let head_len = find_head_end(raw).map_or(raw.len(), |h| h + 4);
+    let (head, body) = raw.split_at(head_len);
+    let name = TRACE_HEADER.as_bytes();
+    let is_trace = |line: &[u8]| {
+        line.get(..name.len()).is_some_and(|n| n.eq_ignore_ascii_case(name))
+            && line.get(name.len()) == Some(&b':')
+    };
+    head.split(|&b| b == b'\n')
+        .filter(|line| !is_trace(line))
+        .fold(fnv1a(body), |h, line| mix(h, fnv1a(line)))
+}
+
+/// Numbers repeated exchanges of the same `(backend, identity)` pair:
+/// the n-th call returns n-1.
 #[derive(Debug, Default)]
-struct AttemptLedger {
+pub(crate) struct AttemptLedger {
     seen: Mutex<HashMap<(u64, u64), u32>>,
 }
 
 impl AttemptLedger {
-    fn next(&self, backend: u64, fingerprint: u64) -> u32 {
+    pub(crate) fn next(&self, backend: u64, identity: u64) -> u32 {
         let mut seen = sync::lock(&self.seen);
-        let slot = seen.entry((backend, fingerprint)).or_insert(0);
+        let slot = seen.entry((backend, identity)).or_insert(0);
         let attempt = *slot;
         *slot = slot.saturating_add(1);
         attempt
+    }
+}
+
+/// A fault plan and its attempt ledger: the one wire-fault draw that
+/// both [`FaultConnector`] and [`FaultProxy`] call.
+#[derive(Debug)]
+pub struct WireFaults {
+    plan: FaultPlan,
+    ledger: AttemptLedger,
+}
+
+impl WireFaults {
+    /// Draws wire faults from `plan`'s wire sites.
+    pub fn new(plan: FaultPlan) -> WireFaults {
+        WireFaults { plan, ledger: AttemptLedger::default() }
+    }
+
+    /// The fault (if any) to inject on the next exchange of request
+    /// `raw` with backend `addr`: the first wire site, in priority
+    /// order, that fires for this `(backend, identity)` attempt.
+    pub fn draw(&self, addr: &str, raw: &[u8]) -> Option<NetFault> {
+        let (backend, identity) = (fnv1a(addr.as_bytes()), identity(raw));
+        let token = mix(backend, identity);
+        let attempt = self.ledger.next(backend, identity);
+        let spec = self.plan.spec();
+        [
+            (FaultSite::Refuse, NetFault::Refuse),
+            (FaultSite::Garbage, NetFault::Garbage),
+            (FaultSite::Tear, NetFault::Tear),
+            (FaultSite::WireCorrupt, NetFault::Corrupt(token)),
+            (FaultSite::ConnectLatency, NetFault::ConnectLatency(spec.connect_latency)),
+            (FaultSite::Trickle, NetFault::Trickle(spec.trickle)),
+        ]
+        .into_iter()
+        .find(|&(site, _)| self.plan.fires_at(site, token, attempt, 0))
+        .map(|(_, fault)| fault)
     }
 }
 
@@ -332,25 +184,13 @@ impl AttemptLedger {
 #[derive(Debug)]
 pub struct FaultConnector {
     inner: Arc<dyn Connector>,
-    plan: NetFaultPlan,
-    ledger: AttemptLedger,
-    injected: AtomicU64,
+    faults: WireFaults,
 }
 
 impl FaultConnector {
     /// Decorates `inner` with faults drawn from `plan`.
-    pub fn new(inner: Arc<dyn Connector>, plan: NetFaultPlan) -> FaultConnector {
-        FaultConnector {
-            inner,
-            plan,
-            ledger: AttemptLedger::default(),
-            injected: AtomicU64::new(0),
-        }
-    }
-
-    /// Faults injected so far (tests assert the plan actually fired).
-    pub fn injected(&self) -> u64 {
-        self.injected.load(Ordering::Relaxed)
+    pub fn new(inner: Arc<dyn Connector>, plan: FaultPlan) -> FaultConnector {
+        FaultConnector { inner, faults: WireFaults::new(plan) }
     }
 }
 
@@ -363,35 +203,24 @@ impl Connector for FaultConnector {
         read_timeout: Duration,
         cancel: Option<&CancelSlot>,
     ) -> std::io::Result<Vec<u8>> {
-        let backend = fnv1a(addr.as_bytes());
-        let fingerprint = fnv1a(raw);
-        let attempt = self.ledger.next(backend, fingerprint);
-        let Some(fault) = self.plan.decide(backend, fingerprint, attempt) else {
-            return self.inner.exchange(addr, raw, connect_timeout, read_timeout, cancel);
-        };
-        self.injected.fetch_add(1, Ordering::Relaxed);
+        let fault = self.faults.draw(addr, raw);
         match fault {
-            NetFault::Refuse => Err(std::io::Error::new(
-                std::io::ErrorKind::ConnectionRefused,
-                "netfault: connect refused",
-            )),
-            NetFault::ConnectLatency(d) => {
-                thread::sleep(d);
-                self.inner.exchange(addr, raw, connect_timeout, read_timeout, cancel)
+            Some(NetFault::Refuse) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::ConnectionRefused,
+                    "netfault: connect refused",
+                ))
             }
-            NetFault::Trickle(d) => {
-                let bytes =
-                    self.inner.exchange(addr, raw, connect_timeout, read_timeout, cancel)?;
-                thread::sleep(d);
-                Ok(bytes)
-            }
-            NetFault::Tear | NetFault::Garbage | NetFault::Corrupt => {
-                let mut bytes =
-                    self.inner.exchange(addr, raw, connect_timeout, read_timeout, cancel)?;
-                mangle(&mut bytes, fault, mix(backend, fingerprint));
-                Ok(bytes)
-            }
+            Some(NetFault::ConnectLatency(d)) => thread::sleep(d),
+            _ => {}
         }
+        let mut bytes = self.inner.exchange(addr, raw, connect_timeout, read_timeout, cancel)?;
+        match fault {
+            Some(NetFault::Trickle(d)) => thread::sleep(d),
+            Some(f) => mangle(&mut bytes, f),
+            None => {}
+        }
+        Ok(bytes)
     }
 }
 
@@ -422,11 +251,11 @@ impl FaultProxy {
     /// # Errors
     ///
     /// Any socket bind failure, unchanged.
-    pub fn bind(port: u16, upstream: &str, plan: NetFaultPlan) -> std::io::Result<FaultProxy> {
-        let ledger = AttemptLedger::default();
+    pub fn bind(port: u16, upstream: &str, plan: FaultPlan) -> std::io::Result<FaultProxy> {
+        let faults = WireFaults::new(plan);
         let upstream = upstream.to_string();
         let listener = AcceptLoop::bind(port, "cf-fault-proxy", move |stream, _| {
-            let _ = proxy_connection(stream, &upstream, &plan, &ledger);
+            let _ = proxy_connection(stream, &upstream, &faults);
         })?;
         Ok(FaultProxy { listener })
     }
@@ -443,37 +272,28 @@ impl FaultProxy {
     }
 }
 
-/// Reads one complete request off `client`, decides the fault for its
-/// `(upstream, request-bytes)` point, forwards, mangles, answers.
+/// Reads one complete request off `client`, draws its fault, forwards,
+/// mangles, answers.
 fn proxy_connection(
     mut client: TcpStream,
     upstream: &str,
-    plan: &NetFaultPlan,
-    ledger: &AttemptLedger,
+    faults: &WireFaults,
 ) -> std::io::Result<()> {
     // Unparseable or empty request: forward nothing, drop the client.
     let Ok(Some((_, raw))) = http::read_request(&mut client, api::DEFAULT_MAX_BODY_BYTES) else {
         return Ok(());
     };
-    let backend = fnv1a(upstream.as_bytes());
-    let fingerprint = fnv1a(&raw);
-    let attempt = ledger.next(backend, fingerprint);
-    let fault = plan.decide(backend, fingerprint, attempt);
-    if fault == Some(NetFault::Refuse) {
+    let fault = faults.draw(upstream, &raw);
+    match fault {
         // Connect refusal, black-box style: close without a byte.
-        return Ok(());
-    }
-    if let Some(NetFault::ConnectLatency(d)) = fault {
-        thread::sleep(d);
+        Some(NetFault::Refuse) => return Ok(()),
+        Some(NetFault::ConnectLatency(d)) => thread::sleep(d),
+        _ => {}
     }
 
     let mut bytes = TcpConnector.exchange(upstream, &raw, PROXY_CONNECT, PROXY_READ, None)?;
 
     match fault {
-        Some(f @ (NetFault::Tear | NetFault::Garbage | NetFault::Corrupt)) => {
-            mangle(&mut bytes, f, mix(backend, fingerprint));
-            client.write_all(&bytes)?;
-        }
         Some(NetFault::Trickle(total)) => {
             let chunks = bytes.chunks(TRICKLE_CHUNK).len().max(1);
             let pause = total / chunks as u32;
@@ -483,7 +303,11 @@ fn proxy_connection(
                 thread::sleep(pause);
             }
         }
-        _ => client.write_all(&bytes)?,
+        Some(f) => {
+            mangle(&mut bytes, f);
+            client.write_all(&bytes)?;
+        }
+        None => client.write_all(&bytes)?,
     }
     client.flush()
 }
@@ -491,31 +315,56 @@ fn proxy_connection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
+    use crate::trace::TraceContext;
 
-    fn mixed() -> NetFaultSpec {
-        NetFaultSpec {
+    fn mixed() -> FaultSpec {
+        FaultSpec {
             refuse_rate: 0.1,
             connect_latency_rate: 0.05,
             trickle_rate: 0.05,
             tear_rate: 0.1,
             garbage_rate: 0.05,
-            corrupt_rate: 0.1,
-            ..NetFaultSpec::none()
+            wire_corrupt_rate: 0.1,
+            ..FaultSpec::none()
+        }
+    }
+
+    fn submit(body: &str, ctx: TraceContext) -> Vec<u8> {
+        http::request("POST", "/jobs", &[(TRACE_HEADER, &ctx.encode())], Some(body))
+    }
+
+    /// An upstream that always answers 200.
+    #[derive(Debug)]
+    struct Always200;
+
+    impl Connector for Always200 {
+        fn exchange(
+            &self,
+            _: &str,
+            _: &[u8],
+            _: Duration,
+            _: Duration,
+            _: Option<&CancelSlot>,
+        ) -> std::io::Result<Vec<u8>> {
+            Ok(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok".to_vec())
         }
     }
 
     #[test]
     fn decisions_are_deterministic_and_seed_sensitive() {
-        let a = NetFaultPlan::new(7, mixed());
-        let b = NetFaultPlan::new(7, mixed());
-        let c = NetFaultPlan::new(8, mixed());
+        let a = WireFaults::new(FaultPlan::new(7, mixed()));
+        let b = WireFaults::new(FaultPlan::new(7, mixed()));
+        let c = WireFaults::new(FaultPlan::new(8, mixed()));
         let mut diverged = false;
-        for backend in 0..10u64 {
-            for fp in 0..50u64 {
-                for attempt in 0..3 {
-                    let d = a.decide(backend, fp, attempt);
-                    assert_eq!(d, b.decide(backend, fp, attempt));
-                    diverged |= d != c.decide(backend, fp, attempt);
+        for backend in 0..10 {
+            let addr = format!("127.0.0.1:{}", 9000 + backend);
+            for job in 0..50 {
+                let raw = http::request("GET", &format!("/jobs/{job}"), &[], None);
+                for _ in 0..3 {
+                    let d = a.draw(&addr, &raw);
+                    assert_eq!(d, b.draw(&addr, &raw));
+                    diverged |= d != c.draw(&addr, &raw);
                 }
             }
         }
@@ -523,46 +372,87 @@ mod tests {
     }
 
     #[test]
-    fn retries_draw_fresh_decisions() {
-        let plan = NetFaultPlan::new(3, NetFaultSpec { refuse_rate: 0.5, ..NetFaultSpec::none() });
-        let healed = (0..200u64).any(|fp| {
-            plan.fires(NetFaultSite::Refuse, 1, fp, 0)
-                && !plan.fires(NetFaultSite::Refuse, 1, fp, 1)
-        });
-        assert!(healed, "no decision point healed on retry at 50%");
+    fn retried_submits_draw_from_a_stable_identity() {
+        // Every router submit attempt carries a freshly minted trace
+        // span; the draw must not see it, and the n-th exchange of the
+        // same request must draw decision n.
+        const ADDR: &str = "127.0.0.1:9001";
+        const BODY: &str = r#"{"workload":"matmul","order":64,"machine":"f1"}"#;
+        let plan = FaultPlan::new(5, FaultSpec { refuse_rate: 0.5, ..FaultSpec::none() });
+        let refusals = |ctx: &dyn Fn() -> TraceContext| -> Vec<bool> {
+            let connector = FaultConnector::new(Arc::new(Always200), plan.clone());
+            let wait = Duration::from_secs(1);
+            (0..32)
+                .map(|_| connector.exchange(ADDR, &submit(BODY, ctx()), wait, wait, None).is_err())
+                .collect()
+        };
+        let fresh = refusals(&TraceContext::mint);
+        let fixed = TraceContext::mint();
+        assert_eq!(fresh, refusals(&|| fixed), "a fresh trace span changed the draws");
+        assert_eq!(fresh, refusals(&TraceContext::mint), "two connectors drew differently");
+        let token = mix(fnv1a(ADDR.as_bytes()), identity(&submit(BODY, fixed)));
+        let expected: Vec<bool> =
+            (0..32).map(|n| plan.fires(FaultSite::Refuse, token, n)).collect();
+        assert_eq!(fresh, expected, "exchange n must draw attempt n");
+        assert!(fresh.contains(&true) && fresh.contains(&false), "{fresh:?}");
     }
 
     #[test]
-    fn spec_parses_and_rejects() {
+    fn identity_ignores_only_the_trace_line() {
+        let a = submit("{}", TraceContext::mint());
+        let b = submit("{}", TraceContext::mint());
+        assert_ne!(a, b);
+        assert_eq!(identity(&a), identity(&b));
+        let lower = String::from_utf8(a.clone()).unwrap().replace(TRACE_HEADER, "x-cf-trace");
+        assert_eq!(identity(lower.as_bytes()), identity(&a), "header names are case-blind");
+        assert_ne!(identity(&submit("{ }", TraceContext::mint())), identity(&a));
+        let poll = |target: &str| identity(&http::request("GET", target, &[], None));
+        assert_ne!(poll("/jobs/1"), poll("/jobs/2"));
+    }
+
+    #[test]
+    fn wire_spec_parses_and_rejects() {
         let spec =
-            NetFaultSpec::parse("refuse=0.1, tear=0.2,corrupt=0.05,latency_ms=7,trickle_ms=9")
+            FaultSpec::parse_wire("refuse=0.1, tear=0.2,corrupt=0.05,latency_ms=7,trickle_ms=9")
                 .unwrap();
         assert_eq!(spec.refuse_rate, 0.1);
         assert_eq!(spec.tear_rate, 0.2);
-        assert_eq!(spec.corrupt_rate, 0.05);
-        assert_eq!(spec.latency, Duration::from_millis(7));
+        assert_eq!(spec.wire_corrupt_rate, 0.05);
+        assert_eq!(spec.connect_latency, Duration::from_millis(7));
         assert_eq!(spec.trickle, Duration::from_millis(9));
-        assert!(NetFaultSpec::parse("bogus=1").is_err());
-        assert!(NetFaultSpec::parse("refuse=2.0").is_err());
-        assert!(NetFaultSpec::parse("refuse").is_err());
-        assert_eq!(NetFaultSpec::parse("").unwrap(), NetFaultSpec::none());
+        assert_eq!(spec.corrupt_rate, 0.0, "wire corrupt is not the cache site");
+        assert_eq!(FaultSpec::parse_wire("bogus=1").unwrap_err(), "unknown netfault site `bogus`");
+        assert_eq!(
+            FaultSpec::parse_wire("panic=0.1").unwrap_err(),
+            "unknown netfault site `panic`"
+        );
+        assert_eq!(
+            FaultSpec::parse_wire("refuse=2.0").unwrap_err(),
+            "netfault rate `refuse` must be in [0, 1], got 2"
+        );
+        assert_eq!(FaultSpec::parse_wire("refuse").unwrap_err(), "bad netfault-spec item `refuse`");
+        assert_eq!(
+            FaultSpec::parse_wire("trickle_ms=x").unwrap_err(),
+            "bad netfault-spec value `x` for `trickle_ms`"
+        );
+        assert_eq!(FaultSpec::parse_wire("").unwrap(), FaultSpec::none());
     }
 
     #[test]
     fn mangle_tear_truncates_body_and_garbage_breaks_status() {
         let reply = b"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\n0123456789".to_vec();
         let mut torn = reply.clone();
-        mangle(&mut torn, NetFault::Tear, 42);
+        mangle(&mut torn, NetFault::Tear);
         assert!(torn.len() < reply.len(), "tear must shorten the reply");
         assert!(find_head_end(&torn).is_some(), "tear keeps the head");
 
         let mut garbled = reply.clone();
-        mangle(&mut garbled, NetFault::Garbage, 42);
+        mangle(&mut garbled, NetFault::Garbage);
         assert_eq!(&garbled[..8], b"GARBAGE!");
         assert_eq!(garbled.len(), reply.len());
 
         let mut flipped = reply.clone();
-        mangle(&mut flipped, NetFault::Corrupt, 42);
+        mangle(&mut flipped, NetFault::Corrupt(42));
         assert_eq!(flipped.len(), reply.len());
         let diff = reply.iter().zip(&flipped).filter(|(a, b)| a != b).count();
         assert_eq!(diff, 1, "corrupt flips exactly one byte");

@@ -66,13 +66,13 @@ use std::time::{Duration, Instant};
 use serde_json::{Map, Value};
 
 use crate::api;
-use crate::fault::fnv1a;
+use crate::fault::{fnv1a, FaultPlan};
 use crate::http::{
     self, digest_ok, CancelSlot, Connector, HttpRequest, Reply, Response, TcpConnector,
 };
 use crate::listener::AcceptLoop;
 use crate::metrics::{self, Family};
-use crate::netfault::{FaultConnector, NetFaultPlan};
+use crate::netfault::FaultConnector;
 use crate::obs::LatencyHistogram;
 use crate::parked;
 use crate::serve::{json_str, verify_record_json};
@@ -358,7 +358,7 @@ pub struct RouterConfig {
     pub quarantine_for: Duration,
     /// Seeded wire-fault plan decorating the dialer (chaos testing);
     /// `None` dials straight TCP.
-    pub netfault: Option<NetFaultPlan>,
+    pub netfault: Option<FaultPlan>,
     /// End-to-end latency target for SLO accounting: a streamed record
     /// counts *good* when its attributed latency (backend `total_us`
     /// plus router submit network and backoff overhead — poll wait

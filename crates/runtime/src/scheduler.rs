@@ -328,11 +328,6 @@ impl Runtime {
         Runtime { inner, workers: handles }
     }
 
-    /// A runtime with `workers` threads and default queue/cache sizing.
-    pub fn with_workers(workers: usize) -> Self {
-        Runtime::new(RuntimeConfig { workers, ..Default::default() })
-    }
-
     /// Number of worker threads.
     pub fn worker_count(&self) -> usize {
         self.workers.len()

@@ -276,7 +276,7 @@ fn compute_run_header(flat: &[FlatJob], opts: &ServeOptions) -> RunHeader {
         machines_src.push('\n');
     }
     let (fault_seed, fault_spec) = match &opts.fault_plan {
-        Some(plan) => (Some(plan.seed()), fnv1a(format!("{:?}", plan.spec()).as_bytes())),
+        Some(plan) => (Some(plan.seed()), fnv1a(plan.spec().render().as_bytes())),
         None => (None, 0),
     };
     RunHeader {
@@ -779,6 +779,7 @@ pub fn verify_record_json(line: &str, expected_id: Option<u64>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultSpec;
 
     fn quick_opts() -> ServeOptions {
         ServeOptions { workers: 2, ..Default::default() }
@@ -798,6 +799,20 @@ mod tests {
         }
         // The repeat is answered by the cache.
         assert!(report.stats.cache_hits >= 1);
+    }
+
+    #[test]
+    fn journal_fault_fingerprint_hashes_the_canonical_spec_text() {
+        let opts = ServeOptions {
+            fault_plan: Some(FaultPlan::new(7, FaultSpec::chaos())),
+            ..quick_opts()
+        };
+        let header = compute_run_header(&[], &opts);
+        assert_eq!(header.fault_seed, Some(7));
+        // fnv1a("panic=0.1,latency=0,latency_ms=1,corrupt=0.05,expire=0,mem=0,kill=0"):
+        // a changed value makes every journal written under the default
+        // chaos plan refuse to resume.
+        assert_eq!(header.fault_spec, 0x0FA9_8CE1_3975_6822);
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use cf_runtime::http::{digest_ok, parse_reply, Connector, Reply, TcpConnector};
 use cf_runtime::listener::AcceptLoop;
 use cf_runtime::obs::{Obs, SpanKind};
-use cf_runtime::{FaultProxy, NetFaultPlan, NetFaultSpec, Router, RouterConfig, RouterServer};
+use cf_runtime::{FaultPlan, FaultProxy, FaultSpec, Router, RouterConfig, RouterServer};
 use cf_runtime::{StatusServer, Tracer};
 
 /// The idle-shutdown budget.
@@ -160,7 +160,7 @@ fn fault_proxy_lifecycle() {
     let upstream = StatusServer::bind(0, Arc::clone(&obs)).unwrap();
     let target = upstream.local_addr().to_string();
     check_lifecycle(
-        || FaultProxy::bind(0, &target, NetFaultPlan::new(1, NetFaultSpec::none())).unwrap(),
+        || FaultProxy::bind(0, &target, FaultPlan::new(1, FaultSpec::none())).unwrap(),
         FaultProxy::local_addr,
         FaultProxy::shutdown,
     );

@@ -63,9 +63,8 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use cambricon_f::runtime::api::DEFAULT_MAX_BODY_BYTES;
-use cambricon_f::runtime::netfault::{FaultProxy, NetFaultPlan, NetFaultSpec};
 use cambricon_f::runtime::router::{Router, RouterConfig, RouterServer};
-use cambricon_f::runtime::{BreakerConfig, RetryPolicy};
+use cambricon_f::runtime::{BreakerConfig, FaultPlan, FaultProxy, FaultSpec, RetryPolicy};
 
 const EXIT_BAD_ARGS: u8 = 2;
 
@@ -145,7 +144,7 @@ fn main() -> ExitCode {
     let mut config = RouterConfig::default();
     let mut port: u16 = 0;
     let mut netfault_seed: u64 = 0;
-    let mut netfault_spec: Option<NetFaultSpec> = None;
+    let mut netfault_spec: Option<FaultSpec> = None;
     let mut fault_proxy: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -227,7 +226,7 @@ fn main() -> ExitCode {
                 None => return usage(),
             },
             "--netfault-spec" => match it.next() {
-                Some(text) => match NetFaultSpec::parse(text) {
+                Some(text) => match FaultSpec::parse_wire(text) {
                     Ok(spec) => netfault_spec = Some(spec),
                     Err(e) => {
                         eprintln!("cfrouter: {e}");
@@ -249,8 +248,7 @@ fn main() -> ExitCode {
             eprintln!("cfrouter: --fault-proxy and --backend are mutually exclusive");
             return usage();
         }
-        let plan =
-            NetFaultPlan::new(netfault_seed, netfault_spec.unwrap_or_else(NetFaultSpec::none));
+        let plan = FaultPlan::new(netfault_seed, netfault_spec.unwrap_or_else(FaultSpec::none));
         let proxy = match FaultProxy::bind(port, &upstream, plan) {
             Ok(proxy) => proxy,
             Err(e) => {
@@ -274,7 +272,7 @@ fn main() -> ExitCode {
     if config.max_body == 0 {
         config.max_body = DEFAULT_MAX_BODY_BYTES;
     }
-    config.netfault = netfault_spec.map(|spec| NetFaultPlan::new(netfault_seed, spec));
+    config.netfault = netfault_spec.map(|spec| FaultPlan::new(netfault_seed, spec));
     let chaos = config.netfault.is_some();
 
     let backends = config.backends.len();
