@@ -32,8 +32,9 @@ use cf_tensor::Region;
 use crate::arena::PlanArena;
 use crate::hash::FxBuildHasher;
 use crate::memo::PlanMemo;
-use crate::plan::{ChildInst, DmaOp, NodePlan, Planner, Space, Step};
-use crate::profile::{ProfileReport, ProfileState};
+use crate::memory::RECYCLED_SEGMENTS;
+use crate::plan::{ChildInst, DmaOp, Entry, NodePlan, Planner, Run, RunPlan, Space, Step};
+use crate::profile::{ProfileReport, ProfileState, StageSeconds};
 use crate::stats::Stats;
 use crate::{CoreError, MachineConfig, PerfReport};
 
@@ -133,6 +134,8 @@ pub struct PerfSim {
     arena: PlanArena,
     /// Subtree simulations fanned out by [`PerfSim::simulate_parallel`].
     parallel_tasks: Cell<u64>,
+    /// Steps the planner materialised.
+    planned_steps: Cell<u64>,
     /// Opt-in attribution state; `None` keeps the hot path to one branch.
     profile: Option<RefCell<ProfileState>>,
 }
@@ -160,6 +163,9 @@ pub struct ColdStats {
     pub outcome_hits: u64,
     /// Subtree outcomes planned and timed (and cached).
     pub outcome_misses: u64,
+    /// Steps the planner materialised: each distinct step of a
+    /// run-length plan once, every step on the naive path.
+    pub planned_steps: u64,
 }
 
 impl ColdStats {
@@ -175,6 +181,7 @@ impl ColdStats {
             step_memo_misses: self.step_memo_misses - before.step_memo_misses,
             outcome_hits: self.outcome_hits - before.outcome_hits,
             outcome_misses: self.outcome_misses - before.outcome_misses,
+            planned_steps: self.planned_steps - before.planned_steps,
         }
     }
 }
@@ -255,8 +262,9 @@ struct StepKey {
     children: Option<(u64, Vec<u32>)>,
 }
 
-/// A memoized step: its stage times, its stats delta, and — on a
-/// profiled run — each child's concatenation saving, replayed on hits.
+/// A timed step: its stage times, its stats delta, and — on a profiled
+/// run — each child's concatenation saving, replayed on every later
+/// occurrence.
 #[derive(Debug)]
 struct StepEntry {
     times: StageTimes,
@@ -269,7 +277,7 @@ struct StepEntry {
 #[derive(Debug, Default)]
 struct StepMemo {
     enabled: bool,
-    table: RefCell<HashMap<StepKey, StepEntry, FxBuildHasher>>,
+    table: RefCell<HashMap<StepKey, Rc<StepEntry>, FxBuildHasher>>,
     probes: Cell<u64>,
     hits: Cell<u64>,
     misses: Cell<u64>,
@@ -303,7 +311,9 @@ fn outcome_entry_bytes(key: &Key, outcome: &NodeOutcome) -> usize {
 
 /// Estimated heap bytes of one step-memo entry.
 fn step_entry_bytes(key: &StepKey, entry: &StepEntry) -> usize {
-    std::mem::size_of::<(StepKey, StepEntry)>()
+    std::mem::size_of::<(StepKey, Rc<StepEntry>)>()
+        + std::mem::size_of::<StepEntry>()
+        + 2 * std::mem::size_of::<usize>()
         + key.children.as_ref().map_or(0, |(_, masks)| masks.capacity() * 4)
         + stats_heap_bytes(&entry.stats)
         + entry.concat_saved.capacity() * std::mem::size_of::<Option<f64>>()
@@ -328,6 +338,7 @@ impl PerfSim {
             steps: StepMemo { enabled: opts.memo, ..StepMemo::default() },
             arena: PlanArena::new(),
             parallel_tasks: Cell::new(0),
+            planned_steps: Cell::new(0),
             profile: opts.profile.then(|| RefCell::new(ProfileState::default())),
         }
     }
@@ -354,6 +365,7 @@ impl PerfSim {
             step_memo_misses: self.steps.misses.get(),
             outcome_hits: self.outcome_hits.get(),
             outcome_misses: self.outcome_misses.get(),
+            planned_steps: self.planned_steps.get(),
         }
     }
 
@@ -381,19 +393,26 @@ impl PerfSim {
     ///
     /// Propagates planning errors.
     pub fn simulate(&self, program: &Program) -> Result<NodeOutcome, CoreError> {
-        let plan = self.planner().plan_root_with(
-            program.instructions(),
-            program.extern_elems(),
-            &self.plan_memo,
-            &self.arena,
-        )?;
+        let plan = self.plan_root(program)?;
         let out = self.time_plan(0, &plan, &[], &[], None)?;
         self.recycle(plan);
         Ok(out)
     }
 
+    /// The run-length root plan of `program`.
+    fn plan_root(&self, program: &Program) -> Result<RunPlan, CoreError> {
+        let plan = self.planner().plan_root_runs(
+            program.instructions(),
+            program.extern_elems(),
+            &self.plan_memo,
+            &self.arena,
+        )?;
+        add(&self.planned_steps, plan.steps.len());
+        Ok(plan)
+    }
+
     /// Returns a consumed plan's buffers to the arena.
-    fn recycle(&self, plan: NodePlan) {
+    fn recycle(&self, plan: RunPlan) {
         self.arena.put_steps(plan.steps);
     }
 
@@ -420,12 +439,7 @@ impl PerfSim {
         program: &Program,
         threads: usize,
     ) -> Result<NodeOutcome, CoreError> {
-        let plan = self.planner().plan_root_with(
-            program.instructions(),
-            program.extern_elems(),
-            &self.plan_memo,
-            &self.arena,
-        )?;
+        let plan = self.plan_root(program)?;
         if threads >= 2 {
             // Unique uncached level-1 signatures, in first-appearance order.
             let mut seen: std::collections::HashSet<Key, FxBuildHasher> =
@@ -557,10 +571,7 @@ impl PerfSim {
         let key = Key::new(level, sig, resident, shared);
         let resident_bits = || crate::plan::mask_bits(resident, sig.inputs.len());
         if let Some(hit) = self.cache.borrow().get(&key) {
-            bump(&self.outcome_hits);
-            if let Some(p) = &self.profile {
-                p.borrow_mut().record_hit(level, sig, &resident_bits(), shared);
-            }
+            self.record_hit(level, sig, resident, shared);
             return Ok(Rc::clone(hit));
         }
         if let Some(p) = &self.profile {
@@ -568,13 +579,9 @@ impl PerfSim {
         }
         let inst = inst();
         let resident = resident_bits();
-        let plan = self.planner().plan_instruction_with(
-            level,
-            &inst,
-            false,
-            &self.plan_memo,
-            &self.arena,
-        )?;
+        let plan =
+            self.planner().plan_instruction_runs(level, &inst, &self.plan_memo, &self.arena)?;
+        add(&self.planned_steps, plan.steps.len());
         let outcome = Rc::new(self.time_plan(level, &plan, &resident, shared, Some(&inst))?);
         self.recycle(plan);
         if let Some(p) = &self.profile {
@@ -584,6 +591,16 @@ impl PerfSim {
         add(&self.outcome_bytes, outcome_entry_bytes(&key, &outcome));
         self.cache.borrow_mut().insert(key, Rc::clone(&outcome));
         Ok(outcome)
+    }
+
+    /// Counts an outcome-cache hit on `sig` at `level` (and replays it on a
+    /// profiled run).
+    fn record_hit(&self, level: usize, sig: &Instruction, resident: u32, shared: &[u32]) {
+        bump(&self.outcome_hits);
+        if let Some(p) = &self.profile {
+            let resident = crate::plan::mask_bits(resident, sig.inputs.len());
+            p.borrow_mut().record_hit(level, sig, &resident, shared);
+        }
     }
 
     /// Pre-populates the outcome memo with an externally computed subtree
@@ -627,8 +644,9 @@ impl PerfSim {
         Ok(self.stage_times_of_plan(level, &plan, resident, shared, Some(inst))?.0)
     }
 
-    /// Stage durations of one step plus its stats contribution, from the
-    /// step memo when an equal [`StepKey`] was timed before.
+    /// The timing of one step — stage durations, stats contribution and
+    /// profile replay — from the step memo when an equal [`StepKey`] was
+    /// timed before.
     ///
     /// `resident_regions` / `shared_regions` are the incoming
     /// instruction's resident and broadcast operands, recognised in the
@@ -637,46 +655,47 @@ impl PerfSim {
     /// # Errors
     ///
     /// Propagates planning errors from child recursion.
-    pub(crate) fn step_times(
+    fn step_entry(
         &self,
         level: usize,
         step: &Step,
         resident_regions: &[&Region],
         shared_regions: &[(&Region, u32)],
-        stats: &mut Stats,
-    ) -> Result<StageTimes, CoreError> {
+    ) -> Result<Rc<StepEntry>, CoreError> {
         let key = self.step_key(level, step, resident_regions, shared_regions);
         if self.steps.enabled {
             bump(&self.steps.probes);
             if let Some(hit) = self.steps.table.borrow().get(&key) {
                 bump(&self.steps.hits);
-                if let (Some(p), Some(c)) = (&self.profile, &step.children) {
-                    // Replay what timing the children one by one records:
-                    // every child is an outcome-cache hit by now.
-                    let mut p = p.borrow_mut();
-                    for (slot, saved) in hit.concat_saved.iter().enumerate() {
-                        let piece = c.split.piece(slot);
-                        let resident = crate::plan::mask_bits(c.resident[slot], piece.inputs.len());
-                        p.record_hit(level + 1, piece, &resident, c.split.shared(slot));
-                        if let Some(saved) = saved {
-                            p.record_concat_saved(level, *saved);
-                        }
-                    }
-                }
-                stats.absorb(&hit.stats);
-                return Ok(hit.times);
+                self.replay_children(level, step, hit);
+                return Ok(Rc::clone(hit));
             }
         }
         let mut delta = Stats::new();
         let (times, concat_saved) = self.time_step(&key, step, &mut delta)?;
-        stats.absorb(&delta);
+        let entry = Rc::new(StepEntry { times, stats: delta, concat_saved });
         if self.steps.enabled {
             bump(&self.steps.misses);
-            let entry = StepEntry { times, stats: delta, concat_saved };
             add(&self.steps.bytes, step_entry_bytes(&key, &entry));
-            self.steps.table.borrow_mut().insert(key, entry);
+            self.steps.table.borrow_mut().insert(key, Rc::clone(&entry));
         }
-        Ok(times)
+        Ok(entry)
+    }
+
+    /// On a profiled run, replays what timing `step`'s children one by
+    /// one records: every child is an outcome-cache hit by now.
+    fn replay_children(&self, level: usize, step: &Step, entry: &StepEntry) {
+        if let (Some(p), Some(c)) = (&self.profile, &step.children) {
+            let mut p = p.borrow_mut();
+            for (slot, saved) in entry.concat_saved.iter().enumerate() {
+                let piece = c.split.piece(slot);
+                let resident = crate::plan::mask_bits(c.resident[slot], piece.inputs.len());
+                p.record_hit(level + 1, piece, &resident, c.split.shared(slot));
+                if let Some(saved) = saved {
+                    p.record_concat_saved(level, *saved);
+                }
+            }
+        }
     }
 
     /// The [`StepKey`] of `step` at `level`: loads classified against the
@@ -809,15 +828,26 @@ impl PerfSim {
             let mut slot_full = vec![0.0f64; fanout];
             let mut slot_steady = vec![0.0f64; fanout];
             let mut slot_first = vec![true; fanout];
+            // Children of one class and resident mask share a signature:
+            // after the first, each is an outcome-cache hit.
+            let mut known: Vec<(usize, u32, Rc<NodeOutcome>)> = Vec::new();
             for i in 0..c.split.len() {
                 let slot = i % fanout;
-                let outcome = self.probe(
-                    level + 1,
-                    c.split.piece(i),
-                    c.resident[i],
-                    c.split.shared(i),
-                    || step.child(i).inst,
-                )?;
+                let (piece, resident, shared) =
+                    (c.split.piece(i), c.resident[i], c.split.shared(i));
+                let class = c.split.class(i);
+                let outcome = match known.iter().find(|(k, r, _)| *k == class && *r == resident) {
+                    Some((_, _, outcome)) => {
+                        self.record_hit(level + 1, piece, resident, shared);
+                        Rc::clone(outcome)
+                    }
+                    None => {
+                        let outcome =
+                            self.probe(level + 1, piece, resident, shared, || step.child(i).inst)?;
+                        known.push((class, resident, Rc::clone(&outcome)));
+                        outcome
+                    }
+                };
                 stats.absorb_child(&outcome.stats);
                 let mut saved = None;
                 if slot_first[slot] {
@@ -897,41 +927,102 @@ impl PerfSim {
         Ok((t, concat_saved))
     }
 
-    /// Times a whole plan with the in-order pipeline scheduler.
+    /// Times a run-length plan with the in-order pipeline scheduler,
+    /// walking its runs in step order. Each materialised step is timed
+    /// once; every later occurrence reuses that timing, and the pipeline,
+    /// the busy sums and the profile still see every step in turn, so the
+    /// result is bit-identical to timing the explicit plan.
     pub(crate) fn time_plan(
         &self,
         level: usize,
-        plan: &NodePlan,
+        plan: &RunPlan,
         resident: &[bool],
         shared: &[u32],
         incoming: Option<&Instruction>,
     ) -> Result<NodeOutcome, CoreError> {
-        let (times, stats) = self.stage_times_of_plan(level, plan, resident, shared, incoming)?;
+        let (res_regions, sh_regions) = incoming_regions(incoming, resident, shared);
+        let mut walk = Walk {
+            timed: vec![None; plan.steps.len()],
+            block_stats: vec![None; plan.blocks.len()],
+            counting: true,
+            pipe: Pipeline::new(self.cfg().opts.concat),
+            busy: [-0.0; 4],
+            stats: Stats::new(),
+            seconds: StageSeconds::default(),
+            concat_saved: 0.0,
+        };
+        self.walk_runs(level, plan, &plan.runs, &res_regions, &sh_regions, &mut walk)?;
         if let Some(p) = &self.profile {
-            let own_bytes = stats.levels.first().map(|l| l.dma_bytes).unwrap_or(0);
-            // Step-level concatenation: steps without a RAW hazard admit
-            // their EX at steady spacing (mirrors schedule_pipeline).
-            let mut saved = 0.0;
-            if self.cfg().opts.concat {
-                for (i, t) in times.iter().enumerate() {
-                    if i > 0 && !plan.steps[i].raw_dep_prev {
-                        saved += (t.ex_full - t.ex_steady.min(t.ex_full)).max(0.0);
+            let own_bytes = walk.stats.levels.first().map(|l| l.dma_bytes).unwrap_or(0);
+            let mut state = p.borrow_mut();
+            state.record_plan(level, walk.seconds, own_bytes);
+            if walk.concat_saved > 0.0 {
+                state.record_concat_saved(level, walk.concat_saved);
+            }
+        }
+        let [id, dma, ex, rd] = walk.busy;
+        Ok(NodeOutcome {
+            makespan: walk.pipe.makespan,
+            steady: id.max(dma).max(ex).max(rd),
+            stats: walk.stats,
+        })
+    }
+
+    fn walk_runs(
+        &self,
+        level: usize,
+        plan: &RunPlan,
+        runs: &[Run],
+        resident_regions: &[&Region],
+        shared_regions: &[(&Region, u32)],
+        walk: &mut Walk,
+    ) -> Result<(), CoreError> {
+        for run in runs {
+            for _ in 0..run.count {
+                match run.entry {
+                    Entry::Step(i) => {
+                        let step = &plan.steps[i];
+                        let entry = match &walk.timed[i] {
+                            Some(entry) => {
+                                self.replay_children(level, step, entry);
+                                Rc::clone(entry)
+                            }
+                            None => {
+                                let entry =
+                                    self.step_entry(level, step, resident_regions, shared_regions)?;
+                                walk.timed[i] = Some(Rc::clone(&entry));
+                                entry
+                            }
+                        };
+                        walk.step(&entry, step.raw_dep_prev, self.profile.is_some());
+                    }
+                    Entry::Block(b) => {
+                        // A block adds the same stats wherever it recurs
+                        // (integer sums): total them on its first walk and
+                        // add the total on later ones.
+                        let total = walk.block_stats[b].clone();
+                        let counting = std::mem::replace(&mut walk.counting, total.is_none());
+                        let outer = std::mem::take(&mut walk.stats);
+                        let blk = &plan.blocks[b];
+                        self.walk_runs(level, plan, blk, resident_regions, shared_regions, walk)?;
+                        let total = total.unwrap_or_else(|| {
+                            let total = Rc::new(std::mem::take(&mut walk.stats));
+                            walk.block_stats[b] = Some(Rc::clone(&total));
+                            total
+                        });
+                        walk.stats = outer;
+                        walk.counting = counting;
+                        if counting {
+                            walk.stats.absorb(&total);
+                        }
                     }
                 }
             }
-            let mut state = p.borrow_mut();
-            state.record_plan(level, &times, own_bytes);
-            if saved > 0.0 {
-                state.record_concat_saved(level, saved);
-            }
         }
-        let (schedule, makespan) = schedule_pipeline(plan, &times, self.cfg().opts.concat);
-        let _ = schedule;
-        let steady = steady_of(&times);
-        Ok(NodeOutcome { makespan, steady, stats })
+        Ok(())
     }
 
-    /// Stage durations for every step of a plan.
+    /// Stage durations for every step of an explicit plan.
     pub(crate) fn stage_times_of_plan(
         &self,
         level: usize,
@@ -940,30 +1031,87 @@ impl PerfSim {
         shared: &[u32],
         incoming: Option<&Instruction>,
     ) -> Result<(Vec<StageTimes>, Stats), CoreError> {
+        let (res_regions, sh_regions) = incoming_regions(incoming, resident, shared);
         let mut stats = Stats::new();
-        let (res_regions, sh_regions): (Vec<&Region>, Vec<(&Region, u32)>) = match incoming {
-            Some(inst) => (
-                inst.inputs
-                    .iter()
-                    .zip(resident.iter().chain(std::iter::repeat(&false)))
-                    .filter(|(_, &m)| m)
-                    .map(|(r, _)| r)
-                    .collect(),
-                inst.inputs
-                    .iter()
-                    .zip(shared.iter().chain(std::iter::repeat(&1)))
-                    .filter(|(_, &g)| g > 1)
-                    .map(|(r, &g)| (r, g))
-                    .collect(),
-            ),
-            None => (Vec::new(), Vec::new()),
-        };
         let times = plan
             .steps
             .iter()
-            .map(|s| self.step_times(level, s, &res_regions, &sh_regions, &mut stats))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|s| {
+                let entry = self.step_entry(level, s, &res_regions, &sh_regions)?;
+                stats.absorb(&entry.stats);
+                Ok(entry.times)
+            })
+            .collect::<Result<Vec<_>, CoreError>>()?;
         Ok((times, stats))
+    }
+}
+
+/// The incoming instruction's resident operands, and its broadcast
+/// operands with their group sizes.
+fn incoming_regions<'a>(
+    incoming: Option<&'a Instruction>,
+    resident: &[bool],
+    shared: &[u32],
+) -> (Vec<&'a Region>, Vec<(&'a Region, u32)>) {
+    match incoming {
+        Some(inst) => (
+            inst.inputs
+                .iter()
+                .zip(resident.iter().chain(std::iter::repeat(&false)))
+                .filter(|(_, &m)| m)
+                .map(|(r, _)| r)
+                .collect(),
+            inst.inputs
+                .iter()
+                .zip(shared.iter().chain(std::iter::repeat(&1)))
+                .filter(|(_, &g)| g > 1)
+                .map(|(r, &g)| (r, g))
+                .collect(),
+        ),
+        None => (Vec::new(), Vec::new()),
+    }
+}
+
+/// A run-length plan being timed in step order.
+struct Walk {
+    /// Per materialised step, its timing once its first occurrence has
+    /// been timed.
+    timed: Vec<Option<Rc<StepEntry>>>,
+    /// Per block, its stats total once its first walk has summed it.
+    block_stats: Vec<Option<Rc<Stats>>>,
+    /// Whether steps add their stats (off inside a block whose total is
+    /// known).
+    counting: bool,
+    pipe: Pipeline,
+    /// Busy time of the decoder, the DMA engine (LD + WB), the FFUs
+    /// (steady EX) and the LFU (RD), summed in step order from `-0.0`
+    /// as `f64`'s `Sum` does: their maximum is the steady-state spacing.
+    busy: [f64; 4],
+    stats: Stats,
+    /// On a profiled run: stage seconds, and the step-level
+    /// concatenation savings (mirroring the pipeline's admission rule).
+    seconds: StageSeconds,
+    concat_saved: f64,
+}
+
+impl Walk {
+    fn step(&mut self, entry: &StepEntry, raw_dep_prev: bool, profile: bool) {
+        let t = &entry.times;
+        let first = self.pipe.admitted == 0;
+        self.pipe.admit(t, raw_dep_prev);
+        self.busy[0] += t.id;
+        self.busy[1] += t.ld + t.wb;
+        self.busy[2] += t.ex_steady;
+        self.busy[3] += t.rd;
+        if self.counting {
+            self.stats.absorb(&entry.stats);
+        }
+        if profile {
+            self.seconds.add_times(t);
+            if self.pipe.concat && !first && !raw_dep_prev {
+                self.concat_saved += (t.ex_full - t.ex_steady.min(t.ex_full)).max(0.0);
+            }
+        }
     }
 }
 
@@ -1050,68 +1198,93 @@ impl SimCache {
     }
 }
 
-/// Busiest-resource total (the steady-state spacing of the node pipeline).
-pub(crate) fn steady_of(times: &[StageTimes]) -> f64 {
-    let id: f64 = times.iter().map(|t| t.id).sum();
-    let dma: f64 = times.iter().map(|t| t.ld + t.wb).sum();
-    let ex: f64 = times.iter().map(|t| t.ex_steady).sum();
-    let rd: f64 = times.iter().map(|t| t.rd).sum();
-    id.max(dma).max(ex).max(rd)
+/// The in-order pipeline scheduler, one step at a time. Resources: the
+/// decoder (ID), the DMA engine (LD+WB), the FFUs (EX) and the LFU (RD).
+/// Three recycled memory segments bound the number of in-flight steps;
+/// RAW hazards stall LD until the producer's WB. Only the last
+/// [`RECYCLED_SEGMENTS`] schedules are kept, so a plan of any length is
+/// scheduled in constant memory.
+#[derive(Debug)]
+pub(crate) struct Pipeline {
+    concat: bool,
+    admitted: usize,
+    id_end: f64,
+    dma_free: f64,
+    ex_end_prev: f64,
+    rd_end_prev: f64,
+    /// Latest WB or RD end so far.
+    pub(crate) makespan: f64,
+    /// Step `i`'s schedule at `i % RECYCLED_SEGMENTS`.
+    recent: [StepSchedule; RECYCLED_SEGMENTS],
 }
 
-/// In-order pipeline scheduler: returns per-step absolute intervals and the
-/// makespan. Resources: the decoder (ID), the DMA engine (LD+WB), the FFUs
-/// (EX) and the LFU (RD). Three recycled memory segments bound the number
-/// of in-flight steps; RAW hazards stall LD until the producer's WB.
-pub(crate) fn schedule_pipeline(
-    plan: &NodePlan,
-    times: &[StageTimes],
-    concat: bool,
-) -> (Vec<StepSchedule>, f64) {
-    let n = times.len();
-    let mut sched = vec![StepSchedule::default(); n];
-    let mut id_end = 0.0f64;
-    let mut dma_free = 0.0f64;
-    let mut ex_end_prev = 0.0f64;
-    let mut rd_end_prev = 0.0f64;
-    let mut makespan = 0.0f64;
-    for i in 0..n {
-        let t = &times[i];
-        let id_start = id_end;
-        id_end += t.id;
-        let mut ld_start = id_end.max(dma_free);
-        if plan.steps[i].raw_dep_prev && i > 0 {
-            ld_start = ld_start.max(sched[i - 1].wb.1).max(sched[i - 1].rd.1);
+impl Pipeline {
+    pub(crate) fn new(concat: bool) -> Self {
+        Pipeline {
+            concat,
+            admitted: 0,
+            id_end: 0.0,
+            dma_free: 0.0,
+            ex_end_prev: 0.0,
+            rd_end_prev: 0.0,
+            makespan: 0.0,
+            recent: [StepSchedule::default(); RECYCLED_SEGMENTS],
         }
-        if i >= crate::memory::RECYCLED_SEGMENTS {
-            ld_start = ld_start.max(sched[i - crate::memory::RECYCLED_SEGMENTS].wb.1);
+    }
+
+    /// Schedules the next step.
+    pub(crate) fn admit(&mut self, t: &StageTimes, raw_dep_prev: bool) -> StepSchedule {
+        let i = self.admitted;
+        let id_start = self.id_end;
+        self.id_end += t.id;
+        let mut ld_start = self.id_end.max(self.dma_free);
+        if raw_dep_prev && i > 0 {
+            let prev = &self.recent[(i - 1) % RECYCLED_SEGMENTS];
+            ld_start = ld_start.max(prev.wb.1).max(prev.rd.1);
+        }
+        if i >= RECYCLED_SEGMENTS {
+            ld_start = ld_start.max(self.recent[i % RECYCLED_SEGMENTS].wb.1);
         }
         let ld_end = ld_start + t.ld;
-        dma_free = ld_end;
-        let ex_dur = if i > 0 && concat && !plan.steps[i].raw_dep_prev {
+        self.dma_free = ld_end;
+        let ex_dur = if i > 0 && self.concat && !raw_dep_prev {
             t.ex_steady.min(t.ex_full)
         } else {
             t.ex_full
         };
-        let ex_start = ld_end.max(ex_end_prev);
+        let ex_start = ld_end.max(self.ex_end_prev);
         let ex_end = ex_start + ex_dur;
-        ex_end_prev = ex_end;
-        let rd_start = ex_end.max(rd_end_prev);
+        self.ex_end_prev = ex_end;
+        let rd_start = ex_end.max(self.rd_end_prev);
         let rd_end = rd_start + t.rd;
-        rd_end_prev = rd_end;
-        let wb_start = rd_end.max(dma_free);
+        self.rd_end_prev = rd_end;
+        let wb_start = rd_end.max(self.dma_free);
         let wb_end = wb_start + t.wb;
-        dma_free = wb_end;
-        sched[i] = StepSchedule {
-            id: (id_start, id_end),
+        self.dma_free = wb_end;
+        let sched = StepSchedule {
+            id: (id_start, self.id_end),
             ld: (ld_start, ld_end),
             ex: (ex_start, ex_end),
             rd: (rd_start, rd_end),
             wb: (wb_start, wb_end),
         };
-        makespan = makespan.max(wb_end).max(rd_end);
+        self.makespan = self.makespan.max(wb_end).max(rd_end);
+        self.recent[i % RECYCLED_SEGMENTS] = sched;
+        self.admitted += 1;
+        sched
     }
-    (sched, makespan)
+}
+
+/// Every step's absolute schedule and the makespan of an explicit plan
+/// (see [`Pipeline`]).
+pub(crate) fn schedule_pipeline(
+    plan: &NodePlan,
+    times: &[StageTimes],
+    concat: bool,
+) -> (Vec<StepSchedule>, f64) {
+    let mut pipe = Pipeline::new(concat);
+    let sched = plan.steps.iter().zip(times).map(|(s, t)| pipe.admit(t, s.raw_dep_prev)).collect();
+    (sched, pipe.makespan)
 }
 
 #[cfg(test)]
@@ -1298,11 +1471,10 @@ mod tests {
         let bits =
             |t: StageTimes| [t.id, t.ld, t.ex_full, t.ex_steady, t.rd, t.wb].map(f64::to_bits);
         for step in &steps {
-            let (mut m, mut n) = (Stats::new(), Stats::new());
-            let tm = memo.step_times(1, step, &[&region], &[], &mut m).unwrap();
-            let tn = naive.step_times(1, step, &[&region], &[], &mut n).unwrap();
-            assert_eq!(bits(tm), bits(tn), "{step:?}");
-            assert_eq!(m, n, "{step:?}");
+            let m = memo.step_entry(1, step, &[&region], &[]).unwrap();
+            let n = naive.step_entry(1, step, &[&region], &[]).unwrap();
+            assert_eq!(bits(m.times), bits(n.times), "{step:?}");
+            assert_eq!(m.stats, n.stats, "{step:?}");
         }
         let cold = memo.cold_stats();
         assert_eq!((cold.step_memo_hits, cold.step_memo_misses), (0, steps.len() as u64));

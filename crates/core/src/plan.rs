@@ -13,6 +13,7 @@
 //! sequential split) live in the *static* segment (§3.5); children receive
 //! instructions whose operands live in this node's local memory.
 
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,13 +23,14 @@ use cf_ops::fractal::{ReduceKind, SplitOutcome};
 use cf_tensor::{Region, Shape, ELEM_BYTES};
 
 use crate::arena::PlanArena;
+use crate::hash::FxBuildHasher;
 use crate::memo::{self, MemoKind, Memoized, PlanMemo};
-use crate::memory::SegmentedAllocator;
+use crate::memory::{SegmentedAllocator, RECYCLED_SEGMENTS};
 use crate::ttt::Ttt;
 use crate::{CoreError, MachineConfig};
 
 /// Which memory a region belongs to during planning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Space {
     /// The parent node's memory (or the global memory at the root).
     Parent,
@@ -113,6 +115,11 @@ pub struct PdSplit {
     /// Per input, its smallest piece's bytes: above a child's residency
     /// cap, no piece's copy of that input can be resident.
     min_input_bytes: Vec<u64>,
+    /// Per piece, the first piece of its class — the same operand shapes,
+    /// strides and share counts, so the same child signature up to
+    /// residency. A regular grid has at most two extents per axis, so a
+    /// few classes cover every piece.
+    class: Vec<usize>,
 }
 
 static NEXT_SPLIT_ID: AtomicU64 = AtomicU64::new(1);
@@ -172,8 +179,19 @@ impl PdSplit {
         let min_input_bytes = (0..inst.inputs.len())
             .map(|i| pieces.iter().map(|p| p.inputs[i].bytes()).min().unwrap_or(0))
             .collect();
+        let class = (0..pieces.len())
+            .map(|i| {
+                let (p, s) = (&pieces[i], &shared[i]);
+                (0..i).find(|&j| shared[j] == *s && same_shape(&pieces[j], p)).unwrap_or(i)
+            })
+            .collect();
         let id = NEXT_SPLIT_ID.fetch_add(1, Ordering::Relaxed);
-        PdSplit { id, pieces, shared, reduce, min_input_bytes }
+        PdSplit { id, pieces, shared, reduce, min_input_bytes, class }
+    }
+
+    /// The first piece of piece `slot`'s class.
+    pub(crate) fn class(&self, slot: usize) -> usize {
+        self.class[slot]
     }
 
     /// Identity for the simulator's step memo.
@@ -207,7 +225,21 @@ impl PdSplit {
                 .map(|s| std::mem::size_of::<Vec<u32>>() + s.capacity() * 4)
                 .sum::<usize>()
             + self.min_input_bytes.capacity() * 8
+            + self.class.capacity() * 8
     }
+}
+
+/// Whether two instructions have the same opcode, parameters, operand
+/// shapes and strides (offsets aside).
+fn same_shape(a: &Instruction, b: &Instruction) -> bool {
+    let same = |x: &[Region], y: &[Region]| {
+        x.len() == y.len()
+            && x.iter().zip(y).all(|(r, q)| r.shape() == q.shape() && r.strides() == q.strides())
+    };
+    a.op == b.op
+        && a.params == b.params
+        && same(&a.inputs, &b.inputs)
+        && same(&a.outputs, &b.outputs)
 }
 
 /// Share count per (input index, region): how many sibling pieces read
@@ -356,6 +388,51 @@ pub struct NodePlan {
     pub local_elems: u64,
 }
 
+/// A node plan in run-length form, as the memoised simulator times it:
+/// the steps the planner materialised, and the step sequence as runs
+/// over them and over reused blocks of them.
+///
+/// A block is the step sequence of one sequential-decomposition subtree.
+/// The planner builds a block (or a single step) once per reuse key —
+/// shape, allocator state and the carried state that can reach it (see
+/// `Build::key`) — and every later occurrence names it instead of
+/// planning it again. Flattened, the runs list the explicit plan's steps
+/// in order, each up to where its operands sit; timing reads no address.
+#[derive(Debug)]
+pub(crate) struct RunPlan {
+    /// Materialised steps, in order of first appearance.
+    pub(crate) steps: Vec<Step>,
+    /// Reused blocks, each a list of runs.
+    pub(crate) blocks: Vec<Vec<Run>>,
+    /// The whole step sequence.
+    pub(crate) runs: Vec<Run>,
+}
+
+/// What a [`Run`] repeats.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Entry {
+    /// A materialised step: an index into [`RunPlan::steps`].
+    Step(usize),
+    /// A block: an index into [`RunPlan::blocks`].
+    Block(usize),
+}
+
+/// `count` back-to-back occurrences of `entry`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Run {
+    pub(crate) entry: Entry,
+    pub(crate) count: u64,
+}
+
+/// Appends `count` occurrences of `entry`, extending the last run when it
+/// repeats the same entry.
+fn push_run(runs: &mut Vec<Run>, entry: Entry, count: u64) {
+    match runs.last_mut() {
+        Some(r) if r.entry == entry => r.count += count,
+        _ => runs.push(Run { entry, count }),
+    }
+}
+
 // ---------------------------------------------------------------------------
 
 /// An instruction whose operands may live in either space (the SD output).
@@ -372,12 +449,397 @@ impl SdInst {
         let output_space = vec![Space::Parent; inst.outputs.len()];
         SdInst { inst, input_space, output_space }
     }
+
+    /// Every operand with its space, inputs then outputs: the frame a
+    /// block built over this instruction translates with.
+    fn frame(&self) -> impl Iterator<Item = (Space, &Region)> {
+        let spaces = self.input_space.iter().chain(&self.output_space).copied();
+        spaces.zip(self.inst.inputs.iter().chain(&self.inst.outputs))
+    }
+}
+
+/// One of a node's last two steps, as DD and residency read it.
+#[derive(Debug)]
+enum Prev {
+    /// A materialised step: an index into [`Build::steps`].
+    Planned(usize),
+    /// A reused step, translated to where it now sits (its stores,
+    /// children and reduction only).
+    Copy(Box<Step>),
+}
+
+/// An operand's space and bounding interval `[offset, end]` (as
+/// [`Region::may_overlap`] reads it).
+type Span = (Space, u64, u64);
+
+/// Where `r` lies among the `frame` spans of `space`: inside span `k`
+/// (`Some(k)`), clear of all of them (`None`), or across a span's edge
+/// (`Err`), where translation could change what it overlaps.
+fn locate(frame: &[Span], space: Space, r: &Region) -> Result<Option<usize>, ()> {
+    let overlaps = |&(s, lo, hi): &Span| s == space && lo <= r.end() && r.offset() <= hi;
+    match frame.iter().position(overlaps) {
+        None => Ok(None),
+        Some(k) if frame[k].1 <= r.offset() && r.end() <= frame[k].2 => Ok(Some(k)),
+        Some(_) => Err(()),
+    }
+}
+
+/// What a recurring [`Build::key`] names: a block of steps or one step,
+/// built over operands spanning `frame` from FISA cycle `start_cycle`.
+#[derive(Debug)]
+struct Reuse {
+    frame: Vec<Span>,
+    start_cycle: usize,
+    what: Reused,
 }
 
 #[derive(Debug)]
-enum SdItem {
-    Inst(SdInst),
-    Reduce(ReduceStep),
+enum Reused {
+    /// A block: an index into [`Build::blocks`], its FISA cycles, and its
+    /// last two steps (oldest first) and TTT — the state the next step
+    /// reads, in the frame's coordinates.
+    Block { block: usize, inst_steps: usize, tail: Vec<Step>, ttt: Ttt },
+    /// One instruction step: an index into [`Build::steps`].
+    Step(usize),
+}
+
+/// The planner's working state for one node plan: the allocator, the
+/// TTT and the cycle count DD carries from step to step, the last two
+/// steps, and the plan built so far.
+struct Build<'m> {
+    level: usize,
+    base: u64,
+    resident_base: bool,
+    memo: &'m PlanMemo,
+    arena: &'m PlanArena,
+    alloc: SegmentedAllocator,
+    ttt: Ttt,
+    /// FISA cycles advance on instruction steps only: reduce steps
+    /// allocate no recycled memory, so counting them would let a
+    /// still-valid TTT record's segment be recycled under it.
+    inst_cycle: usize,
+    /// The last two steps, most recent last.
+    tail: Vec<Prev>,
+    steps: Vec<Step>,
+    blocks: Vec<Vec<Run>>,
+    /// Runs of the block being built (the whole plan at the outermost
+    /// level).
+    open: Vec<Run>,
+    /// Built blocks and steps by key; `None` materialises every step.
+    reuse: Option<HashMap<Vec<u64>, Rc<Reuse>, FxBuildHasher>>,
+}
+
+impl Build<'_> {
+    /// The step `back` places before the next one (0 = the last).
+    fn prev(&self, back: usize) -> Option<&Step> {
+        let i = self.tail.len().checked_sub(back + 1)?;
+        Some(match &self.tail[i] {
+            Prev::Planned(s) => &self.steps[*s],
+            Prev::Copy(s) => s.as_ref(),
+        })
+    }
+
+    fn push_tail(&mut self, p: Prev) {
+        if self.tail.len() == 2 {
+            self.tail.remove(0);
+        }
+        self.tail.push(p);
+    }
+
+    fn push_step(&mut self, step: Step) {
+        let idx = self.steps.len();
+        self.steps.push(step);
+        push_run(&mut self.open, Entry::Step(idx), 1);
+        self.push_tail(Prev::Planned(idx));
+    }
+
+    /// The reuse key of a block or step about to be built over `sd`, or
+    /// `None` when it cannot be reused: its same-space operands overlap,
+    /// or a carried region straddles an operand's edge.
+    ///
+    /// The key is everything the steps depend on besides where the
+    /// operands sit and which recycled segment the first step uses: the
+    /// canonical instruction and spaces, the allocator state (static
+    /// stack depths, parity, TTT bank parity), and the carried state that
+    /// can reach the steps — live TTT records of regions inside an
+    /// operand, the last step's stores, and those of the last two steps'
+    /// child operands that lie in a local operand or that a TTT record
+    /// could hand over. Regions inside an operand are rebased to it;
+    /// other local regions have their recycled segment numbered from the
+    /// first step's. A parent region outside every operand can neither
+    /// equal nor overlap anything the steps touch.
+    fn key(&self, sd: &SdInst, parity: bool) -> Option<(Vec<u64>, Vec<Span>)> {
+        let frame: Vec<Span> = sd.frame().map(|(s, r)| (s, r.offset(), r.end())).collect();
+        for (i, a) in frame.iter().enumerate() {
+            if frame[..i].iter().any(|b| a.0 == b.0 && a.1 <= b.2 && b.1 <= a.2) {
+                return None;
+            }
+        }
+        let mut key = vec![
+            sd.inst.op as u64,
+            sd.inst.inputs.len() as u64,
+            parity as u64,
+            self.alloc.static_mark(false),
+            self.alloc.static_mark(true),
+            (self.inst_cycle % 2) as u64,
+        ];
+        key.extend(sd.inst.params.stable_bits());
+        for (s, r) in sd.frame() {
+            push_region(&mut key, s as u64, 0, r);
+        }
+        // Recycled segments numbered from the one the first step uses.
+        let unrotate = RECYCLED_SEGMENTS - self.inst_cycle % RECYCLED_SEGMENTS;
+        let seg = self.alloc.segment_elems();
+        let push = |key: &mut Vec<u64>, space: Space, r: &Region| -> Option<bool> {
+            match locate(&frame, space, r).ok()? {
+                Some(k) => push_region(key, k as u64, r.offset() - frame[k].1, r),
+                None if space == Space::Local => {
+                    push_region(key, u64::MAX, rotate(r, self.base, seg, unrotate).offset(), r)
+                }
+                None => return Some(false),
+            }
+            Some(true)
+        };
+        // Loads lie inside input operands, and same-space operands are
+        // apart: only a TTT record of a region inside an input can be
+        // looked up, and only a store overlapping an input can hold up a
+        // load.
+        let inputs = &frame[..sd.inst.inputs.len()];
+        let mut handed = Vec::new();
+        for bank in 0..2 {
+            key.push(u64::MAX - 1);
+            for (parent, local) in self.ttt.bank(bank) {
+                if let Ok(Some(k)) = locate(inputs, Space::Parent, parent) {
+                    push_region(&mut key, k as u64, parent.offset() - frame[k].1, parent);
+                    push(&mut key, Space::Local, local)?;
+                    handed.push(local);
+                }
+            }
+        }
+        key.push(u64::MAX - 2);
+        for s in self.prev(0).iter().flat_map(|p| &p.stores) {
+            if let Some(k) = locate(inputs, Space::Parent, &s.parent).ok()? {
+                push_region(&mut key, k as u64, s.parent.offset() - frame[k].1, &s.parent);
+            }
+        }
+        // Children read local operands, TTT-handed regions, or fresh
+        // allocations in their own step's segment; of the two last steps,
+        // only the first two instruction steps here can still meet. So no
+        // other operand of an earlier child can equal one they are placed
+        // at.
+        let fresh = |r: &Region| {
+            (0..2).any(|i| {
+                let lo = self.base + ((self.inst_cycle + i) % RECYCLED_SEGMENTS) as u64 * seg;
+                r.offset() < lo + seg && lo <= r.end()
+            })
+        };
+        for back in [1, 0] {
+            key.push(u64::MAX - 3);
+            let Some(prev) = self.prev(back) else { continue };
+            let Some(c) = &prev.children else { continue };
+            let partials = match (c.split.reduce, &prev.reduce) {
+                (Some(_), Some(red)) => &red.partials[..],
+                _ => &[],
+            };
+            let operands =
+                c.inst.inputs.iter().chain(&c.inst.outputs).chain(partials.iter().flatten());
+            let mut split = Some(c.split.id());
+            for (k, r) in operands.enumerate() {
+                let inside = locate(&frame, Space::Local, r).ok()?.is_some();
+                if inside || fresh(r) || handed.iter().any(|h| h.may_overlap(r)) {
+                    key.extend(split.take());
+                    key.push(k as u64);
+                    push(&mut key, Space::Local, r)?;
+                }
+            }
+        }
+        Some((key, frame))
+    }
+
+    /// Records what was just built over `frame` from FISA cycle
+    /// `start_cycle` — `runs` of steps — for reuse: a single instruction
+    /// step always, and a block of two or more FISA cycles when what it
+    /// leaves behind lies wholly inside or wholly outside its operands
+    /// (every TTT record and both last steps are then its own, so the
+    /// state it leaves depends on its own steps only). Returns the block
+    /// the runs became, if any.
+    fn capture(
+        &mut self,
+        key: Vec<u64>,
+        frame: Vec<Span>,
+        runs: &[Run],
+        start_cycle: usize,
+    ) -> Option<usize> {
+        let inst_steps = self.inst_cycle - start_cycle;
+        let what = match runs {
+            [Run { entry: Entry::Step(step), count: 1 }] if inst_steps == 1 => Reused::Step(*step),
+            _ if inst_steps >= 2 => {
+                let movable = |space: Space, r: &Region| locate(&frame, space, r).is_ok();
+                let tail: Vec<Step> =
+                    [1, 0].iter().filter_map(|&back| self.prev(back)).map(tail_step).collect();
+                let ok = tail.iter().all(|s| step_regions(s).all(|(space, r)| movable(space, r)))
+                    && (0..2).all(|b| {
+                        self.ttt
+                            .bank(b)
+                            .all(|(p, l)| movable(Space::Parent, p) && movable(Space::Local, l))
+                    });
+                if !ok {
+                    return None;
+                }
+                self.blocks.push(runs.to_vec());
+                Reused::Block {
+                    block: self.blocks.len() - 1,
+                    inst_steps,
+                    tail,
+                    ttt: self.ttt.clone(),
+                }
+            }
+            _ => return None,
+        };
+        let block = match what {
+            Reused::Block { block, .. } => Some(block),
+            Reused::Step(_) => None,
+        };
+        self.reuse.as_mut()?.insert(key, Rc::new(Reuse { frame, start_cycle, what }));
+        block
+    }
+
+    /// Replays `r` over `sd`: names its block or step in the open runs
+    /// and brings the carried state to what building it here would leave,
+    /// moved to where `sd`'s operands sit and to the recycled segments it
+    /// now runs in.
+    fn replay(&mut self, r: &Reuse, sd: &SdInst) {
+        let by = (self.inst_cycle + RECYCLED_SEGMENTS - r.start_cycle % RECYCLED_SEGMENTS)
+            % RECYCLED_SEGMENTS;
+        let shift: Vec<i64> =
+            sd.frame().zip(&r.frame).map(|((_, n), o)| n.offset() as i64 - o.1 as i64).collect();
+        let (base, seg) = (self.base, self.alloc.segment_elems());
+        let mv = |space: Space, reg: &Region| match locate(&r.frame, space, reg) {
+            Ok(Some(k)) => reg.with_offset(reg.offset().wrapping_add_signed(shift[k])),
+            _ if space == Space::Local => rotate(reg, base, seg, by),
+            _ => reg.clone(),
+        };
+        match &r.what {
+            Reused::Block { block, inst_steps, tail, ttt } => {
+                push_run(&mut self.open, Entry::Block(*block), 1);
+                self.inst_cycle += inst_steps;
+                let cycle = (self.inst_cycle - 1) as u64;
+                let tail = tail.iter().map(|s| Prev::Copy(Box::new(map_step(s, &mv)))).collect();
+                self.ttt = ttt.mapped(|p, l| (mv(Space::Parent, p), mv(Space::Local, l)), cycle);
+                self.tail = tail;
+            }
+            Reused::Step(i) => {
+                // The TTT bookkeeping of `emit_inst`, on the moved DMA.
+                let step = &self.steps[*i];
+                let dma = |d: &DmaOp| (mv(Space::Parent, &d.parent), mv(Space::Local, &d.local));
+                let loads: Vec<_> = step.loads.iter().map(dma).collect();
+                let stores: Vec<_> = step.stores.iter().map(dma).collect();
+                let copy = map_step(&tail_step(step), &mv);
+                let idx = self.inst_cycle;
+                self.inst_cycle += 1;
+                let lo = (idx % RECYCLED_SEGMENTS) as u64 * seg + base;
+                self.ttt.invalidate_local_range(lo, lo + seg);
+                self.ttt.begin_cycle(idx as u64);
+                for (parent, local) in loads {
+                    self.ttt.record(parent, local);
+                }
+                for (parent, local) in stores {
+                    self.ttt.invalidate_overlapping(&parent);
+                    self.ttt.record(parent, local);
+                }
+                push_run(&mut self.open, Entry::Step(*i), 1);
+                self.push_tail(Prev::Copy(Box::new(copy)));
+            }
+        }
+    }
+}
+
+/// `r` moved `by` recycled segments forward when it lies in one of the
+/// segments of `seg` elements from `base` (unchanged otherwise).
+/// Allocations rotate through the segments with the FISA cycle, so the
+/// same steps starting in another segment are the same steps rotated.
+fn rotate(r: &Region, base: u64, seg: u64, by: usize) -> Region {
+    let span = RECYCLED_SEGMENTS as u64 * seg;
+    match r.offset().checked_sub(base) {
+        Some(rel) if r.end() < base + span && !by.is_multiple_of(RECYCLED_SEGMENTS) => {
+            let s = (rel / seg + by as u64) % RECYCLED_SEGMENTS as u64;
+            r.with_offset(base + s * seg + rel % seg)
+        }
+        _ => r.clone(),
+    }
+}
+
+/// `r` as key words: a tag, an offset, then its dims and strides.
+fn push_region(key: &mut Vec<u64>, tag: u64, offset: u64, r: &Region) {
+    key.extend([tag, offset, r.shape().dims().len() as u64]);
+    key.extend(r.shape().dims().iter().map(|&d| d as u64));
+    key.extend(r.strides());
+}
+
+/// What later steps read of `s`: its stores, children and reduction.
+fn tail_step(s: &Step) -> Step {
+    Step {
+        stores: s.stores.clone(),
+        children: s.children.clone(),
+        reduce: s.reduce.clone(),
+        ..Step::default()
+    }
+}
+
+/// The regions of a tail step with their spaces.
+fn step_regions(s: &Step) -> impl Iterator<Item = (Space, &Region)> {
+    let stores =
+        s.stores.iter().flat_map(|d| [(Space::Parent, &d.parent), (Space::Local, &d.local)]);
+    let children = s.children.iter().flat_map(|c| c.inst.inputs.iter().chain(&c.inst.outputs));
+    let reduce = s.reduce.iter().flat_map(|r| {
+        let partials = r.partials.iter().flatten().map(|p| (Space::Local, p));
+        partials.chain(r.outputs.iter().map(move |o| (r.output_space, o)))
+    });
+    stores.chain(children.map(|r| (Space::Local, r))).chain(reduce)
+}
+
+/// A tail step with every region moved by `mv`.
+fn map_step(s: &Step, mv: &impl Fn(Space, &Region) -> Region) -> Step {
+    let local = |rs: &[Region]| rs.iter().map(|r| mv(Space::Local, r)).collect();
+    Step {
+        stores: s
+            .stores
+            .iter()
+            .map(|d| DmaOp {
+                parent: mv(Space::Parent, &d.parent),
+                local: mv(Space::Local, &d.local),
+            })
+            .collect(),
+        children: s.children.as_ref().map(|c| Children {
+            split: Rc::clone(&c.split),
+            inst: Instruction {
+                op: c.inst.op,
+                params: c.inst.params,
+                inputs: local(&c.inst.inputs),
+                outputs: local(&c.inst.outputs),
+            },
+            resident: c.resident.clone(),
+        }),
+        reduce: s.reduce.as_ref().map(|r| ReduceStep {
+            partials: r.partials.iter().map(|v| local(v)).collect(),
+            outputs: r.outputs.iter().map(|o| mv(r.output_space, o)).collect(),
+            ..r.clone()
+        }),
+        ..Step::default()
+    }
+}
+
+/// Segments' worth of staged operands below which a node plan builds
+/// every step instead of keying blocks for reuse.
+const REUSE_MIN_STEPS: u64 = 16;
+
+/// Bytes of `sd`'s parent-space operands (what DD stages locally; none
+/// for a streaming merge).
+fn staged_bytes(sd: &SdInst) -> u64 {
+    if sd.inst.op == Opcode::Merge1D {
+        return 0;
+    }
+    sd.frame().filter(|(s, _)| *s == Space::Parent).map(|(_, r)| r.bytes()).sum()
 }
 
 /// The controller planner for one machine configuration.
@@ -456,49 +918,60 @@ impl<'a> Planner<'a> {
         if sd.inst.op == Opcode::Merge1D {
             return 0; // streams through the node
         }
-        let staged: u64 = sd
-            .inst
-            .inputs
-            .iter()
-            .zip(&sd.input_space)
-            .chain(sd.inst.outputs.iter().zip(&sd.output_space))
-            .filter(|(_, s)| **s == Space::Parent)
-            .map(|(r, _)| r.bytes())
-            .sum();
-        staged + self.pd_partial_bytes(level, &sd.inst, mm)
+        staged_bytes(sd) + self.pd_partial_bytes(level, &sd.inst, mm)
     }
 
     /// Sequential decomposition: split `sd` until each piece fits one
-    /// recycled segment, appending pieces (and SD-level reductions) to
-    /// `out` in execution order.
-    #[allow(clippy::too_many_arguments)]
-    fn sd_rec(
-        &self,
-        level: usize,
-        sd: SdInst,
-        alloc: &mut SegmentedAllocator,
-        base: u64,
-        parity: bool,
-        out: &mut Vec<SdItem>,
-        resident_base: bool,
-        mm: &PlanMemo,
-    ) -> Result<(), CoreError> {
-        let cap = if resident_base {
+    /// recycled segment, building each piece's step (and each SD-level
+    /// reduction) in execution order.
+    ///
+    /// With reuse on, a subtree whose [`BlockKey`] recurs is not split
+    /// again: the block built the first time is named instead, and the
+    /// state it left is moved to where this subtree's operands sit.
+    fn sd_rec(&self, b: &mut Build, sd: SdInst, parity: bool) -> Result<(), CoreError> {
+        let level = b.level;
+        let cap = if b.resident_base {
             // Root operands are already resident in the global memory: only
             // PD partials need allocation, so the constraint is loose.
             self.cfg.mem_bytes_at(level)
         } else {
             self.seg_cap_bytes(level)
         };
-        let footprint = if resident_base {
-            self.pd_partial_bytes(level, &sd.inst, mm)
-        } else {
-            self.step_footprint(level, &sd, mm)
+        let footprint = || {
+            if b.resident_base {
+                self.pd_partial_bytes(level, &sd.inst, b.memo)
+            } else {
+                self.step_footprint(level, &sd, b.memo)
+            }
         };
-        if footprint <= cap {
-            out.push(SdItem::Inst(sd));
+        // Staged operands alone over the cap need no PD footprint.
+        let leaf = (b.resident_base || staged_bytes(&sd) <= cap) && footprint() <= cap;
+        let Some((key, frame)) = b.reuse.as_ref().and_then(|_| b.key(&sd, parity)) else {
+            return if leaf { self.emit_inst(b, sd) } else { self.sd_split(b, sd, parity, cap) };
+        };
+        if let Some(r) = b.reuse.as_ref().and_then(|m| m.get(&key)).cloned() {
+            b.replay(&r, &sd);
             return Ok(());
         }
+        let outer = std::mem::take(&mut b.open);
+        let cycle = b.inst_cycle;
+        if leaf {
+            self.emit_inst(b, sd)?;
+        } else {
+            self.sd_split(b, sd, parity, cap)?;
+        }
+        let runs = std::mem::replace(&mut b.open, outer);
+        match b.capture(key, frame, &runs, cycle) {
+            Some(block) => push_run(&mut b.open, Entry::Block(block), 1),
+            None => runs.into_iter().for_each(|r| push_run(&mut b.open, r.entry, r.count)),
+        }
+        Ok(())
+    }
+
+    /// One SD split of `sd`, whose `footprint` exceeds `cap`: each piece
+    /// recursively, and the reductions that combine them.
+    fn sd_split(&self, b: &mut Build, sd: SdInst, parity: bool, cap: u64) -> Result<(), CoreError> {
+        let level = b.level;
         // Split two ways per recursion step. Scoring by byte overhead makes
         // the recursion alternate axes (the replicated operand grows until
         // another axis becomes cheaper), which yields balanced, square-ish
@@ -506,10 +979,16 @@ impl<'a> Planner<'a> {
         // dependent axes compete on equal footing but pay for their
         // partials and for the `g(·)` work, and are infeasible when the
         // partials exceed the remaining static segment.
-        let static_avail = alloc.static_remaining() * ELEM_BYTES;
-        let Some(outcome) = self.choose_sd_split(level, &sd.inst, static_avail, mm) else {
-            return Err(CoreError::CapacityExceeded { level, needed: footprint, available: cap });
+        let static_avail = b.alloc.static_remaining() * ELEM_BYTES;
+        let Some(outcome) = self.choose_sd_split(level, &sd.inst, static_avail, b.memo) else {
+            let needed = if b.resident_base {
+                self.pd_partial_bytes(level, &sd.inst, b.memo)
+            } else {
+                self.step_footprint(level, &sd, b.memo)
+            };
+            return Err(CoreError::CapacityExceeded { level, needed, available: cap });
         };
+        let base = b.base;
         match outcome {
             SplitOutcome::Direct(pieces) => {
                 for piece in pieces {
@@ -518,7 +997,7 @@ impl<'a> Planner<'a> {
                         input_space: sd.input_space.clone(),
                         output_space: sd.output_space.clone(),
                     };
-                    self.sd_rec(level, piece_sd, alloc, base, parity, out, resident_base, mm)?;
+                    self.sd_rec(b, piece_sd, parity)?;
                 }
             }
             SplitOutcome::Reduce { pieces, kind }
@@ -531,21 +1010,20 @@ impl<'a> Planner<'a> {
                 // LFU accumulate step after each piece. Memory stays flat
                 // (3× the output block) no matter how deep the reduction
                 // axis splits — the blocked-matmul K-accumulation pattern.
-                let static_mark = alloc.static_mark(parity);
+                let static_mark = b.alloc.static_mark(parity);
                 let out_elems: u64 = sd.inst.outputs.iter().map(Region::numel).sum();
                 let out_shape = pieces[0].partial_shapes[0].clone();
                 let acc = Region::contiguous(
-                    alloc.alloc_static(parity, out_elems)? + base,
+                    b.alloc.alloc_static(parity, out_elems)? + base,
                     out_shape.clone(),
                 );
                 let temps = [
                     Region::contiguous(
-                        alloc.alloc_static(parity, out_elems)? + base,
+                        b.alloc.alloc_static(parity, out_elems)? + base,
                         out_shape.clone(),
                     ),
-                    Region::contiguous(alloc.alloc_static(parity, out_elems)? + base, out_shape),
+                    Region::contiguous(b.alloc.alloc_static(parity, out_elems)? + base, out_shape),
                 ];
-                let n_pieces = pieces.len();
                 for (i, piece) in pieces.into_iter().enumerate() {
                     let dest = if i == 0 { acc.clone() } else { temps[i % 2].clone() };
                     let inst = piece.into_instruction(vec![dest.clone()])?;
@@ -554,48 +1032,53 @@ impl<'a> Planner<'a> {
                         input_space: sd.input_space.clone(),
                         output_space: vec![Space::Local],
                     };
-                    self.sd_rec(level, piece_sd, alloc, base, parity, out, resident_base, mm)?;
+                    self.sd_rec(b, piece_sd, parity)?;
                     if i > 0 {
-                        out.push(SdItem::Reduce(ReduceStep {
-                            kind,
-                            partials: vec![vec![acc.clone()], vec![dest]],
-                            outputs: vec![acc.clone()],
-                            output_space: Space::Local,
-                            on_lfu: self.reduce_on_lfu(level, out_elems),
-                            ops: out_elems,
-                        }));
+                        self.emit_reduce(
+                            b,
+                            ReduceStep {
+                                kind,
+                                partials: vec![vec![acc.clone()], vec![dest]],
+                                outputs: vec![acc.clone()],
+                                output_space: Space::Local,
+                                on_lfu: self.reduce_on_lfu(level, out_elems),
+                                ops: out_elems,
+                            },
+                        );
                     }
                 }
-                let _ = n_pieces;
                 // Final step: stream the accumulator to the destination.
                 let output_space = if sd.output_space.iter().all(|s| *s == Space::Local) {
                     Space::Local
                 } else {
                     Space::Parent
                 };
-                out.push(SdItem::Reduce(ReduceStep {
-                    kind,
-                    partials: vec![vec![acc]],
-                    outputs: sd.inst.outputs.clone(),
-                    output_space,
-                    on_lfu: true,
-                    ops: 0,
-                }));
-                alloc.release_static_to(parity, static_mark);
+                self.emit_reduce(
+                    b,
+                    ReduceStep {
+                        kind,
+                        partials: vec![vec![acc]],
+                        outputs: sd.inst.outputs.clone(),
+                        output_space,
+                        on_lfu: true,
+                        ops: 0,
+                    },
+                );
+                b.alloc.release_static_to(parity, static_mark);
             }
             SplitOutcome::Reduce { pieces, kind } => {
                 // Merge-style reductions (sorts): partials live in the
                 // static segment for the whole FISA cycle (§3.5) — or in
                 // scratch space at a resident root — and are released
                 // (LIFO) once the group's reduction has consumed them.
-                let static_mark = alloc.static_mark(parity);
+                let static_mark = b.alloc.static_mark(parity);
                 let mut partial_regions: Vec<Vec<Region>> = Vec::with_capacity(pieces.len());
                 for piece in &pieces {
                     let regions = piece
                         .partial_shapes
                         .iter()
                         .map(|s| {
-                            let off = alloc.alloc_static(parity, s.numel())?;
+                            let off = b.alloc.alloc_static(parity, s.numel())?;
                             Ok(Region::contiguous(off + base, s.clone()))
                         })
                         .collect::<Result<Vec<_>, CoreError>>()?;
@@ -616,7 +1099,7 @@ impl<'a> Planner<'a> {
                         input_space: sd.input_space.clone(),
                         output_space: vec![Space::Local; regions.len()],
                     };
-                    self.sd_rec(level, piece_sd, alloc, base, parity, out, resident_base, mm)?;
+                    self.sd_rec(b, piece_sd, parity)?;
                 }
                 // SD-level reductions stream partials (local) into the
                 // destination (usually parent space).
@@ -625,15 +1108,18 @@ impl<'a> Planner<'a> {
                 } else {
                     Space::Parent
                 };
-                out.push(SdItem::Reduce(ReduceStep {
-                    kind,
-                    partials: partial_regions,
-                    outputs,
-                    output_space,
-                    on_lfu: self.reduce_on_lfu(level, ops),
-                    ops,
-                }));
-                alloc.release_static_to(parity, static_mark);
+                self.emit_reduce(
+                    b,
+                    ReduceStep {
+                        kind,
+                        partials: partial_regions,
+                        outputs,
+                        output_space,
+                        on_lfu: self.reduce_on_lfu(level, ops),
+                        ops,
+                    },
+                );
+                b.alloc.release_static_to(parity, static_mark);
             }
         }
         Ok(())
@@ -939,7 +1425,7 @@ impl<'a> Planner<'a> {
 
     /// [`Planner::plan_instruction`] against caller-owned memoization and
     /// arena state, so split decisions and buffers are shared across many
-    /// plans (the performance simulator keeps both for a whole run).
+    /// plans.
     pub fn plan_instruction_with(
         &self,
         level: usize,
@@ -948,20 +1434,43 @@ impl<'a> Planner<'a> {
         memo: &PlanMemo,
         arena: &PlanArena,
     ) -> Result<NodePlan, CoreError> {
-        let mem_elems = self.cfg.mem_bytes_at(level) / ELEM_BYTES;
-        let mut alloc = SegmentedAllocator::new(mem_elems);
-        let mut items = Vec::new();
-        self.sd_rec(
-            level,
-            SdInst::all_parent(inst.clone()),
-            &mut alloc,
-            0,
-            parity,
-            &mut items,
-            false,
-            memo,
-        )?;
-        self.build_steps(level, items, alloc, 0, memo, arena)
+        Ok(self.plan_node(level, inst, parity, memo, arena, false)?.finish_explicit())
+    }
+
+    /// [`Planner::plan_instruction_with`] in run-length form: with the
+    /// shape memo on, recurring blocks are built once (the performance
+    /// simulator's path); with it off, every step is materialised.
+    pub(crate) fn plan_instruction_runs(
+        &self,
+        level: usize,
+        inst: &Instruction,
+        memo: &PlanMemo,
+        arena: &PlanArena,
+    ) -> Result<RunPlan, CoreError> {
+        Ok(self.plan_node(level, inst, false, memo, arena, memo.is_enabled())?.finish())
+    }
+
+    fn plan_node<'m>(
+        &self,
+        level: usize,
+        inst: &Instruction,
+        parity: bool,
+        memo: &'m PlanMemo,
+        arena: &'m PlanArena,
+        reuse: bool,
+    ) -> Result<Build<'m>, CoreError> {
+        let sd = SdInst::all_parent(inst.clone());
+        // Reuse moves steps by their operands' offsets, which keeps the
+        // incoming operands each load overlaps only when those are apart.
+        // It pays only where SD cuts many steps: below REUSE_MIN_STEPS
+        // segments' worth of operands, keys cost more than they save.
+        let frame: Vec<&Region> = inst.inputs.iter().chain(&inst.outputs).collect();
+        let apart =
+            frame.iter().enumerate().all(|(i, a)| frame[..i].iter().all(|b| !a.may_overlap(b)));
+        let many = staged_bytes(&sd) > REUSE_MIN_STEPS * self.seg_cap_bytes(level);
+        let mut b = self.build(level, 0, false, memo, arena, reuse && apart && many);
+        self.sd_rec(&mut b, sd, parity)?;
+        Ok(b)
     }
 
     /// Plans the whole program at the root, whose operands are resident in
@@ -993,12 +1502,33 @@ impl<'a> Planner<'a> {
         memo: &PlanMemo,
         arena: &PlanArena,
     ) -> Result<NodePlan, CoreError> {
+        Ok(self.plan_program(instructions, scratch_base, memo, arena)?.finish_explicit())
+    }
+
+    /// [`Planner::plan_root_with`] in run-length form. The root plan
+    /// materialises every step: each is a program instruction (or a piece
+    /// of one too large for the whole memory), and they seldom recur.
+    pub(crate) fn plan_root_runs(
+        &self,
+        instructions: &[Instruction],
+        scratch_base: u64,
+        memo: &PlanMemo,
+        arena: &PlanArena,
+    ) -> Result<RunPlan, CoreError> {
+        Ok(self.plan_program(instructions, scratch_base, memo, arena)?.finish())
+    }
+
+    fn plan_program<'m>(
+        &self,
+        instructions: &[Instruction],
+        scratch_base: u64,
+        memo: &'m PlanMemo,
+        arena: &'m PlanArena,
+    ) -> Result<Build<'m>, CoreError> {
         // The global memory the program lives in is the root node's memory
         // (§3.1): the root itself only needs allocator headroom for PD
         // partials, placed in scratch space above the program footprint.
-        let mem_elems = self.cfg.mem_bytes_at(0) / ELEM_BYTES;
-        let mut alloc = SegmentedAllocator::new(mem_elems);
-        let mut items = Vec::new();
+        let mut b = self.build(0, scratch_base, true, memo, arena, false);
         for (i, inst) in instructions.iter().enumerate() {
             // At a resident root the distinction between the recycled and
             // static segments vanishes; use instruction parity as in §3.5.
@@ -1006,163 +1536,183 @@ impl<'a> Planner<'a> {
             // Operands are already local.
             sd.input_space = vec![Space::Local; sd.inst.inputs.len()];
             sd.output_space = vec![Space::Local; sd.inst.outputs.len()];
-            self.sd_rec(0, sd, &mut alloc, scratch_base, i % 2 == 1, &mut items, true, memo)?;
+            self.sd_rec(&mut b, sd, i % 2 == 1)?;
         }
-        self.build_steps(0, items, alloc, scratch_base, memo, arena)
+        Ok(b)
     }
 
-    /// DD + PD + RC over the SD item list.
-    fn build_steps(
+    fn build<'m>(
         &self,
         level: usize,
-        mut items: Vec<SdItem>,
-        mut alloc: SegmentedAllocator,
         base: u64,
-        memo: &PlanMemo,
-        arena: &PlanArena,
-    ) -> Result<NodePlan, CoreError> {
+        resident_base: bool,
+        memo: &'m PlanMemo,
+        arena: &'m PlanArena,
+        reuse: bool,
+    ) -> Build<'m> {
+        Build {
+            level,
+            base,
+            resident_base,
+            memo,
+            arena,
+            alloc: SegmentedAllocator::new(self.cfg.mem_bytes_at(level) / ELEM_BYTES),
+            ttt: Ttt::new(),
+            inst_cycle: 0,
+            tail: Vec::with_capacity(2),
+            steps: arena.take_steps(),
+            blocks: Vec::new(),
+            open: Vec::new(),
+            reuse: reuse.then(HashMap::default),
+        }
+    }
+
+    /// An SD-level reduction step.
+    fn emit_reduce(&self, b: &mut Build, r: ReduceStep) {
+        let mut step = b.arena.take_step();
+        // SD-level reduction: partial regions are already absolute local
+        // addresses.
+        step.reduce = Some(r);
+        // Conservatively serialise with the predecessor: it produced the
+        // last partial.
+        step.raw_dep_prev = true;
+        b.push_step(step);
+    }
+
+    /// DD + PD + RC of one SD piece: binds its operands to local memory,
+    /// then routes it to the leaf kernel, the LFU or a PD split.
+    fn emit_inst(&self, b: &mut Build, sd: SdInst) -> Result<(), CoreError> {
         let opts = self.cfg.opts;
-        let is_leaf = self.cfg.is_leaf(level);
-        let fanout = self.cfg.fanout_at(level);
-        // Cross-cycle residency at a child is bounded by what its recycled
-        // segments can keep alive between two of its FISA cycles.
-        let child_resident_cap = self.cfg.mem_bytes_at(level + 1) / 8;
-        let mut ttt = Ttt::new();
-        let mut steps: Vec<Step> = arena.take_steps();
-        steps.reserve(items.len());
-        // FISA cycles advance on instruction steps only: reduce steps
-        // allocate no recycled memory, so counting them would let a
-        // still-valid TTT record's segment be recycled under it.
-        let mut inst_cycle = 0usize;
-
-        for item in items.drain(..) {
-            let mut step = arena.take_step();
-            match item {
-                SdItem::Reduce(r) => {
-                    // SD-level reduction: partial regions are already
-                    // absolute local addresses.
-                    step.reduce = Some(r);
-                    // Conservatively serialise with the predecessor: it
-                    // produced the last partial.
-                    step.raw_dep_prev = true;
-                }
-                SdItem::Inst(sd) if sd.inst.op == Opcode::Merge1D => {
-                    step.streaming_exec = Some(sd.inst);
-                    step.raw_dep_prev = true;
-                }
-                SdItem::Inst(sd) => {
-                    let idx = inst_cycle;
-                    inst_cycle += 1;
-                    let (seg_lo, seg_hi) = alloc.begin_step(idx);
-                    // Stale residency over the recycled segment dies now.
-                    ttt.invalidate_local_range(seg_lo + base, seg_hi + base);
-                    // --- DD: bind local addresses -----------------------
-                    let mut local_inputs = Vec::with_capacity(sd.inst.inputs.len());
-                    let mut loads = std::mem::take(&mut step.loads);
-                    let mut elided = 0u64;
-                    for (region, space) in sd.inst.inputs.iter().zip(&sd.input_space) {
-                        match space {
-                            Space::Local => local_inputs.push(region.clone()),
-                            Space::Parent => {
-                                if opts.ttt {
-                                    if let Some(local) = ttt.lookup(region) {
-                                        elided += region.bytes();
-                                        local_inputs.push(local.clone());
-                                        continue;
-                                    }
-                                }
-                                let off = alloc.alloc(idx, region.numel())?;
-                                let local = Region::contiguous(off + base, region.shape().clone());
-                                loads.push(DmaOp { parent: region.clone(), local: local.clone() });
-                                local_inputs.push(local);
-                            }
+        let level = b.level;
+        let base = b.base;
+        let mut step = b.arena.take_step();
+        if sd.inst.op == Opcode::Merge1D {
+            step.streaming_exec = Some(sd.inst);
+            step.raw_dep_prev = true;
+            b.push_step(step);
+            return Ok(());
+        }
+        let idx = b.inst_cycle;
+        b.inst_cycle += 1;
+        let (seg_lo, seg_hi) = b.alloc.begin_step(idx);
+        // Stale residency over the recycled segment dies now.
+        b.ttt.invalidate_local_range(seg_lo + base, seg_hi + base);
+        // --- DD: bind local addresses -----------------------
+        let mut local_inputs = Vec::with_capacity(sd.inst.inputs.len());
+        let mut loads = std::mem::take(&mut step.loads);
+        let mut elided = 0u64;
+        for (region, space) in sd.inst.inputs.iter().zip(&sd.input_space) {
+            match space {
+                Space::Local => local_inputs.push(region.clone()),
+                Space::Parent => {
+                    if opts.ttt {
+                        if let Some(local) = b.ttt.lookup(region) {
+                            elided += region.bytes();
+                            local_inputs.push(local.clone());
+                            continue;
                         }
                     }
-                    let mut local_outputs = Vec::with_capacity(sd.inst.outputs.len());
-                    let mut stores = std::mem::take(&mut step.stores);
-                    for (region, space) in sd.inst.outputs.iter().zip(&sd.output_space) {
-                        match space {
-                            Space::Local => local_outputs.push(region.clone()),
-                            Space::Parent => {
-                                let off = alloc.alloc(idx, region.numel())?;
-                                let local = Region::contiguous(off + base, region.shape().clone());
-                                stores.push(DmaOp { parent: region.clone(), local: local.clone() });
-                                local_outputs.push(local);
-                            }
-                        }
-                    }
-                    // RAW dependency: a surviving load reads what the
-                    // previous step writes back.
-                    if let Some(prev) = steps.last() {
-                        step.raw_dep_prev = loads
-                            .iter()
-                            .any(|l| prev.stores.iter().any(|s| l.parent.may_overlap(&s.parent)));
-                    }
-                    // TTT bookkeeping (lookup happened above; now advance).
-                    ttt.begin_cycle(idx as u64);
-                    for l in &loads {
-                        ttt.record(l.parent.clone(), l.local.clone());
-                    }
-                    for s in &stores {
-                        ttt.invalidate_overlapping(&s.parent);
-                        ttt.record(s.parent.clone(), s.local.clone());
-                    }
-                    let local_inst =
-                        Instruction::new(sd.inst.op, sd.inst.params, local_inputs, local_outputs)?;
-                    step.loads = loads;
-                    step.stores = stores;
-                    step.elided_bytes = elided;
-
-                    // --- routing: leaf / LFU / PD ------------------------
-                    if is_leaf || fanout == 0 || self.route_to_lfu(level, &local_inst) {
-                        step.local_exec = Some(local_inst);
-                    } else {
-                        // Unsplittable instructions (granularity 1 or
-                        // fan-out 1) go whole to one child.
-                        let split = self.parallel_split(&local_inst, fanout, memo);
-                        if let Some(kind) = split.reduce {
-                            let mut partials = Vec::with_capacity(split.len());
-                            for piece in &split.pieces {
-                                let regions = piece
-                                    .outputs
-                                    .iter()
-                                    .map(|r| {
-                                        let off = alloc.alloc(idx, r.numel())?;
-                                        Ok(Region::contiguous(off + base, r.shape().clone()))
-                                    })
-                                    .collect::<Result<Vec<_>, CoreError>>()?;
-                                partials.push(regions);
-                            }
-                            let total: u64 =
-                                partials.iter().flat_map(|v| v.iter()).map(Region::numel).sum();
-                            let out_elems: u64 = local_inst.outputs.iter().map(Region::numel).sum();
-                            let ops = match kind {
-                                ReduceKind::Add | ReduceKind::Mul => {
-                                    total.saturating_sub(out_elems)
-                                }
-                                ReduceKind::Merge => total * (partials.len().max(2)).ilog2() as u64,
-                            };
-                            step.reduce = Some(ReduceStep {
-                                kind,
-                                partials,
-                                outputs: local_inst.outputs.clone(),
-                                output_space: Space::Local,
-                                on_lfu: self.reduce_on_lfu(level, ops),
-                                ops,
-                            });
-                        }
-                        let resident = if opts.ttt {
-                            residency(&split, &local_inst, &steps, child_resident_cap)
-                        } else {
-                            vec![0; split.len()]
-                        };
-                        step.children = Some(Children { split, inst: local_inst, resident });
-                    }
+                    let off = b.alloc.alloc(idx, region.numel())?;
+                    let local = Region::contiguous(off + base, region.shape().clone());
+                    loads.push(DmaOp { parent: region.clone(), local: local.clone() });
+                    local_inputs.push(local);
                 }
             }
-            steps.push(step);
         }
-        Ok(NodePlan { steps, local_elems: base + alloc.high_water() })
+        let mut local_outputs = Vec::with_capacity(sd.inst.outputs.len());
+        let mut stores = std::mem::take(&mut step.stores);
+        for (region, space) in sd.inst.outputs.iter().zip(&sd.output_space) {
+            match space {
+                Space::Local => local_outputs.push(region.clone()),
+                Space::Parent => {
+                    let off = b.alloc.alloc(idx, region.numel())?;
+                    let local = Region::contiguous(off + base, region.shape().clone());
+                    stores.push(DmaOp { parent: region.clone(), local: local.clone() });
+                    local_outputs.push(local);
+                }
+            }
+        }
+        // RAW dependency: a surviving load reads what the
+        // previous step writes back.
+        if let Some(prev) = b.prev(0) {
+            step.raw_dep_prev =
+                loads.iter().any(|l| prev.stores.iter().any(|s| l.parent.may_overlap(&s.parent)));
+        }
+        // TTT bookkeeping (lookup happened above; now advance).
+        b.ttt.begin_cycle(idx as u64);
+        for l in &loads {
+            b.ttt.record(l.parent.clone(), l.local.clone());
+        }
+        for s in &stores {
+            b.ttt.invalidate_overlapping(&s.parent);
+            b.ttt.record(s.parent.clone(), s.local.clone());
+        }
+        let local_inst = Instruction::new(sd.inst.op, sd.inst.params, local_inputs, local_outputs)?;
+        step.loads = loads;
+        step.stores = stores;
+        step.elided_bytes = elided;
+
+        // --- routing: leaf / LFU / PD ------------------------
+        let fanout = self.cfg.fanout_at(level);
+        if self.cfg.is_leaf(level) || fanout == 0 || self.route_to_lfu(level, &local_inst) {
+            step.local_exec = Some(local_inst);
+        } else {
+            // Unsplittable instructions (granularity 1 or
+            // fan-out 1) go whole to one child.
+            let split = self.parallel_split(&local_inst, fanout, b.memo);
+            if let Some(kind) = split.reduce {
+                let mut partials = Vec::with_capacity(split.len());
+                for piece in &split.pieces {
+                    let regions = piece
+                        .outputs
+                        .iter()
+                        .map(|r| {
+                            let off = b.alloc.alloc(idx, r.numel())?;
+                            Ok(Region::contiguous(off + base, r.shape().clone()))
+                        })
+                        .collect::<Result<Vec<_>, CoreError>>()?;
+                    partials.push(regions);
+                }
+                let total: u64 = partials.iter().flat_map(|v| v.iter()).map(Region::numel).sum();
+                let out_elems: u64 = local_inst.outputs.iter().map(Region::numel).sum();
+                let ops = match kind {
+                    ReduceKind::Add | ReduceKind::Mul => total.saturating_sub(out_elems),
+                    ReduceKind::Merge => total * (partials.len().max(2)).ilog2() as u64,
+                };
+                step.reduce = Some(ReduceStep {
+                    kind,
+                    partials,
+                    outputs: local_inst.outputs.clone(),
+                    output_space: Space::Local,
+                    on_lfu: self.reduce_on_lfu(level, ops),
+                    ops,
+                });
+            }
+            let resident = if opts.ttt {
+                // Cross-cycle residency at a child is bounded by what its
+                // recycled segments can keep alive between two of its
+                // FISA cycles.
+                let cap = self.cfg.mem_bytes_at(level + 1) / 8;
+                residency(&split, &local_inst, [b.prev(0), b.prev(1)], cap)
+            } else {
+                vec![0; split.len()]
+            };
+            step.children = Some(Children { split, inst: local_inst, resident });
+        }
+        b.push_step(step);
+        Ok(())
+    }
+}
+
+impl Build<'_> {
+    fn finish(self) -> RunPlan {
+        RunPlan { steps: self.steps, blocks: self.blocks, runs: self.open }
+    }
+
+    /// The explicit plan built (reuse off): every step, in order.
+    fn finish_explicit(self) -> NodePlan {
+        debug_assert!(self.reuse.is_none());
+        NodePlan { local_elems: self.base + self.alloc.high_water(), steps: self.steps }
     }
 }
 
@@ -1191,7 +1741,8 @@ fn choose_direct_split(inst: &Instruction, parts: usize) -> Option<SplitOutcome>
 /// over `inst`.
 ///
 /// Input `i` of the child in slot `s` is resident only when (a) the child
-/// in slot `s` of one of the last two steps touched exactly the same
+/// in slot `s` of one of the last two steps (`prev_steps`, the last
+/// first) touched exactly the same
 /// region and (b) the region is small enough to have survived in the
 /// child's recycled segments (`max_resident_bytes`) — larger operands are
 /// physically re-staged. Regions are compared as placed, without
@@ -1200,11 +1751,11 @@ fn choose_direct_split(inst: &Instruction, parts: usize) -> Option<SplitOutcome>
 fn residency(
     split: &PdSplit,
     inst: &Instruction,
-    prev_steps: &[Step],
+    prev_steps: [Option<&Step>; 2],
     max_resident_bytes: u64,
 ) -> Vec<u32> {
     let mut masks = vec![0u32; split.len()];
-    for prev in prev_steps.iter().rev().take(2) {
+    for prev in prev_steps.into_iter().flatten() {
         let Some(pc) = &prev.children else { continue };
         let slots = split.len().min(pc.split.len());
         let operands = pc.inst.inputs.len() + pc.inst.outputs.len();

@@ -116,7 +116,7 @@ impl StageSeconds {
         self.id + self.ld + self.ex + self.rd + self.wb
     }
 
-    fn add_times(&mut self, t: &StageTimes) {
+    pub(crate) fn add_times(&mut self, t: &StageTimes) {
         self.id += t.id;
         self.ld += t.ld;
         self.ex += t.ex_full;
@@ -369,13 +369,9 @@ impl ProfileState {
         }
     }
 
-    /// Hook: a plan at `level` was timed (`times` per step, `own_bytes`
-    /// over this node's parent link).
-    pub(crate) fn record_plan(&mut self, level: usize, times: &[StageTimes], own_bytes: u64) {
-        let mut seconds = StageSeconds::default();
-        for t in times {
-            seconds.add_times(t);
-        }
+    /// Hook: a plan at `level` was timed (`seconds` summed over its
+    /// steps in order, `own_bytes` over this node's parent link).
+    pub(crate) fn record_plan(&mut self, level: usize, seconds: StageSeconds, own_bytes: u64) {
         self.last_plan = seconds;
         self.contribute(
             level,

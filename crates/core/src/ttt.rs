@@ -76,6 +76,31 @@ impl Ttt {
         }
     }
 
+    /// The live records of bank `bank`, in lookup order, as
+    /// `(parent, local)`.
+    pub(crate) fn bank(&self, bank: usize) -> impl Iterator<Item = (&Region, &Region)> {
+        self.banks[bank].iter().map(|e| (&e.parent, &e.local))
+    }
+
+    /// The table with every record's regions moved by `f`, at FISA cycle
+    /// `cycle` (of the same parity as the table's own).
+    pub(crate) fn mapped(
+        &self,
+        f: impl Fn(&Region, &Region) -> (Region, Region),
+        cycle: u64,
+    ) -> Ttt {
+        debug_assert_eq!(cycle % 2, self.cycle % 2);
+        let map = |bank: &Vec<Entry>| {
+            bank.iter()
+                .map(|e| {
+                    let (parent, local) = f(&e.parent, &e.local);
+                    Entry { parent, local }
+                })
+                .collect()
+        };
+        Ttt { banks: [map(&self.banks[0]), map(&self.banks[1])], cycle }
+    }
+
     /// Number of live records (diagnostics).
     pub fn len(&self) -> usize {
         self.banks.iter().map(Vec::len).sum()

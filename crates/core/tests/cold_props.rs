@@ -232,3 +232,47 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    /// A cache pre-warmed by unrelated programs — a paper-scale matmul
+    /// whose node plan reuses blocks of steps, and random programs — times
+    /// a target exactly as the naive reference does, before and after the
+    /// generation reset a budget overrun makes: kept step timings, split
+    /// decisions and subtree outcomes cannot leak into another program.
+    #[test]
+    fn prewarmed_cache_matches_naive_through_eviction(
+        warm in prop::collection::vec(
+            (prop::collection::vec(any::<u8>(), 1..4), 4usize..40, 4usize..40),
+            1..4,
+        ),
+        ops in prop::collection::vec(any::<u8>(), 1..5),
+        rows in 4usize..48,
+        cols in 4usize..48,
+    ) {
+        let cfg = MachineConfig::cambricon_f1();
+        let program = program_of(&ops, rows, cols);
+        let naive = PerfSim::with_options(&cfg, SimOptions::NAIVE).simulate_report(&program, 1);
+        let mut cache = SimCache::new();
+        cache.simulate(&cfg, &cf_workloads::nets::matmul_program(1025), 1).unwrap();
+        for (ops, r, c) in &warm {
+            let _ = cache.simulate(&cfg, &program_of(ops, *r, *c), 1);
+        }
+        let warmed = cache.simulate(&cfg, &program, 1);
+        // What a budget overrun does, then the matmul's tables again.
+        cache.reset();
+        cache.simulate(&cfg, &cf_workloads::nets::matmul_program(1025), 1).unwrap();
+        let evicted = cache.simulate(&cfg, &program, 1);
+        for got in [&warmed, &evicted] {
+            match (&naive, got) {
+                (Ok((n, _)), Ok((g, _))) => {
+                    prop_assert_eq!(report_bits(n), report_bits(g));
+                    prop_assert_eq!(&n.stats, &g.stats);
+                }
+                (Err(n), Err(g)) => prop_assert_eq!(n.to_string(), g.to_string()),
+                other => prop_assert!(false, "paths disagree on success: {other:?}"),
+            }
+        }
+    }
+}

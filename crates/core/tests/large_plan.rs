@@ -72,3 +72,46 @@ fn f1_alexnet_matches_naive_bit_for_bit() {
     let program = nets::build_program(&nets::alexnet(), 2).expect("alexnet");
     check("alexnet b2", &program);
 }
+
+#[test]
+fn f1_resnet152_matches_naive_bit_for_bit() {
+    // Bottleneck blocks reload a shared weight into the segment a
+    // TTT-handed copy of it still occupies: residency must see that.
+    let program = nets::build_program(&nets::resnet152(), 20).expect("resnet152");
+    check("resnet152 b20", &program);
+}
+
+/// Cold counters of one fresh memoised simulation.
+fn cold_of(cfg: &MachineConfig, program: &Program) -> cf_core::perf::ColdStats {
+    run(cfg, program, SimOptions::default()).1.cold_stats()
+}
+
+/// Run-length plans materialise each distinct step and block once, so
+/// what a cold f1 matmul plans and keeps grows with the SD depth (the log
+/// of the order), not with the step count (its cube: 689, 6,321 and
+/// 51,377 steps here).
+#[test]
+fn f1_matmul_planned_steps_and_arena_stay_flat_in_order() {
+    let cfg = MachineConfig::cambricon_f1();
+    let pinned: Vec<(u64, u64)> = [2100, 4200, 8400]
+        .iter()
+        .map(|&n| {
+            let c = cold_of(&cfg, &nets::matmul_program(n));
+            (c.planned_steps, c.arena_bytes)
+        })
+        .collect();
+    assert_eq!(pinned, [(207, 35_360), (219, 52_000), (247, 85_280)]);
+}
+
+/// On the nets whose node plans run thousands of steps, planning scales
+/// with the distinct steps timed, not with the steps.
+#[test]
+fn embedded_nets_plan_a_small_multiple_of_their_distinct_steps() {
+    let cfg = MachineConfig::cambricon_f_embedded();
+    for (name, net, batch) in
+        [("alexnet", nets::alexnet(), 24), ("resnet152", nets::resnet152(), 16)]
+    {
+        let c = cold_of(&cfg, &nets::build_program(&net, batch).expect("net"));
+        assert!(c.planned_steps <= 5 * c.step_memo_misses, "{name} b{batch}: {c:?}");
+    }
+}

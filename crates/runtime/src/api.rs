@@ -800,9 +800,9 @@ fn render_attribution(
     let total_us = duration_us(accepted_at.elapsed());
     let (mut queue_us, mut run_us, mut retry_us) = (0u64, 0u64, 0u64);
     if let Some(token) = sched_token {
-        for e in tracer.recent(usize::MAX) {
+        tracer.scan(|e| {
             if e.token != token {
-                continue;
+                return;
             }
             let us = e.duration.map_or(0, duration_us);
             match e.kind {
@@ -811,7 +811,7 @@ fn render_attribution(
                 SpanKind::JobRetry => retry_us += us,
                 _ => {}
             }
-        }
+        });
     }
     let admission_us = admission_us.min(total_us);
     let mut other_us = total_us - admission_us;

@@ -158,10 +158,12 @@ impl WireFaults {
     }
 
     /// The fault (if any) to inject on the next exchange of request
-    /// `raw` with backend `addr`: the first wire site, in priority
-    /// order, that fires for this `(backend, identity)` attempt.
-    pub fn draw(&self, addr: &str, raw: &[u8]) -> Option<NetFault> {
-        let (backend, identity) = (fnv1a(addr.as_bytes()), identity(raw));
+    /// `raw` with the backend named `backend`: the first wire site, in
+    /// priority order, that fires for this `(backend, identity)` attempt.
+    /// Name backends by something that outlives a run (a ring name, an
+    /// `--instance` name), not by a port, so a seed replays anywhere.
+    pub fn draw(&self, backend: &str, raw: &[u8]) -> Option<NetFault> {
+        let (backend, identity) = (fnv1a(backend.as_bytes()), identity(raw));
         let token = mix(backend, identity);
         let attempt = self.ledger.next(backend, identity);
         let spec = self.plan.spec();
@@ -185,12 +187,22 @@ impl WireFaults {
 pub struct FaultConnector {
     inner: Arc<dyn Connector>,
     faults: WireFaults,
+    /// Each dialled address's backend name; an unnamed address draws
+    /// under itself.
+    names: HashMap<String, String>,
 }
 
 impl FaultConnector {
-    /// Decorates `inner` with faults drawn from `plan`.
+    /// Decorates `inner` with faults drawn from `plan`, each backend
+    /// drawing under its address.
     pub fn new(inner: Arc<dyn Connector>, plan: FaultPlan) -> FaultConnector {
-        FaultConnector { inner, faults: WireFaults::new(plan) }
+        FaultConnector { inner, faults: WireFaults::new(plan), names: HashMap::new() }
+    }
+
+    /// Draws each `(address, name)` pair's faults under its name.
+    pub fn with_names(mut self, names: impl IntoIterator<Item = (String, String)>) -> Self {
+        self.names.extend(names);
+        self
     }
 }
 
@@ -203,7 +215,8 @@ impl Connector for FaultConnector {
         read_timeout: Duration,
         cancel: Option<&CancelSlot>,
     ) -> std::io::Result<Vec<u8>> {
-        let fault = self.faults.draw(addr, raw);
+        let name = self.names.get(addr).map_or(addr, String::as_str);
+        let fault = self.faults.draw(name, raw);
         match fault {
             Some(NetFault::Refuse) => {
                 return Err(std::io::Error::new(
@@ -246,16 +259,22 @@ pub struct FaultProxy {
 
 impl FaultProxy {
     /// Binds `127.0.0.1:port` (0 picks a free port) proxying to
-    /// `upstream` under `plan`.
+    /// `upstream` under `plan`, drawing faults under the backend name
+    /// `name` (see [`WireFaults::draw`]).
     ///
     /// # Errors
     ///
     /// Any socket bind failure, unchanged.
-    pub fn bind(port: u16, upstream: &str, plan: FaultPlan) -> std::io::Result<FaultProxy> {
+    pub fn bind(
+        port: u16,
+        upstream: &str,
+        name: &str,
+        plan: FaultPlan,
+    ) -> std::io::Result<FaultProxy> {
         let faults = WireFaults::new(plan);
-        let upstream = upstream.to_string();
+        let (upstream, name) = (upstream.to_string(), name.to_string());
         let listener = AcceptLoop::bind(port, "cf-fault-proxy", move |stream, _| {
-            let _ = proxy_connection(stream, &upstream, &faults);
+            let _ = proxy_connection(stream, &upstream, &name, &faults);
         })?;
         Ok(FaultProxy { listener })
     }
@@ -272,18 +291,19 @@ impl FaultProxy {
     }
 }
 
-/// Reads one complete request off `client`, draws its fault, forwards,
-/// mangles, answers.
+/// Reads one complete request off `client`, draws its fault (under the
+/// backend name `name`), forwards, mangles, answers.
 fn proxy_connection(
     mut client: TcpStream,
     upstream: &str,
+    name: &str,
     faults: &WireFaults,
 ) -> std::io::Result<()> {
     // Unparseable or empty request: forward nothing, drop the client.
     let Ok(Some((_, raw))) = http::read_request(&mut client, api::DEFAULT_MAX_BODY_BYTES) else {
         return Ok(());
     };
-    let fault = faults.draw(upstream, &raw);
+    let fault = faults.draw(name, &raw);
     match fault {
         // Connect refusal, black-box style: close without a byte.
         Some(NetFault::Refuse) => return Ok(()),

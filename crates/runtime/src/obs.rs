@@ -538,6 +538,12 @@ impl Tracer {
         out
     }
 
+    /// Visits every event in the ring, oldest first, under its lock and
+    /// without copying any.
+    pub fn scan(&self, visit: impl FnMut(&SpanEvent)) {
+        sync::lock(&self.ring).iter().for_each(visit);
+    }
+
     /// The most recent `limit` events, oldest first.
     pub fn recent(&self, limit: usize) -> Vec<SpanEvent> {
         let ring = sync::lock(&self.ring);

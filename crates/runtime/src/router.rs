@@ -325,6 +325,10 @@ impl Backend {
 pub struct RouterConfig {
     /// Backend `host:port` status addresses, in ring order.
     pub backends: Vec<String>,
+    /// Backend names, one per address: what the ring places and wire
+    /// faults draw under, so both outlive the ports. Without one name per
+    /// address, each backend is named by its address.
+    pub names: Vec<String>,
     /// Consistent-hash points per backend (default 64).
     pub vnodes: usize,
     /// Health-probe cadence (default 250 ms).
@@ -376,6 +380,7 @@ impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
             backends: Vec::new(),
+            names: Vec::new(),
             vnodes: 64,
             probe_interval: Duration::from_millis(250),
             probe_timeout: Duration::from_millis(500),
@@ -785,14 +790,19 @@ impl Router {
     /// `config.netfault` plan decorates the dialer with seeded wire
     /// faults (chaos testing — see [`crate::netfault`]).
     pub fn new(config: RouterConfig) -> Arc<Router> {
-        let ring = Ring::new(&config.backends, config.vnodes);
+        let named = config.names.len() == config.backends.len();
+        let names = if named { &config.names } else { &config.backends };
+        let ring = Ring::new(names, config.vnodes);
         let backends = config
             .backends
             .iter()
             .map(|a| Backend::new(a.clone(), config.breaker.clone()))
             .collect();
         let connector: Arc<dyn Connector> = match &config.netfault {
-            Some(plan) => Arc::new(FaultConnector::new(Arc::new(TcpConnector), plan.clone())),
+            Some(plan) => Arc::new(
+                FaultConnector::new(Arc::new(TcpConnector), plan.clone())
+                    .with_names(config.backends.iter().cloned().zip(names.iter().cloned())),
+            ),
             None => Arc::new(TcpConnector),
         };
         let slo = config.slo_target.map(|t| SloTracker::new(t, config.slo_objective));

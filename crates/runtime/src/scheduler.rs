@@ -132,6 +132,10 @@ enum Disposition {
     Shutdown,
 }
 
+/// Settles a queued job; a run calls its settle hook (with the outcome)
+/// just before the handle resolves, so a joiner sees the settle span.
+type SettleFn = Box<dyn FnOnce(Disposition, &dyn Fn(bool)) -> Option<bool> + Send>;
+
 struct QueuedJob {
     /// The job's submission id — the token fault/jitter decisions key on.
     id: u64,
@@ -142,7 +146,7 @@ struct QueuedJob {
     cancelled: Arc<AtomicBool>,
     /// Completes the handle according to the disposition; returns whether
     /// the body ran and succeeded (`None` when the body did not run).
-    run: Box<dyn FnOnce(Disposition) -> Option<bool> + Send>,
+    run: SettleFn,
 }
 
 struct QueueState {
@@ -564,7 +568,7 @@ impl Runtime {
             if discard_queued {
                 for job in q.jobs.drain(..) {
                     self.inner.stats.queued_bytes.fetch_sub(job.cost as u64, Ordering::Relaxed);
-                    (job.run)(Disposition::Shutdown);
+                    (job.run)(Disposition::Shutdown, &|_| {});
                     self.inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
                     // Discarded before starting: a cancellation, so
                     // `submitted == finished() + in_flight` still holds.
@@ -697,7 +701,7 @@ impl Runtime {
         }
         let run = {
             let shared = Arc::clone(&shared);
-            Box::new(move |disposition: Disposition| match disposition {
+            Box::new(move |disposition: Disposition, settle: &dyn Fn(bool)| match disposition {
                 Disposition::Run => {
                     let outcome = catch_unwind(AssertUnwindSafe(move || body(id)));
                     let (ok, result) = match outcome {
@@ -705,6 +709,7 @@ impl Runtime {
                         Ok(Err(e)) => (false, Err(e)),
                         Err(payload) => (false, Err(JobError::Panicked(panic_message(&*payload)))),
                     };
+                    settle(ok);
                     shared.complete(result);
                     Some(ok)
                 }
@@ -720,7 +725,7 @@ impl Runtime {
                     shared.complete(Err(JobError::Shutdown));
                     None
                 }
-            }) as Box<dyn FnOnce(Disposition) -> Option<bool> + Send>
+            }) as SettleFn
         };
         let cost = opts.cost_bytes;
         let job = QueuedJob { id, enqueued: now, deadline, cost, cancelled, run };
@@ -989,7 +994,7 @@ fn worker_loop(inner: &PoolInner, worker_index: usize) {
         inner.tracer.observe(Stage::QueueWait, queue_wait);
 
         if job.cancelled.load(Ordering::SeqCst) {
-            (job.run)(Disposition::Cancelled);
+            (job.run)(Disposition::Cancelled, &|_| {});
             inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
             inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
             inner.tracer.record(SpanKind::JobSettle, job.id, None, || "cancelled".to_string());
@@ -998,7 +1003,7 @@ fn worker_loop(inner: &PoolInner, worker_index: usize) {
         if let Some(deadline) = job.deadline {
             let now = Instant::now();
             if now > deadline {
-                (job.run)(Disposition::Expired { late_by: now - deadline });
+                (job.run)(Disposition::Expired { late_by: now - deadline }, &|_| {});
                 inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
                 inner.stats.expired.fetch_add(1, Ordering::Relaxed);
                 inner.tracer.record(SpanKind::JobSettle, job.id, None, || "expired".to_string());
@@ -1010,13 +1015,17 @@ fn worker_loop(inner: &PoolInner, worker_index: usize) {
             .tracer
             .record(SpanKind::JobStart, id, Some(queue_wait), || format!("worker={worker_index}"));
         let t0 = Instant::now();
-        let ran = (job.run)(Disposition::Run);
-        inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-        let busy = t0.elapsed();
-        if let Some(ok) = ran {
+        // Recorded before the handle resolves: a completion thread that
+        // renders the job's attribution must find its settle span.
+        let settle = |ok: bool| {
+            let busy = t0.elapsed();
+            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
             inner.stats.record_run(worker_index, busy, ok);
             inner.tracer.observe(Stage::Run, busy);
             inner.tracer.record(SpanKind::JobSettle, id, Some(busy), || format!("ok={ok}"));
+        };
+        if (job.run)(Disposition::Run, &settle).is_none() {
+            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
         }
         // Worker-kill injection: panic the loop *after* the job handle
         // resolved, exercising the respawn path without stranding

@@ -476,6 +476,7 @@ mod tests {
             step_memo_misses: 2,
             outcome_hits: 7,
             outcome_misses: 5,
+            planned_steps: 6,
         });
         stats.record_cold(&cf_core::perf::ColdStats {
             shape_memo_hits: 1,
@@ -486,6 +487,7 @@ mod tests {
             step_memo_misses: 1,
             outcome_hits: 2,
             outcome_misses: 0,
+            planned_steps: 1,
         });
         stats.sim_table_bytes.store(4096, Ordering::Relaxed);
         stats.sim_table_resets.fetch_add(1, Ordering::Relaxed);

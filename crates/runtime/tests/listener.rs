@@ -160,7 +160,7 @@ fn fault_proxy_lifecycle() {
     let upstream = StatusServer::bind(0, Arc::clone(&obs)).unwrap();
     let target = upstream.local_addr().to_string();
     check_lifecycle(
-        || FaultProxy::bind(0, &target, FaultPlan::new(1, FaultSpec::none())).unwrap(),
+        || FaultProxy::bind(0, &target, &target, FaultPlan::new(1, FaultSpec::none())).unwrap(),
         FaultProxy::local_addr,
         FaultProxy::shutdown,
     );

@@ -2,7 +2,7 @@
 //! backends.
 //!
 //! ```text
-//! cfrouter --backend HOST:PORT [--backend HOST:PORT ...] [--port N]
+//! cfrouter --backend [NAME=]HOST:PORT [--backend ...] [--port N]
 //!          [--vnodes N] [--probe-interval-ms N] [--probe-timeout-ms N]
 //!          [--eject-after N] [--readmit-after N] [--failover-retries N]
 //!          [--hedge-after-ms N] [--breaker-failures N]
@@ -11,7 +11,7 @@
 //!          [--netfault-seed N] [--netfault-spec SPEC]
 //!          [--slo-ms N] [--slo-objective F]
 //! cfrouter --fault-proxy HOST:PORT [--port N] --netfault-seed N
-//!          --netfault-spec SPEC
+//!          --netfault-spec SPEC [--instance NAME]
 //! cfrouter --help
 //! ```
 //!
@@ -88,9 +88,12 @@ fn help() -> ExitCode {
          usage:\n\
          \x20 cfrouter --backend HOST:PORT [--backend HOST:PORT ...] [options]\n\
          \x20 cfrouter --fault-proxy HOST:PORT [--port N] --netfault-seed N --netfault-spec SPEC\n\
+         \x20          [--instance NAME]\n\
          \n\
          routing:\n\
-         \x20 --backend HOST:PORT      a cfserve --status-port address (repeatable, required)\n\
+         \x20 --backend [NAME=]HOST:PORT  a cfserve --status-port address (repeatable,\n\
+         \x20                          required); NAME (default the address) places it on\n\
+         \x20                          the ring and keys its wire faults\n\
          \x20 --port N                 listen port on 127.0.0.1 (default 0 = pick a free port)\n\
          \x20 --vnodes N               consistent-hash points per backend (default {vnodes})\n\
          \x20 --max-body-bytes N       client request-body cap (default {max_body})\n\
@@ -121,6 +124,8 @@ fn help() -> ExitCode {
          \x20                          (rates in [0,1]) plus latency_ms=N, trickle_ms=N\n\
          \x20 --fault-proxy HOST:PORT  run as a standalone byte-level fault proxy for this\n\
          \x20                          upstream instead of a router (black-box chaos)\n\
+         \x20 --instance NAME          with --fault-proxy: the backend name its faults draw\n\
+         \x20                          under (default the upstream address)\n\
          \x20 --help                   this text",
         vnodes = d.vnodes,
         max_body = d.max_body,
@@ -146,12 +151,21 @@ fn main() -> ExitCode {
     let mut netfault_seed: u64 = 0;
     let mut netfault_spec: Option<FaultSpec> = None;
     let mut fault_proxy: Option<String> = None;
+    let mut instance: Option<String> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--help" | "-h" => return help(),
             "--backend" => match it.next() {
-                Some(addr) => config.backends.push(addr.clone()),
+                Some(arg) => {
+                    let (name, addr) = arg.split_once('=').unwrap_or((arg, arg));
+                    config.names.push(name.to_string());
+                    config.backends.push(addr.to_string());
+                }
+                None => return usage(),
+            },
+            "--instance" => match it.next() {
+                Some(name) => instance = Some(name.clone()),
                 None => return usage(),
             },
             "--port" => match it.next().and_then(|v| v.parse().ok()) {
@@ -249,7 +263,8 @@ fn main() -> ExitCode {
             return usage();
         }
         let plan = FaultPlan::new(netfault_seed, netfault_spec.unwrap_or_else(FaultSpec::none));
-        let proxy = match FaultProxy::bind(port, &upstream, plan) {
+        let name = instance.as_deref().unwrap_or(&upstream);
+        let proxy = match FaultProxy::bind(port, &upstream, name, plan) {
             Ok(proxy) => proxy,
             Err(e) => {
                 eprintln!("cfrouter: cannot bind port {port}: {e}");

@@ -9,8 +9,8 @@
 //! digest client-side (corruption never reaches a client), and the
 //! damage is visible only in `cf_router_corrupt_responses` /
 //! quarantine counters. One case replays the refusal and tear
-//! scenarios on one seed and the same backend ports and requires the
-//! same router counters. One scenario drives the standalone
+//! scenarios on one seed, each run on fresh backend ports, and requires
+//! the same router counters. One scenario drives the standalone
 //! `cfrouter --fault-proxy` byte-mangler in front of a single backend
 //! to prove repeated corruption moves it into the `quarantined` state
 //! (distinct from `ejected`) in `/stats` and `/ring`.
@@ -120,11 +120,11 @@ impl Proc {
 }
 
 /// Spawns one `cfserve` backend on `port` (0 picks a free one).
-fn spawn_backend(journal: &std::path::Path, port: u16) -> Proc {
+fn spawn_backend(journal: &std::path::Path) -> Proc {
     let args: Vec<String> = vec![
         "-".into(),
         "--status-port".into(),
-        port.to_string(),
+        "0".into(),
         "--journal".into(),
         journal.display().to_string(),
         "--workers".into(),
@@ -230,25 +230,27 @@ fn run_chaos_verified(router: &str) -> String {
 }
 
 /// What one chaos run leaves behind: the router's final `/stats` and
-/// `/metrics` bodies, and the backends' ports.
+/// `/metrics` bodies.
 struct ChaosRun {
     stats: String,
     metrics: String,
-    ports: [u16; 3],
 }
 
-/// One full chaos scenario: three backends on `ports` (0 picks free
-/// ones), a router with the given seeded wire-fault spec on its dialer
+/// One full chaos scenario: three backends on free ports, named `b0`..
+/// `b2` on the ring (so routing and fault draws do not depend on the
+/// ports), a router with the given seeded wire-fault spec on its dialer
 /// (plus `extra` flags, which override the defaults here), the 19-job
 /// manifest run through it with per-record digest verification, and
 /// the merged output asserted byte-identical to the fault-free
 /// baseline.
-fn chaos_run(tag: &str, seed: u64, spec: &str, ports: [u16; 3], extra: &[&str]) -> ChaosRun {
+fn chaos_run(tag: &str, seed: u64, spec: &str, extra: &[&str]) -> ChaosRun {
     let expected = baseline();
     let dir = temp_dir(tag);
     let backends: Vec<Proc> =
-        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")), ports[i])).collect();
-    let addrs: Vec<&str> = backends.iter().map(|b| b.addr.as_str()).collect();
+        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
+    let named: Vec<String> =
+        backends.iter().enumerate().map(|(i, b)| format!("b{i}={}", b.addr)).collect();
+    let addrs: Vec<&str> = named.iter().map(String::as_str).collect();
     let seed = seed.to_string();
     let mut flags = vec![
         "--netfault-seed",
@@ -280,24 +282,19 @@ fn chaos_run(tag: &str, seed: u64, spec: &str, ports: [u16; 3], extra: &[&str]) 
         common::assert_jobs_conserved(&b.addr);
     }
 
-    let ports = backends.iter().map(|b| port_of(&b.addr)).collect::<Vec<_>>();
     router.kill();
     for b in backends {
         b.kill();
     }
     std::fs::remove_dir_all(&dir).ok();
-    ChaosRun { stats, metrics, ports: ports.try_into().expect("three backends") }
+    ChaosRun { stats, metrics }
 }
 
 /// [`chaos_run`] on free ports with the default flags: the router's
 /// final `/stats` and `/metrics` bodies, for family-specific assertions.
 fn chaos_scenario(tag: &str, seed: u64, spec: &str) -> (String, String) {
-    let run = chaos_run(tag, seed, spec, [0; 3], &[]);
+    let run = chaos_run(tag, seed, spec, &[]);
     (run.stats, run.metrics)
-}
-
-fn port_of(addr: &str) -> u16 {
-    addr.rsplit(':').next().and_then(|p| p.parse().ok()).expect("HOST:PORT")
 }
 
 /// Connect refusals: the dialer's refused attempts fail over to ring
@@ -368,9 +365,10 @@ fn mixed_chaos_plan_keeps_output_byte_identical() {
 }
 
 /// A chaos seed replays: the `refuse` and `tear` scenarios, each run
-/// twice on one seed against backends on the same ports (the backend
-/// address is part of every draw's token), stream the same output and
-/// leave the same routing, failover, corruption and quarantine counts.
+/// twice on one seed against backends on fresh ports (the backend's ring
+/// name, not its address, is part of every draw's token), stream the
+/// same output and leave the same routing, failover, corruption and
+/// quarantine counts.
 #[test]
 fn a_chaos_seed_replays_identical_output_and_counters() {
     // `spawn_router` already disables hedging (`--hedge-after-ms 0`);
@@ -381,10 +379,10 @@ fn a_chaos_seed_replays_identical_output_and_counters() {
     let extra = ["--eject-after", "1000000"];
     let scenarios = [("replay-refuse", 11, "refuse=0.2"), ("replay-tear", 14, "tear=0.2")];
     for (tag, seed, spec) in scenarios {
-        let first = chaos_run(tag, seed, spec, [0; 3], &extra);
+        let first = chaos_run(tag, seed, spec, &extra);
         // Each run's merged output already equals the fault-free
         // baseline (`chaos_run` asserts it), so the two are identical.
-        let second = chaos_run(tag, seed, spec, first.ports, &extra);
+        let second = chaos_run(tag, seed, spec, &extra);
         assert!(stat(&first.stats, "failovers") >= 1, "[{tag}] no fault fired: {}", first.stats);
         for name in ["routed", "failovers", "corrupt_responses", "quarantines"] {
             assert_eq!(
@@ -409,7 +407,7 @@ fn always_corrupting_proxy_gets_quarantined_and_output_stays_byte_identical() {
     let expected = baseline();
     let dir = temp_dir("quarantine");
     let backends: Vec<Proc> =
-        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")), 0)).collect();
+        (0..3).map(|i| spawn_backend(&dir.join(format!("b{i}.wal")))).collect();
     // Backend 0 is reachable only through an always-corrupting proxy.
     let proxy = spawn_fault_proxy(&backends[0].addr, 99, "corrupt=1.0");
     let router = spawn_router(

@@ -14,6 +14,7 @@ use std::process::{Child, Command, Stdio};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use cambricon_f::runtime::trace::Attribution;
 use cambricon_f::runtime::{Connector, Reply, TcpConnector};
 
 /// A spawned `cfserve` with its announced status address and a stderr
@@ -239,4 +240,26 @@ fn coalesce_and_shed_with_metrics_agreeing_with_the_journal() {
     }
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A job's settle span is recorded before its handle resolves, so the
+/// completion that renders its `X-CF-Attribution` always finds the run:
+/// every simulate job that ran reports a non-zero `run_us`.
+#[test]
+fn every_job_that_ran_attributes_its_run_time() {
+    let serve = Serve::spawn(&["-", "--status-port", "0", "--workers", "1", "--no-cache"]);
+    for order in 64..264 {
+        let id = submit(
+            &serve.addr,
+            &format!(r#"{{"workload":"matmul","machine":"f1","order":{order}}}"#),
+        );
+        let reply = http(&serve.addr, &format!("GET /jobs/{id}?timeout_s=120 HTTP/1.1\r\n\r\n"));
+        assert_eq!(reply.status, 200, "job {id}: {}", reply.text());
+        let attr = reply
+            .header("X-CF-Attribution")
+            .and_then(Attribution::parse)
+            .unwrap_or_else(|| panic!("job {id}: no parseable X-CF-Attribution: {reply:?}"));
+        assert!(attr.get("run_us").is_some_and(|us| us > 0), "job {id} (order {order}): {attr:?}");
+    }
+    serve.kill();
 }
