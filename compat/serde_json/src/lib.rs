@@ -630,13 +630,19 @@ impl Parser<'_> {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Value::Number(Number::U64(n)));
             }
+            // `-0` is the integer 0, which renders (and re-parses) as `0`.
             if let Ok(n) = text.parse::<i64>() {
-                return Ok(Value::Number(Number::I64(n)));
+                let n = u64::try_from(n).map_or(Number::I64(n), Number::U64);
+                return Ok(Value::Number(n));
             }
         }
-        text.parse::<f64>()
-            .map(|n| Value::Number(Number::F64(n)))
-            .map_err(|_| self.err("invalid number"))
+        // A literal past `f64`'s range has no finite value to render
+        // back; refuse it as serde_json does.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Value::Number(Number::F64(n))),
+            Ok(_) => Err(self.err("number out of range")),
+            Err(_) => Err(self.err("invalid number")),
+        }
     }
 }
 

@@ -15,31 +15,34 @@ fn mix(programs: &[Arc<cf_isa::Program>]) -> Vec<(MachineConfig, Arc<cf_isa::Pro
     (0..8).map(|i| (MachineConfig::cambricon_f1(), Arc::clone(&programs[i % 2]))).collect()
 }
 
+/// Submits every job before joining any, as a manifest run does.
+fn submit_and_join(rt: &Runtime, jobs: Vec<(MachineConfig, Arc<cf_isa::Program>)>) {
+    let handles: Vec<_> =
+        jobs.into_iter().map(|(m, p)| rt.submit_simulate(JobOptions::default(), m, p)).collect();
+    for h in handles {
+        h.join().unwrap();
+    }
+}
+
 fn bench_runtime(c: &mut Criterion) {
     let programs = [Arc::new(nets::matmul_program(512)), Arc::new(nets::matmul_program(768))];
 
     // One warm runtime reused across iterations: after the first fill,
     // every simulate is answered from the cache.
     let warm = Runtime::new(RuntimeConfig { workers: 1, ..Default::default() });
-    warm.submit_simulate(MachineConfig::cambricon_f1(), Arc::clone(&programs[0])).join().unwrap();
+    let plain = JobOptions::default();
+    let f1 = MachineConfig::cambricon_f1;
+    warm.submit_simulate(plain, f1(), Arc::clone(&programs[0])).join().unwrap();
     c.bench_function("simulate_cached", |bench| {
         bench.iter(|| {
-            warm.submit_simulate(MachineConfig::cambricon_f1(), black_box(Arc::clone(&programs[0])))
-                .join()
-                .unwrap()
+            warm.submit_simulate(plain, f1(), black_box(Arc::clone(&programs[0]))).join().unwrap()
         })
     });
 
     c.bench_function("simulate_uncached", |bench| {
         let opts = JobOptions { bypass_cache: true, ..Default::default() };
         bench.iter(|| {
-            warm.submit_simulate_opts(
-                opts,
-                MachineConfig::cambricon_f1(),
-                black_box(Arc::clone(&programs[0])),
-            )
-            .join()
-            .unwrap()
+            warm.submit_simulate(opts, f1(), black_box(Arc::clone(&programs[0]))).join().unwrap()
         })
     });
 
@@ -67,18 +70,14 @@ fn bench_runtime(c: &mut Criterion) {
         bench.iter(|| {
             let rt =
                 Runtime::new(RuntimeConfig { workers: 1, cache_capacity: 0, ..Default::default() });
-            for h in rt.simulate_batch(black_box(mix(&programs))) {
-                h.join().unwrap();
-            }
+            submit_and_join(&rt, black_box(mix(&programs)));
         })
     });
 
     c.bench_function("batch_8jobs_4workers_cached", |bench| {
         bench.iter(|| {
             let rt = Runtime::new(RuntimeConfig { workers: 4, ..Default::default() });
-            for h in rt.simulate_batch(black_box(mix(&programs))) {
-                h.join().unwrap();
-            }
+            submit_and_join(&rt, black_box(mix(&programs)));
         })
     });
 }

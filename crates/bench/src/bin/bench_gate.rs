@@ -177,8 +177,9 @@ fn measure_cached_speedup() -> (f64, f64, f64) {
     let program = Arc::new(nets::matmul_program(512));
     let runtime = Runtime::new(RuntimeConfig { workers: 1, ..Default::default() });
     // Warm: the first submit fills the cache.
+    let plain = JobOptions::default();
     runtime
-        .submit_simulate(MachineConfig::cambricon_f1(), Arc::clone(&program))
+        .submit_simulate(plain, MachineConfig::cambricon_f1(), Arc::clone(&program))
         .join()
         .expect("warmup simulate");
 
@@ -191,7 +192,7 @@ fn measure_cached_speedup() -> (f64, f64, f64) {
     for _ in 0..CACHED_ITERS {
         let t0 = Instant::now();
         runtime
-            .submit_simulate(MachineConfig::cambricon_f1(), Arc::clone(&program))
+            .submit_simulate(plain, MachineConfig::cambricon_f1(), Arc::clone(&program))
             .join()
             .expect("cached simulate");
         cached = cached.min(t0.elapsed());
@@ -202,7 +203,7 @@ fn measure_cached_speedup() -> (f64, f64, f64) {
     for _ in 0..UNCACHED_ITERS {
         let t0 = Instant::now();
         runtime
-            .submit_simulate_opts(opts, MachineConfig::cambricon_f1(), Arc::clone(&program))
+            .submit_simulate(opts, MachineConfig::cambricon_f1(), Arc::clone(&program))
             .join()
             .expect("uncached simulate");
         uncached = uncached.min(t0.elapsed());

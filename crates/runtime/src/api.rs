@@ -26,9 +26,15 @@
 //!   counter ticks once per joined request.
 //!
 //! The byte-exact record contract: a job submitted over the API and the
-//! identical manifest line produce byte-identical result records (both
-//! go through [`serve::render_record_json`](crate::serve::render_record_json)
-//! from the same deterministic [`JobOutput`]).
+//! identical manifest line produce byte-identical result records. Both
+//! take one path: the spec's canonical line resolves through
+//! [`manifest::resolve`] to a [`Job`], every fresh job (each element of
+//! an array too) runs through [`Runtime::submit_job`], and the record
+//! renders through
+//! [`serve::render_record_json`](crate::serve::render_record_json) from
+//! the same deterministic [`JobOutput`]. A `program=` path from the
+//! network must name a regular file under the server's working
+//! directory.
 //!
 //! HTTP framing — reading requests, bounding bodies, writing responses —
 //! lives in [`crate::http`] (its request parser stays reachable here as
@@ -36,22 +42,19 @@
 //! hands back the JSON the status server answers with. See DESIGN.md §9.
 
 use std::collections::HashMap;
-use std::path::Path;
+use std::path::{Component, Path};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cf_core::MachineConfig;
-use cf_isa::Program;
-
 use crate::cache::CacheKey;
 use crate::fault::fnv1a;
-use crate::job::{JobError, JobOptions};
+use crate::job::{JobError, JobHandle, JobOptions};
 use crate::journal::{AcceptedEntry, JobEntry, Journal, JournalError, RunHeader, JOURNAL_VERSION};
-use crate::manifest::{self, JobKind};
+use crate::manifest::{self, Job, ProgramSource};
 use crate::obs::{SpanKind, Tracer};
-use crate::scheduler::Runtime;
-use crate::serve::{exec_output, json_str, render_record_json, sim_output, JobOutput, JobRecord};
+use crate::scheduler::{JobDone, Runtime};
+use crate::serve::{json_str, render_record_json, JobOutput, JobRecord};
 use crate::sync;
 use crate::trace::{Attribution, TraceContext, TOTAL_KEY};
 
@@ -59,10 +62,6 @@ pub use crate::http::parse_request;
 
 /// Default request-body bound (`cfserve --max-body-bytes`).
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1 << 20;
-
-/// Hottest-signature count for profiled API jobs (matches the manifest
-/// serving path so profiled records stay identical).
-const PROFILE_TOP_SIGNATURES: usize = 16;
 
 /// Submission retries absorbed when admission capacity is raced away
 /// between the front-door check and the actual submit.
@@ -134,24 +133,6 @@ pub struct ApiResume {
     pub resubmitted: usize,
 }
 
-/// One fully-validated submission, ready to run.
-struct ParsedJob {
-    /// The canonical manifest line (journaled in the accept record).
-    line: String,
-    label: String,
-    machine_name: String,
-    mode: &'static str,
-    machine: MachineConfig,
-    program: Arc<Program>,
-    kind: JobKind,
-    profile: bool,
-    /// Admission cost (the program's external-memory footprint).
-    cost: usize,
-    /// Plan-cache identity for coalescible (simulate, non-profiled)
-    /// jobs.
-    coalesce_key: Option<(u64, u64)>,
-}
-
 /// One tracked API job.
 struct ApiJob {
     label: String,
@@ -202,7 +183,7 @@ struct ApiState {
     jobs: HashMap<u64, ApiJob>,
     journal: Option<Journal>,
     /// Live coalescing leaders by plan-cache identity.
-    leaders: HashMap<(u64, u64), u64>,
+    leaders: HashMap<CacheKey, u64>,
 }
 
 impl ApiState {
@@ -328,7 +309,7 @@ impl JobApi {
                         let mut st = sync::lock(&api.state);
                         st.jobs.insert(
                             accept.index,
-                            ApiJob::new(job.label.clone(), job.machine_name.clone(), job.mode),
+                            ApiJob::new(job.label.clone(), job.machine_name.clone(), job.mode()),
                         );
                     }
                     api.run_job(accept.index, job, None);
@@ -369,7 +350,7 @@ impl JobApi {
     /// Submits a `POST /jobs` body: a single spec object or an array of
     /// spec objects (an array is validated as a whole — one malformed
     /// element rejects the request before anything is journaled — and
-    /// its compatible members are submitted as one scheduler batch).
+    /// each member then runs as its own job).
     ///
     /// # Errors
     ///
@@ -404,27 +385,24 @@ impl JobApi {
                     .map_err(|e| SubmitError::Bad(format!("jobs[{i}]: {e}")))?;
                 parsed.push(job);
             }
-            self.submit_parsed_batch(parsed, trace).map(SubmitOk::Many)
+            self.submit_parsed(parsed, trace).map(SubmitOk::Many)
         } else {
             let job = parse_spec_value(&value).map_err(SubmitError::Bad)?;
-            self.submit_parsed_batch(vec![job], trace).map(|ids| SubmitOk::One(ids[0]))
+            self.submit_parsed(vec![job], trace).map(|ids| SubmitOk::One(ids[0]))
         }
     }
 
-    /// Accepts a batch of validated jobs: front-door admission on the
-    /// total cost, then per job either coalesce onto a live leader or
-    /// journal an accept and run. Compatible fresh jobs (simulate,
-    /// non-profiled, same machine) go through
-    /// [`batch::group_compatible`](crate::batch::group_compatible) into
-    /// one scheduler batch submission.
-    fn submit_parsed_batch(
+    /// Accepts validated `(canonical line, job)` pairs: front-door
+    /// admission on the total cost, then per job either coalesce onto a
+    /// live leader or journal an accept and [`run_job`](JobApi::run_job).
+    fn submit_parsed(
         self: &Arc<Self>,
-        parsed: Vec<ParsedJob>,
+        parsed: Vec<(String, Job)>,
         trace: Option<TraceContext>,
     ) -> Result<Vec<u64>, SubmitError> {
-        // Shed before journaling: the whole batch is admitted or none of
+        // Shed before journaling: the whole array is admitted or none of
         // it is (a partial accept would ack ids the pool cannot take).
-        let total_cost: usize = parsed.iter().map(|j| j.cost).sum();
+        let total_cost: usize = parsed.iter().map(|(_, job)| job.cost()).sum();
         if let Err(e) = self.runtime.check_admission(total_cost) {
             self.runtime.stats().api_shed.fetch_add(parsed.len() as u64, Ordering::Relaxed);
             return Err(shed_error(&self.runtime, e));
@@ -433,13 +411,13 @@ impl JobApi {
         let mut ids = Vec::with_capacity(parsed.len());
         // (id, job, trace) triples that did not coalesce and must
         // actually run.
-        let mut fresh: Vec<(u64, ParsedJob, Option<TraceContext>)> = Vec::new();
+        let mut fresh: Vec<(u64, Job, Option<TraceContext>)> = Vec::new();
         {
             let mut st = sync::lock(&self.state);
             // Durability before acknowledgement: every accept is on disk
             // (one write, one fdatasync for the whole array) before any
             // id leaves this call. An append failure rejects the whole
-            // request — whatever part of the batch reached disk was never
+            // request — whatever part of the array reached disk was never
             // acknowledged and holds no in-memory job; a later resume
             // runs it as unanswered.
             let base = st.next_id;
@@ -447,9 +425,9 @@ impl JobApi {
                 let accepts: Vec<AcceptedEntry> = parsed
                     .iter()
                     .enumerate()
-                    .map(|(offset, job)| AcceptedEntry {
+                    .map(|(offset, (line, _))| AcceptedEntry {
                         index: base + offset as u64,
-                        spec: job.line.clone(),
+                        spec: line.clone(),
                     })
                     .collect();
                 journal
@@ -457,16 +435,16 @@ impl JobApi {
                     .map_err(|e| SubmitError::Journal(e.to_string()))?;
             }
             st.next_id = base + parsed.len() as u64;
-            for (offset, job) in parsed.into_iter().enumerate() {
+            for (offset, (_, job)) in parsed.into_iter().enumerate() {
                 let id = base + offset as u64;
-                let live_leader = job.coalesce_key.and_then(|key| {
+                let live_leader = job.cache_key.and_then(|key| {
                     let leader = *st.leaders.get(&key)?;
                     st.jobs.get(&leader).filter(|j| j.outcome.is_none())?;
                     Some(leader)
                 });
                 let job_trace = trace.map(|t| t.child());
                 let mut tracked =
-                    ApiJob::new(job.label.clone(), job.machine_name.clone(), job.mode);
+                    ApiJob::new(job.label.clone(), job.machine_name.clone(), job.mode());
                 tracked.trace = job_trace;
                 st.jobs.insert(id, tracked);
                 let stats = self.runtime.stats();
@@ -479,7 +457,7 @@ impl JobApi {
                         stats.api_coalesced.fetch_add(1, Ordering::Relaxed);
                     }
                     None => {
-                        if let Some(key) = job.coalesce_key {
+                        if let Some(key) = job.cache_key {
                             st.leaders.insert(key, id);
                         }
                         fresh.push((id, job, job_trace));
@@ -489,38 +467,8 @@ impl JobApi {
             }
         }
 
-        // Group compatible fresh jobs into one scheduler batch; the rest
-        // submit individually (exec jobs, profiled jobs, lone machines).
-        let keys: Vec<(u64, bool)> = fresh
-            .iter()
-            .map(|(_, j, _)| (j.machine.fingerprint(), j.kind == JobKind::Simulate && !j.profile))
-            .collect();
-        for group in crate::batch::group_compatible(&keys) {
-            if group.len() > 1 {
-                let specs: Vec<(MachineConfig, Arc<Program>)> = group
-                    .iter()
-                    .map(|&i| (fresh[i].1.machine.clone(), Arc::clone(&fresh[i].1.program)))
-                    .collect();
-                let handles = self.runtime.simulate_batch(specs);
-                for (&i, handle) in group.iter().zip(handles) {
-                    let id = fresh[i].0;
-                    // The batch path has no per-job JobOptions seam, so
-                    // the trace attaches directly by scheduler token.
-                    if let Some(ctx) = fresh[i].2 {
-                        self.runtime.tracer().attach(handle.id(), ctx);
-                    }
-                    self.note_scheduled(id, handle.id());
-                    self.complete_when_done(id, move || {
-                        handle.join().map(|sim| (sim_output(&sim.report), Some(sim.cache_hit)))
-                    });
-                }
-            } else {
-                for &i in &group {
-                    let id = fresh[i].0;
-                    let job = clone_job(&fresh[i].1);
-                    self.run_job(id, job, fresh[i].2);
-                }
-            }
+        for (id, job, job_trace) in fresh {
+            self.run_job(id, job, job_trace);
         }
         Ok(ids)
     }
@@ -541,61 +489,16 @@ impl JobApi {
     /// capacity race between that check and this submit is absorbed with
     /// a few retries, after which the shed becomes the job's terminal
     /// outcome (the accept is durable, so the id must settle either way).
-    fn run_job(self: &Arc<Self>, id: u64, job: ParsedJob, trace: Option<TraceContext>) {
+    fn run_job(self: &Arc<Self>, id: u64, job: Job, trace: Option<TraceContext>) {
         let mut attempt = 0u32;
         let opts = JobOptions { trace, ..Default::default() };
         loop {
-            let admitted = match job.kind {
-                JobKind::Simulate if job.profile => {
-                    let (h, admitted) = self.runtime.submit_simulate_profiled_checked(
-                        opts,
-                        job.machine.clone(),
-                        Arc::clone(&job.program),
-                        PROFILE_TOP_SIGNATURES,
-                    );
-                    if admitted.is_ok() {
-                        self.note_scheduled(id, h.id());
-                        self.complete_when_done(id, move || {
-                            h.join().map(|p| (sim_output(&p.report), None))
-                        });
-                        return;
-                    }
-                    admitted
+            match self.runtime.submit_job(opts, &job) {
+                Ok(handle) => {
+                    self.note_scheduled(id, handle.id());
+                    self.complete_when_done(id, job, handle);
+                    return;
                 }
-                JobKind::Simulate => {
-                    let (h, admitted) = self.runtime.submit_simulate_checked(
-                        opts,
-                        job.machine.clone(),
-                        Arc::clone(&job.program),
-                    );
-                    if admitted.is_ok() {
-                        self.note_scheduled(id, h.id());
-                        self.complete_when_done(id, move || {
-                            h.join().map(|sim| (sim_output(&sim.report), Some(sim.cache_hit)))
-                        });
-                        return;
-                    }
-                    admitted
-                }
-                JobKind::Exec { seed } => {
-                    let (h, admitted) = self.runtime.submit_exec_checked(
-                        opts,
-                        job.machine.clone(),
-                        Arc::clone(&job.program),
-                        seed,
-                    );
-                    if admitted.is_ok() {
-                        self.note_scheduled(id, h.id());
-                        self.complete_when_done(id, move || {
-                            h.join().map(|exec| (exec_output(&exec.memory), None))
-                        });
-                        return;
-                    }
-                    admitted
-                }
-            };
-            match admitted {
-                Ok(()) => return,
                 Err(JobError::Shed { .. }) if attempt < SUBMIT_RACE_RETRIES => {
                     attempt += 1;
                     std::thread::sleep(Duration::from_millis(1));
@@ -608,19 +511,15 @@ impl JobApi {
         }
     }
 
-    /// Joins `join` on a parked thread and settles job `id` (and its
+    /// Joins `handle` on a parked thread and settles job `id` (and its
     /// coalesced followers) with the outcome there, so the completion's
-    /// journal write never holds up a scheduler pool worker. The
-    /// closure's second slot reports whether the result came from the
-    /// plan cache (when the path knows), feeding the attribution's
-    /// `cached` flag.
-    fn complete_when_done<F>(self: &Arc<Self>, id: u64, join: F)
-    where
-        F: FnOnce() -> Result<(JobOutput, Option<bool>), JobError> + Send + 'static,
-    {
+    /// journal write never holds up a scheduler pool worker. Whether the
+    /// result came from the plan cache feeds the attribution's `cached`
+    /// flag.
+    fn complete_when_done(self: &Arc<Self>, id: u64, job: Job, handle: JobHandle<JobDone>) {
         let api = Arc::clone(self);
-        let started = crate::parked::run(move || match join() {
-            Ok((output, cached)) => api.complete(id, Ok(output), cached),
+        let started = crate::parked::run(move || match api.runtime.join_job(&job, handle) {
+            Ok(done) => api.complete(id, Ok(done.output), done.cache_hit),
             Err(e) => api.complete(id, Err(e.to_string()), None),
         });
         if started.is_err() {
@@ -899,7 +798,7 @@ fn shed_salt() -> u64 {
 /// (exactly [`CacheKey::digest`](crate::cache::CacheKey::digest)), so a
 /// router shards jobs onto the backend whose plan cache is already warm
 /// for that machine × program pair. Array submissions route by their
-/// first element (all-or-nothing batches stay on one backend);
+/// first element (all-or-nothing arrays stay on one backend);
 /// non-coalescible jobs (exec mode, profiled) fold the machine
 /// fingerprint with the canonical line's content hash; anything that
 /// does not parse falls back to a content hash of the raw body, so
@@ -921,26 +820,9 @@ pub fn routing_fingerprint(body: &str) -> u64 {
     let Ok(job) = parse_spec_line(&line) else {
         return fallback();
     };
-    match job.coalesce_key {
-        Some((machine, program)) => machine ^ program.rotate_left(32),
+    match job.cache_key {
+        Some(key) => key.digest(),
         None => job.machine.fingerprint() ^ fnv1a(line.as_bytes()).rotate_left(32),
-    }
-}
-
-/// Clones a parsed job (the program is `Arc`-shared, so this is cheap);
-/// batch grouping refers to jobs by index, so they cannot be moved out.
-fn clone_job(job: &ParsedJob) -> ParsedJob {
-    ParsedJob {
-        line: job.line.clone(),
-        label: job.label.clone(),
-        machine_name: job.machine_name.clone(),
-        mode: job.mode,
-        machine: job.machine.clone(),
-        program: Arc::clone(&job.program),
-        kind: job.kind,
-        profile: job.profile,
-        cost: job.cost,
-        coalesce_key: job.coalesce_key,
     }
 }
 
@@ -1004,43 +886,47 @@ fn canonical_line(value: &serde_json::Value) -> Result<String, String> {
     Ok(line)
 }
 
-/// Parses one JSON spec object into a validated, fully-resolved job.
-fn parse_spec_value(value: &serde_json::Value) -> Result<ParsedJob, String> {
-    parse_spec_line(&canonical_line(value)?)
+/// Parses one JSON spec object into its canonical line and resolved job.
+fn parse_spec_value(value: &serde_json::Value) -> Result<(String, Job), String> {
+    let line = canonical_line(value)?;
+    let job = parse_spec_line(&line)?;
+    Ok((line, job))
 }
 
 /// Parses a canonical manifest line into a validated, fully-resolved
 /// job (also the resume path for journaled accepts).
-fn parse_spec_line(line: &str) -> Result<ParsedJob, String> {
+fn parse_spec_line(line: &str) -> Result<Job, String> {
     let specs = manifest::parse_manifest(line).map_err(|e| e.to_string())?;
     let [spec] = specs.as_slice() else {
         return Err("spec must describe exactly one job".to_string());
     };
-    let program = manifest::resolve_program(&spec.source).map_err(|e| e.to_string())?;
-    manifest::check_exec_footprint(spec, &program).map_err(|e| e.to_string())?;
-    let program = Arc::new(program);
-    let machine = manifest::machine_by_name(&spec.machine)
-        .ok_or_else(|| format!("unknown machine `{}`", spec.machine))?;
-    let mode = match spec.kind {
-        JobKind::Simulate => "simulate",
-        JobKind::Exec { .. } => "exec",
-    };
-    let coalesce_key = (spec.kind == JobKind::Simulate && !spec.profile).then(|| {
-        let key = CacheKey::new(&machine, &program);
-        (key.machine, key.program)
-    });
-    Ok(ParsedJob {
-        line: line.to_string(),
-        label: spec.label.clone(),
-        machine_name: spec.machine.clone(),
-        mode,
-        cost: program.extern_elems() as usize * std::mem::size_of::<f32>(),
-        machine,
-        program,
-        kind: spec.kind,
-        profile: spec.profile,
-        coalesce_key,
-    })
+    if let ProgramSource::File(path) = &spec.source {
+        confine_program_path(path)?;
+    }
+    manifest::resolve(spec).map_err(|e| e.to_string())
+}
+
+/// Admits a `program=` path from the network only when it names a
+/// regular file under the server's working directory: relative, with no
+/// `..` component, and resolving (symlinks followed) inside the working
+/// directory. Anything else — an absolute path, a device, a FIFO, a
+/// directory, a way out — is refused before the file is opened.
+fn confine_program_path(path: &str) -> Result<(), String> {
+    let refuse = |why: &str| Err(format!("program `{path}`: {why}"));
+    let relative = std::path::Path::new(path);
+    if relative.has_root()
+        || relative.components().any(|c| !matches!(c, Component::Normal(_) | Component::CurDir))
+    {
+        return refuse("the job API reads only relative paths without `..`");
+    }
+    let inside = std::env::current_dir()
+        .and_then(|root| Ok((root.canonicalize()?, relative.canonicalize()?)))
+        .is_ok_and(|(root, file)| file.starts_with(root));
+    let regular = std::fs::metadata(relative).is_ok_and(|m| m.is_file());
+    if !(inside && regular) {
+        return refuse("not a regular file under the server's working directory");
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1134,6 +1020,28 @@ mod tests {
             r#"{"seed":42,"size":"small","machine":"tiny","mode":"exec","workload":"kmeans"}"#,
         );
         assert_eq!(exec, exec2);
+    }
+
+    #[test]
+    fn program_paths_are_confined_to_the_working_directory() {
+        // Unit tests run from the crate root.
+        assert_eq!(confine_program_path("src/lib.rs"), Ok(()));
+        assert_eq!(confine_program_path("./src/lib.rs"), Ok(()));
+        for (path, why) in [
+            ("/etc/hostname", "relative"),
+            (concat!(env!("CARGO_MANIFEST_DIR"), "/src/lib.rs"), "relative"),
+            ("src/../src/lib.rs", "`..`"),
+            ("../runtime/src/lib.rs", "`..`"),
+            ("src", "regular file"),
+            ("no/such/file.cfasm", "regular file"),
+        ] {
+            let err = confine_program_path(path).unwrap_err();
+            assert!(err.starts_with(&format!("program `{path}`")) && err.contains(why), "{err}");
+        }
+        // A refused path never reaches the disk from the router either:
+        // it routes by the body's content hash.
+        let body = r#"{"program":"/etc/hostname","machine":"tiny"}"#;
+        assert_eq!(routing_fingerprint(body), fnv1a(body.as_bytes()));
     }
 
     // -- JobApi -------------------------------------------------------------

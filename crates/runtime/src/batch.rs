@@ -74,34 +74,6 @@ pub fn sweep_designs(
     handles.into_iter().map(|h| h.join().and_then(|r| r.map_err(JobError::Sim))).collect()
 }
 
-/// Groups jobs for batch submission by compatibility.
-///
-/// Each input is `(machine fingerprint, batchable)`. Batchable jobs
-/// (the HTTP job API marks non-profiled simulations) with the same
-/// machine fingerprint land in one group, in input order; every
-/// non-batchable job gets a singleton group. Groups are ordered by
-/// their first member, and every input index appears in exactly one
-/// group — callers fan each multi-member group out as a single
-/// [`Runtime::simulate_batch`] call.
-pub fn group_compatible(keys: &[(u64, bool)]) -> Vec<Vec<usize>> {
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    let mut by_machine: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    for (i, &(machine, batchable)) in keys.iter().enumerate() {
-        if !batchable {
-            groups.push(vec![i]);
-            continue;
-        }
-        match by_machine.get(&machine) {
-            Some(&g) => groups[g].push(i),
-            None => {
-                by_machine.insert(machine, groups.len());
-                groups.push(vec![i]);
-            }
-        }
-    }
-    groups
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,18 +95,6 @@ mod tests {
             assert_eq!(*o.result.as_ref().unwrap(), (i * i) as u32);
             assert!(o.seconds >= 0.0);
         }
-    }
-
-    #[test]
-    fn group_compatible_batches_by_machine_and_isolates_the_rest() {
-        // machine A batchable at 0, 3; machine B batchable at 1;
-        // non-batchable at 2 and 4 (even though 4 shares machine A).
-        let keys = [(10, true), (20, true), (10, false), (10, true), (10, false), (20, true)];
-        let groups = group_compatible(&keys);
-        assert_eq!(groups, vec![vec![0, 3], vec![1, 5], vec![2], vec![4]]);
-        let mut seen: Vec<usize> = groups.into_iter().flatten().collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..keys.len()).collect::<Vec<_>>());
     }
 
     #[test]

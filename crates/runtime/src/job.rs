@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cf_core::CoreError;
+use cf_core::{CoreError, PerfReport};
+use cf_tensor::fingerprint::StableHasher;
 
 /// Why a job did not produce a value.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,8 +20,6 @@ pub enum JobError {
     },
     /// The runtime shut down before the job could run.
     Shutdown,
-    /// The submission queue was full (`try_submit` only).
-    QueueFull,
     /// The circuit breaker is open: the job was shed without running (see
     /// [`supervisor`](crate::supervisor)).
     CircuitOpen,
@@ -69,7 +68,6 @@ impl fmt::Display for JobError {
                 write!(f, "job deadline exceeded ({late_by:.2?} late)")
             }
             JobError::Shutdown => write!(f, "runtime shut down before the job ran"),
-            JobError::QueueFull => write!(f, "submission queue full"),
             JobError::CircuitOpen => {
                 write!(f, "circuit breaker open: job shed without running")
             }
@@ -116,6 +114,54 @@ impl<T> Shared<T> {
             *state = Some(result);
             self.done.notify_all();
         }
+    }
+}
+
+/// The deterministic payload of a finished job: what its record renders
+/// and its journal entry stores, whichever path ran it.
+#[derive(Debug, Clone, PartialEq)]
+pub enum JobOutput {
+    /// A performance simulation's headline numbers.
+    Sim {
+        /// End-to-end modelled seconds.
+        makespan_s: f64,
+        /// Steady-state modelled seconds.
+        steady_s: f64,
+        /// Attained tera-ops/s.
+        attained_tops: f64,
+        /// Fraction of machine peak attained.
+        peak_fraction: f64,
+        /// Root-level operational intensity.
+        root_intensity: f64,
+    },
+    /// A functional execution's memory digest.
+    Exec {
+        /// External-memory elements.
+        elems: usize,
+        /// Stable content hash of the final memory.
+        memory_hash: u64,
+    },
+}
+
+impl JobOutput {
+    /// The simulate-job payload of a performance report.
+    pub fn from_report(r: &PerfReport) -> JobOutput {
+        JobOutput::Sim {
+            makespan_s: r.makespan_seconds,
+            steady_s: r.steady_seconds,
+            attained_tops: r.attained_ops / 1e12,
+            peak_fraction: r.peak_fraction,
+            root_intensity: r.root_intensity,
+        }
+    }
+
+    /// The exec-job payload of a final memory image.
+    pub fn from_memory(memory: &[f32]) -> JobOutput {
+        let mut hasher = StableHasher::new();
+        for v in memory {
+            hasher.write_f32(*v);
+        }
+        JobOutput::Exec { elems: memory.len(), memory_hash: hasher.finish() }
     }
 }
 

@@ -21,7 +21,9 @@
 //!   workload registry.
 //! * [`serve`] — the manifest-serving engine shared by the `cfserve`
 //!   binary and the chaos tests: resolve, submit, join in submission
-//!   order, render deterministic JSON records.
+//!   order, render deterministic JSON records. A manifest line and a
+//!   `POST /jobs` spec resolve to one [`manifest::Job`] and run through
+//!   one [`Runtime::submit_job`].
 //! * [`journal`] — a crash-consistent write-ahead journal for serve
 //!   runs: fsync'd, checksummed JSONL records that let
 //!   `cfserve --journal run.wal --resume` skip already-completed jobs
@@ -45,7 +47,7 @@
 //!   [`StatusServer`] exposing `/healthz`, `/stats`, `/trace`,
 //!   `/version` and a Prometheus `/metrics` text exposition
 //!   ([`metrics`], with simulator profile aggregates from
-//!   `profile=true` manifest jobs) (`cfserve --status-port`). Journal
+//!   `profile=true` manifest and API jobs) (`cfserve --status-port`). Journal
 //!   files past a size threshold are compacted — superseded/failed
 //!   records dropped, checksummed framing preserved — on resume and
 //!   during live runs. See DESIGN.md §8.
@@ -91,7 +93,7 @@
 //! # Example
 //!
 //! ```
-//! use cf_runtime::{Runtime, RuntimeConfig};
+//! use cf_runtime::{JobOptions, Runtime, RuntimeConfig};
 //! use cf_core::MachineConfig;
 //! use cf_workloads::nets;
 //! use std::sync::Arc;
@@ -101,8 +103,9 @@
 //!
 //! // Submit the same workload twice: the second run is a cache hit and
 //! // returns the identical report.
-//! let a = runtime.submit_simulate(MachineConfig::cambricon_f1(), Arc::clone(&program));
-//! let b = runtime.submit_simulate(MachineConfig::cambricon_f1(), program);
+//! let (f1, opts) = (MachineConfig::cambricon_f1(), JobOptions::default());
+//! let a = runtime.submit_simulate(opts, f1.clone(), Arc::clone(&program));
+//! let b = runtime.submit_simulate(opts, f1, program);
 //! let (a, b) = (a.join().unwrap(), b.join().unwrap());
 //! assert_eq!(a.report, b.report);
 //! ```
@@ -147,7 +150,7 @@ pub use journal::{
 pub use netfault::{FaultConnector, FaultProxy, NetFault, WireFaults};
 pub use obs::{LatencyHistogram, Obs, ProfileAgg, SpanEvent, SpanKind, Stage, Tracer};
 pub use router::{BackendHealth, Ring, Router, RouterConfig, RouterServer};
-pub use scheduler::{ExecResult, LoadPolicy, ProfiledSimResult, Runtime, RuntimeConfig, SimResult};
+pub use scheduler::{ExecResult, JobDone, LoadPolicy, Runtime, RuntimeConfig, SimResult};
 pub use serve::{
     JobOutput, JobRecord, JournalOptions, ServeError, ServeOptions, ServeReport,
     DEFAULT_COMPACT_THRESHOLD,

@@ -23,11 +23,15 @@
 //! `profile=true`).
 
 use std::fmt;
+use std::io::Read;
+use std::sync::Arc;
 
 use cf_core::MachineConfig;
 use cf_isa::Program;
 use cf_workloads::ml::{self, MlSize};
 use cf_workloads::nets;
+
+use crate::cache::CacheKey;
 
 /// Machine names accepted by `machine=` (and `cfrun --machine`).
 pub const MACHINE_NAMES: [&str; 4] = ["f1", "f100", "embedded", "tiny"];
@@ -98,6 +102,49 @@ pub struct JobSpec {
     pub trace_json: Option<String>,
     /// Manifest line the spec came from (1-based).
     pub line: usize,
+}
+
+/// One resolved job, ready for
+/// [`Runtime::submit_job`](crate::Runtime::submit_job): what a manifest
+/// line and a `POST /jobs` spec both become. Only [`resolve`] builds one,
+/// so its plan-cache key always matches its machine and program.
+#[derive(Debug)]
+pub struct Job {
+    /// Output tag.
+    pub(crate) label: String,
+    /// The spec's machine name.
+    pub(crate) machine_name: String,
+    /// The machine the name resolves to.
+    pub(crate) machine: MachineConfig,
+    /// The built program (shared by a spec's repeats).
+    pub(crate) program: Arc<Program>,
+    /// Simulate or exec.
+    pub(crate) kind: JobKind,
+    /// Run the simulator profiler on this job.
+    pub(crate) profile: bool,
+    /// Write the profiled job's Chrome Trace Event JSON here.
+    pub(crate) trace_json: Option<String>,
+    /// The plan-cache key, `Some` exactly for a cacheable job (simulate,
+    /// not profiled): what the scheduler looks the report up under and
+    /// what the HTTP job API coalesces concurrent submissions on.
+    pub(crate) cache_key: Option<CacheKey>,
+}
+
+impl Job {
+    /// `"simulate"` or `"exec"`: the mode records and journal entries
+    /// carry.
+    pub(crate) fn mode(&self) -> &'static str {
+        match self.kind {
+            JobKind::Simulate => "simulate",
+            JobKind::Exec { .. } => "exec",
+        }
+    }
+
+    /// The bytes admission control charges the job: its program's
+    /// external-memory footprint.
+    pub(crate) fn cost(&self) -> usize {
+        footprint_bytes(&self.program) as usize
+    }
 }
 
 /// Manifest parsing/resolution errors, with 1-based line numbers.
@@ -407,6 +454,13 @@ fn parse_line(line: &str, line_no: usize) -> Result<JobSpec, ManifestError> {
 /// `workload=svm size=paper`, needs 7.52 GB.
 pub const MAX_EXEC_BYTES: u64 = 8 << 30;
 
+/// The host bytes a program's external memory occupies
+/// (`extern_elems × 4`): what an exec job allocates and what admission
+/// control charges any job.
+pub(crate) fn footprint_bytes(program: &Program) -> u64 {
+    program.extern_elems().saturating_mul(std::mem::size_of::<f32>() as u64)
+}
+
 /// Refuses an exec job whose resolved program needs more than
 /// [`MAX_EXEC_BYTES`] of host memory. The manifest run and the HTTP job
 /// API (including its resume path) both call this before a job is
@@ -416,7 +470,7 @@ pub const MAX_EXEC_BYTES: u64 = 8 << 30;
 ///
 /// [`ManifestError::ExecTooLarge`] with the spec's line.
 pub fn check_exec_footprint(spec: &JobSpec, program: &Program) -> Result<(), ManifestError> {
-    let bytes = program.extern_elems().saturating_mul(std::mem::size_of::<f32>() as u64);
+    let bytes = footprint_bytes(program);
     match spec.kind {
         JobKind::Exec { .. } if bytes > MAX_EXEC_BYTES => {
             Err(ManifestError::ExecTooLarge { bytes, line: spec.line })
@@ -425,23 +479,61 @@ pub fn check_exec_footprint(spec: &JobSpec, program: &Program) -> Result<(), Man
     }
 }
 
-/// Materialises a job's program (reads and parses the file, or runs the
-/// builtin generator).
+/// Resolves a parsed spec into the [`Job`] that runs it: builds the
+/// program, checks an exec job's footprint, looks the machine up and
+/// keys a cacheable job. The manifest run and the HTTP job API both
+/// resolve through here, before anything is journaled or run.
 ///
 /// # Errors
 ///
-/// I/O, assembly-parse and program-build failures, tagged with the source.
+/// [`resolve_program`] and [`check_exec_footprint`] failures, and
+/// [`ManifestError::UnknownMachine`] for a spec that skipped
+/// [`parse_manifest`]'s validation.
+pub fn resolve(spec: &JobSpec) -> Result<Job, ManifestError> {
+    let program = resolve_program(&spec.source)?;
+    check_exec_footprint(spec, &program)?;
+    let machine = machine_by_name(&spec.machine).ok_or_else(|| ManifestError::UnknownMachine {
+        name: spec.machine.clone(),
+        line: spec.line,
+    })?;
+    let cache_key = (spec.kind == JobKind::Simulate && !spec.profile)
+        .then(|| CacheKey::new(&machine, &program));
+    Ok(Job {
+        label: spec.label.clone(),
+        machine_name: spec.machine.clone(),
+        machine,
+        program: Arc::new(program),
+        kind: spec.kind,
+        profile: spec.profile,
+        trace_json: spec.trace_json.clone(),
+        cache_key,
+    })
+}
+
+/// The largest program file [`resolve_program`] reads: 4 MiB of FISA
+/// assembly, far above any program the repo renders, so a path that
+/// names a device or a huge file fails instead of growing memory.
+pub const MAX_PROGRAM_BYTES: u64 = 4 << 20;
+
+/// Materialises a job's program (reads and parses the file, at most
+/// [`MAX_PROGRAM_BYTES`] of it, or runs the builtin generator).
+///
+/// # Errors
+///
+/// I/O, size, assembly-parse and program-build failures, tagged with the
+/// source.
 pub fn resolve_program(source: &ProgramSource) -> Result<Program, ManifestError> {
     match source {
         ProgramSource::File(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| ManifestError::Program {
-                source: path.clone(),
-                message: e.to_string(),
-            })?;
-            cf_isa::parse_program(&text).map_err(|e| ManifestError::Program {
-                source: path.clone(),
-                message: e.to_string(),
-            })
+            let err = |message: String| ManifestError::Program { source: path.clone(), message };
+            let mut text = String::new();
+            std::fs::File::open(path)
+                .and_then(|file| file.take(MAX_PROGRAM_BYTES + 1).read_to_string(&mut text))
+                .map_err(|e| err(e.to_string()))?;
+            if text.len() as u64 > MAX_PROGRAM_BYTES {
+                return Err(err(format!("larger than the {MAX_PROGRAM_BYTES}-byte program limit")));
+            }
+            cf_isa::parse_program(&text).map_err(|e| err(e.to_string()))
         }
         ProgramSource::Builtin { name, batch, order, size } => {
             let err = |message: String| ManifestError::Program { source: name.clone(), message };
@@ -630,6 +722,21 @@ mod tests {
             parse_manifest("workload=knn mode=exec profile=1\n").unwrap_err().reason(),
             &ManifestError::BadValue { key: "profile".into(), value: "exec".into(), line: 1 }
         );
+    }
+
+    #[test]
+    fn program_files_over_the_size_cap_are_refused() {
+        let path =
+            std::env::temp_dir().join(format!("cf-manifest-cap-{}.cfasm", std::process::id()));
+        let at_cap = ";".repeat(MAX_PROGRAM_BYTES as usize);
+        std::fs::write(&path, &at_cap).unwrap();
+        let source = ProgramSource::File(path.to_string_lossy().into_owned());
+        // A file of exactly the cap is read (and is an empty program).
+        assert!(resolve_program(&source).is_ok());
+        std::fs::write(&path, at_cap + ";").unwrap();
+        let err = resolve_program(&source).unwrap_err();
+        assert!(err.to_string().contains("-byte program limit"), "{err}");
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! Design:
 //!
-//! * **Bounded queue** — [`Runtime::submit_task`] and friends block while
-//!   the queue is at capacity (backpressure); `try_*` variants return
-//!   [`JobError::QueueFull`] instead.
+//! * **Bounded queue** — every submission blocks while the queue is at
+//!   capacity (backpressure). Four entry points share one path:
+//!   [`Runtime::submit_task`] (a closure), the typed
+//!   [`Runtime::submit_simulate`] and [`Runtime::submit_exec`], and
+//!   [`Runtime::submit_job`], which runs a resolved manifest/API
+//!   [`Job`] to its [`JobOutput`].
 //! * **Handles** — every submission returns a [`JobHandle`], a blocking
 //!   future with cancellation. Cancellation is cooperative at job
 //!   granularity: queued jobs resolve to [`JobError::Cancelled`], a job
@@ -41,18 +44,23 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use cf_core::perf::SimCache;
-use cf_core::{Machine, MachineConfig, PerfReport};
+use cf_core::{Machine, MachineConfig, PerfReport, ProfileReport};
 use cf_isa::Program;
 use cf_tensor::gen::DataGen;
 use cf_tensor::{Memory, Shape};
 
 use crate::cache::{CacheKey, CacheLookup, PlanCache};
 use crate::fault::{FaultPlan, FaultSite};
-use crate::job::{JobError, JobHandle, JobOptions};
+use crate::job::{JobError, JobHandle, JobOptions, JobOutput};
+use crate::manifest::{footprint_bytes, Job, JobKind};
 use crate::obs::{SpanKind, Stage, Tracer};
 use crate::stats::RuntimeStats;
 use crate::supervisor::{panic_message, BreakerConfig, CircuitBreaker, RetryPolicy, Supervisor};
 use crate::sync;
+
+/// Hottest-signature count a profiled job keeps (the aggregate on
+/// `/metrics` is per level, so the signature list only bounds memory).
+const PROFILE_TOP_SIGNATURES: usize = 16;
 
 /// Construction parameters for a [`Runtime`].
 #[derive(Debug, Clone)]
@@ -213,17 +221,16 @@ pub struct SimResult {
     pub key: CacheKey,
 }
 
-/// Outcome of a profiled simulation job
-/// ([`Runtime::submit_simulate_profiled_checked`]).
+/// Outcome of a job run through [`Runtime::submit_job`].
 #[derive(Debug, Clone)]
-pub struct ProfiledSimResult {
-    /// The performance report (identical to the unprofiled one).
-    pub report: Arc<PerfReport>,
-    /// The simulator's per-level / per-signature attribution.
-    pub profile: Arc<cf_core::ProfileReport>,
-    /// The cache key identifying the job (the job itself bypasses the
-    /// cache so the attribution reflects a real planner run).
-    pub key: CacheKey,
+pub struct JobDone {
+    /// The deterministic payload the job's record renders.
+    pub output: JobOutput,
+    /// Whether a simulate job's report came out of the plan cache
+    /// (`None` for profiled and exec jobs, which never consult it).
+    pub cache_hit: Option<bool>,
+    /// A profiled job's per-level / per-signature attribution.
+    pub profile: Option<Arc<ProfileReport>>,
 }
 
 /// Outcome of a functional-execution job.
@@ -260,7 +267,7 @@ impl cf_core::fault::DmaFaultHook for MemFaultHook {
 /// # Examples
 ///
 /// ```
-/// use cf_runtime::{Runtime, RuntimeConfig};
+/// use cf_runtime::{JobOptions, Runtime, RuntimeConfig};
 /// use cf_core::MachineConfig;
 /// use cf_isa::{Opcode, ProgramBuilder};
 /// use std::sync::Arc;
@@ -272,9 +279,9 @@ impl cf_core::fault::DmaFaultHook for MemFaultHook {
 /// b.apply(Opcode::MatMul, [a, w])?;
 /// let program = Arc::new(b.build());
 ///
-/// let cold =
-///     runtime.submit_simulate(MachineConfig::cambricon_f1(), Arc::clone(&program)).join()?;
-/// let warm = runtime.submit_simulate(MachineConfig::cambricon_f1(), program).join()?;
+/// let (f1, opts) = (MachineConfig::cambricon_f1(), JobOptions::default());
+/// let cold = runtime.submit_simulate(opts, f1.clone(), Arc::clone(&program)).join()?;
+/// let warm = runtime.submit_simulate(opts, f1, program).join()?;
 /// assert_eq!(cold.report, warm.report);
 /// assert!(warm.cache_hit);
 /// assert_eq!(runtime.stats().snapshot().cache_hits, 1);
@@ -374,19 +381,33 @@ impl Runtime {
         self.inner.stats.queued_bytes.load(Ordering::Relaxed) as usize
     }
 
-    /// Whether a submission of `cost_bytes` would pass [`LoadPolicy`]
+    /// Whether a submission of `cost` bytes would pass [`LoadPolicy`]
     /// admission control *right now* — the front-door check the HTTP job
     /// API runs before journaling an acceptance. Advisory: the gauges can
     /// move between this check and the actual submission, so submitters
-    /// that must not race still use the `_checked` variants.
+    /// that must not race still read [`submit_job`](Runtime::submit_job)'s
+    /// result.
     ///
     /// # Errors
     ///
     /// [`JobError::Shed`] naming the exhausted limit and the gauge values
     /// that tripped it. Does **not** count toward `shed_jobs` (nothing
     /// was submitted).
-    pub fn check_admission(&self, cost_bytes: usize) -> Result<(), JobError> {
-        self.admit(cost_bytes)
+    pub fn check_admission(&self, cost: usize) -> Result<(), JobError> {
+        let load = &self.inner.load;
+        if load.max_in_flight == 0 && load.max_queued_bytes == 0 {
+            return Ok(());
+        }
+        let in_flight = self.inner.stats.in_flight.load(Ordering::Relaxed) as usize;
+        let queued_bytes = self.inner.stats.queued_bytes.load(Ordering::Relaxed) as usize;
+        let limit = if load.max_in_flight > 0 && in_flight >= load.max_in_flight {
+            "in-flight"
+        } else if load.max_queued_bytes > 0 && queued_bytes + cost > load.max_queued_bytes {
+            "queued-bytes"
+        } else {
+            return Ok(());
+        };
+        Err(JobError::Shed { limit, in_flight, queued_bytes })
     }
 
     /// Submits an arbitrary closure job (blocking while the queue is
@@ -399,90 +420,24 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.submit_with(JobOptions::default(), move || Ok(f()), true)
+        self.submit_with_id(JobOptions::default(), move |_| Ok(f())).0
     }
 
-    /// [`submit_task`](Runtime::submit_task) with explicit options.
-    pub fn submit_task_opts<T, F>(&self, opts: JobOptions, f: F) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.submit_with(opts, move || Ok(f()), true)
-    }
-
-    /// Non-blocking [`submit_task`](Runtime::submit_task): fails with
-    /// [`JobError::QueueFull`] instead of waiting for queue space.
-    pub fn try_submit_task<T, F>(&self, f: F) -> Result<JobHandle<T>, JobError>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (handle, admitted) = self.submit_inner(JobOptions::default(), move || Ok(f()), false);
-        admitted.map(|()| handle)
-    }
-
-    /// Submits a cached performance simulation of `program` on `machine`.
+    /// Submits a cached performance simulation of `program` on `machine`
+    /// (`opts` sets a deadline or bypasses the cache).
     pub fn submit_simulate(
         &self,
-        machine: MachineConfig,
-        program: Arc<Program>,
-    ) -> JobHandle<SimResult> {
-        self.submit_simulate_opts(JobOptions::default(), machine, program)
-    }
-
-    /// [`submit_simulate`](Runtime::submit_simulate) with explicit options
-    /// (deadline, cache bypass).
-    pub fn submit_simulate_opts(
-        &self,
         opts: JobOptions,
         machine: MachineConfig,
         program: Arc<Program>,
     ) -> JobHandle<SimResult> {
-        self.submit_simulate_checked(opts, machine, program).0
-    }
-
-    /// [`submit_simulate_opts`](Runtime::submit_simulate_opts), also
-    /// reporting whether admission control accepted the job: `Err` means
-    /// the job never entered the queue (the handle is already resolved to
-    /// the same error). Blocks for queue space like the plain submit;
-    /// only [`LoadPolicy`] rejections surface here.
-    pub fn submit_simulate_checked(
-        &self,
-        opts: JobOptions,
-        machine: MachineConfig,
-        program: Arc<Program>,
-    ) -> (JobHandle<SimResult>, Result<(), JobError>) {
-        let opts = self.charge_default_cost(opts, &program);
+        let opts = charge_default_cost(opts, &program);
         let inner = Arc::clone(&self.inner);
         let bypass = opts.bypass_cache;
-        self.submit_supervised(opts, move |id, _attempt| {
-            simulate_once(&inner, &machine, &program, bypass, id)
-        })
-    }
-
-    /// Submits a **profiled** performance simulation: timing identical to
-    /// [`submit_simulate`](Runtime::submit_simulate) but also returning
-    /// the simulator's per-level/per-stage attribution with the `top`
-    /// hottest instruction signatures. Always bypasses the plan cache —
-    /// a cached report carries no fresh attribution — and is counted as
-    /// a cache miss for neither side. Same admission-control reporting
-    /// as [`submit_simulate_checked`](Runtime::submit_simulate_checked).
-    pub fn submit_simulate_profiled_checked(
-        &self,
-        opts: JobOptions,
-        machine: MachineConfig,
-        program: Arc<Program>,
-        top: usize,
-    ) -> (JobHandle<ProfiledSimResult>, Result<(), JobError>) {
-        let opts = self.charge_default_cost(opts, &program);
         self.submit_supervised(opts, move |_id, _attempt| {
-            let key = CacheKey::new(&machine, &program);
-            let (report, profile) = Machine::new(machine.clone())
-                .simulate_profiled(&program, top)
-                .map_err(JobError::Sim)?;
-            Ok(ProfiledSimResult { report: Arc::new(report), profile: Arc::new(profile), key })
+            simulate_once(&inner, &machine, &program, CacheKey::new(&machine, &program), bypass)
         })
+        .0
     }
 
     /// Submits a functional execution of `program` on `machine`, inputs
@@ -497,56 +452,70 @@ impl Runtime {
         program: Arc<Program>,
         seed: u64,
     ) -> JobHandle<ExecResult> {
-        self.submit_exec_opts(JobOptions::default(), machine, program, seed)
-    }
-
-    /// [`submit_exec`](Runtime::submit_exec) with explicit options.
-    pub fn submit_exec_opts(
-        &self,
-        opts: JobOptions,
-        machine: MachineConfig,
-        program: Arc<Program>,
-        seed: u64,
-    ) -> JobHandle<ExecResult> {
-        self.submit_exec_checked(opts, machine, program, seed).0
-    }
-
-    /// [`submit_exec_opts`](Runtime::submit_exec_opts) with the same
-    /// admission-control reporting as
-    /// [`submit_simulate_checked`](Runtime::submit_simulate_checked).
-    pub fn submit_exec_checked(
-        &self,
-        opts: JobOptions,
-        machine: MachineConfig,
-        program: Arc<Program>,
-        seed: u64,
-    ) -> (JobHandle<ExecResult>, Result<(), JobError>) {
-        let opts = self.charge_default_cost(opts, &program);
+        let opts = charge_default_cost(JobOptions::default(), &program);
         let inner = Arc::clone(&self.inner);
         self.submit_supervised(opts, move |id, attempt| {
-            let elems = program.extern_elems() as usize;
-            let mut mem = Memory::new(elems);
-            let data = DataGen::new(seed).uniform(Shape::new(vec![elems]), -1.0, 1.0);
-            mem.as_mut_slice().copy_from_slice(data.data());
-            let mut m = Machine::new(machine.clone());
-            if inner.supervisor.plan.is_some() {
-                m = m.with_fault_hook(Arc::new(MemFaultHook {
-                    inner: Arc::clone(&inner),
-                    token: id,
-                    attempt,
-                }));
-            }
-            m.run(&program, &mut mem).map_err(JobError::Sim)?;
-            Ok(ExecResult { memory: mem.as_mut_slice().to_vec() })
+            let mem = exec_once(&inner, &machine, &program, seed, id, attempt)?;
+            Ok(ExecResult { memory: mem.as_slice().to_vec() })
         })
+        .0
     }
 
-    /// Submits a batch of simulations, returning the handles in order.
-    pub fn simulate_batch(
-        &self,
-        jobs: impl IntoIterator<Item = (MachineConfig, Arc<Program>)>,
-    ) -> Vec<JobHandle<SimResult>> {
-        jobs.into_iter().map(|(m, p)| self.submit_simulate(m, p)).collect()
+    /// Submits one resolved [`Job`] — the path every manifest line and
+    /// every `POST /jobs` spec runs through. A simulate job is looked up
+    /// in the plan cache under its key; a profiled one always runs the
+    /// planner (a cached report carries no fresh attribution) and
+    /// returns its attribution with the output; an exec job runs under
+    /// the fault plan's DMA faults. Join the handle with
+    /// [`join_job`](Runtime::join_job).
+    ///
+    /// # Errors
+    ///
+    /// The admission-control or shutdown error the job was refused with;
+    /// it never entered the queue.
+    pub fn submit_job(&self, opts: JobOptions, job: &Job) -> Result<JobHandle<JobDone>, JobError> {
+        let opts = charge_default_cost(opts, &job.program);
+        let inner = Arc::clone(&self.inner);
+        let machine = job.machine.clone();
+        let program = Arc::clone(&job.program);
+        let bypass = opts.bypass_cache;
+        let (handle, admitted) = match (job.kind, job.cache_key) {
+            (JobKind::Simulate, Some(key)) => self.submit_supervised(opts, move |_, _| {
+                let sim = simulate_once(&inner, &machine, &program, key, bypass)?;
+                let output = JobOutput::from_report(&sim.report);
+                Ok(JobDone { output, cache_hit: Some(sim.cache_hit), profile: None })
+            }),
+            // Keyless simulate jobs are the profiled ones.
+            (JobKind::Simulate, None) => self.submit_supervised(opts, move |_, _| {
+                let (report, profile) = Machine::new(machine.clone())
+                    .simulate_profiled(&program, PROFILE_TOP_SIGNATURES)
+                    .map_err(JobError::Sim)?;
+                let output = JobOutput::from_report(&report);
+                Ok(JobDone { output, cache_hit: None, profile: Some(Arc::new(profile)) })
+            }),
+            (JobKind::Exec { seed }, _) => self.submit_supervised(opts, move |id, attempt| {
+                let mem = exec_once(&inner, &machine, &program, seed, id, attempt)?;
+                let output = JobOutput::from_memory(mem.as_slice());
+                Ok(JobDone { output, cache_hit: None, profile: None })
+            }),
+        };
+        admitted.map(|()| handle)
+    }
+
+    /// Joins a [`submit_job`](Runtime::submit_job) handle, folding a
+    /// profiled job's attribution into the tracer's `/metrics` aggregate
+    /// under the job's machine name. Callers that join in a fixed order
+    /// (the manifest run) fold in that order.
+    ///
+    /// # Errors
+    ///
+    /// The job's terminal error.
+    pub fn join_job(&self, job: &Job, handle: JobHandle<JobDone>) -> Result<JobDone, JobError> {
+        let done = handle.join()?;
+        if let Some(profile) = &done.profile {
+            self.inner.tracer.absorb_profile(&job.machine_name, profile);
+        }
+        Ok(done)
     }
 
     /// Closes the queue, drains every queued job, then joins the workers.
@@ -588,15 +557,6 @@ impl Runtime {
         release_freed_memory();
     }
 
-    /// Fills [`JobOptions::cost_bytes`] with the program's external
-    /// memory footprint when the caller did not estimate it.
-    fn charge_default_cost(&self, mut opts: JobOptions, program: &Program) -> JobOptions {
-        if opts.cost_bytes == 0 {
-            opts.cost_bytes = program.extern_elems() as usize * std::mem::size_of::<f32>();
-        }
-        opts
-    }
-
     /// Wraps an idempotent per-attempt body in the supervisor (retry,
     /// breaker, fault injection) and submits it.
     fn submit_supervised<T, F>(
@@ -609,62 +569,19 @@ impl Runtime {
         F: Fn(u64, u32) -> Result<T, JobError> + Send + 'static,
     {
         let inner = Arc::clone(&self.inner);
-        self.submit_with_id(opts, true, move |id| {
+        self.submit_with_id(opts, move |id| {
             inner.supervisor.supervise(&inner.stats, id, |attempt| attempt_body(id, attempt))
         })
     }
 
-    /// The blocking submission path (waits for queue space).
-    fn submit_with<T, F>(&self, opts: JobOptions, body: F, block_when_full: bool) -> JobHandle<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> Result<T, JobError> + Send + 'static,
-    {
-        self.submit_inner(opts, body, block_when_full).0
-    }
-
-    fn submit_inner<T, F>(
-        &self,
-        opts: JobOptions,
-        body: F,
-        block_when_full: bool,
-    ) -> (JobHandle<T>, Result<(), JobError>)
-    where
-        T: Send + 'static,
-        F: FnOnce() -> Result<T, JobError> + Send + 'static,
-    {
-        self.submit_with_id(opts, block_when_full, move |_| body())
-    }
-
-    /// Checks the [`LoadPolicy`] gauges; `Err` is the shed error to
-    /// resolve the handle with.
-    fn admit(&self, cost: usize) -> Result<(), JobError> {
-        let load = &self.inner.load;
-        if load.max_in_flight == 0 && load.max_queued_bytes == 0 {
-            return Ok(());
-        }
-        let in_flight = self.inner.stats.in_flight.load(Ordering::Relaxed) as usize;
-        let queued_bytes = self.inner.stats.queued_bytes.load(Ordering::Relaxed) as usize;
-        let limit = if load.max_in_flight > 0 && in_flight >= load.max_in_flight {
-            "in-flight"
-        } else if load.max_queued_bytes > 0 && queued_bytes + cost > load.max_queued_bytes {
-            "queued-bytes"
-        } else {
-            return Ok(());
-        };
-        Err(JobError::Shed { limit, in_flight, queued_bytes })
-    }
-
-    /// The generic submission path; the body receives the job's
-    /// submission id (the supervision/fault token). With
-    /// `block_when_full` the call waits for queue space; otherwise a full
-    /// queue returns `Err(QueueFull)` in the second slot. In every `Err`
-    /// case (shed, queue full, shutdown) the handle is already resolved
-    /// to the same error, so plain submitters can ignore the second slot.
+    /// The one submission path; the body receives the job's submission
+    /// id (the supervision/fault token). The call waits for queue space
+    /// (backpressure). In every `Err` case (shed, shutdown) the handle is
+    /// already resolved to the same error, so plain submitters can ignore
+    /// the second slot.
     fn submit_with_id<T, F>(
         &self,
         opts: JobOptions,
-        block_when_full: bool,
         body: F,
     ) -> (JobHandle<T>, Result<(), JobError>)
     where
@@ -684,7 +601,7 @@ impl Runtime {
 
         // Admission control: shed *before* blocking on queue space — an
         // overloaded pool answers immediately, it does not stall callers.
-        if let Err(shed) = self.admit(opts.cost_bytes) {
+        if let Err(shed) = self.check_admission(opts.cost_bytes) {
             self.inner.stats.shed_jobs.fetch_add(1, Ordering::Relaxed);
             let detail = shed.to_string();
             self.inner.tracer.record(SpanKind::Shed, id, None, move || detail);
@@ -732,11 +649,6 @@ impl Runtime {
 
         let mut q = sync::lock(&self.inner.queue);
         while !q.closed && q.jobs.len() >= self.inner.queue_capacity {
-            if !block_when_full {
-                drop(q);
-                shared.complete(Err(JobError::QueueFull));
-                return (handle, Err(JobError::QueueFull));
-            }
             q = sync::wait(&self.inner.not_full, q);
         }
         if q.closed {
@@ -768,10 +680,9 @@ fn simulate_once(
     inner: &PoolInner,
     machine: &MachineConfig,
     program: &Program,
+    key: CacheKey,
     bypass: bool,
-    _job_id: u64,
 ) -> Result<SimResult, JobError> {
-    let key = CacheKey::new(machine, program);
     if bypass || inner.cache.capacity() == 0 {
         let report = Arc::new(cold_simulate(inner, machine, program, false)?);
         return Ok(SimResult { report, cache_hit: false, key });
@@ -825,6 +736,38 @@ fn simulate_once(
         // Loop to re-check the cache: if the leader failed, this job
         // takes over as the next leader.
     }
+}
+
+/// One functional-execution attempt: seeds the program's external memory
+/// from `seed` and runs it, under the fault plan's DMA faults for this
+/// `(token, attempt)`.
+fn exec_once(
+    inner: &Arc<PoolInner>,
+    machine: &MachineConfig,
+    program: &Program,
+    seed: u64,
+    token: u64,
+    attempt: u32,
+) -> Result<Memory, JobError> {
+    let elems = program.extern_elems() as usize;
+    let mut mem = Memory::new(elems);
+    let data = DataGen::new(seed).uniform(Shape::new(vec![elems]), -1.0, 1.0);
+    mem.as_mut_slice().copy_from_slice(data.data());
+    let mut m = Machine::new(machine.clone());
+    if inner.supervisor.plan.is_some() {
+        m = m.with_fault_hook(Arc::new(MemFaultHook { inner: Arc::clone(inner), token, attempt }));
+    }
+    m.run(program, &mut mem).map_err(JobError::Sim)?;
+    Ok(mem)
+}
+
+/// Fills [`JobOptions::cost_bytes`] with the program's external memory
+/// footprint when the caller did not estimate it.
+fn charge_default_cost(mut opts: JobOptions, program: &Program) -> JobOptions {
+    if opts.cost_bytes == 0 {
+        opts.cost_bytes = footprint_bytes(program) as usize;
+    }
+    opts
 }
 
 /// One worker's simulation tables, kept across the jobs it runs, and

@@ -3,7 +3,9 @@
 //! Lives in the library (rather than the binary) so the chaos tests can
 //! drive the *exact* production path — parse, resolve, submit, join in
 //! submission order, render JSON — and assert byte-identical output
-//! between fault-free and fault-injected runs.
+//! between fault-free and fault-injected runs. Each line resolves through
+//! [`manifest::resolve`] and each of its repeats runs through
+//! [`Runtime::submit_job`], the path the HTTP job API takes too.
 //!
 //! Output determinism: every [`JobRecord`] carries only fields that are
 //! pure functions of the manifest (no wall-clock, no cache-hit flags, no
@@ -18,20 +20,17 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cf_core::{Machine, MachineConfig, PerfReport};
-use cf_isa::Program;
-use cf_tensor::fingerprint::StableHasher;
+use cf_core::Machine;
 use serde_json::Value;
 
 use crate::cache::CacheKey;
 use crate::fault::{fnv1a, FaultPlan};
+pub use crate::job::JobOutput;
 use crate::job::{JobError, JobHandle, JobOptions};
 use crate::journal::{JobEntry, Journal, JournalError, RunHeader, JOURNAL_VERSION};
-use crate::manifest::{self, JobKind, JobSpec, ManifestError};
+use crate::manifest::{self, Job, JobKind, JobSpec, ManifestError};
 use crate::obs::{Obs, SpanKind, Stage, Tracer};
-use crate::scheduler::{
-    ExecResult, LoadPolicy, ProfiledSimResult, Runtime, RuntimeConfig, SimResult,
-};
+use crate::scheduler::{JobDone, LoadPolicy, Runtime, RuntimeConfig};
 use crate::stats::StatsSnapshot;
 use crate::supervisor::{next_retry, BreakerConfig, RetryPolicy};
 
@@ -168,31 +167,6 @@ impl From<JournalError> for ServeError {
     }
 }
 
-/// The deterministic payload of a finished job.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JobOutput {
-    /// A performance simulation's headline numbers.
-    Sim {
-        /// End-to-end modelled seconds.
-        makespan_s: f64,
-        /// Steady-state modelled seconds.
-        steady_s: f64,
-        /// Attained tera-ops/s.
-        attained_tops: f64,
-        /// Fraction of machine peak attained.
-        peak_fraction: f64,
-        /// Root-level operational intensity.
-        root_intensity: f64,
-    },
-    /// A functional execution's memory digest.
-    Exec {
-        /// External-memory elements.
-        elems: usize,
-        /// Stable content hash of the final memory.
-        memory_hash: u64,
-    },
-}
-
 /// One job's result, in submission (= manifest) order.
 #[derive(Debug, Clone)]
 pub struct JobRecord {
@@ -233,44 +207,26 @@ impl ServeReport {
     }
 }
 
-enum Pending {
-    Sim(JobHandle<SimResult>),
-    SimProfiled(JobHandle<ProfiledSimResult>),
-    Exec(JobHandle<ExecResult>),
-}
-
-/// Hottest-signature count profiled serve jobs keep (the aggregate on
-/// `/metrics` is per level, so the signature list only bounds memory).
-const PROFILE_TOP_SIGNATURES: usize = 16;
-
-/// One fully-resolved job of the expanded (repeat-flattened) run.
-struct FlatJob {
-    label: String,
-    machine_name: String,
-    mode: &'static str,
-    machine: MachineConfig,
-    program: Arc<Program>,
-    kind: JobKind,
-    profile: bool,
-    trace_json: Option<String>,
-}
-
 /// Derives the run-identity header the journal binds to: a fingerprint
 /// of the expanded job list (labels, machine fingerprints, program
 /// content hashes, modes, exec seeds), the machine set, and the fault
 /// plan. Everything a job's deterministic output depends on.
-fn compute_run_header(flat: &[FlatJob], opts: &ServeOptions) -> RunHeader {
+fn compute_run_header(flat: &[&Job], opts: &ServeOptions) -> RunHeader {
     let mut manifest_src = String::new();
     let mut machines_src = String::new();
     for (i, job) in flat.iter().enumerate() {
-        let key = CacheKey::new(&job.machine, &job.program);
+        let key = job.cache_key.unwrap_or_else(|| CacheKey::new(&job.machine, &job.program));
         let seed = match job.kind {
             JobKind::Exec { seed } => seed.to_string(),
             JobKind::Simulate => "-".to_string(),
         };
         manifest_src.push_str(&format!(
             "{i}|{}|{}|{:016x}|{:016x}|{}|{seed}\n",
-            job.label, job.machine_name, key.machine, key.program, job.mode,
+            job.label,
+            job.machine_name,
+            key.machine,
+            key.program,
+            job.mode(),
         ));
         machines_src.push_str(&job.machine.fingerprint_hex());
         machines_src.push('\n');
@@ -289,49 +245,15 @@ fn compute_run_header(flat: &[FlatJob], opts: &ServeOptions) -> RunHeader {
     }
 }
 
-/// The deterministic simulate-job payload of a performance report
-/// (shared by the plain and profiled paths — and by the HTTP job API —
-/// so their records match byte-for-byte).
-pub(crate) fn sim_output(r: &PerfReport) -> JobOutput {
-    JobOutput::Sim {
-        makespan_s: r.makespan_seconds,
-        steady_s: r.steady_seconds,
-        attained_tops: r.attained_ops / 1e12,
-        peak_fraction: r.peak_fraction,
-        root_intensity: r.root_intensity,
-    }
-}
-
-/// The deterministic exec-job payload of a final memory image (shared by
-/// the manifest path and the HTTP job API, so their records match).
-pub(crate) fn exec_output(memory: &[f32]) -> JobOutput {
-    let mut hasher = StableHasher::new();
-    for v in memory {
-        hasher.write_f32(*v);
-    }
-    JobOutput::Exec { elems: memory.len(), memory_hash: hasher.finish() }
-}
-
-/// Joins one pending handle into the deterministic job output.
-/// Profiled handles are settled in [`RunState::settle`] instead (they
-/// also feed the tracer's profile aggregate).
-fn join_pending(pending: Pending) -> Result<JobOutput, JobError> {
-    match pending {
-        Pending::Sim(h) => h.join().map(|sim| sim_output(&sim.report)),
-        Pending::SimProfiled(h) => h.join().map(|sim| sim_output(&sim.report)),
-        Pending::Exec(h) => h.join().map(|exec| exec_output(&exec.memory)),
-    }
-}
-
 /// The mutable per-run state the settle path threads through: outcomes
 /// by index, the journal, and the crash-drill countdown.
 struct RunState<'a> {
-    flat: &'a [FlatJob],
+    flat: &'a [&'a Job],
+    runtime: &'a Runtime,
     outcomes: Vec<Option<Result<JobOutput, JobError>>>,
     journal: Option<Journal>,
     abort_after: Option<usize>,
     settled_fresh: usize,
-    tracer: Arc<Tracer>,
     compact_threshold: u64,
     compactions: u64,
     bytes_reclaimed: u64,
@@ -342,26 +264,15 @@ impl RunState<'_> {
     /// before the outcome becomes visible in the report (write-ahead
     /// order), then fires the crash drill if its countdown reached zero.
     ///
-    /// Profiled jobs additionally fold their attribution into the
-    /// tracer's `/metrics` aggregate and, when `trace_json=` asked for
-    /// it, write the per-job Chrome trace file.
-    fn settle(&mut self, index: usize, pending: Pending) -> Result<(), ServeError> {
-        let (outcome, profiled_ok) = match pending {
-            Pending::SimProfiled(h) => {
-                let joined = h.join();
-                let ok = joined.is_ok();
-                if let Ok(sim) = &joined {
-                    self.tracer.absorb_profile(&self.flat[index].machine_name, &sim.profile);
-                }
-                (joined.map(|sim| sim_output(&sim.report)), ok)
-            }
-            other => (join_pending(other), false),
-        };
+    /// A profiled job that asked for `trace_json=` also writes its
+    /// Chrome trace file.
+    fn settle(&mut self, index: usize, handle: JobHandle<JobDone>) -> Result<(), ServeError> {
+        let job = self.flat[index];
+        let outcome = self.runtime.join_job(job, handle).map(|done| done.output);
+        let profiled_ok = job.profile && outcome.is_ok();
         self.record(index, outcome)?;
-        if profiled_ok {
-            if let Some(path) = &self.flat[index].trace_json {
-                write_job_trace(path, &self.flat[index], &self.tracer)?;
-            }
+        if let Some(path) = job.trace_json.as_ref().filter(|_| profiled_ok) {
+            write_job_trace(path, job, self.runtime.tracer())?;
         }
         Ok(())
     }
@@ -378,19 +289,20 @@ impl RunState<'_> {
                 index: index as u64,
                 label: job.label.clone(),
                 machine: job.machine_name.clone(),
-                mode: job.mode,
+                mode: job.mode(),
                 outcome: outcome.clone().map_err(|e| e.to_string()),
             })?;
             let elapsed = t0.elapsed();
-            self.tracer.observe(Stage::JournalAppend, elapsed);
+            let tracer = self.runtime.tracer();
+            tracer.observe(Stage::JournalAppend, elapsed);
             let ok = outcome.is_ok();
-            self.tracer.record(SpanKind::JournalAppend, index as u64, Some(elapsed), || {
+            tracer.record(SpanKind::JournalAppend, index as u64, Some(elapsed), || {
                 format!("ok={ok}")
             });
             if let Some(stats) = journal.maybe_compact(self.compact_threshold)? {
                 self.compactions += 1;
                 self.bytes_reclaimed += stats.reclaimed();
-                self.tracer.record(SpanKind::JournalCompact, index as u64, None, || {
+                tracer.record(SpanKind::JournalCompact, index as u64, None, || {
                     format!(
                         "live bytes {}->{} dropped={}",
                         stats.bytes_before, stats.bytes_after, stats.dropped
@@ -468,37 +380,16 @@ pub fn serve_specs_on(
     opts: &ServeOptions,
     runtime: &Runtime,
 ) -> Result<ServeReport, ServeError> {
-    // Resolve every program and machine up front (shared across repeats
-    // via Arc) so validation errors abort before any job runs.
-    let mut flat: Vec<FlatJob> = Vec::new();
-    for spec in specs {
-        let program = manifest::resolve_program(&spec.source)?;
-        manifest::check_exec_footprint(spec, &program)?;
-        let program = Arc::new(program);
-        let machine = manifest::machine_by_name(&spec.machine).ok_or_else(|| {
-            // Parsing already validated the name; this guards direct
-            // `serve_specs` callers handing in unvalidated specs.
-            ManifestError::UnknownMachine { name: spec.machine.clone(), line: 0 }
-        })?;
-        let mode = match spec.kind {
-            JobKind::Simulate => "simulate",
-            JobKind::Exec { .. } => "exec",
-        };
-        for _ in 0..spec.repeat {
-            flat.push(FlatJob {
-                label: spec.label.clone(),
-                machine_name: spec.machine.clone(),
-                mode,
-                machine: machine.clone(),
-                program: Arc::clone(&program),
-                kind: spec.kind,
-                profile: spec.profile,
-                trace_json: spec.trace_json.clone(),
-            });
-        }
-    }
+    // Resolve every spec up front so validation errors abort before any
+    // job runs; a spec's repeats share its one resolved job.
+    let jobs = specs.iter().map(manifest::resolve).collect::<Result<Vec<Job>, _>>()?;
+    let flat: Vec<&Job> = specs
+        .iter()
+        .zip(&jobs)
+        .flat_map(|(spec, job)| std::iter::repeat_n(job, spec.repeat))
+        .collect();
 
-    let tracer = Arc::clone(runtime.tracer());
+    let tracer = runtime.tracer();
 
     // Journal setup before any job runs: a resume that fails header
     // verification must abort without submitting anything.
@@ -534,11 +425,11 @@ pub fn serve_specs_on(
     let resumed = replayed.len() as u64;
     let mut state = RunState {
         flat: &flat,
+        runtime,
         outcomes: (0..flat.len()).map(|_| None).collect(),
         journal,
         abort_after: opts.abort_after_jobs,
         settled_fresh: 0,
-        tracer,
         compact_threshold: opts.journal.as_ref().map_or(0, |j| j.compact_threshold),
         compactions: 0,
         bytes_reclaimed: 0,
@@ -550,7 +441,7 @@ pub fn serve_specs_on(
     // sheds are absorbed by settling the oldest pending job (which frees
     // capacity) or, with nothing pending, by backing off inside the retry
     // budget — a job whose sheds outlast the budget fails terminally.
-    let mut pending: VecDeque<(usize, Pending)> = VecDeque::new();
+    let mut pending: VecDeque<(usize, JobHandle<JobDone>)> = VecDeque::new();
     for (index, job) in flat.iter().enumerate() {
         if let Some(entry) = replayed.remove(&(index as u64)) {
             state.outcomes[index] = Some(match entry.outcome {
@@ -562,36 +453,8 @@ pub fn serve_specs_on(
         let mut shed_failures = 0u32;
         let first_try = Instant::now();
         loop {
-            let (handle, admitted) = match job.kind {
-                JobKind::Simulate if job.profile => {
-                    let (h, a) = runtime.submit_simulate_profiled_checked(
-                        JobOptions::default(),
-                        job.machine.clone(),
-                        Arc::clone(&job.program),
-                        PROFILE_TOP_SIGNATURES,
-                    );
-                    (Pending::SimProfiled(h), a)
-                }
-                JobKind::Simulate => {
-                    let (h, a) = runtime.submit_simulate_checked(
-                        JobOptions::default(),
-                        job.machine.clone(),
-                        Arc::clone(&job.program),
-                    );
-                    (Pending::Sim(h), a)
-                }
-                JobKind::Exec { seed } => {
-                    let (h, a) = runtime.submit_exec_checked(
-                        JobOptions::default(),
-                        job.machine.clone(),
-                        Arc::clone(&job.program),
-                        seed,
-                    );
-                    (Pending::Exec(h), a)
-                }
-            };
-            match admitted {
-                Ok(()) => {
+            match runtime.submit_job(JobOptions::default(), job) {
+                Ok(handle) => {
                     pending.push_back((index, handle));
                     break;
                 }
@@ -638,7 +501,7 @@ pub fn serve_specs_on(
         .journal_bytes_reclaimed
         .fetch_add(resume_reclaimed + state.bytes_reclaimed, Ordering::Relaxed);
     let mut stats = runtime.stats().snapshot();
-    stats.spans_dropped = state.tracer.dropped();
+    stats.spans_dropped = tracer.dropped();
 
     let records = state
         .outcomes
@@ -648,7 +511,7 @@ pub fn serve_specs_on(
             index,
             label: flat[index].label.clone(),
             machine: flat[index].machine_name.clone(),
-            mode: flat[index].mode,
+            mode: flat[index].mode(),
             // Every index was either replayed, settled or recorded as a
             // terminal shed above; `None` cannot survive to here.
             outcome: outcome.map_or(Err(JobError::Shutdown), |o| o),
@@ -661,7 +524,7 @@ pub fn serve_specs_on(
 /// timeline (coarse per-level DMA/compute tracks plus fine pipeline-
 /// stage tracks) merged with the runtime tracer's span tracks into one
 /// `chrome://tracing`-loadable array.
-fn write_job_trace(path: &str, job: &FlatJob, tracer: &Tracer) -> Result<(), ServeError> {
+fn write_job_trace(path: &str, job: &Job, tracer: &Tracer) -> Result<(), ServeError> {
     let err = |message: String| ServeError::Trace { path: path.to_string(), message };
     let depth = job.machine.levels.len().max(1);
     let tl = Machine::new(job.machine.clone())

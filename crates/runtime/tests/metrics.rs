@@ -4,18 +4,21 @@
 //! — idle, mid-run and final — must pass a strict test-side exposition
 //! parser: `# HELP`/`# TYPE` before any sample of a family, no
 //! duplicate series, an `instance` label everywhere, and cumulative
-//! histogram buckets closed by `+Inf` that agree with `_count`.
+//! histogram buckets closed by `+Inf` that agree with `_count`. A
+//! profiled job posted to the HTTP job API feeds the same profile
+//! aggregate a profiled manifest line does.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use cf_runtime::api::{JobApi, DEFAULT_MAX_BODY_BYTES};
 use cf_runtime::http::{Connector, Reply, TcpConnector};
 use cf_runtime::obs::Obs;
 use cf_runtime::serve::{serve_manifest, ServeOptions};
 use cf_runtime::status::StatusServer;
-use cf_runtime::StatsSnapshot;
+use cf_runtime::{Runtime, RuntimeConfig, StatsSnapshot};
 
 /// The repo's example manifest (19 jobs), program paths made absolute
 /// and two of the simulate lines switched to `profile=true` so the
@@ -293,5 +296,42 @@ fn metrics_endpoint_serves_a_valid_exposition_over_a_live_run() {
         "no latency histogram buckets: {body}"
     );
 
+    server.shutdown();
+}
+
+#[test]
+fn api_profiled_jobs_feed_the_profile_aggregate() {
+    let obs = Obs::new(256);
+    obs.set_instance("metrics-api");
+    let runtime = Arc::new(Runtime::new(RuntimeConfig {
+        workers: 1,
+        tracer: Some(Arc::clone(obs.tracer())),
+        ..Default::default()
+    }));
+    obs.publish(runtime.stats_arc(), runtime.load_policy());
+    obs.publish_api(JobApi::new(Arc::clone(&runtime), DEFAULT_MAX_BODY_BYTES));
+    let server = StatusServer::bind(0, Arc::clone(&obs)).unwrap();
+    let addr = server.local_addr();
+
+    let spec = r#"{"workload":"matmul","order":32,"machine":"tiny","profile":true}"#;
+    let raw = format!("POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{spec}", spec.len());
+    let wait = Duration::from_secs(30);
+    let accepted = TcpConnector.fetch(&addr.to_string(), raw.as_bytes(), wait, wait, None).unwrap();
+    assert_eq!(accepted.status, 202, "{}", accepted.text());
+    let body: serde_json::Value = serde_json::from_str(&accepted.text()).unwrap();
+    let id = body.get("id").and_then(|v| v.as_u64()).unwrap();
+    let record = http_get(addr, &format!("/jobs/{id}"));
+    assert_eq!(record.status, 200, "{}", record.text());
+    assert!(record.text().contains("\"ok\":true"), "{}", record.text());
+
+    // The profiled API job counts like a profiled manifest job.
+    let body = http_get(addr, "/metrics").text();
+    let samples = validate_exposition(&body, "metrics-api");
+    assert_eq!(
+        value_of(&samples, "cf_profile_jobs_total", Some(("machine", "tiny"))),
+        Some(1.0),
+        "{body}"
+    );
+    assert!(samples.iter().any(|s| s.name == "cf_profile_stage_seconds_total"), "{body}");
     server.shutdown();
 }

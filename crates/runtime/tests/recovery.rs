@@ -284,27 +284,20 @@ fn shed_error_carries_structured_queue_context() {
         load: LoadPolicy { max_queued_bytes: 1, ..Default::default() },
         ..Default::default()
     });
-    let program = manifest::resolve_program(
-        &manifest::parse_manifest("workload=matmul order=64\n").unwrap()[0].source,
-    )
-    .unwrap();
-    let machine = manifest::machine_by_name("f1").unwrap();
-    let (handle, admitted) = runtime.submit_simulate_checked(
-        JobOptions::default(),
-        machine,
-        std::sync::Arc::new(program),
-    );
-    match admitted {
-        Err(JobError::Shed { limit, in_flight, queued_bytes }) => {
+    let job =
+        manifest::resolve(&manifest::parse_manifest("workload=matmul order=64\n").unwrap()[0])
+            .unwrap();
+    let err = match runtime.submit_job(JobOptions::default(), &job) {
+        Err(err @ JobError::Shed { limit, in_flight, queued_bytes }) => {
             assert_eq!(limit, "queued-bytes");
             assert_eq!(in_flight, 0);
             assert_eq!(queued_bytes, 0, "nothing was queued when the submission was rejected");
+            err
         }
         other => panic!("expected queued-bytes shed, got {other:?}"),
-    }
-    // The handle settles with the same error; a shed is transient (the
-    // caller may retry), and the gauges never counted the rejected job.
-    let err = handle.join().unwrap_err();
+    };
+    // A shed is transient (the caller may retry), and the gauges never
+    // counted the rejected job.
     assert!(err.is_transient(), "{err}");
     assert_eq!(runtime.in_flight(), 0);
     assert_eq!(runtime.queued_bytes(), 0);

@@ -3,12 +3,12 @@
 //! shutdown semantics and queue bounds.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 use cf_core::{Machine, MachineConfig};
 use cf_isa::Program;
-use cf_runtime::{JobError, JobOptions, Runtime, RuntimeConfig};
+use cf_runtime::{JobError, JobHandle, JobOptions, Runtime, RuntimeConfig, SimResult};
 use cf_workloads::nets;
 
 fn small_runtime(workers: usize) -> Runtime {
@@ -39,6 +39,11 @@ fn workload_mix() -> Vec<(MachineConfig, Arc<Program>)> {
     jobs
 }
 
+/// Submits every job before joining any.
+fn submit_all(rt: &Runtime, jobs: Vec<(MachineConfig, Arc<Program>)>) -> Vec<JobHandle<SimResult>> {
+    jobs.into_iter().map(|(m, p)| rt.submit_simulate(JobOptions::default(), m, p)).collect()
+}
+
 #[test]
 fn cache_hit_report_identical_to_cold_run() {
     let rt = small_runtime(1);
@@ -47,11 +52,14 @@ fn cache_hit_report_identical_to_cold_run() {
 
     let direct = Machine::new(cfg.clone()).simulate(&program).unwrap();
 
-    let cold = rt.submit_simulate(cfg.clone(), Arc::clone(&program)).join().unwrap();
+    let cold = rt
+        .submit_simulate(JobOptions::default(), cfg.clone(), Arc::clone(&program))
+        .join()
+        .unwrap();
     assert!(!cold.cache_hit);
     assert_eq!(*cold.report, direct);
 
-    let warm = rt.submit_simulate(cfg, program).join().unwrap();
+    let warm = rt.submit_simulate(JobOptions::default(), cfg, program).join().unwrap();
     assert!(warm.cache_hit);
     // Not just equal: the very same report object the cold run cached.
     assert!(Arc::ptr_eq(&warm.report, &cold.report));
@@ -69,8 +77,8 @@ fn bypass_cache_skips_lookup_and_fill() {
     let cfg = MachineConfig::cambricon_f1();
     let opts = JobOptions { bypass_cache: true, ..Default::default() };
 
-    let a = rt.submit_simulate_opts(opts, cfg.clone(), Arc::clone(&program)).join().unwrap();
-    let b = rt.submit_simulate_opts(opts, cfg, program).join().unwrap();
+    let a = rt.submit_simulate(opts, cfg.clone(), Arc::clone(&program)).join().unwrap();
+    let b = rt.submit_simulate(opts, cfg, program).join().unwrap();
     assert!(!a.cache_hit && !b.cache_hit);
     assert_eq!(a.report, b.report);
     assert!(rt.cache().is_empty());
@@ -86,7 +94,7 @@ fn cold_simulation_populates_cold_counters_and_stays_identical() {
     let cfg = MachineConfig::cambricon_f1();
 
     let direct = Machine::new(cfg.clone()).simulate(&program).unwrap();
-    let cold = rt.submit_simulate(cfg, Arc::clone(&program)).join().unwrap();
+    let cold = rt.submit_simulate(JobOptions::default(), cfg, Arc::clone(&program)).join().unwrap();
     assert!(!cold.cache_hit);
     assert_eq!(*cold.report, direct, "parallel cold path must match sequential");
 
@@ -112,7 +120,7 @@ fn concurrent_simulation_matches_sequential_byte_for_byte() {
 
     // Concurrent, submitted all at once to a 4-worker pool.
     let rt = small_runtime(4);
-    let handles = rt.simulate_batch(jobs);
+    let handles = submit_all(&rt, jobs);
     let concurrent: Vec<String> =
         handles.into_iter().map(|h| format!("{:?}", *h.join().unwrap().report)).collect();
 
@@ -142,7 +150,8 @@ fn deadline_expires_queued_job() {
     let rt = small_runtime(1);
     let _slow = rt.submit_task(|| std::thread::sleep(Duration::from_millis(120)));
     let opts = JobOptions::with_deadline(Duration::from_millis(10));
-    let late = rt.submit_task_opts(opts, || 42u32);
+    let program = Arc::new(nets::matmul_program(32));
+    let late = rt.submit_simulate(opts, MachineConfig::cambricon_f1(), program);
     match late.join() {
         Err(JobError::DeadlineExceeded { late_by }) => {
             assert!(late_by > Duration::ZERO);
@@ -217,27 +226,53 @@ fn submit_after_shutdown_resolves_to_shutdown_error() {
     assert_eq!(h.join().unwrap(), 1);
     rt.shutdown();
     // `rt` is consumed by shutdown; nothing left to submit on — the
-    // closed-queue path is covered by shutdown_now_discards_queued_jobs
-    // and by try_submit below.
+    // closed-queue path is covered by shutdown_now_discards_queued_jobs.
 }
 
 #[test]
-fn bounded_queue_rejects_when_full() {
-    let rt = Runtime::new(RuntimeConfig {
+fn bounded_queue_blocks_submitters_until_a_slot_frees() {
+    let rt = Arc::new(Runtime::new(RuntimeConfig {
         workers: 1,
         queue_capacity: 2,
         cache_capacity: 0,
         ..Default::default()
+    }));
+    // Occupy the one worker, then fill the queue behind it.
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let busy = rt.submit_task(move || {
+        started_tx.send(()).unwrap();
+        release_rx.recv().unwrap();
     });
-    // Fill the worker and the queue.
-    let _running = rt.submit_task(|| std::thread::sleep(Duration::from_millis(150)));
-    std::thread::sleep(Duration::from_millis(20)); // let the worker take it
-    let _q1 = rt.submit_task(|| std::thread::sleep(Duration::from_millis(1)));
-    let _q2 = rt.submit_task(|| std::thread::sleep(Duration::from_millis(1)));
-    match rt.try_submit_task(|| 0u8) {
-        Err(JobError::QueueFull) => {}
-        other => panic!("expected QueueFull, got {other:?}"),
+    started_rx.recv().unwrap();
+    let queued = [rt.submit_task(|| 1u8), rt.submit_task(|| 2u8)];
+    // A third submission waits for a slot instead of failing.
+    let (submitted_tx, submitted_rx) = mpsc::channel::<()>();
+    let submitter = {
+        let rt = Arc::clone(&rt);
+        std::thread::spawn(move || {
+            let handle = rt.submit_task(|| 3u8);
+            submitted_tx.send(()).unwrap();
+            handle.join()
+        })
+    };
+    assert!(
+        submitted_rx.recv_timeout(Duration::from_millis(150)).is_err(),
+        "a full queue must block the submitter"
+    );
+    assert_eq!(rt.stats().snapshot().submitted, 3);
+    // Freeing the worker frees a slot: the submitter returns and its job
+    // runs after the two queued ones.
+    release_tx.send(()).unwrap();
+    submitted_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a freed slot unblocks the submitter");
+    assert_eq!(submitter.join().unwrap(), Ok(3));
+    busy.join().unwrap();
+    for (h, want) in queued.into_iter().zip([1u8, 2]) {
+        assert_eq!(h.join(), Ok(want));
     }
+    assert_eq!(rt.stats().snapshot().completed, 4);
 }
 
 #[test]
@@ -258,7 +293,7 @@ fn warm_cache_answers_repeated_mix_without_resimulating() {
     let jobs = workload_mix();
     let distinct = 6; // 3 programs × 2 machines in the mix
     let rt = small_runtime(2);
-    let handles = rt.simulate_batch(jobs.clone());
+    let handles = submit_all(&rt, jobs.clone());
     for h in handles {
         h.join().unwrap();
     }

@@ -40,7 +40,7 @@ use cambricon_f::core::Machine;
 use cambricon_f::isa::parse_program;
 use cambricon_f::runtime::manifest::{machine_by_name, MACHINE_NAMES};
 use cambricon_f::runtime::obs::Tracer;
-use cambricon_f::runtime::{Runtime, RuntimeConfig};
+use cambricon_f::runtime::{JobOptions, Runtime, RuntimeConfig};
 use cambricon_f::tensor::{gen::DataGen, Memory, Shape};
 
 const EXIT_BAD_ARGS: u8 = 2;
@@ -183,7 +183,7 @@ fn main() -> ExitCode {
     } else {
         match &trace_pool {
             Some((runtime, _)) => runtime
-                .submit_simulate(cfg.clone(), Arc::clone(&program))
+                .submit_simulate(JobOptions::default(), cfg.clone(), Arc::clone(&program))
                 .join()
                 .map(|sim| (sim.report, None))
                 .map_err(|e| e.to_string()),

@@ -5,7 +5,9 @@
 //! manifest line makes `cfserve` exit 3 with a typed message instead of
 //! panicking its main thread (or aborting it on a huge allocation), and
 //! `POST /jobs` answers 400 without journaling anything while the
-//! server keeps serving.
+//! server keeps serving. A `program=` path over the API must name a
+//! regular file under the server's working directory: an absolute path,
+//! a `..` path or a directory is refused the same way.
 
 use std::io::{BufRead, BufReader, Read};
 use std::process::{Command, Stdio};
@@ -101,6 +103,68 @@ fn zero_dimension_api_specs_answer_400_and_are_never_journaled() {
     let journaled = std::fs::read_to_string(dir.join("api.wal.api")).expect("api journal");
     assert!(journaled.contains("order=32"), "the good job is journaled: {journaled}");
     for bad in ["order=0", "batch=0", "size=0", "order=200000"] {
+        assert!(!journaled.contains(bad), "{bad} was journaled: {journaled}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Boots `cfserve` in API-only mode from the repository root, journaling
+/// to `journal`; returns the child, its status address and a thread
+/// collecting the rest of its stderr.
+fn spawn_api_server(
+    journal: &std::path::Path,
+) -> (std::process::Child, String, std::thread::JoinHandle<String>) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_cfserve"))
+        .current_dir(env!("CARGO_MANIFEST_DIR"))
+        .args(["-", "--status-port", "0", "--workers", "1", "--journal"])
+        .arg(journal)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn cfserve");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr piped"));
+    let addr = loop {
+        let mut line = String::new();
+        assert!(stderr.read_line(&mut line).expect("read stderr") > 0, "no status address");
+        if let Some(rest) = line.strip_prefix("cfserve: status on http://") {
+            break rest.split_whitespace().next().expect("address").to_string();
+        }
+    };
+    let drain = std::thread::spawn(move || {
+        let mut rest = String::new();
+        stderr.read_to_string(&mut rest).ok();
+        rest
+    });
+    (child, addr, drain)
+}
+
+#[test]
+fn api_program_paths_outside_the_working_directory_answer_400_and_are_never_journaled() {
+    let dir = temp_dir("paths");
+    let journal = dir.join("api.wal");
+    let (mut child, addr, drain) = spawn_api_server(&journal);
+
+    let absolute = concat!(env!("CARGO_MANIFEST_DIR"), "/assets/demo.cfasm");
+    for (label, path) in
+        [("absolute", absolute), ("dotdot", "assets/../assets/demo.cfasm"), ("directory", "assets")]
+    {
+        let spec = format!(r#"{{"program":"{path}","machine":"tiny","label":"{label}"}}"#);
+        let reply = post_job(&addr, &spec);
+        assert_eq!(reply.status, 400, "{spec}: {}", reply.text());
+        assert!(reply.text().contains("program `"), "{spec}: {}", reply.text());
+    }
+    // The file the fleet tests post, named relative to the working
+    // directory, is still served.
+    let reply = post_job(&addr, r#"{"program":"assets/demo.cfasm","machine":"tiny","label":"ok"}"#);
+    assert_eq!(reply.status, 202, "{}", reply.text());
+
+    child.kill().ok();
+    child.wait().ok();
+    let stderr = drain.join().unwrap();
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let journaled = std::fs::read_to_string(dir.join("api.wal.api")).expect("api journal");
+    assert!(journaled.contains("label=ok"), "the good job is journaled: {journaled}");
+    for bad in ["label=absolute", "label=dotdot", "label=directory"] {
         assert!(!journaled.contains(bad), "{bad} was journaled: {journaled}");
     }
     std::fs::remove_dir_all(&dir).ok();
