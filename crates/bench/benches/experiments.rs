@@ -2,42 +2,25 @@
 //! of the paper's evaluation (DESIGN.md §5) and writes EXPERIMENTS.md.
 //!
 //! This is a custom harness (not Criterion): the "benchmark" is the
-//! experiment suite itself, each experiment timed and reported.
-
-use std::fmt::Write as _;
+//! experiment suite itself, each experiment timed and reported, exactly
+//! as `exp_all` renders it.
 
 fn main() {
-    let mut md = String::from(
-        "# EXPERIMENTS — paper vs measured\n\n\
-         Regenerated by `cargo bench -p cf-bench --bench experiments` or\n\
-         `cargo run -p cf-bench --release --bin exp_all`. Absolute numbers\n\
-         come from this repository's simulator and analytical models (see\n\
-         DESIGN.md §1 for the substitution table); each section checks the\n\
-         *shape* criteria of DESIGN.md §5.\n\n",
-    );
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let report = cf_bench::run_all(workers);
     let mut failures = 0u32;
-    for (id, title, runner) in cf_bench::all_experiments() {
-        let t0 = std::time::Instant::now();
-        let body = std::panic::catch_unwind(runner);
-        let dt = t0.elapsed();
-        match body {
-            Ok(body) => {
-                let _ = write!(
-                    md,
-                    "# {title}\n\n```text\n{body}```\n\n_{id} regenerated in {dt:.2?}._\n\n"
-                );
-                println!("=== {title} ({dt:.2?}) ===\n{body}");
-            }
-            Err(_) => {
+    for (title, outcome) in &report.sections {
+        match &outcome.result {
+            Ok(body) => println!("=== {title} ({:.2}s) ===\n{body}", outcome.seconds),
+            Err(e) => {
                 failures += 1;
-                let _ = write!(md, "# {title}\n\n**FAILED**\n\n");
-                eprintln!("experiment {id} FAILED");
+                eprintln!("experiment {} FAILED: {e}", outcome.label);
             }
         }
     }
     if let Err(e) = std::fs::write(
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md"),
-        &md,
+        &report.markdown,
     ) {
         eprintln!("could not write EXPERIMENTS.md: {e}");
     }

@@ -5,10 +5,6 @@
 //! (`--workers N` to override the default of one per CPU); the report is
 //! still assembled in DESIGN.md §5 order, with per-experiment worker time
 //! and total wall-clock at the end.
-use std::fmt::Write as _;
-
-use cf_runtime::batch::run_batch;
-use cf_runtime::{Runtime, RuntimeConfig};
 
 fn main() {
     let mut workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -30,61 +26,27 @@ fn main() {
         }
     }
 
-    let mut md = String::from(
-        "# EXPERIMENTS — paper vs measured\n\n\
-         Regenerated by `cargo run -p cf-bench --release --bin exp_all` \
-         (also exercised by `cargo bench`). Absolute numbers come from this\n\
-         repository's simulator and analytical models (see DESIGN.md §1 for\n\
-         the substitution table); the *shape* criteria of DESIGN.md §5 are\n\
-         what each section verifies.\n\n",
-    );
-
-    let experiments = cf_bench::all_experiments();
-    let titles: Vec<&'static str> = experiments.iter().map(|(_, t, _)| *t).collect();
-    eprintln!("[exp_all] running {} experiments on {workers} worker(s) …", experiments.len());
-
-    let runtime = Runtime::new(RuntimeConfig { workers, ..Default::default() });
-    let t0 = std::time::Instant::now();
-    let jobs: Vec<(String, fn() -> String)> =
-        experiments.into_iter().map(|(id, _, runner)| (id.to_string(), runner)).collect();
-    let outcomes = run_batch(&runtime, jobs);
-    let wall = t0.elapsed();
-
-    let mut timing = String::new();
-    for (title, outcome) in titles.iter().zip(&outcomes) {
+    let experiments = cf_bench::all_experiments().len();
+    eprintln!("[exp_all] running {experiments} experiments on {workers} worker(s) …");
+    let report = cf_bench::run_all(workers);
+    for (title, outcome) in &report.sections {
         let id = &outcome.label;
         match &outcome.result {
             Ok(body) => {
-                let _ = write!(
-                    md,
-                    "# {title}\n\n```text\n{body}```\n\n_{id} regenerated in {:.2}s._\n\n",
-                    outcome.seconds
-                );
                 println!("=== {title} ({:.2}s) ===\n{body}", outcome.seconds);
-                let _ = writeln!(timing, "[exp_all]   {id}: {:.2}s", outcome.seconds);
+                eprintln!("[exp_all]   {id}: {:.2}s", outcome.seconds);
             }
-            Err(e) => {
-                let _ = write!(md, "# {title}\n\n```text\nFAILED: {e}\n```\n\n");
-                eprintln!("[exp_all] {id} FAILED: {e}");
-            }
+            Err(e) => eprintln!("[exp_all] {id} FAILED: {e}"),
         }
     }
-    let busy: f64 = outcomes.iter().map(|o| o.seconds).sum();
-    eprint!("{timing}");
+    let busy: f64 = report.sections.iter().map(|(_, o)| o.seconds).sum();
     eprintln!(
-        "[exp_all] total {:.2}s wall on {workers} worker(s) ({:.2}s of worker time)",
-        wall.as_secs_f64(),
-        busy
-    );
-    let _ = write!(
-        md,
-        "---\n\n_Total: {:.2}s wall on {workers} worker(s), {:.2}s aggregate worker time._\n",
-        wall.as_secs_f64(),
-        busy
+        "[exp_all] total {:.2}s wall on {workers} worker(s) ({busy:.2}s of worker time)",
+        report.wall_s
     );
 
-    let failed = outcomes.iter().filter(|o| o.result.is_err()).count();
-    if let Err(e) = std::fs::write("EXPERIMENTS.md", &md) {
+    let failed = report.sections.iter().filter(|(_, o)| o.result.is_err()).count();
+    if let Err(e) = std::fs::write("EXPERIMENTS.md", &report.markdown) {
         eprintln!("could not write EXPERIMENTS.md: {e}");
     } else {
         eprintln!("[exp_all] wrote EXPERIMENTS.md");

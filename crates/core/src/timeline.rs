@@ -75,8 +75,13 @@ impl Timeline {
         if self.makespan <= 0.0 {
             return 0.0;
         }
-        let busy: f64 =
-            self.level_events(level).filter(|e| e.kind == kind).map(|e| e.end - e.start).sum();
+        // Folded from +0.0: a float `sum` starts at -0.0, and `max` may
+        // return either zero, so an idle level would read -0.0 in some
+        // builds and 0.0 in others.
+        let busy = self
+            .level_events(level)
+            .filter(|e| e.kind == kind)
+            .fold(0.0, |busy, e| busy + (e.end - e.start));
         (busy / self.makespan).max(0.0)
     }
 

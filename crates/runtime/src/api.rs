@@ -332,34 +332,19 @@ impl JobApi {
     }
 
     /// The configured request-body bound.
-    pub fn max_body(&self) -> usize {
+    pub(crate) fn max_body(&self) -> usize {
         self.max_body
     }
 
-    /// The runtime the API submits to (its stats carry the `cf_api_*`
-    /// counters).
-    pub fn runtime(&self) -> &Arc<Runtime> {
-        &self.runtime
-    }
-
     /// Accounts bytes of a finished record streamed to a client.
-    pub fn note_streamed(&self, bytes: u64) {
+    pub(crate) fn note_streamed(&self, bytes: u64) {
         self.runtime.stats().api_streamed_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Submits a `POST /jobs` body: a single spec object or an array of
     /// spec objects (an array is validated as a whole — one malformed
     /// element rejects the request before anything is journaled — and
-    /// each member then runs as its own job).
-    ///
-    /// # Errors
-    ///
-    /// See [`SubmitError`]; each variant maps to one HTTP status.
-    pub fn submit_body(self: &Arc<Self>, body: &str) -> Result<SubmitOk, SubmitError> {
-        self.submit_body_traced(body, None)
-    }
-
-    /// [`submit_body`](JobApi::submit_body) under a distributed trace:
+    /// each member then runs as its own job). Under a distributed trace
     /// every accepted job gets its own child span of `trace` (so a
     /// multi-job array fans out into per-job spans of one request
     /// context), attached to the runtime's tracer for span joining and
@@ -368,7 +353,7 @@ impl JobApi {
     /// # Errors
     ///
     /// See [`SubmitError`]; each variant maps to one HTTP status.
-    pub fn submit_body_traced(
+    pub fn submit_body(
         self: &Arc<Self>,
         body: &str,
         trace: Option<TraceContext>,
@@ -597,7 +582,7 @@ impl JobApi {
     }
 
     /// The distributed trace context job `id` runs under, if any.
-    pub fn trace_of(&self, id: u64) -> Option<TraceContext> {
+    pub(crate) fn trace_of(&self, id: u64) -> Option<TraceContext> {
         let st = sync::lock(&self.state);
         st.jobs.get(&id).and_then(|job| job.trace)
     }
@@ -634,7 +619,7 @@ impl JobApi {
     }
 
     /// The non-blocking status JSON for job `id` (`None` for unknown).
-    pub fn status_json(&self, id: u64) -> Option<String> {
+    pub(crate) fn status_json(&self, id: u64) -> Option<String> {
         let st = sync::lock(&self.state);
         st.jobs.get(&id).map(|job| render_status(id, job))
     }
@@ -793,37 +778,30 @@ fn shed_salt() -> u64 {
     n ^ nanos
 }
 
-/// The fleet-routing fingerprint of a `POST /jobs` body: the plan-cache
-/// identity `(machine fingerprint, program hash)` folded to one `u64`
-/// (exactly [`CacheKey::digest`](crate::cache::CacheKey::digest)), so a
-/// router shards jobs onto the backend whose plan cache is already warm
-/// for that machine × program pair. Array submissions route by their
-/// first element (all-or-nothing arrays stay on one backend);
-/// non-coalescible jobs (exec mode, profiled) fold the machine
-/// fingerprint with the canonical line's content hash; anything that
-/// does not parse falls back to a content hash of the raw body, so
-/// routing is total — invalid specs still map onto a backend, which
-/// answers with the authoritative 400.
+/// The fleet-routing fingerprint of a `POST /jobs` body: the content
+/// hash of its canonical spec line with `label` left out, so the same
+/// spec lands on the same backend (whose plan cache is then warm for it)
+/// whatever its key order or label. Routing never builds the program:
+/// the backend that gets the job does that once. Array submissions route
+/// by their first element (all-or-nothing arrays stay on one backend);
+/// anything without a canonical line falls back to a content hash of
+/// the raw body, so routing is total — invalid specs still map onto a
+/// backend, which answers with the authoritative 400.
 pub fn routing_fingerprint(body: &str) -> u64 {
     let fallback = || fnv1a(body.as_bytes());
     let Ok(value) = serde_json::from_str(body) else {
         return fallback();
     };
     let first = match value.as_array() {
-        Some([first, ..]) => first.clone(),
+        Some([first, ..]) => first,
         Some([]) => return fallback(),
-        None => value,
+        None => &value,
     };
-    let Ok(line) = canonical_line(&first) else {
+    let Ok(line) = canonical_line(first) else {
         return fallback();
     };
-    let Ok(job) = parse_spec_line(&line) else {
-        return fallback();
-    };
-    match job.cache_key {
-        Some(key) => key.digest(),
-        None => job.machine.fingerprint() ^ fnv1a(line.as_bytes()).rotate_left(32),
-    }
+    let unlabelled: Vec<&str> = line.split(' ').filter(|kv| !kv.starts_with("label=")).collect();
+    fnv1a(unlabelled.join(" ").as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -989,7 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn routing_fingerprint_matches_plan_cache_identity() {
+    fn routing_fingerprint_ignores_key_order_and_label() {
         let a = routing_fingerprint(r#"{"workload":"matmul","order":32,"machine":"tiny"}"#);
         let b = routing_fingerprint(r#"{"order":32,"machine":"tiny","workload":"matmul"}"#);
         assert_eq!(a, b, "key order must not change the route");
@@ -1038,10 +1016,22 @@ mod tests {
             let err = confine_program_path(path).unwrap_err();
             assert!(err.starts_with(&format!("program `{path}`")) && err.contains(why), "{err}");
         }
-        // A refused path never reaches the disk from the router either:
-        // it routes by the body's content hash.
-        let body = r#"{"program":"/etc/hostname","machine":"tiny"}"#;
-        assert_eq!(routing_fingerprint(body), fnv1a(body.as_bytes()));
+        // Routing never reads the program: a spec naming a file under the
+        // working directory keeps its route when the file's content changes.
+        struct Remove(&'static str);
+        impl Drop for Remove {
+            fn drop(&mut self) {
+                std::fs::remove_file(self.0).ok();
+            }
+        }
+        let file = Remove("routing-fingerprint-test.cfasm");
+        let body = format!(r#"{{"program":"{}","machine":"tiny"}}"#, file.0);
+        let program =
+            |n: usize| format!(".tensor a [{n}x{n}]\n.tensor c [{n}x{n}]\nMatMul a, a -> c\n");
+        std::fs::write(file.0, program(8)).unwrap();
+        let before = routing_fingerprint(&body);
+        std::fs::write(file.0, program(16)).unwrap();
+        assert_eq!(routing_fingerprint(&body), before);
     }
 
     // -- JobApi -------------------------------------------------------------
@@ -1054,7 +1044,7 @@ mod tests {
     fn submit_wait_roundtrip_renders_a_record() {
         let api = JobApi::new(test_runtime(LoadPolicy::default()), DEFAULT_MAX_BODY_BYTES);
         let ok = api
-            .submit_body(r#"{"workload":"matmul","order":32,"machine":"tiny","label":"t"}"#)
+            .submit_body(r#"{"workload":"matmul","order":32,"machine":"tiny","label":"t"}"#, None)
             .unwrap();
         let SubmitOk::One(id) = ok else { panic!("{ok:?}") };
         let JobWait::Done(record) = api.wait(id, Duration::from_secs(30)).unwrap() else {
@@ -1077,7 +1067,7 @@ mod tests {
         let api = JobApi::new(Arc::clone(&runtime), DEFAULT_MAX_BODY_BYTES);
         let root = TraceContext::mint();
         let ok = api
-            .submit_body_traced(r#"{"workload":"matmul","order":32,"machine":"tiny"}"#, Some(root))
+            .submit_body(r#"{"workload":"matmul","order":32,"machine":"tiny"}"#, Some(root))
             .unwrap();
         let SubmitOk::One(id) = ok else { panic!("{ok:?}") };
 
@@ -1110,7 +1100,7 @@ mod tests {
 
         // Untraced submissions carry no context and no attribution.
         let SubmitOk::One(plain) =
-            api.submit_body(r#"{"workload":"matmul","order":48,"machine":"tiny"}"#).unwrap()
+            api.submit_body(r#"{"workload":"matmul","order":48,"machine":"tiny"}"#, None).unwrap()
         else {
             panic!()
         };
@@ -1130,8 +1120,8 @@ mod tests {
         });
         let api = JobApi::new(Arc::clone(&runtime), DEFAULT_MAX_BODY_BYTES);
         let spec = r#"{"workload":"matmul","order":32,"machine":"tiny"}"#;
-        let SubmitOk::One(a) = api.submit_body(spec).unwrap() else { panic!() };
-        let SubmitOk::One(b) = api.submit_body(spec).unwrap() else { panic!() };
+        let SubmitOk::One(a) = api.submit_body(spec, None).unwrap() else { panic!() };
+        let SubmitOk::One(b) = api.submit_body(spec, None).unwrap() else { panic!() };
         assert_ne!(a, b);
         let stats = runtime.stats();
         assert_eq!(stats.api_accepted.load(Ordering::Relaxed), 2);
@@ -1159,8 +1149,9 @@ mod tests {
             let _ = hold_rx.recv();
         });
         let api = JobApi::new(Arc::clone(&runtime), DEFAULT_MAX_BODY_BYTES);
-        let err =
-            api.submit_body(r#"{"workload":"matmul","order":32,"machine":"tiny"}"#).unwrap_err();
+        let err = api
+            .submit_body(r#"{"workload":"matmul","order":32,"machine":"tiny"}"#, None)
+            .unwrap_err();
         let SubmitError::Shed { retry_after_s, message } = err else { panic!("{err:?}") };
         assert!(retry_after_s >= 1);
         assert!(message.contains("shed"), "{message}");
@@ -1178,7 +1169,7 @@ mod tests {
             {"workload":"matmul","order":48,"machine":"tiny","label":"b"},
             {"workload":"matmul","order":32,"machine":"tiny","mode":"exec","seed":7,"label":"c"}
         ]"#;
-        let SubmitOk::Many(ids) = api.submit_body(body).unwrap() else { panic!() };
+        let SubmitOk::Many(ids) = api.submit_body(body, None).unwrap() else { panic!() };
         assert_eq!(ids.len(), 3);
         for (&id, label) in ids.iter().zip(["a", "b", "c"]) {
             let JobWait::Done(record) = api.wait(id, Duration::from_secs(30)).unwrap() else {
@@ -1188,10 +1179,11 @@ mod tests {
             assert!(record.contains("\"ok\":true"), "{record}");
         }
         // One malformed element rejects the whole array, accepting none.
-        let before = api.runtime().stats().api_accepted.load(Ordering::Relaxed);
-        let err = api.submit_body(r#"[{"workload":"matmul"},{"workload":"nope"}]"#).unwrap_err();
+        let before = api.runtime.stats().api_accepted.load(Ordering::Relaxed);
+        let err =
+            api.submit_body(r#"[{"workload":"matmul"},{"workload":"nope"}]"#, None).unwrap_err();
         assert!(matches!(err, SubmitError::Bad(ref m) if m.contains("jobs[1]")), "{err:?}");
-        assert_eq!(api.runtime().stats().api_accepted.load(Ordering::Relaxed), before);
+        assert_eq!(api.runtime.stats().api_accepted.load(Ordering::Relaxed), before);
     }
 
     #[test]

@@ -1,10 +1,7 @@
-//! Batch helpers: running design-space sweeps and labelled job suites
-//! (such as the paper-experiment harness) through the pool.
+//! Batch helper: running labelled job suites (such as the
+//! paper-experiment harness) through the pool.
 
-use std::sync::Arc;
 use std::time::Instant;
-
-use cf_model::designspace::{self, Design, DesignReport};
 
 use crate::job::{JobError, JobHandle};
 use crate::scheduler::Runtime;
@@ -52,33 +49,10 @@ where
         .collect()
 }
 
-/// Evaluates every design in `designs` concurrently (Table 4 sweep),
-/// returning reports in input order.
-///
-/// The programs are shared across jobs behind an `Arc`; design evaluation
-/// itself goes straight to the planner (design reports carry power/area,
-/// not just timing, so they are not [`PlanCache`](crate::PlanCache)
-/// entries).
-pub fn sweep_designs(
-    runtime: &Runtime,
-    designs: Vec<Design>,
-    programs: Arc<Vec<cf_isa::Program>>,
-) -> Vec<Result<DesignReport, JobError>> {
-    let handles: Vec<JobHandle<Result<DesignReport, cf_core::CoreError>>> = designs
-        .into_iter()
-        .map(|design| {
-            let programs = Arc::clone(&programs);
-            runtime.submit_task(move || designspace::evaluate(&design, &programs))
-        })
-        .collect();
-    handles.into_iter().map(|h| h.join().and_then(|r| r.map_err(JobError::Sim))).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::RuntimeConfig;
-    use cf_isa::{Opcode, ProgramBuilder};
 
     #[test]
     fn run_batch_preserves_order_and_times() {
@@ -94,23 +68,6 @@ mod tests {
             assert_eq!(o.label, format!("job{i}"));
             assert_eq!(*o.result.as_ref().unwrap(), (i * i) as u32);
             assert!(o.seconds >= 0.0);
-        }
-    }
-
-    #[test]
-    fn sweep_designs_matches_direct_evaluation() {
-        let rt = Runtime::new(RuntimeConfig { workers: 2, ..Default::default() });
-        let mut b = ProgramBuilder::new();
-        let a = b.alloc("a", vec![512, 512]);
-        let w = b.alloc("w", vec![512, 512]);
-        b.apply(Opcode::MatMul, [a, w]).unwrap();
-        let programs = Arc::new(vec![b.build()]);
-        let designs = designspace::table4_designs();
-
-        let concurrent = sweep_designs(&rt, designs.clone(), Arc::clone(&programs));
-        for (design, got) in designs.iter().zip(&concurrent) {
-            let want = designspace::evaluate(design, &programs).unwrap();
-            assert_eq!(got.as_ref().unwrap(), &want);
         }
     }
 }

@@ -48,7 +48,7 @@ impl CacheKey {
 
     /// A single-`u64` digest of the key, used as the span token for
     /// cache trace events.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         self.machine ^ self.program.rotate_left(32)
     }
 }
@@ -56,7 +56,7 @@ impl CacheKey {
 /// FNV-1a content checksum of a report, stored next to every cache entry
 /// and re-verified on each hit so corrupted entries are detected instead
 /// of served.
-pub fn report_checksum(report: &PerfReport) -> u64 {
+pub(crate) fn report_checksum(report: &PerfReport) -> u64 {
     // `Debug` for floats round-trips exactly, so the rendering is a
     // faithful (if verbose) content encoding.
     fnv1a(format!("{report:?}").as_bytes())
@@ -109,32 +109,23 @@ impl PlanCache {
 
     /// [`new`](PlanCache::new) with a shared tracer: verifying lookups
     /// emit hit/miss/corrupt span events and lookup-latency samples.
-    pub fn with_tracer(capacity: usize, tracer: Arc<Tracer>) -> Self {
+    pub(crate) fn with_tracer(capacity: usize, tracer: Arc<Tracer>) -> Self {
         PlanCache { inner: Mutex::new(Inner::default()), capacity, tracer }
     }
 
     /// The configured capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
     /// Number of cached reports.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         sync::lock(&self.inner).map.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Looks up a report, refreshing its recency on a hit; corrupt
-    /// entries read as misses (see [`get_verified`](PlanCache::get_verified)).
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<PerfReport>> {
-        match self.get_verified(key) {
-            CacheLookup::Hit(report) => Some(report),
-            CacheLookup::Miss | CacheLookup::Corrupt => None,
-        }
     }
 
     /// Looks up a report and re-verifies its content checksum. A mismatch
@@ -182,7 +173,12 @@ impl PlanCache {
     /// the fault-injection layer passes a wrong one to model a corrupted
     /// fill that the next [`get_verified`](PlanCache::get_verified) must
     /// catch.
-    pub fn insert_with_checksum(&self, key: CacheKey, value: Arc<PerfReport>, checksum: u64) {
+    pub(crate) fn insert_with_checksum(
+        &self,
+        key: CacheKey,
+        value: Arc<PerfReport>,
+        checksum: u64,
+    ) {
         if self.capacity == 0 {
             return;
         }
@@ -196,11 +192,6 @@ impl PlanCache {
             }
         }
         inner.map.insert(key, Entry { value, checksum, last_used: tick });
-    }
-
-    /// Drops every cached report.
-    pub fn clear(&self) {
-        sync::lock(&self.inner).map.clear();
     }
 }
 
@@ -232,9 +223,9 @@ mod tests {
         let r = report(64);
         let cfg = MachineConfig::cambricon_f1();
         let k = CacheKey::new(&cfg, &matmul(64));
-        assert!(cache.get(&k).is_none());
+        assert!(matches!(cache.get_verified(&k), CacheLookup::Miss));
         cache.insert(k, Arc::clone(&r));
-        let hit = cache.get(&k).unwrap();
+        let CacheLookup::Hit(hit) = cache.get_verified(&k) else { panic!("expected a hit") };
         assert!(Arc::ptr_eq(&hit, &r));
     }
 
@@ -245,12 +236,12 @@ mod tests {
         cache.insert(key(1), Arc::clone(&r));
         cache.insert(key(2), Arc::clone(&r));
         // Touch 1 so 2 becomes the LRU victim.
-        assert!(cache.get(&key(1)).is_some());
+        assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Hit(_)));
         cache.insert(key(3), Arc::clone(&r));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1)).is_some());
-        assert!(cache.get(&key(2)).is_none());
-        assert!(cache.get(&key(3)).is_some());
+        assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Hit(_)));
+        assert!(matches!(cache.get_verified(&key(2)), CacheLookup::Miss));
+        assert!(matches!(cache.get_verified(&key(3)), CacheLookup::Hit(_)));
     }
 
     #[test]
@@ -261,7 +252,7 @@ mod tests {
         cache.insert(key(2), Arc::clone(&r));
         cache.insert(key(2), Arc::clone(&r));
         assert_eq!(cache.len(), 2);
-        assert!(cache.get(&key(1)).is_some());
+        assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Hit(_)));
     }
 
     #[test]
@@ -269,7 +260,7 @@ mod tests {
         let cache = PlanCache::new(0);
         cache.insert(key(1), report(32));
         assert!(cache.is_empty());
-        assert!(cache.get(&key(1)).is_none());
+        assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Miss));
     }
 
     #[test]
@@ -280,10 +271,9 @@ mod tests {
         assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Corrupt));
         // The corrupt entry was evicted: further lookups are plain misses.
         assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Miss));
-        assert!(cache.get(&key(1)).is_none());
         // A clean re-insert heals the key.
         cache.insert(key(1), r);
-        assert!(cache.get(&key(1)).is_some());
+        assert!(matches!(cache.get_verified(&key(1)), CacheLookup::Hit(_)));
     }
 
     #[test]

@@ -221,7 +221,7 @@ impl FaultSpec {
     /// The canonical `--fault-spec` text of the job sites: every key, in
     /// a fixed order, so [`FaultSpec::parse`] reads it back unchanged.
     /// The journal fingerprints this text, not the struct's layout.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut spec = self.clone();
         let pairs: Vec<String> = JOB_KEYS
             .keys
@@ -295,12 +295,12 @@ impl FaultPlan {
     }
 
     /// The plan's seed.
-    pub fn seed(&self) -> u64 {
+    pub(crate) fn seed(&self) -> u64 {
         self.seed
     }
 
     /// The per-site rates.
-    pub fn spec(&self) -> &FaultSpec {
+    pub(crate) fn spec(&self) -> &FaultSpec {
         &self.spec
     }
 
@@ -312,7 +312,7 @@ impl FaultPlan {
     /// [`crate::netfault`]); `attempt` is the retry attempt (0-based);
     /// `op` numbers sub-decisions inside one attempt (the DMA transfer
     /// index for [`FaultSite::MemFault`], 0 elsewhere).
-    pub fn fires_at(&self, site: FaultSite, token: u64, attempt: u32, op: u64) -> bool {
+    pub(crate) fn fires_at(&self, site: FaultSite, token: u64, attempt: u32, op: u64) -> bool {
         let rate = self.spec.rate(site);
         if rate <= 0.0 {
             return false;
@@ -326,7 +326,7 @@ impl FaultPlan {
         unit < rate
     }
 
-    /// [`fires_at`](FaultPlan::fires_at) with `op = 0` — the common
+    /// `fires_at` with `op = 0` — the common
     /// per-attempt decision.
     pub fn fires(&self, site: FaultSite, token: u64, attempt: u32) -> bool {
         self.fires_at(site, token, attempt, 0)
@@ -334,7 +334,7 @@ impl FaultPlan {
 
     /// Deterministic jitter in `[0, 1)` for backoff randomisation, keyed
     /// like a fault decision so retried attempts spread out reproducibly.
-    pub fn jitter(&self, token: u64, attempt: u32) -> f64 {
+    pub(crate) fn jitter(&self, token: u64, attempt: u32) -> f64 {
         let h = mix(mix(mix(self.seed, 0x6A), token), u64::from(attempt));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
@@ -352,7 +352,7 @@ pub(crate) fn mix(state: u64, value: u64) -> u64 {
 /// FNV-1a over a byte slice — the content checksum the plan cache stores
 /// next to every entry (corrupt hits fail the comparison and fall back to
 /// recomputation).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

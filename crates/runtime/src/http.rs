@@ -15,7 +15,7 @@
 //!   over the body — parse errors included.
 //! * **Client side.** The router reaches its backends through the
 //!   [`Connector`] seam: one blocking exchange returning the raw reply
-//!   bytes, so a decorator ([`crate::netfault::FaultConnector`]) can
+//!   bytes, so a decorator (`netfault::FaultConnector`) can
 //!   mangle them like a real network would. `request` renders what the
 //!   router sends; [`parse_reply`] holds every reply to the same
 //!   header-line and `Content-Length` rules as [`parse_request`], and
@@ -71,7 +71,7 @@ impl HttpRequest {
     }
 
     /// The target's query string, if any (without the `?`).
-    pub fn query(&self) -> Option<&str> {
+    pub(crate) fn query(&self) -> Option<&str> {
         self.target.split_once('?').map(|(_, q)| q)
     }
 
@@ -103,7 +103,7 @@ pub enum HttpParseError {
 
 impl HttpParseError {
     /// The HTTP status line this error maps to.
-    pub fn status(&self) -> &'static str {
+    pub(crate) fn status(&self) -> &'static str {
         match self {
             HttpParseError::BodyTooLarge { .. } => "413 Payload Too Large",
             _ => "400 Bad Request",
@@ -336,7 +336,7 @@ impl Response {
     }
 
     /// A JSON `{"error":…}` response.
-    pub fn error(status: &'static str, message: &str) -> Response {
+    pub(crate) fn error(status: &'static str, message: &str) -> Response {
         Response::json(status, format!("{{\"error\":{}}}", json_str(message)))
     }
 
@@ -349,12 +349,12 @@ impl Response {
     }
 
     /// A `405` naming the one method `allow`ed on the route.
-    pub fn method_not_allowed(allow: &'static str, message: &str) -> Response {
+    pub(crate) fn method_not_allowed(allow: &'static str, message: &str) -> Response {
         Response { allow: Some(allow), ..Response::error("405 Method Not Allowed", message) }
     }
 
     /// A `200` Prometheus text exposition.
-    pub fn prometheus(body: String) -> Response {
+    pub(crate) fn prometheus(body: String) -> Response {
         Response {
             content_type: "text/plain; version=0.0.4; charset=utf-8",
             ..Response::json("200 OK", body)
@@ -500,7 +500,7 @@ impl CancelSlot {
 
 /// The router's wire seam: one blocking HTTP/1.1 exchange returning the
 /// **raw response bytes** (parsing happens above the seam, so a
-/// decorator — [`crate::netfault::FaultConnector`] — can refuse, delay,
+/// decorator — `netfault::FaultConnector` — can refuse, delay,
 /// tear, garble, or corrupt at the byte level exactly like a real
 /// network would).
 pub trait Connector: Send + Sync + std::fmt::Debug {

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use cf_core::{CoreError, PerfReport};
 use cf_tensor::fingerprint::StableHasher;
@@ -145,7 +145,7 @@ pub enum JobOutput {
 
 impl JobOutput {
     /// The simulate-job payload of a performance report.
-    pub fn from_report(r: &PerfReport) -> JobOutput {
+    pub(crate) fn from_report(r: &PerfReport) -> JobOutput {
         JobOutput::Sim {
             makespan_s: r.makespan_seconds,
             steady_s: r.steady_seconds,
@@ -156,7 +156,7 @@ impl JobOutput {
     }
 
     /// The exec-job payload of a final memory image.
-    pub fn from_memory(memory: &[f32]) -> JobOutput {
+    pub(crate) fn from_memory(memory: &[f32]) -> JobOutput {
         let mut hasher = StableHasher::new();
         for v in memory {
             hasher.write_f32(*v);
@@ -167,9 +167,8 @@ impl JobOutput {
 
 /// A handle to one submitted job — a blocking future.
 ///
-/// The result is retrieved exactly once with [`join`](JobHandle::join)
-/// (or [`join_timeout`](JobHandle::join_timeout)); dropping the handle
-/// detaches the job, which still runs to completion.
+/// The result is retrieved exactly once with [`join`](JobHandle::join);
+/// dropping the handle detaches the job, which still runs to completion.
 pub struct JobHandle<T> {
     pub(crate) shared: Arc<Shared<T>>,
 }
@@ -195,12 +194,12 @@ impl<T> JobHandle<T> {
     }
 
     /// The runtime-unique job id (submission order).
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         self.shared.id
     }
 
     /// Whether a result is already available.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         crate::sync::lock(&self.shared.state).is_some()
     }
 
@@ -224,24 +223,6 @@ impl<T> JobHandle<T> {
                 return result;
             }
             state = crate::sync::wait(&self.shared.done, state);
-        }
-    }
-
-    /// Blocks up to `timeout` for the result; `Err(self)` gives the handle
-    /// back on timeout so the caller can keep waiting or cancel.
-    pub fn join_timeout(self, timeout: Duration) -> Result<Result<T, JobError>, Self> {
-        let deadline = Instant::now() + timeout;
-        let mut state = crate::sync::lock(&self.shared.state);
-        loop {
-            if let Some(result) = state.take() {
-                return Ok(result);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                drop(state);
-                return Err(self);
-            }
-            state = crate::sync::wait_timeout(&self.shared.done, state, deadline - now);
         }
     }
 }
@@ -293,14 +274,6 @@ mod tests {
         });
         assert_eq!(handle.join().unwrap(), 99);
         t.join().unwrap();
-    }
-
-    #[test]
-    fn join_timeout_returns_handle_then_result() {
-        let (handle, shared) = JobHandle::<u32>::new(0);
-        let handle = handle.join_timeout(Duration::from_millis(10)).unwrap_err();
-        shared.complete(Err(JobError::Cancelled));
-        assert_eq!(handle.join(), Err(JobError::Cancelled));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! and fsync'd before each append returns (a batch of records shares one
 //! write and one fdatasync), so the file is always a valid prefix of the
 //! run plus at most one torn trailing line. Every line carries an
-//! FNV-1a content checksum (the same [`fnv1a`] the plan cache uses), so
+//! FNV-1a content checksum (the same `fnv1a` the plan cache uses), so
 //! a torn or corrupted tail is *detected and truncated* on resume rather
 //! than silently replayed:
 //!
@@ -471,7 +471,7 @@ pub struct CompactionStats {
 
 impl CompactionStats {
     /// Bytes the rewrite gave back.
-    pub fn reclaimed(&self) -> u64 {
+    pub(crate) fn reclaimed(&self) -> u64 {
         self.bytes_before.saturating_sub(self.bytes_after)
     }
 }
@@ -532,7 +532,7 @@ pub struct Recovery {
     /// cleanly-closed journal).
     pub truncated_bytes: u64,
     /// The resume-time compaction, when
-    /// [`Journal::resume_opts`]'s threshold triggered one.
+    /// `Journal::resume_opts`'s threshold triggered one.
     pub compaction: Option<CompactionStats>,
 }
 
@@ -609,7 +609,7 @@ impl Journal {
     /// [`JournalError::TruncatedHeader`] when the file is non-empty but
     /// ends inside its first line — a crash tore the run-identity header
     /// itself, so there is no run to verify against.
-    pub fn resume_opts(
+    pub(crate) fn resume_opts(
         path: &Path,
         header: &RunHeader,
         compact_threshold: u64,
@@ -706,7 +706,7 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalError::Io`] on any filesystem failure.
-    pub fn compact(&mut self) -> Result<CompactionStats, JournalError> {
+    pub(crate) fn compact(&mut self) -> Result<CompactionStats, JournalError> {
         let mut bytes = Vec::new();
         File::open(&self.path)
             .and_then(|mut f| f.read_to_end(&mut bytes))
@@ -745,7 +745,7 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalError::Io`] on any filesystem failure.
-    pub fn maybe_compact(
+    pub(crate) fn maybe_compact(
         &mut self,
         threshold: u64,
     ) -> Result<Option<CompactionStats>, JournalError> {
@@ -829,7 +829,7 @@ impl Journal {
     /// # Errors
     ///
     /// [`JournalError::Io`] on any filesystem failure.
-    pub fn sync(&mut self) -> Result<(), JournalError> {
+    pub(crate) fn sync(&mut self) -> Result<(), JournalError> {
         self.file.sync_data().map_err(|e| io_err(&self.path, &e))
     }
 
@@ -856,24 +856,13 @@ impl Journal {
 
     /// Bytes this handle has appended (header included for fresh
     /// journals; 0 right after a resume).
-    pub fn bytes_appended(&self) -> u64 {
+    pub(crate) fn bytes_appended(&self) -> u64 {
         self.bytes
     }
 
     /// Current on-disk length of the journal file.
     pub fn file_len(&self) -> u64 {
         self.file_bytes
-    }
-
-    /// Bytes currently held by failed-entry lines — what a compaction
-    /// would reclaim.
-    pub fn reclaimable_bytes(&self) -> u64 {
-        self.reclaimable
-    }
-
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -1145,7 +1134,7 @@ mod tests {
         journal.append(&failed_entry(1)).unwrap();
         let before = journal.file_len();
         assert_eq!(before, std::fs::metadata(&path).unwrap().len());
-        assert!(journal.reclaimable_bytes() > 0);
+        assert!(journal.reclaimable > 0);
 
         // Below the threshold: no rewrite.
         assert_eq!(journal.maybe_compact(u64::MAX).unwrap(), None);
@@ -1154,7 +1143,7 @@ mod tests {
         assert_eq!(stats.dropped, 1);
         assert_eq!(journal.file_len(), stats.bytes_after);
         assert_eq!(journal.file_len(), std::fs::metadata(&path).unwrap().len());
-        assert_eq!(journal.reclaimable_bytes(), 0);
+        assert_eq!(journal.reclaimable, 0);
         // Nothing left to reclaim: no further rewrite.
         assert_eq!(journal.maybe_compact(1).unwrap(), None);
 
@@ -1243,9 +1232,9 @@ mod tests {
         let mut journal = Journal::create(&path, &h).unwrap();
         journal.append_accept(&AcceptedEntry { index: 0, spec: "workload=matmul".into() }).unwrap();
         journal.append_accept(&AcceptedEntry { index: 1, spec: "workload=mlp3".into() }).unwrap();
-        assert_eq!(journal.reclaimable_bytes(), 0, "pending accepts are not reclaimable");
+        assert_eq!(journal.reclaimable, 0, "pending accepts are not reclaimable");
         journal.append(&sim_entry(0)).unwrap();
-        assert!(journal.reclaimable_bytes() > 0, "a settled accept becomes reclaimable");
+        assert!(journal.reclaimable > 0, "a settled accept becomes reclaimable");
         drop(journal);
 
         let (_journal, recovery) = Journal::resume(&path, &h).unwrap();

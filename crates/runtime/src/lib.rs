@@ -7,15 +7,14 @@
 //! * [`Runtime`] — a bounded submission queue feeding a `std::thread`
 //!   worker pool; every submission returns a [`JobHandle`] with
 //!   deadlines, cancellation and graceful shutdown.
-//! * [`PlanCache`] — an LRU over finished [`PerfReport`]s keyed by
+//! * [`PlanCache`](cache::PlanCache) — an LRU over finished [`PerfReport`]s keyed by
 //!   `(machine fingerprint, program content hash)`, so repeated
 //!   simulations of the same workload skip the fractal planner and
 //!   pipeline model entirely. Simulation is a pure function of machine
 //!   structure and program content, which is what makes the cache exact;
 //!   functional execution is not (it reads memory contents) and bypasses
 //!   the cache — see DESIGN.md §6.
-//! * [`batch`] — fan-out helpers for design-space sweeps
-//!   ([`batch::sweep_designs`]) and labelled job suites
+//! * [`batch`] — fan-out of labelled job suites
 //!   ([`batch::run_batch`], used by the experiment harness).
 //! * [`manifest`] — the `cfserve` job-manifest grammar and builtin
 //!   workload registry.
@@ -52,7 +51,7 @@
 //!   records dropped, checksummed framing preserved — on resume and
 //!   during live runs. See DESIGN.md §8.
 //! * [`http`] — the one HTTP/1.1 layer under every server and client
-//!   above: one request reader, one [`Response`] writer (exact
+//!   above: one request reader, one [`Response`](http::Response) writer (exact
 //!   `Content-Length`, `X-CF-Digest` on every answer), one reply parser,
 //!   and the router's [`Connector`] seam. See DESIGN.md §8.
 //! * [`api`] — the HTTP job subsystem behind `POST /jobs`: JSON job
@@ -63,7 +62,7 @@
 //!   `GET /jobs/<id>` byte-identically to the manifest serving path.
 //!   See DESIGN.md §9.
 //! * [`router`] — the fleet layer: a consistent-hash [`Router`] front
-//!   door (`cfrouter`) sharding jobs by plan-cache fingerprint across
+//!   door (`cfrouter`) sharding jobs by canonical spec across
 //!   N `cfserve` backends, with a background health prober
 //!   (eject/readmit), failover to ring replicas with bounded backoff,
 //!   hedged duplicates past a latency quantile, per-backend circuit
@@ -83,11 +82,11 @@
 //!   ([`serve::verify_record_json`]); the router rejects mismatches and
 //!   quarantines repeat offenders. See DESIGN.md §11.
 //! * [`trace`] — fleet-wide distributed tracing: the router mints a
-//!   [`TraceContext`] per accepted job and propagates it as the
+//!   [`TraceContext`](trace::TraceContext) per accepted job and propagates it as the
 //!   `X-CF-Trace` header; backends attach it to their span ring so
 //!   `GET /trace/<trace-id>` on the router can assemble one merged,
 //!   causally-ordered Chrome trace across every process, and finished
-//!   records carry an [`Attribution`] latency breakdown feeding the
+//!   records carry an [`Attribution`](trace::Attribution) latency breakdown feeding the
 //!   router's `cf_slo_*` burn-rate series. See DESIGN.md §16.
 //!
 //! # Example
@@ -136,26 +135,18 @@ pub mod supervisor;
 pub(crate) mod sync;
 pub mod trace;
 
-pub use api::{ApiResume, JobApi, JobWait, SubmitError, SubmitOk};
-pub use cache::{report_checksum, CacheKey, CacheLookup, PlanCache};
+pub use api::{JobApi, JobWait, SubmitOk};
+pub use cache::CacheKey;
 pub use fault::{FaultPlan, FaultSite, FaultSpec};
-pub use http::{
-    digest_ok, parse_reply, CancelSlot, Connector, HttpParseError, HttpRequest, Reply, Response,
-    TcpConnector,
-};
+pub use http::{Connector, Reply, TcpConnector};
 pub use job::{JobError, JobHandle, JobOptions};
-pub use journal::{
-    CompactionStats, JobEntry, Journal, JournalError, Record, RecordError, RunHeader,
-};
-pub use netfault::{FaultConnector, FaultProxy, NetFault, WireFaults};
-pub use obs::{LatencyHistogram, Obs, ProfileAgg, SpanEvent, SpanKind, Stage, Tracer};
-pub use router::{BackendHealth, Ring, Router, RouterConfig, RouterServer};
-pub use scheduler::{ExecResult, JobDone, LoadPolicy, Runtime, RuntimeConfig, SimResult};
-pub use serve::{
-    JobOutput, JobRecord, JournalOptions, ServeError, ServeOptions, ServeReport,
-    DEFAULT_COMPACT_THRESHOLD,
-};
-pub use stats::{RouterStats, RuntimeStats, StatsSnapshot, WorkerSnapshot};
+pub use journal::{JobEntry, JournalError, Record, RunHeader};
+pub use netfault::{FaultProxy, NetFault, WireFaults};
+pub use obs::{Obs, Tracer};
+pub use router::{Router, RouterConfig, RouterServer};
+pub use scheduler::{LoadPolicy, Runtime, RuntimeConfig, SimResult};
+pub use serve::{JobOutput, ServeOptions, ServeReport};
+pub use stats::{RuntimeStats, StatsSnapshot};
 pub use status::StatusServer;
 pub use supervisor::{next_retry, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy};
-pub use trace::{Attribution, TraceContext, ATTRIBUTION_HEADER, TRACE_HEADER};
+pub use trace::TRACE_HEADER;

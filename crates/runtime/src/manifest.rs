@@ -49,7 +49,7 @@ pub fn machine_by_name(name: &str) -> Option<MachineConfig> {
 }
 
 /// Builtin workload generator names accepted by `workload=`.
-pub const WORKLOAD_NAMES: [&str; 8] =
+pub(crate) const WORKLOAD_NAMES: [&str; 8] =
     ["matmul", "vgg16", "resnet152", "alexnet", "mlp3", "knn", "kmeans", "svm"];
 
 /// What a job does with its program.
@@ -71,7 +71,7 @@ pub enum ProgramSource {
     File(String),
     /// A builtin generator from `cf-workloads`.
     Builtin {
-        /// Generator name (see [`WORKLOAD_NAMES`]).
+        /// Generator name (see `WORKLOAD_NAMES`).
         name: String,
         /// Batch size for net workloads.
         batch: usize,
@@ -188,8 +188,16 @@ pub enum ManifestError {
         /// Manifest line.
         line: usize,
     },
-    /// An exec job whose host footprint exceeds [`MAX_EXEC_BYTES`]; see
-    /// [`check_exec_footprint`].
+    /// A `batch=` or `order=` so large that the program's element count
+    /// overflows `u64` bytes.
+    ExtentOverflow {
+        /// The key whose value is too large.
+        key: String,
+        /// Manifest line.
+        line: usize,
+    },
+    /// An exec job whose host footprint exceeds `MAX_EXEC_BYTES`; see
+    /// `check_exec_footprint`.
     ExecTooLarge {
         /// The job's external memory in bytes (`extern_elems × 4`).
         bytes: u64,
@@ -230,16 +238,6 @@ pub enum ManifestError {
     },
 }
 
-impl ManifestError {
-    /// The underlying grammar error, unwrapping [`ManifestError::BadLine`].
-    pub fn reason(&self) -> &ManifestError {
-        match self {
-            ManifestError::BadLine { reason, .. } => reason,
-            other => other,
-        }
-    }
-}
-
 impl fmt::Display for ManifestError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -261,6 +259,9 @@ impl fmt::Display for ManifestError {
             }
             ManifestError::ZeroDimension { key, line } => {
                 write!(f, "line {line}: `{key}` must be at least 1 (it sizes a tensor dimension)")
+            }
+            ManifestError::ExtentOverflow { key, line } => {
+                write!(f, "line {line}: `{key}` overflows the program's element count")
             }
             ManifestError::ExecTooLarge { bytes, line } => write!(
                 f,
@@ -419,6 +420,12 @@ fn parse_line(line: &str, line_no: usize) -> Result<JobSpec, ManifestError> {
             if !WORKLOAD_NAMES.contains(&name.as_str()) {
                 return Err(ManifestError::UnknownWorkload { name, line: line_no });
             }
+            // Rejected here as well: the generators count elements and
+            // bytes unchecked, so an extent whose count passes `u64`
+            // would wrap (release) or panic (debug) wherever it resolves.
+            if let Some(key) = overflowing_extent(&name, batch, order) {
+                return Err(ManifestError::ExtentOverflow { key: key.to_string(), line: line_no });
+            }
             let default_label = name.clone();
             (ProgramSource::Builtin { name, batch, order, size }, default_label)
         }
@@ -452,7 +459,7 @@ fn parse_line(line: &str, line_no: usize) -> Result<JobSpec, ManifestError> {
 /// a spec like `workload=matmul order=200000 mode=exec` (480 GB) would
 /// abort the process. The largest exec spec the repo runs,
 /// `workload=svm size=paper`, needs 7.52 GB.
-pub const MAX_EXEC_BYTES: u64 = 8 << 30;
+pub(crate) const MAX_EXEC_BYTES: u64 = 8 << 30;
 
 /// The host bytes a program's external memory occupies
 /// (`extern_elems × 4`): what an exec job allocates and what admission
@@ -469,7 +476,7 @@ pub(crate) fn footprint_bytes(program: &Program) -> u64 {
 /// # Errors
 ///
 /// [`ManifestError::ExecTooLarge`] with the spec's line.
-pub fn check_exec_footprint(spec: &JobSpec, program: &Program) -> Result<(), ManifestError> {
+pub(crate) fn check_exec_footprint(spec: &JobSpec, program: &Program) -> Result<(), ManifestError> {
     let bytes = footprint_bytes(program);
     match spec.kind {
         JobKind::Exec { .. } if bytes > MAX_EXEC_BYTES => {
@@ -486,7 +493,7 @@ pub fn check_exec_footprint(spec: &JobSpec, program: &Program) -> Result<(), Man
 ///
 /// # Errors
 ///
-/// [`resolve_program`] and [`check_exec_footprint`] failures, and
+/// [`resolve_program`] and `check_exec_footprint` failures, and
 /// [`ManifestError::UnknownMachine`] for a spec that skipped
 /// [`parse_manifest`]'s validation.
 pub fn resolve(spec: &JobSpec) -> Result<Job, ManifestError> {
@@ -513,15 +520,15 @@ pub fn resolve(spec: &JobSpec) -> Result<Job, ManifestError> {
 /// The largest program file [`resolve_program`] reads: 4 MiB of FISA
 /// assembly, far above any program the repo renders, so a path that
 /// names a device or a huge file fails instead of growing memory.
-pub const MAX_PROGRAM_BYTES: u64 = 4 << 20;
+pub(crate) const MAX_PROGRAM_BYTES: u64 = 4 << 20;
 
 /// Materialises a job's program (reads and parses the file, at most
-/// [`MAX_PROGRAM_BYTES`] of it, or runs the builtin generator).
+/// `MAX_PROGRAM_BYTES` of it, or runs the builtin generator).
 ///
 /// # Errors
 ///
-/// I/O, size, assembly-parse and program-build failures, tagged with the
-/// source.
+/// I/O, size, assembly-parse and program-build failures, and a program
+/// with no instructions, tagged with the source.
 pub fn resolve_program(source: &ProgramSource) -> Result<Program, ManifestError> {
     match source {
         ProgramSource::File(path) => {
@@ -533,7 +540,11 @@ pub fn resolve_program(source: &ProgramSource) -> Result<Program, ManifestError>
             if text.len() as u64 > MAX_PROGRAM_BYTES {
                 return Err(err(format!("larger than the {MAX_PROGRAM_BYTES}-byte program limit")));
             }
-            cf_isa::parse_program(&text).map_err(|e| err(e.to_string()))
+            let program = cf_isa::parse_program(&text).map_err(|e| err(e.to_string()))?;
+            if program.instructions().is_empty() {
+                return Err(err("holds no instructions".to_string()));
+            }
+            Ok(program)
         }
         ProgramSource::Builtin { name, batch, order, size } => {
             let err = |message: String| ManifestError::Program { source: name.clone(), message };
@@ -544,23 +555,52 @@ pub fn resolve_program(source: &ProgramSource) -> Result<Program, ManifestError>
             };
             let built = match name.as_str() {
                 "matmul" => return Ok(nets::matmul_program(*order)),
-                "vgg16" => nets::build_program(&nets::vgg16(), *batch),
-                "resnet152" => nets::build_program(&nets::resnet152(), *batch),
-                "alexnet" => nets::build_program(&nets::alexnet(), *batch),
-                "mlp3" => nets::build_program(&nets::mlp3(), *batch),
                 "knn" => ml::knn_program(&ml_size, 5),
                 "kmeans" => ml::kmeans_program(&ml_size),
                 "svm" => ml::svm_program(&ml_size),
-                other => return Err(err(format!("unknown workload `{other}`"))),
+                other => match net(other) {
+                    Some(net) => nets::build_program(&net, *batch),
+                    None => return Err(err(format!("unknown workload `{other}`"))),
+                },
             };
             built.map_err(|e| err(e.to_string()))
         }
     }
 }
 
+/// The builtin net `name` names, if any.
+fn net(name: &str) -> Option<nets::NetDef> {
+    match name {
+        "vgg16" => Some(nets::vgg16()),
+        "resnet152" => Some(nets::resnet152()),
+        "alexnet" => Some(nets::alexnet()),
+        "mlp3" => Some(nets::mlp3()),
+        _ => None,
+    }
+}
+
+/// The extent key (`order` or `batch`) whose value makes builtin
+/// `name`'s external memory overflow `u64` bytes, if any.
+fn overflowing_extent(name: &str, batch: usize, order: usize) -> Option<&'static str> {
+    let (key, elements) = match (name, net(name)) {
+        ("matmul", _) => ("order", nets::matmul_elements(order)),
+        (_, Some(net)) => ("batch", net.program_elements(batch)),
+        _ => return None,
+    };
+    elements.and_then(|n| n.checked_mul(cf_tensor::ELEM_BYTES)).is_none().then_some(key)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The underlying grammar error, unwrapping [`ManifestError::BadLine`].
+    fn reason(err: &ManifestError) -> &ManifestError {
+        match err {
+            ManifestError::BadLine { reason, .. } => reason,
+            other => other,
+        }
+    }
 
     #[test]
     fn parses_workload_line_with_defaults() {
@@ -601,7 +641,7 @@ mod tests {
     #[test]
     fn unknown_machine_lists_valid_names() {
         let err = parse_manifest("workload=matmul machine=f2\n").unwrap_err();
-        assert_eq!(err.reason(), &ManifestError::UnknownMachine { name: "f2".into(), line: 1 });
+        assert_eq!(reason(&err), &ManifestError::UnknownMachine { name: "f2".into(), line: 1 });
         let msg = err.to_string();
         assert!(msg.contains("f1, f100, embedded, tiny"), "{msg}");
     }
@@ -609,23 +649,23 @@ mod tests {
     #[test]
     fn grammar_errors_carry_line_numbers() {
         assert_eq!(
-            parse_manifest("workload=matmul\nbogus\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=matmul\nbogus\n").unwrap_err()),
             &ManifestError::UnknownKey { key: "bogus".into(), line: 2 }
         );
         assert_eq!(
-            parse_manifest("workload=matmul repeat=x\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=matmul repeat=x\n").unwrap_err()),
             &ManifestError::BadValue { key: "repeat".into(), value: "x".into(), line: 1 }
         );
         assert_eq!(
-            parse_manifest("machine=f1\n").unwrap_err().reason(),
+            reason(&parse_manifest("machine=f1\n").unwrap_err()),
             &ManifestError::BadSource { line: 1 }
         );
         assert_eq!(
-            parse_manifest("workload=matmul program=x.cfasm\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=matmul program=x.cfasm\n").unwrap_err()),
             &ManifestError::BadSource { line: 1 }
         );
         assert_eq!(
-            parse_manifest("workload=nope\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=nope\n").unwrap_err()),
             &ManifestError::UnknownWorkload { name: "nope".into(), line: 1 }
         );
     }
@@ -651,11 +691,11 @@ mod tests {
         for key in ["order", "batch"] {
             let err = parse_manifest(&format!("workload=vgg16\nworkload=matmul label=m {key}=0\n"))
                 .unwrap_err();
-            assert_eq!(err.reason(), &ManifestError::ZeroDimension { key: key.into(), line: 2 });
+            assert_eq!(reason(&err), &ManifestError::ZeroDimension { key: key.into(), line: 2 });
             assert!(err.to_string().contains(&format!("`{key}` must be at least 1")), "{err}");
         }
         assert_eq!(
-            parse_manifest("workload=knn size=0\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=knn size=0\n").unwrap_err()),
             &ManifestError::BadValue { key: "size".into(), value: "0".into(), line: 1 }
         );
     }
@@ -680,7 +720,7 @@ mod tests {
         let err = parse_manifest("workload=matmul order=64\n# gap\nworkload=matmul order=128\n")
             .unwrap_err();
         assert_eq!(
-            err.reason(),
+            reason(&err),
             &ManifestError::DuplicateLabel { label: "matmul".into(), line: 3, previous: 1 }
         );
         let msg = err.to_string();
@@ -714,12 +754,12 @@ mod tests {
         assert_eq!(jobs[0].trace_json.as_deref(), Some("/tmp/t.json"));
 
         assert_eq!(
-            parse_manifest("workload=matmul profile=maybe\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=matmul profile=maybe\n").unwrap_err()),
             &ManifestError::BadValue { key: "profile".into(), value: "maybe".into(), line: 1 }
         );
         // Profiling is a simulate-mode concept.
         assert_eq!(
-            parse_manifest("workload=knn mode=exec profile=1\n").unwrap_err().reason(),
+            reason(&parse_manifest("workload=knn mode=exec profile=1\n").unwrap_err()),
             &ManifestError::BadValue { key: "profile".into(), value: "exec".into(), line: 1 }
         );
     }
@@ -728,10 +768,11 @@ mod tests {
     fn program_files_over_the_size_cap_are_refused() {
         let path =
             std::env::temp_dir().join(format!("cf-manifest-cap-{}.cfasm", std::process::id()));
-        let at_cap = ";".repeat(MAX_PROGRAM_BYTES as usize);
+        let program = ".tensor a [2x2]\n.tensor c [2x2]\nMatMul a, a -> c\n";
+        let at_cap = program.to_string() + &";".repeat(MAX_PROGRAM_BYTES as usize - program.len());
         std::fs::write(&path, &at_cap).unwrap();
         let source = ProgramSource::File(path.to_string_lossy().into_owned());
-        // A file of exactly the cap is read (and is an empty program).
+        // A file of exactly the cap is read (one instruction, then a comment).
         assert!(resolve_program(&source).is_ok());
         std::fs::write(&path, at_cap + ";").unwrap();
         let err = resolve_program(&source).unwrap_err();
@@ -751,6 +792,38 @@ mod tests {
             let program = resolve_program(&source).unwrap();
             assert!(!program.instructions().is_empty(), "{name}");
         }
+    }
+
+    #[test]
+    fn overflowing_extents_are_rejected_before_any_generator_runs() {
+        for (line, key) in [
+            ("workload=matmul order=4294967296 machine=f1", "order"),
+            ("workload=mlp3 batch=18446744073709551615", "batch"),
+        ] {
+            let err = parse_manifest(&format!("workload=mlp3\n{line}\n")).unwrap_err();
+            assert_eq!(reason(&err), &ManifestError::ExtentOverflow { key: key.into(), line: 2 });
+        }
+        // The bound is the element count itself, not a guessed cap:
+        // 3·order²·4 bytes fits up to order 1,239,850,262.
+        assert_eq!(overflowing_extent("matmul", 1, 1_239_850_262), None);
+        assert_eq!(overflowing_extent("matmul", 1, 1_239_850_263), Some("order"));
+        // A batch extent is ignored where no generator reads it.
+        assert_eq!(overflowing_extent("knn", usize::MAX, 1), None);
+        for name in ["vgg16", "resnet152", "alexnet", "mlp3"] {
+            let elements = |batch| net(name).and_then(|net| net.program_elements(batch)).unwrap();
+            let (per_item, fixed) = (elements(2) - elements(1), 2 * elements(1) - elements(2));
+            let largest = ((u64::MAX / cf_tensor::ELEM_BYTES - fixed) / per_item) as usize;
+            assert_eq!(overflowing_extent(name, largest, 1), None, "{name}");
+            assert_eq!(overflowing_extent(name, largest + 1, 1), Some("batch"), "{name}");
+        }
+    }
+
+    #[test]
+    fn programs_without_instructions_are_refused() {
+        // Unit tests run from the crate root.
+        let source = ProgramSource::File("../../assets/empty.cfasm".into());
+        let err = resolve_program(&source).unwrap_err();
+        assert!(err.to_string().contains("holds no instructions"), "{err}");
     }
 
     #[test]

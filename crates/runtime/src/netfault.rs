@@ -2,7 +2,7 @@
 //! [`crate::fault`] — seeded *network* faults between router and
 //! backends.
 //!
-//! Every wire decision is [`FaultPlan::fires_at`] on a wire
+//! Every wire decision is `FaultPlan::fires_at` on a wire
 //! [`FaultSite`], drawn by [`WireFaults::draw`]. The token is
 //! `mix(fnv1a(backend address), identity)`, where the request's identity
 //! hashes its method, target, headers and body with the `X-CF-Trace`
@@ -36,7 +36,7 @@
 //!   [`FaultSpec::trickle`](crate::FaultSpec) (slow-loris; timing-only).
 //!
 //! Two deployment shapes share the same draw: the in-process
-//! [`FaultConnector`] decorating the router's real dialer (the
+//! `FaultConnector` decorating the router's real dialer (the
 //! [`Connector`] seam in [`crate::http`]), and the standalone
 //! byte-level [`FaultProxy`] (`cfrouter --fault-proxy`, on the shared
 //! blocking [`AcceptLoop`]) for black-box end-to-end runs where the
@@ -144,7 +144,7 @@ impl AttemptLedger {
 }
 
 /// A fault plan and its attempt ledger: the one wire-fault draw that
-/// both [`FaultConnector`] and [`FaultProxy`] call.
+/// both `FaultConnector` and [`FaultProxy`] call.
 #[derive(Debug)]
 pub struct WireFaults {
     plan: FaultPlan,
@@ -184,7 +184,7 @@ impl WireFaults {
 /// A [`Connector`] decorator injecting the plan's wire faults over the
 /// real dialer — the router-side deployment of the netfault layer.
 #[derive(Debug)]
-pub struct FaultConnector {
+pub(crate) struct FaultConnector {
     inner: Arc<dyn Connector>,
     faults: WireFaults,
     /// Each dialled address's backend name; an unnamed address draws
@@ -195,12 +195,12 @@ pub struct FaultConnector {
 impl FaultConnector {
     /// Decorates `inner` with faults drawn from `plan`, each backend
     /// drawing under its address.
-    pub fn new(inner: Arc<dyn Connector>, plan: FaultPlan) -> FaultConnector {
+    pub(crate) fn new(inner: Arc<dyn Connector>, plan: FaultPlan) -> FaultConnector {
         FaultConnector { inner, faults: WireFaults::new(plan), names: HashMap::new() }
     }
 
     /// Draws each `(address, name)` pair's faults under its name.
-    pub fn with_names(mut self, names: impl IntoIterator<Item = (String, String)>) -> Self {
+    pub(crate) fn with_names(mut self, names: impl IntoIterator<Item = (String, String)>) -> Self {
         self.names.extend(names);
         self
     }

@@ -64,7 +64,7 @@ pub enum SpanKind {
 impl SpanKind {
     /// The event's stable wire name (kebab-case, used in `/trace` JSON
     /// and the `--trace` timeline).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             SpanKind::JobSubmit => "job-submit",
             SpanKind::JobStart => "job-start",
@@ -154,7 +154,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// Renders the event as one `/trace` JSON object.
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let duration = match self.duration {
             Some(d) => format!("{:?}", d.as_secs_f64()),
             None => "null".to_string(),
@@ -188,7 +188,7 @@ pub enum Stage {
 }
 
 /// Every [`Stage`], in histogram-slot order.
-pub const STAGES: [Stage; 6] = [
+pub(crate) const STAGES: [Stage; 6] = [
     Stage::QueueWait,
     Stage::Run,
     Stage::CacheLookup,
@@ -199,7 +199,7 @@ pub const STAGES: [Stage; 6] = [
 
 impl Stage {
     /// The stage's stable wire name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Stage::QueueWait => "queue_wait",
             Stage::Run => "run",
@@ -214,11 +214,11 @@ impl Stage {
 /// Histogram bucket count: bucket `i` counts durations in
 /// `[2^i, 2^(i+1))` microseconds (bucket 0 also catches sub-microsecond
 /// samples), so 30 buckets span 1 µs to ~18 minutes.
-pub const HISTOGRAM_BUCKETS: usize = 30;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 30;
 
 /// A lock-free power-of-two latency histogram over microseconds.
 #[derive(Debug)]
-pub struct LatencyHistogram {
+pub(crate) struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
     count: AtomicU64,
     total_micros: AtomicU64,
@@ -236,7 +236,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// Records one sample.
-    pub fn observe(&self, d: Duration) {
+    pub(crate) fn observe(&self, d: Duration) {
         let micros = d.as_micros().min(u128::from(u64::MAX)) as u64;
         let bucket =
             (64 - micros.leading_zeros() as usize).saturating_sub(1).min(HISTOGRAM_BUCKETS - 1);
@@ -246,25 +246,25 @@ impl LatencyHistogram {
     }
 
     /// Total samples recorded.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Point-in-time per-bucket counts; slot `i` counts samples in
     /// `[2^i, 2^(i+1))` µs (the Prometheus exporter accumulates these
     /// into cumulative `le` buckets).
-    pub fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
+    pub(crate) fn bucket_counts(&self) -> [u64; HISTOGRAM_BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Sum of all recorded sample durations.
-    pub fn total(&self) -> Duration {
+    pub(crate) fn total(&self) -> Duration {
         Duration::from_micros(self.total_micros.load(Ordering::Relaxed))
     }
 
     /// Renders the histogram as one JSON object; `buckets[i]` counts
     /// samples in `[2^i, 2^(i+1))` µs, trailing zero buckets trimmed.
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         let counts: Vec<u64> = self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
         let last = counts.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
         let buckets: Vec<String> = counts[..last].iter().map(u64::to_string).collect();
@@ -281,7 +281,7 @@ impl LatencyHistogram {
 ///
 /// Construct one per run ([`Tracer::new`]) and share it via `Arc` through
 /// [`RuntimeConfig::tracer`](crate::RuntimeConfig); a
-/// [`Tracer::disabled`] instance makes every instrumentation site a
+/// `Tracer::disabled` instance makes every instrumentation site a
 /// single relaxed atomic load.
 #[derive(Debug)]
 pub struct Tracer {
@@ -311,7 +311,7 @@ struct ContextStore {
 /// over every profiled job of a run (see
 /// [`ProfileReport`]).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ProfileAgg {
+pub(crate) struct ProfileAgg {
     /// Machine configuration name the jobs ran on.
     pub machine: String,
     /// Hierarchy level (0 = root).
@@ -353,7 +353,7 @@ impl Tracer {
     }
 
     /// A disabled tracer: every record/observe is a cheap no-op.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         let tracer = Tracer::new(1);
         tracer.set_enabled(false);
         tracer
@@ -361,7 +361,7 @@ impl Tracer {
 
     /// Whether events are being recorded.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled.load(Ordering::Relaxed)
     }
 
@@ -408,7 +408,7 @@ impl Tracer {
     }
 
     /// The histogram for `stage`.
-    pub fn histogram(&self, stage: Stage) -> &LatencyHistogram {
+    pub(crate) fn histogram(&self, stage: Stage) -> &LatencyHistogram {
         &self.histograms[stage as usize]
     }
 
@@ -423,7 +423,7 @@ impl Tracer {
     /// disabled — the instrumentation-site cost stays one relaxed load.
     /// The registry is bounded at ring capacity; oldest attachments are
     /// evicted first.
-    pub fn attach(&self, token: u64, ctx: TraceContext) {
+    pub(crate) fn attach(&self, token: u64, ctx: TraceContext) {
         if !self.enabled() {
             return;
         }
@@ -440,19 +440,19 @@ impl Tracer {
     }
 
     /// The trace context attached to `token`, if any.
-    pub fn context_for(&self, token: u64) -> Option<TraceContext> {
+    pub(crate) fn context_for(&self, token: u64) -> Option<TraceContext> {
         sync::lock(&self.contexts).map.get(&token).copied()
     }
 
     /// Total contexts ever attached (exported as
     /// `cf_trace_attached_total`).
-    pub fn attached_total(&self) -> u64 {
+    pub(crate) fn attached_total(&self) -> u64 {
         self.attached.load(Ordering::Relaxed)
     }
 
     /// Folds one profiled job's simulator attribution into the
     /// per-(machine, level) aggregate exported on `/metrics`.
-    pub fn absorb_profile(&self, machine: &str, report: &ProfileReport) {
+    pub(crate) fn absorb_profile(&self, machine: &str, report: &ProfileReport) {
         let mut store = sync::lock(&self.profile);
         *store.jobs.entry(machine.to_string()).or_insert(0) += 1;
         for l in &report.levels {
@@ -471,7 +471,7 @@ impl Tracer {
 
     /// The profile aggregate: profiled-job counts per machine, plus the
     /// per-(machine, level) rows in deterministic order.
-    pub fn profile_aggregate(&self) -> (Vec<(String, u64)>, Vec<ProfileAgg>) {
+    pub(crate) fn profile_aggregate(&self) -> (Vec<(String, u64)>, Vec<ProfileAgg>) {
         let store = sync::lock(&self.profile);
         (
             store.jobs.iter().map(|(m, &n)| (m.clone(), n)).collect(),
@@ -540,7 +540,7 @@ impl Tracer {
 
     /// Visits every event in the ring, oldest first, under its lock and
     /// without copying any.
-    pub fn scan(&self, visit: impl FnMut(&SpanEvent)) {
+    pub(crate) fn scan(&self, visit: impl FnMut(&SpanEvent)) {
         sync::lock(&self.ring).iter().for_each(visit);
     }
 
@@ -554,19 +554,14 @@ impl Tracer {
     /// Renders the `/trace` payload: recent events plus every stage's
     /// histogram. Note `seq` gaps between consecutive events mean the
     /// ring dropped events under pressure (the top-level `dropped`
-    /// count says how many over the run's lifetime).
-    pub fn render_json(&self, limit: usize) -> String {
-        self.render_json_filtered(limit, None, None)
-    }
-
-    /// [`render_json`](Tracer::render_json) with the `GET /trace` query
-    /// filters applied: `stage` keeps only events of that wire kind
+    /// count says how many over the run's lifetime). The `GET /trace`
+    /// query filters apply: `stage` keeps only events of that wire kind
     /// (and only that stage's histogram), `trace` keeps only events
     /// whose token has a matching attached [`TraceContext`]. Filters
     /// run *before* the `limit` cut, so a filtered query still returns
     /// up to `limit` matching events. Matching events are annotated
     /// with `trace`/`span`/`parent` hex fields.
-    pub fn render_json_filtered(
+    pub(crate) fn render_json_filtered(
         &self,
         limit: usize,
         stage: Option<&str>,
@@ -692,7 +687,7 @@ impl Obs {
     }
 
     /// The configured `instance` label value.
-    pub fn instance(&self) -> String {
+    pub(crate) fn instance(&self) -> String {
         sync::lock(&self.instance).clone()
     }
 
@@ -702,11 +697,6 @@ impl Obs {
         *sync::lock(&self.runtime) = Some(RuntimeView { stats, load });
     }
 
-    /// Whether a runtime has published yet.
-    pub fn published(&self) -> bool {
-        sync::lock(&self.runtime).is_some()
-    }
-
     /// Publishes the HTTP job API so the status server can route
     /// `POST /jobs` and `GET /jobs/<id>` to it.
     pub fn publish_api(&self, api: Arc<crate::api::JobApi>) {
@@ -714,7 +704,7 @@ impl Obs {
     }
 
     /// The published job API, if any.
-    pub fn api(&self) -> Option<Arc<crate::api::JobApi>> {
+    pub(crate) fn api(&self) -> Option<Arc<crate::api::JobApi>> {
         sync::lock(&self.api).clone()
     }
 
@@ -725,7 +715,7 @@ impl Obs {
     /// distinguishes `"draining"` (planned removal — a router drops the
     /// backend without counting a failure) from `"overloaded"`
     /// (transient pressure — retry later).
-    pub fn healthz(&self) -> (bool, String) {
+    pub(crate) fn healthz(&self) -> (bool, String) {
         let draining = self.draining();
         let Some(view) = sync::lock(&self.runtime).clone() else {
             let status = if draining { "draining" } else { "starting" };
@@ -763,7 +753,7 @@ impl Obs {
     /// The `/stats` response: `(ready, body)` — the live
     /// [`StatsSnapshot`](crate::StatsSnapshot) as JSON once a runtime has
     /// published, a `"starting"` placeholder (HTTP 503) before that.
-    pub fn stats_json(&self) -> (bool, String) {
+    pub(crate) fn stats_json(&self) -> (bool, String) {
         match sync::lock(&self.runtime).clone() {
             Some(view) => {
                 let mut snap = view.stats.snapshot();
@@ -778,7 +768,7 @@ impl Obs {
     /// live stats snapshot, stage latency histograms and simulator
     /// profile aggregate. Always renders (families without a published
     /// runtime simply omit their samples).
-    pub fn metrics(&self) -> String {
+    pub(crate) fn metrics(&self) -> String {
         let view = sync::lock(&self.runtime).clone();
         let (snap, load) = match view {
             Some(view) => {
@@ -789,23 +779,6 @@ impl Obs {
             None => (None, None),
         };
         crate::metrics::render(&self.instance(), snap.as_ref(), load, self.draining(), &self.tracer)
-    }
-
-    /// The `/trace` response body.
-    pub fn trace_json(&self, limit: usize) -> String {
-        self.tracer.render_json(limit)
-    }
-
-    /// The `/trace` response body with query filters
-    /// (`?limit=&stage=&trace=`) applied — see
-    /// [`Tracer::render_json_filtered`].
-    pub fn trace_json_filtered(
-        &self,
-        limit: usize,
-        stage: Option<&str>,
-        trace: Option<u128>,
-    ) -> String {
-        self.tracer.render_json_filtered(limit, stage, trace)
     }
 }
 
@@ -853,7 +826,7 @@ mod tests {
         let t = Tracer::new(8);
         t.record(SpanKind::CacheHit, 42, Some(Duration::from_micros(7)), || "key=abc".to_string());
         t.observe(Stage::CacheLookup, Duration::from_micros(7));
-        let json = t.render_json(10);
+        let json = t.render_json_filtered(10, None, None);
         assert!(json.contains("\"kind\":\"cache-hit\""), "{json}");
         assert!(json.contains("\"token\":42"), "{json}");
         assert!(json.contains("\"cache_lookup\":{\"count\":1"), "{json}");
@@ -868,7 +841,7 @@ mod tests {
         let (ok, body) = obs.healthz();
         assert!(ok);
         assert!(body.contains("starting"), "{body}");
-        assert!(!obs.published());
+        assert!(sync::lock(&obs.runtime).is_none());
 
         let stats = Arc::new(RuntimeStats::new(1));
         obs.publish(Arc::clone(&stats), LoadPolicy::max_in_flight(2));
@@ -928,7 +901,7 @@ mod tests {
         t.record(SpanKind::CacheHit, 7, None, String::new); // digest namespace
 
         // Unfiltered render annotates the attached event only.
-        let json = t.render_json(10);
+        let json = t.render_json_filtered(10, None, None);
         assert!(json.contains(&format!("\"trace\":\"{:032x}\"", ctx.trace_id)), "{json}");
         assert!(json.contains(&format!("\"span\":\"{:016x}\"", ctx.span_id)), "{json}");
         let parent = ctx.parent.unwrap_or(0);

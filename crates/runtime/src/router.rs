@@ -2,18 +2,18 @@
 //! `cfserve` backends: one more fractal level, with the router as the
 //! parent node.
 //!
-//! Jobs are **consistent-hashed by plan-cache fingerprint** (the
-//! `(machine fingerprint, program hash)` identity from
-//! [`crate::cache::CacheKey`], extracted from the `POST /jobs` body by
-//! [`api::routing_fingerprint`]) onto a [`Ring`] of backends, so every
-//! instance's plan cache stays warm for its own key range. Robustness
+//! Jobs are **consistent-hashed by canonical spec** (the hash of the
+//! `POST /jobs` body's canonical spec line without its label, from
+//! [`api::routing_fingerprint`]; the router never builds the program)
+//! onto a [`Ring`] of backends, so every instance's plan cache stays
+//! warm for the specs it owns. Robustness
 //! is the headline:
 //!
 //! * a **health prober** polls each backend's `/healthz` on a background
 //!   thread, ejecting instances that answer `503` or time out
-//!   ([`BackendHealth::Ejected`]) and re-admitting them after
+//!   (`Ejected`) and re-admitting them after
 //!   consecutive successes; a backend reporting `"draining"` is treated
-//!   as *planned removal* ([`BackendHealth::Draining`]), not failure;
+//!   as *planned removal* (`Draining`), not failure;
 //! * failed or ejected-backend requests **fail over** to the next ring
 //!   replica with bounded retries and jittered exponential backoff
 //!   (reusing [`next_retry`]); a job whose owner died mid-run is
@@ -33,7 +33,7 @@
 //!   [`crate::serve::verify_record_json`]). A mismatch counts as a
 //!   failure ([`RouterStats::corrupt_responses`]), feeds the breaker, and
 //!   fails over; repeated corruption moves the backend to
-//!   [`BackendHealth::Quarantined`] — answering probes but untrusted —
+//!   `Quarantined` — answering probes but untrusted —
 //!   until the quarantine window elapses. All backend traffic flows
 //!   through the [`Connector`] seam, so the seeded
 //!   [`crate::netfault`] chaos layer can stand in for a lying network.
@@ -45,7 +45,7 @@
 //! per-backend `instance` label keeps series distinct) plus the
 //! router's own `cf_router_*` and `cf_slo_*` series (unlabelled). The
 //! `/stats` counters and the `cf_router_*` counter families render from
-//! one declaration each ([`RouterStats::COUNTERS`]). `POST /jobs`,
+//! one declaration each (`RouterStats::COUNTERS`). `POST /jobs`,
 //! `GET /jobs/<id>` and `GET /jobs/<id>/status` proxy to the owning
 //! backend with the backend-local job id translated to the router's
 //! fleet-wide id, so a client cannot tell the fleet from one big
@@ -101,7 +101,7 @@ const SLO_SLOTS: usize = 60;
 // ---------------------------------------------------------------------------
 
 /// A consistent-hash ring over backend indices: each backend owns
-/// [`vnodes`](Ring::vnodes) pseudo-random points on a `u64` circle, and
+/// `vnodes` pseudo-random points on a `u64` circle, and
 /// a key belongs to the first point at or after its hash. Removing one
 /// backend only remaps the keys that backend owned (its points vanish;
 /// everyone else's stay put) — the minimal-disruption property the ring
@@ -131,12 +131,12 @@ impl Ring {
     }
 
     /// Points per backend.
-    pub fn vnodes(&self) -> usize {
+    pub(crate) fn vnodes(&self) -> usize {
         self.vnodes
     }
 
     /// The sorted `(point, backend index)` table (the `/ring` payload).
-    pub fn points(&self) -> &[(u64, usize)] {
+    pub(crate) fn points(&self) -> &[(u64, usize)] {
         &self.points
     }
 
@@ -182,7 +182,7 @@ impl Ring {
 
 /// A backend's routable state, as maintained by the health prober.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendHealth {
+pub(crate) enum BackendHealth {
     /// Routable: answering `/healthz` with 200.
     Up,
     /// Ejected after consecutive probe failures (503 / timeout);
@@ -200,7 +200,7 @@ pub enum BackendHealth {
 
 impl BackendHealth {
     /// The state's stable wire name (`/stats`, `/ring`, `/metrics`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             BackendHealth::Up => "up",
             BackendHealth::Ejected => "ejected",
@@ -762,7 +762,7 @@ struct JobRoute {
 
 /// The shard router (see the module docs). Construct with
 /// [`Router::new`], serve with [`RouterServer::bind`], and start the
-/// health prober with [`Router::start_prober`].
+/// health prober with `Router::start_prober`.
 #[derive(Debug)]
 pub struct Router {
     config: RouterConfig,
@@ -829,11 +829,6 @@ impl Router {
         &self.stats
     }
 
-    /// The consistent-hash ring.
-    pub fn ring(&self) -> &Ring {
-        &self.ring
-    }
-
     /// Appends one span to the bounded store (oldest falls off).
     fn record_span(&self, span: RouterSpan) {
         let mut spans = sync::lock(&self.spans);
@@ -867,7 +862,7 @@ impl Router {
     }
 
     /// Starts the background health prober (idempotent).
-    pub fn start_prober(self: &Arc<Self>) {
+    pub(crate) fn start_prober(self: &Arc<Self>) {
         let mut slot = sync::lock(&self.prober);
         if slot.is_some() {
             return;
@@ -890,7 +885,7 @@ impl Router {
 
     /// Stops the prober thread (also done when a [`RouterServer`] shuts
     /// down).
-    pub fn stop(&self) {
+    pub(crate) fn stop(&self) {
         *sync::lock(&self.stopping) = true;
         self.stop_signal.notify_all();
         if let Some(handle) = sync::lock(&self.prober).take() {
@@ -900,7 +895,7 @@ impl Router {
 
     /// Runs one health-probe pass over every backend (the prober thread
     /// calls this on its cadence; tests call it directly).
-    pub fn probe_once(&self) {
+    pub(crate) fn probe_once(&self) {
         let addrs: Vec<(usize, String)> = {
             let backends = sync::lock(&self.backends);
             backends.iter().enumerate().map(|(i, b)| (i, b.addr.clone())).collect()
@@ -1591,7 +1586,7 @@ impl Router {
     /// The `/ring` routing table: vnode count, the backend list with
     /// each instance's live health state, and every `(point, backend)`
     /// pair in ring order.
-    pub fn ring_json(&self) -> String {
+    pub(crate) fn ring_json(&self) -> String {
         let backends = sync::lock(&self.backends);
         let names: Vec<String> = backends
             .iter()
@@ -1668,7 +1663,7 @@ impl Router {
     /// re-based into their parent attempt's router-clock window (their
     /// `at_s` stamps are relative to the *backend's* tracer birth, a
     /// different clock), preserving order and strict nesting.
-    pub fn trace_json(&self, trace_id: u128) -> String {
+    pub(crate) fn trace_json(&self, trace_id: u128) -> String {
         let router_spans: Vec<RouterSpan> =
             sync::lock(&self.spans).iter().filter(|s| s.trace_id == trace_id).cloned().collect();
         let (addrs, bodies) = self.scrape(&format!("/trace?trace={trace_id:032x}&limit=4096"));
@@ -2167,7 +2162,7 @@ mod tests {
             .map(|order| {
                 format!("{{\"workload\":\"matmul\",\"order\":{order},\"machine\":\"tiny\"}}")
             })
-            .find(|spec| router.ring().replicas(api::routing_fingerprint(spec))[0] == 0)
+            .find(|spec| router.ring.replicas(api::routing_fingerprint(spec))[0] == 0)
             .unwrap();
 
         let response = router.submit(spec.as_bytes(), None);

@@ -340,7 +340,7 @@ impl Runtime {
     }
 
     /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
+    pub(crate) fn worker_count(&self) -> usize {
         self.workers.len()
     }
 
@@ -357,7 +357,7 @@ impl Runtime {
 
     /// The span tracer this pool records into (a disabled instance when
     /// none was configured).
-    pub fn tracer(&self) -> &Arc<Tracer> {
+    pub(crate) fn tracer(&self) -> &Arc<Tracer> {
         &self.inner.tracer
     }
 
@@ -393,7 +393,7 @@ impl Runtime {
     /// [`JobError::Shed`] naming the exhausted limit and the gauge values
     /// that tripped it. Does **not** count toward `shed_jobs` (nothing
     /// was submitted).
-    pub fn check_admission(&self, cost: usize) -> Result<(), JobError> {
+    pub(crate) fn check_admission(&self, cost: usize) -> Result<(), JobError> {
         let load = &self.inner.load;
         if load.max_in_flight == 0 && load.max_queued_bytes == 0 {
             return Ok(());
@@ -467,7 +467,7 @@ impl Runtime {
     /// planner (a cached report carries no fresh attribution) and
     /// returns its attribution with the output; an exec job runs under
     /// the fault plan's DMA faults. Join the handle with
-    /// [`join_job`](Runtime::join_job).
+    /// `join_job`.
     ///
     /// # Errors
     ///
@@ -510,7 +510,11 @@ impl Runtime {
     /// # Errors
     ///
     /// The job's terminal error.
-    pub fn join_job(&self, job: &Job, handle: JobHandle<JobDone>) -> Result<JobDone, JobError> {
+    pub(crate) fn join_job(
+        &self,
+        job: &Job,
+        handle: JobHandle<JobDone>,
+    ) -> Result<JobDone, JobError> {
         let done = handle.join()?;
         if let Some(profile) = &done.profile {
             self.inner.tracer.absorb_profile(&job.machine_name, profile);

@@ -52,16 +52,7 @@ pub struct JournalOptions {
     pub compact_threshold: u64,
 }
 
-impl JournalOptions {
-    /// Journal to `path` (fresh run, default compaction threshold).
-    pub fn at(path: impl Into<PathBuf>) -> Self {
-        JournalOptions {
-            path: path.into(),
-            resume: false,
-            compact_threshold: DEFAULT_COMPACT_THRESHOLD,
-        }
-    }
-}
+impl JournalOptions {}
 
 /// How to run a manifest.
 #[derive(Debug, Clone)]
@@ -537,7 +528,7 @@ fn write_job_trace(path: &str, job: &Job, tracer: &Tracer) -> Result<(), ServeEr
 }
 
 /// Escapes a string for a JSON value position.
-pub fn json_str(s: &str) -> String {
+pub(crate) fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

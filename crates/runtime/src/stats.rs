@@ -310,7 +310,7 @@ macro_rules! router_stats {
 
         impl RouterStats {
             /// The headline counters, in `/stats` order.
-            pub const COUNTERS: &'static [Stat<RouterStats>] = &[$(
+            pub(crate) const COUNTERS: &'static [Stat<RouterStats>] = &[$(
                 Stat {
                     key: stringify!($field),
                     family: $family,
@@ -322,7 +322,7 @@ macro_rules! router_stats {
 
             /// The `/stats` `attribution` object: sums over finished
             /// records' `X-CF-Attribution` breakdowns.
-            pub fn attribution(&self) -> Map {
+            pub(crate) fn attribution(&self) -> Map {
                 let mut m = Map::new();
                 $(m.insert($akey, self.$afield.load(Ordering::Relaxed));)*
                 m
@@ -384,16 +384,6 @@ impl StatsSnapshot {
         Duration::from_nanos(self.queue_wait_nanos)
     }
 
-    /// Completed jobs per second of runtime uptime.
-    pub fn throughput_jobs_per_sec(&self) -> f64 {
-        let secs = self.uptime.as_secs_f64();
-        if secs > 0.0 {
-            self.completed as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
     /// Cache hits as a fraction of all cache-eligible jobs (0 when none
     /// ran yet).
     pub fn cache_hit_rate(&self) -> f64 {
@@ -403,11 +393,6 @@ impl StatsSnapshot {
         } else {
             0.0
         }
-    }
-
-    /// Aggregate busy time across workers.
-    pub fn total_busy(&self) -> Duration {
-        self.per_worker.iter().map(|w| w.busy).sum()
     }
 
     /// Renders the snapshot as one JSON object (for `--stats-json` and
@@ -449,8 +434,10 @@ mod tests {
         assert_eq!(snap.per_worker.len(), 2);
         assert_eq!(snap.per_worker[1].jobs, 2);
         assert!((snap.cache_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(snap.total_busy(), Duration::from_millis(45));
-        assert!(snap.throughput_jobs_per_sec() >= 0.0);
+        assert_eq!(
+            snap.per_worker.iter().map(|w| w.busy).sum::<Duration>(),
+            Duration::from_millis(45)
+        );
     }
 
     #[test]

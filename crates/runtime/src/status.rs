@@ -139,7 +139,7 @@ fn route(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
                     let (limit, stage, trace) = trace_query(request);
                     Response::json(
                         "200 OK",
-                        obs.trace_json_filtered(limit, stage.as_deref(), trace),
+                        obs.tracer().render_json_filtered(limit, stage.as_deref(), trace),
                     )
                 }
                 "/version" => {
@@ -213,7 +213,7 @@ fn route_submit(request: &HttpRequest, obs: &Arc<Obs>) -> Response {
         },
         None => TraceContext::mint(),
     };
-    match api.submit_body_traced(body, Some(trace)) {
+    match api.submit_body(body, Some(trace)) {
         Ok(SubmitOk::One(id)) => {
             let mut r = Response::json("202 Accepted", format!("{{\"id\":{id}}}"));
             r.extra.push((TRACE_HEADER, trace.encode()));

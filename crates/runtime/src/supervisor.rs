@@ -153,7 +153,7 @@ impl CircuitBreaker {
     }
 
     /// Whether the breaker can trip at all.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.config.failure_threshold > 0
     }
 
@@ -187,7 +187,7 @@ impl CircuitBreaker {
     }
 
     /// [`allow_at`](CircuitBreaker::allow_at) at the current instant.
-    pub fn allow(&self) -> bool {
+    pub(crate) fn allow(&self) -> bool {
         self.allow_at(Instant::now())
     }
 
@@ -226,7 +226,7 @@ impl CircuitBreaker {
 
     /// [`record_failure_at`](CircuitBreaker::record_failure_at) at the
     /// current instant.
-    pub fn record_failure(&self) {
+    pub(crate) fn record_failure(&self) {
         self.record_failure_at(Instant::now());
     }
 }

@@ -10,7 +10,7 @@
 //! retry, hedged duplicate and poll-failure resubmission derives its
 //! own [`child`](TraceContext::child) span (labelled with its *cause*),
 //! so the backend's scheduler/cache/journal spans — attached to the
-//! incoming context by [`Tracer::attach`](crate::obs::Tracer::attach) —
+//! incoming context by `Tracer::attach` —
 //! parent cleanly under the exact attempt that carried them.
 //!
 //! Propagation rules (DESIGN.md §16):
@@ -181,7 +181,7 @@ fn parse_hex_u64(s: &str) -> Result<u64, TraceParseError> {
 
 /// The `total_us` attribution key: the job's measured accept→settle
 /// end-to-end latency on its backend.
-pub const TOTAL_KEY: &str = "total_us";
+pub(crate) const TOTAL_KEY: &str = "total_us";
 
 /// A finished job's latency breakdown: ordered `key=value` components,
 /// carried on the [`ATTRIBUTION_HEADER`] response header (never in the

@@ -200,7 +200,7 @@ fn coalesced_follower_attribution_stays_inside_its_own_window() {
     let api = JobApi::new(Arc::clone(&runtime), 4096);
     let submit = || {
         let body = r#"{"workload":"matmul","order":32,"machine":"tiny"}"#;
-        match api.submit_body_traced(body, Some(TraceContext::mint())).unwrap() {
+        match api.submit_body(body, Some(TraceContext::mint())).unwrap() {
             SubmitOk::One(id) => id,
             other => panic!("{other:?}"),
         }

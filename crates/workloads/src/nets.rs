@@ -128,6 +128,51 @@ impl NetDef {
         }
         ops
     }
+
+    /// External elements [`build_program`] declares for this net at
+    /// `batch`, or `None` when that count overflows `u64`. Every tensor
+    /// is a weight or has the batch as its outer extent, so only the
+    /// batch multiply can overflow.
+    pub fn program_elements(&self, batch: usize) -> Option<u64> {
+        let (mut h, mut w, mut c) = self.input;
+        // Elements per batch item, and batch-independent (weight) ones.
+        let (mut item, mut fixed) = ((h * w * c) as u64, 0u64);
+        let mut flat = false;
+        for (i, layer) in self.layers.iter().enumerate() {
+            match *layer {
+                Layer::Conv { k, s, p, out_c } => {
+                    fixed += (k * k * c * out_c) as u64;
+                    h = (h + 2 * p - k) / s + 1;
+                    w = (w + 2 * p - k) / s + 1;
+                    c = out_c;
+                    // The convolution's output, then its ReLU's.
+                    item += 2 * (h * w * c) as u64;
+                }
+                Layer::MaxPool { k, s } | Layer::AvgPool { k, s } => {
+                    h = (h - k) / s + 1;
+                    w = (w - k) / s + 1;
+                    item += (h * w * c) as u64;
+                }
+                Layer::Lrn => item += (h * w * c) as u64,
+                Layer::Fc { out } => {
+                    let features = (h * w * c) as u64;
+                    if !flat {
+                        // The flattened alias of the first FC input.
+                        item += features;
+                        flat = true;
+                    }
+                    fixed += features * out as u64;
+                    // The product, then its ReLU's except on the last layer.
+                    item += if i + 1 == self.layers.len() { out } else { 2 * out } as u64;
+                    (h, w, c) = (1, 1, out);
+                }
+                Layer::ResSave => {}
+                // The residual sum, then its ReLU's.
+                Layer::ResAdd => item += 2 * (h * w * c) as u64,
+            }
+        }
+        (batch as u64).checked_mul(item)?.checked_add(fixed)
+    }
 }
 
 /// VGG-16 (Simonyan & Zisserman): 13 conv + 5 pools + 3 FC,
@@ -325,6 +370,13 @@ pub fn video3d_program(batch: usize, frames: usize, hw: usize) -> Result<Program
     Ok(b.build())
 }
 
+/// External elements [`matmul_program`] declares (`a`, `w` and their
+/// product: three order² tensors), or `None` when that count overflows
+/// `u64`.
+pub fn matmul_elements(order: usize) -> Option<u64> {
+    (order as u64).checked_mul(order as u64)?.checked_mul(3)
+}
+
 /// The 32768-order square MATMUL benchmark (Table 5), scaled by `order`
 /// for tests.
 pub fn matmul_program(order: usize) -> Program {
@@ -338,6 +390,19 @@ pub fn matmul_program(order: usize) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn element_counts_match_the_built_programs() {
+        for net in [vgg16(), resnet152(), alexnet(), mlp3()] {
+            for batch in [1, 2, 3] {
+                let built = build_program(&net, batch).unwrap().extern_elems();
+                assert_eq!(net.program_elements(batch), Some(built), "{} b{batch}", net.name);
+            }
+            assert_eq!(net.program_elements(usize::MAX), None, "{}", net.name);
+        }
+        assert_eq!(matmul_elements(48), Some(matmul_program(48).extern_elems()));
+        assert_eq!(matmul_elements(1 << 32), None);
+    }
 
     #[test]
     fn vgg16_matches_table5() {

@@ -15,9 +15,9 @@
 //! cfrouter --help
 //! ```
 //!
-//! Jobs POSTed to the router's `/jobs` are consistent-hashed by
-//! plan-cache fingerprint (machine × program identity) onto the backend
-//! whose plan cache is already warm for that key range, and polled back
+//! Jobs POSTed to the router's `/jobs` are consistent-hashed by their
+//! canonical spec (label left out; the router never builds the program)
+//! onto the backend whose plan cache is already warm for it, and polled back
 //! through `GET /jobs/<id>` under fleet-wide ids — a client cannot tell
 //! the fleet from one big `cfserve`. A background prober watches every
 //! backend's `/healthz`, ejecting failed instances (`--eject-after`
