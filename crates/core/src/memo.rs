@@ -224,29 +224,6 @@ impl PlanMemo {
         self.bytes.set(self.bytes.get() + entry.heap_bytes() as u64);
         self.table.borrow_mut().entry(fp).or_default().push(entry);
     }
-
-    /// Drops the direct-split decisions ([`MemoKind::Direct`]) and keeps
-    /// every other entry. They are the PD grid search's working set —
-    /// read while a new PD split is built or a step's partial footprint
-    /// sized — and the bulk of a memo's bytes (half of an f1 matmul's),
-    /// while a later program mostly meets its own. A simulator kept across
-    /// programs sheds them after each one, so a program that shares
-    /// nothing with its predecessors reuses their memory instead of
-    /// faulting in fresh pages.
-    pub(crate) fn drop_direct_decisions(&self) {
-        let mut freed = 0;
-        self.table.borrow_mut().retain(|_, bucket| {
-            bucket.retain(|e| {
-                let direct = matches!(e.kind, MemoKind::Direct { .. });
-                if direct {
-                    freed += e.heap_bytes() as u64;
-                }
-                !direct
-            });
-            !bucket.is_empty()
-        });
-        self.bytes.set(self.bytes.get() - freed);
-    }
 }
 
 impl Entry {

@@ -1118,10 +1118,8 @@ impl Walk {
 /// Simulators kept across calls: one [`PerfSim`] per machine (keyed by
 /// [`MachineConfig::fingerprint`], which covers every field timing
 /// reads), so a program reuses the subtree outcomes, split decisions and
-/// step timings that earlier programs on the same machine computed.
-/// After each call the shape memo sheds its direct-split decisions
-/// (`PlanMemo::drop_direct_decisions`): the bulk of its bytes, and the
-/// part a program at new shapes gains least from.
+/// step timings that earlier programs on the same machine computed —
+/// every split decision included.
 ///
 /// The tables are capped by [`SimCache::BUDGET_BYTES`]: once a call
 /// leaves them larger, every simulator is dropped at once — one
@@ -1172,7 +1170,6 @@ impl SimCache {
             None => PerfSim::new(cfg),
         };
         let result = sim.simulate_report(program, threads);
-        sim.plan_memo.drop_direct_decisions();
         self.sims.push((fingerprint, sim));
         if self.table_bytes() > SimCache::BUDGET_BYTES {
             self.reset();

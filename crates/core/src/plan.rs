@@ -1161,7 +1161,9 @@ impl<'a> Planner<'a> {
 
     /// SD's axis choice: a two-way split minimising byte overhead plus the
     /// byte-equivalent of the reduction work; reductions whose partials
-    /// would overflow the static segment are infeasible.
+    /// would overflow the static segment are infeasible. Every axis is
+    /// scored from shapes (`split_cost`); only the winner's pieces are
+    /// built.
     ///
     /// Memoized on the canonical instruction (plus level and static
     /// headroom, which both influence the choice) and rebased on a hit.
@@ -1193,40 +1195,36 @@ impl<'a> Planner<'a> {
         inst: &Instruction,
         static_avail_bytes: u64,
     ) -> Option<SplitOutcome> {
-        use cf_ops::fractal::{apply_split, split_axes, split_overhead_bytes};
+        use cf_ops::fractal::{apply_split, split_axes, split_cost};
         let op_cost = self.lfu_op_byte_equiv(level);
-        let mut best: Option<(f64, SplitOutcome)> = None;
+        let mut best: Option<(f64, usize)> = None;
         for axis in split_axes(inst) {
             if axis.extent < 2 {
                 continue;
             }
-            let Ok(outcome) = apply_split(inst, axis.index, 2) else { continue };
-            if outcome.len() < 2 {
+            let Some(cost) = split_cost(inst, &axis, 2) else { continue };
+            if cost.pieces < 2 {
                 continue;
             }
-            let mut score = split_overhead_bytes(inst, &outcome) as f64;
-            if let SplitOutcome::Reduce { pieces, kind } = &outcome {
-                let partial_bytes: u64 =
-                    pieces.iter().flat_map(|q| q.partial_shapes.iter()).map(Shape::bytes).sum();
+            let mut score = cost.overhead_bytes(inst) as f64;
+            if let Some(kind) = cost.reduce {
                 // Accumulating reductions need 3× the output block in the
                 // static segment regardless of piece count; merges need
                 // every partial at once.
                 let static_need = match kind {
-                    ReduceKind::Add | ReduceKind::Mul => {
-                        3 * pieces[0].partial_shapes.iter().map(Shape::bytes).sum::<u64>()
-                    }
-                    ReduceKind::Merge => partial_bytes,
+                    ReduceKind::Add | ReduceKind::Mul => cost.first_partial_bytes.saturating_mul(3),
+                    ReduceKind::Merge => cost.partial_bytes,
                 };
                 if static_need > static_avail_bytes {
                     continue;
                 }
-                score += (partial_bytes / ELEM_BYTES) as f64 * op_cost;
+                score += (cost.partial_bytes / ELEM_BYTES) as f64 * op_cost;
             }
-            if best.as_ref().is_none_or(|(c, _)| score < *c) {
-                best = Some((score, outcome));
+            if best.is_none_or(|(c, _)| score < c) {
+                best = Some((score, axis.index));
             }
         }
-        best.map(|(_, o)| o)
+        best.and_then(|(_, axis)| apply_split(inst, axis, 2).ok())
     }
 
     /// Broadcast-aware byte overhead of a PD split: inputs shared by every
@@ -1717,24 +1715,25 @@ impl Build<'_> {
 }
 
 /// Best direct (non-reducing) split of `inst` into `parts`, by minimal
-/// byte overhead. `None` when every splittable axis is output-dependent.
+/// byte overhead, scored from shapes; only the winner's pieces are built.
+/// `None` when every splittable axis is output-dependent.
 fn choose_direct_split(inst: &Instruction, parts: usize) -> Option<SplitOutcome> {
-    use cf_ops::fractal::{apply_split, split_axes, split_overhead_bytes, Dependency};
-    let mut best: Option<(u64, SplitOutcome)> = None;
+    use cf_ops::fractal::{apply_split, split_axes, split_cost, Dependency};
+    let mut best: Option<(u64, usize)> = None;
     for axis in split_axes(inst) {
         if axis.extent < 2 || axis.dependency == Dependency::OutputDependent {
             continue;
         }
-        let Ok(outcome) = apply_split(inst, axis.index, parts) else { continue };
-        if outcome.len() < 2 {
+        let Some(cost) = split_cost(inst, &axis, parts) else { continue };
+        if cost.pieces < 2 {
             continue;
         }
-        let cost = split_overhead_bytes(inst, &outcome);
-        if best.as_ref().is_none_or(|(c, _)| cost < *c) {
-            best = Some((cost, outcome));
+        let overhead = cost.overhead_bytes(inst);
+        if best.is_none_or(|(c, _)| overhead < c) {
+            best = Some((overhead, axis.index));
         }
     }
-    best.map(|(_, o)| o)
+    best.and_then(|(_, axis)| apply_split(inst, axis, parts).ok())
 }
 
 /// Per-child residency masks for a step about to be placed as `split`

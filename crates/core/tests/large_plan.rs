@@ -115,3 +115,18 @@ fn embedded_nets_plan_a_small_multiple_of_their_distinct_steps() {
         assert!(c.planned_steps <= 5 * c.step_memo_misses, "{name} b{batch}: {c:?}");
     }
 }
+
+/// The largest square matmul whose operand bytes still fit `u64`: a
+/// two-way split's pieces sum past it, so the planner's byte sums must
+/// saturate (a debug build panics on overflow) and planning must end in
+/// the level-1 capacity error, on the memoized and the naive path alike.
+#[test]
+fn f1_matmul_at_the_byte_limit_fails_with_the_capacity_error() {
+    let program = nets::matmul_program(1_239_850_262);
+    let cfg = MachineConfig::cambricon_f1();
+    let want = "instruction cannot fit level-1 memory: needs 9686464 B, segment holds 2097152 B";
+    let err = Machine::new(cfg.clone()).simulate(&program).unwrap_err();
+    assert_eq!(err.to_string(), want);
+    let err = PerfSim::with_options(&cfg, SimOptions::NAIVE).simulate(&program).unwrap_err();
+    assert_eq!(err.to_string(), want);
+}

@@ -9,11 +9,14 @@
 //!
 //! Both decomposers of the Cambricon-F controller are built on
 //! [`apply_split`]: the sequential decomposer splits until sub-instructions
-//! fit local memory, and the parallel decomposer splits across FFUs.
+//! fit local memory, and the parallel decomposer splits across FFUs. They
+//! choose the axis from shapes alone: [`split_cost`] scores a candidate
+//! axis with the same arithmetic, without building its pieces, so only
+//! the chosen axis is split.
 
 #[cfg(test)]
-use cf_isa::ConvParams;
-use cf_isa::{Instruction, OpParams, Opcode, Pad, PoolParams};
+use cf_isa::{ConvParams, PoolParams};
+use cf_isa::{Instruction, OpParams, Opcode, Pad};
 use cf_tensor::{Region, Shape};
 
 use crate::OpsError;
@@ -78,6 +81,37 @@ pub struct AxisInfo {
     pub redundancy: &'static str,
     /// Extent available for splitting (1 ⇒ the axis cannot be split).
     pub extent: usize,
+    /// Which operands a split along this axis slices, and how.
+    cut: Cut,
+}
+
+/// How a split along one axis slices the operands. Both the split itself
+/// ([`apply_split`]) and its shape-only score ([`split_cost`]) read it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cut {
+    /// Disjoint output slices: every output along `out_axis` (whose
+    /// extents the pieces take), input `i` along `inputs[i]` or whole
+    /// (replicated to every piece) when `None`.
+    Direct { inputs: [Option<usize>; 2], out_axis: usize },
+    /// Spatial axis `spatial` (0-based among the spatial axes; tensor axis
+    /// `spatial + 1`) of a convolution or pooling: input 0 is sliced to
+    /// each piece's window, with the piece's own padding, and other inputs
+    /// are replicated.
+    Spatial { spatial: usize, kernel: usize, stride: usize, pad: Pad },
+    /// Output-dependent: input `i` sliced along `inputs[i]` (extents from
+    /// input 0), each piece producing `partials` that `kind` combines.
+    Reduce { inputs: [usize; 2], partials: Partials, kind: ReduceKind },
+}
+
+/// The partial outputs each piece of an output-dependent split produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Partials {
+    /// One block shaped like output 0.
+    Output,
+    /// One block per input, shaped like the piece's slice of it.
+    Inputs,
+    /// One scalar.
+    Scalar,
 }
 
 /// A piece of an output-dependent split: a full sub-operation whose outputs
@@ -143,59 +177,97 @@ impl SplitOutcome {
 /// preference-neutral canonical order.
 pub fn split_axes(inst: &Instruction) -> Vec<AxisInfo> {
     use Dependency::*;
+    use ReduceKind::{Add, Merge, Mul};
     let dim = |r: &Region, i: usize| r.shape().dim(i);
     let mut axes = Vec::new();
-    let mut push = |label, dependency, reduce, redundancy, extent| {
-        axes.push(AxisInfo { index: axes.len(), label, dependency, reduce, redundancy, extent });
+    let mut push = |label, dependency, redundancy, extent, cut| {
+        let reduce = match cut {
+            Cut::Reduce { kind, .. } => Some(kind),
+            _ => None,
+        };
+        axes.push(AxisInfo {
+            index: axes.len(),
+            label,
+            dependency,
+            reduce,
+            redundancy,
+            extent,
+            cut,
+        });
     };
+    let direct = |input: usize, in_axis: usize, out_axis: usize| {
+        let mut inputs = [None; 2];
+        inputs[input] = Some(in_axis);
+        Cut::Direct { inputs, out_axis }
+    };
+    let reduce = |inputs, partials, kind| Cut::Reduce { inputs, partials, kind };
     match inst.op {
-        Opcode::Cv2D => {
-            let (x, o) = (&inst.inputs[0], &inst.outputs[0]);
-            push("batch", InputDependent, None, "Weight", dim(x, 0));
-            push("spatial-h", InputDependent, None, "Weight, Overlapped", dim(o, 1));
-            push("spatial-w", InputDependent, None, "Weight, Overlapped", dim(o, 2));
-            push("out-feature", InputDependent, None, "Input", dim(o, 3));
-            push("in-feature", OutputDependent, Some(ReduceKind::Add), "-", dim(x, 3));
-        }
-        Opcode::Cv3D => {
-            let (x, o) = (&inst.inputs[0], &inst.outputs[0]);
-            push("batch", InputDependent, None, "Weight", dim(x, 0));
-            push("spatial-d", InputDependent, None, "Weight, Overlapped", dim(o, 1));
-            push("spatial-h", InputDependent, None, "Weight, Overlapped", dim(o, 2));
-            push("spatial-w", InputDependent, None, "Weight, Overlapped", dim(o, 3));
-            push("out-feature", InputDependent, None, "Input", dim(o, 4));
-            push("in-feature", OutputDependent, Some(ReduceKind::Add), "-", dim(x, 4));
+        Opcode::Cv2D | Opcode::Cv3D => {
+            let (x, w, o) = (&inst.inputs[0], &inst.inputs[1], &inst.outputs[0]);
+            let p = inst.params.conv();
+            let c = x.shape().rank() - 1; // NHWC / NDHWC channel axis
+            let spatial_labels: &[&'static str] = if inst.op == Opcode::Cv2D {
+                &["spatial-h", "spatial-w"]
+            } else {
+                &["spatial-d", "spatial-h", "spatial-w"]
+            };
+            push("batch", InputDependent, "Weight", dim(x, 0), direct(0, 0, 0));
+            for (s, label) in spatial_labels.iter().enumerate() {
+                let cut = Cut::Spatial {
+                    spatial: s,
+                    kernel: dim(w, s),
+                    stride: p.stride,
+                    pad: p.pads[s],
+                };
+                push(*label, InputDependent, "Weight, Overlapped", dim(o, s + 1), cut);
+            }
+            push("out-feature", InputDependent, "Input", dim(o, c), direct(1, c, c));
+            push(
+                "in-feature",
+                OutputDependent,
+                "-",
+                dim(x, c),
+                reduce([c, c - 1], Partials::Output, Add),
+            );
         }
         Opcode::Max2D | Opcode::Min2D | Opcode::Avg2D => {
             let (x, o) = (&inst.inputs[0], &inst.outputs[0]);
-            push("batch", Independent, None, "-", dim(x, 0));
-            push("feature", Independent, None, "-", dim(x, 3));
-            push("spatial-h", InputDependent, None, "Overlapped", dim(o, 1));
-            push("spatial-w", InputDependent, None, "Overlapped", dim(o, 2));
+            let p = inst.params.pool();
+            push("batch", Independent, "-", dim(x, 0), direct(0, 0, 0));
+            push("feature", Independent, "-", dim(x, 3), direct(0, 3, 3));
+            for (s, (label, kernel)) in
+                [("spatial-h", p.kh), ("spatial-w", p.kw)].into_iter().enumerate()
+            {
+                let cut = Cut::Spatial { spatial: s, kernel, stride: p.stride, pad: p.pads[s] };
+                push(label, InputDependent, "Overlapped", dim(o, s + 1), cut);
+            }
         }
         Opcode::Lrn => {
             let x = &inst.inputs[0];
-            push("batch", Independent, None, "-", dim(x, 0));
-            push("spatial-h", Independent, None, "-", dim(x, 1));
-            push("spatial-w", Independent, None, "-", dim(x, 2));
+            for (a, label) in ["batch", "spatial-h", "spatial-w"].into_iter().enumerate() {
+                push(label, Independent, "-", dim(x, a), direct(0, a, a));
+            }
         }
         Opcode::MatMul => {
             let (a, b) = (&inst.inputs[0], &inst.inputs[1]);
-            push("left-rows", InputDependent, None, "Right Matrix", dim(a, 0));
-            push("right-cols", InputDependent, None, "Left Matrix", dim(b, 1));
-            push("inner", OutputDependent, Some(ReduceKind::Add), "-", dim(a, 1));
+            push("left-rows", InputDependent, "Right Matrix", dim(a, 0), direct(0, 0, 0));
+            push("right-cols", InputDependent, "Left Matrix", dim(b, 1), direct(1, 1, 1));
+            push("inner", OutputDependent, "-", dim(a, 1), reduce([1, 0], Partials::Output, Add));
         }
         Opcode::Euclidian1D => {
             let (x, y) = (&inst.inputs[0], &inst.inputs[1]);
-            push("left", InputDependent, None, "Right Operand", dim(x, 0));
-            push("right", InputDependent, None, "Left Operand", dim(y, 0));
-            push("dim", OutputDependent, Some(ReduceKind::Add), "-", dim(x, 1));
+            push("left", InputDependent, "Right Operand", dim(x, 0), direct(0, 0, 0));
+            push("right", InputDependent, "Left Operand", dim(y, 0), direct(1, 0, 1));
+            push("dim", OutputDependent, "-", dim(x, 1), reduce([1, 1], Partials::Output, Add));
         }
         Opcode::Sort1D => {
-            push("segment", OutputDependent, Some(ReduceKind::Merge), "-", dim(&inst.inputs[0], 0));
+            let cut = reduce([0, 0], Partials::Inputs, Merge);
+            push("segment", OutputDependent, "-", dim(&inst.inputs[0], 0), cut);
         }
-        Opcode::Count1D => {
-            push("segment", OutputDependent, Some(ReduceKind::Add), "-", dim(&inst.inputs[0], 0));
+        Opcode::Count1D | Opcode::HSum1D | Opcode::HProd1D => {
+            let kind = if inst.op == Opcode::HProd1D { Mul } else { Add };
+            let cut = reduce([0, 0], Partials::Scalar, kind);
+            push("segment", OutputDependent, "-", dim(&inst.inputs[0], 0), cut);
         }
         Opcode::Add1D | Opcode::Sub1D | Opcode::Mul1D | Opcode::Act1D => {
             // Elementwise: any axis splits independently. Expose each
@@ -203,14 +275,9 @@ pub fn split_axes(inst: &Instruction) -> Vec<AxisInfo> {
             static LABELS: [&str; 6] = ["dim-0", "dim-1", "dim-2", "dim-3", "dim-4", "dim-5"];
             let x = &inst.inputs[0];
             for (i, label) in LABELS.iter().enumerate().take(x.shape().rank()) {
-                push(label, Independent, None, "-", dim(x, i));
+                let cut = Cut::Direct { inputs: [Some(i); 2], out_axis: i };
+                push(label, Independent, "-", dim(x, i), cut);
             }
-        }
-        Opcode::HSum1D => {
-            push("segment", OutputDependent, Some(ReduceKind::Add), "-", dim(&inst.inputs[0], 0));
-        }
-        Opcode::HProd1D => {
-            push("segment", OutputDependent, Some(ReduceKind::Mul), "-", dim(&inst.inputs[0], 0));
         }
         Opcode::Merge1D => {
             // Streaming local operation; not fractally decomposed.
@@ -240,29 +307,45 @@ fn spatial_slice(
     (in_lo, in_hi.saturating_sub(in_lo), Pad { before, after })
 }
 
-fn slice_pair(
-    inst: &Instruction,
-    in_idx: usize,
-    in_axis: usize,
-    out_axis: usize,
-    parts: usize,
-) -> Result<Vec<Instruction>, OpsError> {
-    // Split one input and the output(s) along matching axes; other inputs
-    // are replicated whole.
-    let extents = inst.outputs[0].shape().split_axis_extents(out_axis, parts)?;
-    extents
-        .into_iter()
-        .map(|(start, len)| {
-            let mut inputs = inst.inputs.clone();
-            inputs[in_idx] = inputs[in_idx].slice(in_axis, start, len)?;
-            let outputs = inst
-                .outputs
-                .iter()
-                .map(|o| o.slice(out_axis, start, len))
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Instruction::new(inst.op, inst.params, inputs, outputs)?)
-        })
-        .collect()
+/// The `(start, len)` pieces of an `extent`-long axis split `parts` ways
+/// (both at least 1): [`Shape::split_axis_extents`]' arithmetic
+/// (ceil-sized pieces first, none empty), without the vector.
+fn extents(extent: usize, parts: usize) -> impl Iterator<Item = (usize, usize)> {
+    let chunk = extent.div_ceil(parts);
+    (0..extent).step_by(chunk).map(move |start| (start, chunk.min(extent - start)))
+}
+
+/// `regions` sliced along `axis` (`None`: kept whole), in a vector of
+/// exactly their length.
+fn slice_each(
+    regions: &[Region],
+    axes: impl IntoIterator<Item = Option<usize>>,
+    start: usize,
+    len: usize,
+) -> Result<Vec<Region>, OpsError> {
+    let mut out = Vec::with_capacity(regions.len());
+    for (r, axis) in regions.iter().zip(axes) {
+        out.push(match axis {
+            Some(axis) => r.slice(axis, start, len)?,
+            None => r.clone(),
+        });
+    }
+    Ok(out)
+}
+
+/// `params` with spatial axis `spatial`'s padding replaced by `pad`.
+fn with_pad(params: OpParams, spatial: usize, pad: Pad) -> OpParams {
+    match params {
+        OpParams::Conv(mut p) => {
+            p.pads[spatial] = pad;
+            OpParams::Conv(p)
+        }
+        OpParams::Pool(mut p) => {
+            p.pads[spatial] = pad;
+            OpParams::Pool(p)
+        }
+        other => other,
+    }
 }
 
 /// Splits `inst` into at most `parts` sub-operations along axis
@@ -272,9 +355,8 @@ fn slice_pair(
 ///
 /// Returns [`OpsError::NoSuchAxis`] for an invalid axis,
 /// [`OpsError::NotDecomposable`] for `Merge1D`, and region/validation
-/// errors if the split arithmetic produces illegal slices (which indicates
-/// a bug in the caller's axis choice, e.g. splitting a spatial axis finer
-/// than the kernel allows).
+/// errors if the split arithmetic produces illegal slices (`parts == 0`,
+/// or a spatial piece whose window lies wholly in the padding).
 pub fn apply_split(
     inst: &Instruction,
     axis_index: usize,
@@ -284,277 +366,182 @@ pub fn apply_split(
         return Err(OpsError::NotDecomposable("Merge1D"));
     }
     let axes = split_axes(inst);
-    let axis = *axes
+    let axis = axes
         .get(axis_index)
         .ok_or(OpsError::NoSuchAxis { axis: axis_index, op: inst.op.mnemonic() })?;
-
-    match (inst.op, axis.label) {
-        // ---- Convolutions ---------------------------------------------
-        (Opcode::Cv2D | Opcode::Cv3D, "batch") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 0, 0, 0, parts)?))
-        }
-        (Opcode::Cv2D | Opcode::Cv3D, lbl @ ("spatial-d" | "spatial-h" | "spatial-w")) => {
-            // Spatial axis s (0-based among spatial axes).
-            let s_axis = match (inst.op, lbl) {
-                (Opcode::Cv3D, "spatial-d") => 0,
-                (Opcode::Cv2D, "spatial-h") | (Opcode::Cv3D, "spatial-h") => {
-                    if inst.op == Opcode::Cv2D {
-                        0
-                    } else {
-                        1
-                    }
-                }
-                _ => {
-                    if inst.op == Opcode::Cv2D {
-                        1
-                    } else {
-                        2
-                    }
-                }
-            };
-            let tensor_axis = s_axis + 1; // NHWC / NDHWC
-            let p = inst.params.conv();
-            let kernel = inst.inputs[1].shape().dim(s_axis);
-            let in_extent = inst.inputs[0].shape().dim(tensor_axis);
-            let extents = inst.outputs[0].shape().split_axis_extents(tensor_axis, parts)?;
-            let mut out = Vec::with_capacity(extents.len());
-            for (os, ol) in extents {
-                let (in_lo, in_len, pad) =
-                    spatial_slice(in_extent, kernel, p.stride, p.pads[s_axis], os, ol);
-                let mut piece_params = p;
-                piece_params.pads[s_axis] = pad;
-                let mut inputs = inst.inputs.clone();
-                inputs[0] = inputs[0].slice(tensor_axis, in_lo, in_len)?;
-                let outputs = inst
-                    .outputs
-                    .iter()
-                    .map(|o| o.slice(tensor_axis, os, ol))
-                    .collect::<Result<Vec<_>, _>>()?;
-                out.push(Instruction::new(inst.op, OpParams::Conv(piece_params), inputs, outputs)?);
-            }
-            Ok(SplitOutcome::Direct(out))
-        }
-        (Opcode::Cv2D, "out-feature") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 1, 3, 3, parts)?))
-        }
-        (Opcode::Cv3D, "out-feature") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 1, 4, 4, parts)?))
-        }
-        (Opcode::Cv2D | Opcode::Cv3D, "in-feature") => {
-            let (x_axis, w_axis) = if inst.op == Opcode::Cv2D { (3, 2) } else { (4, 3) };
-            let extents = inst.inputs[0].shape().split_axis_extents(x_axis, parts)?;
+    match axis.cut {
+        Cut::Direct { inputs, out_axis } => {
+            let extents = inst.outputs[0].shape().split_axis_extents(out_axis, parts)?;
             let pieces = extents
                 .into_iter()
                 .map(|(start, len)| {
+                    let ins = slice_each(&inst.inputs, inputs, start, len)?;
+                    let outs = slice_each(&inst.outputs, [Some(out_axis); 2], start, len)?;
+                    Ok(Instruction::new(inst.op, inst.params, ins, outs)?)
+                })
+                .collect::<Result<_, OpsError>>()?;
+            Ok(SplitOutcome::Direct(pieces))
+        }
+        Cut::Spatial { spatial, kernel, stride, pad } => {
+            let axis = spatial + 1; // NHWC / NDHWC
+            let in_extent = inst.inputs[0].shape().dim(axis);
+            let extents = inst.outputs[0].shape().split_axis_extents(axis, parts)?;
+            let pieces = extents
+                .into_iter()
+                .map(|(start, len)| {
+                    let (in_lo, in_len, piece_pad) =
+                        spatial_slice(in_extent, kernel, stride, pad, start, len);
+                    let mut ins = inst.inputs.clone();
+                    ins[0] = ins[0].slice(axis, in_lo, in_len)?;
+                    let outs = slice_each(&inst.outputs, [Some(axis); 2], start, len)?;
+                    let params = with_pad(inst.params, spatial, piece_pad);
+                    Ok(Instruction::new(inst.op, params, ins, outs)?)
+                })
+                .collect::<Result<_, OpsError>>()?;
+            Ok(SplitOutcome::Direct(pieces))
+        }
+        Cut::Reduce { inputs, partials, kind } => {
+            let extents = inst.inputs[0].shape().split_axis_extents(inputs[0], parts)?;
+            let pieces = extents
+                .into_iter()
+                .map(|(start, len)| {
+                    let ins = slice_each(&inst.inputs, inputs.map(Some), start, len)?;
+                    let partial_shapes = match partials {
+                        Partials::Output => vec![inst.outputs[0].shape().clone()],
+                        Partials::Inputs => ins.iter().map(|r| r.shape().clone()).collect(),
+                        Partials::Scalar => vec![Shape::scalar()],
+                    };
                     Ok(PartialPiece {
                         op: inst.op,
                         params: inst.params,
-                        inputs: vec![
-                            inst.inputs[0].slice(x_axis, start, len)?,
-                            inst.inputs[1].slice(w_axis, start, len)?,
-                        ],
-                        partial_shapes: vec![inst.outputs[0].shape().clone()],
+                        inputs: ins,
+                        partial_shapes,
                     })
                 })
-                .collect::<Result<Vec<_>, OpsError>>()?;
-            Ok(SplitOutcome::Reduce { pieces, kind: ReduceKind::Add })
-        }
-
-        // ---- Pooling ---------------------------------------------------
-        (Opcode::Max2D | Opcode::Min2D | Opcode::Avg2D, "batch") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 0, 0, 0, parts)?))
-        }
-        (Opcode::Max2D | Opcode::Min2D | Opcode::Avg2D, "feature") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 0, 3, 3, parts)?))
-        }
-        (Opcode::Max2D | Opcode::Min2D | Opcode::Avg2D, lbl @ ("spatial-h" | "spatial-w")) => {
-            let s_axis = if lbl == "spatial-h" { 0 } else { 1 };
-            let tensor_axis = s_axis + 1;
-            let p = inst.params.pool();
-            let kernel = if s_axis == 0 { p.kh } else { p.kw };
-            let in_extent = inst.inputs[0].shape().dim(tensor_axis);
-            let extents = inst.outputs[0].shape().split_axis_extents(tensor_axis, parts)?;
-            let mut out = Vec::with_capacity(extents.len());
-            for (os, ol) in extents {
-                let (in_lo, in_len, pad) =
-                    spatial_slice(in_extent, kernel, p.stride, p.pads[s_axis], os, ol);
-                let mut piece_params: PoolParams = p;
-                piece_params.pads[s_axis] = pad;
-                let inputs = vec![inst.inputs[0].slice(tensor_axis, in_lo, in_len)?];
-                let outputs = vec![inst.outputs[0].slice(tensor_axis, os, ol)?];
-                out.push(Instruction::new(inst.op, OpParams::Pool(piece_params), inputs, outputs)?);
-            }
-            Ok(SplitOutcome::Direct(out))
-        }
-
-        // ---- LRN ---------------------------------------------------------
-        (Opcode::Lrn, "batch") => Ok(SplitOutcome::Direct(slice_pair(inst, 0, 0, 0, parts)?)),
-        (Opcode::Lrn, "spatial-h") => Ok(SplitOutcome::Direct(slice_pair(inst, 0, 1, 1, parts)?)),
-        (Opcode::Lrn, "spatial-w") => Ok(SplitOutcome::Direct(slice_pair(inst, 0, 2, 2, parts)?)),
-
-        // ---- Linear algebra ---------------------------------------------
-        (Opcode::MatMul, "left-rows") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 0, 0, 0, parts)?))
-        }
-        (Opcode::MatMul, "right-cols") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 1, 1, 1, parts)?))
-        }
-        (Opcode::MatMul, "inner") => {
-            let extents = inst.inputs[0].shape().split_axis_extents(1, parts)?;
-            let pieces = extents
-                .into_iter()
-                .map(|(start, len)| {
-                    Ok(PartialPiece {
-                        op: inst.op,
-                        params: inst.params,
-                        inputs: vec![
-                            inst.inputs[0].slice(1, start, len)?,
-                            inst.inputs[1].slice(0, start, len)?,
-                        ],
-                        partial_shapes: vec![inst.outputs[0].shape().clone()],
-                    })
-                })
-                .collect::<Result<Vec<_>, OpsError>>()?;
-            Ok(SplitOutcome::Reduce { pieces, kind: ReduceKind::Add })
-        }
-        (Opcode::Euclidian1D, "left") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 0, 0, 0, parts)?))
-        }
-        (Opcode::Euclidian1D, "right") => {
-            Ok(SplitOutcome::Direct(slice_pair(inst, 1, 0, 1, parts)?))
-        }
-        (Opcode::Euclidian1D, "dim") => {
-            let extents = inst.inputs[0].shape().split_axis_extents(1, parts)?;
-            let pieces = extents
-                .into_iter()
-                .map(|(start, len)| {
-                    Ok(PartialPiece {
-                        op: inst.op,
-                        params: inst.params,
-                        inputs: vec![
-                            inst.inputs[0].slice(1, start, len)?,
-                            inst.inputs[1].slice(1, start, len)?,
-                        ],
-                        partial_shapes: vec![inst.outputs[0].shape().clone()],
-                    })
-                })
-                .collect::<Result<Vec<_>, OpsError>>()?;
-            Ok(SplitOutcome::Reduce { pieces, kind: ReduceKind::Add })
-        }
-
-        // ---- Sort / count / horizontal ------------------------------------
-        (Opcode::Sort1D, "segment") => {
-            let extents = inst.inputs[0].shape().split_axis_extents(0, parts)?;
-            let pieces = extents
-                .into_iter()
-                .map(|(start, len)| {
-                    let inputs = inst
-                        .inputs
-                        .iter()
-                        .map(|r| r.slice(0, start, len))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let partial_shapes = inputs.iter().map(|r| r.shape().clone()).collect();
-                    Ok(PartialPiece { op: inst.op, params: inst.params, inputs, partial_shapes })
-                })
-                .collect::<Result<Vec<_>, OpsError>>()?;
-            Ok(SplitOutcome::Reduce { pieces, kind: ReduceKind::Merge })
-        }
-        (Opcode::Count1D | Opcode::HSum1D | Opcode::HProd1D, "segment") => {
-            let kind = match inst.op {
-                Opcode::HProd1D => ReduceKind::Mul,
-                _ => ReduceKind::Add,
-            };
-            let extents = inst.inputs[0].shape().split_axis_extents(0, parts)?;
-            let pieces = extents
-                .into_iter()
-                .map(|(start, len)| {
-                    Ok(PartialPiece {
-                        op: inst.op,
-                        params: inst.params,
-                        inputs: vec![inst.inputs[0].slice(0, start, len)?],
-                        partial_shapes: vec![Shape::scalar()],
-                    })
-                })
-                .collect::<Result<Vec<_>, OpsError>>()?;
+                .collect::<Result<_, OpsError>>()?;
             Ok(SplitOutcome::Reduce { pieces, kind })
         }
-
-        // ---- Elementwise ---------------------------------------------------
-        (Opcode::Add1D | Opcode::Sub1D | Opcode::Mul1D | Opcode::Act1D, lbl) => {
-            let tensor_axis: usize = lbl
-                .strip_prefix("dim-")
-                .and_then(|d| d.parse().ok())
-                .ok_or(OpsError::NoSuchAxis { axis: axis_index, op: inst.op.mnemonic() })?;
-            let extents = inst.outputs[0].shape().split_axis_extents(tensor_axis, parts)?;
-            let out = extents
-                .into_iter()
-                .map(|(start, len)| {
-                    let inputs = inst
-                        .inputs
-                        .iter()
-                        .map(|r| r.slice(tensor_axis, start, len))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    let outputs = inst
-                        .outputs
-                        .iter()
-                        .map(|r| r.slice(tensor_axis, start, len))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    Ok(Instruction::new(inst.op, inst.params, inputs, outputs)?)
-                })
-                .collect::<Result<Vec<_>, OpsError>>()?;
-            Ok(SplitOutcome::Direct(out))
-        }
-
-        _ => Err(OpsError::NoSuchAxis { axis: axis_index, op: inst.op.mnemonic() }),
     }
 }
 
-/// Extra bytes moved by a split relative to executing the instruction
-/// whole: replicated/overlapping inputs plus partial-output buffers. The
-/// decomposition chooser minimises this.
-pub fn split_overhead_bytes(inst: &Instruction, outcome: &SplitOutcome) -> u64 {
-    let base: u64 = inst.operand_bytes();
-    match outcome {
-        SplitOutcome::Direct(parts) => {
-            let total: u64 = parts.iter().map(Instruction::operand_bytes).sum();
-            total.saturating_sub(base)
-        }
-        SplitOutcome::Reduce { pieces, .. } => {
-            let inputs: u64 = pieces.iter().flat_map(|p| p.inputs.iter()).map(Region::bytes).sum();
-            let partials: u64 =
-                pieces.iter().flat_map(|p| p.partial_shapes.iter()).map(Shape::bytes).sum();
-            let base_in: u64 = inst.inputs.iter().map(Region::bytes).sum();
-            // Partials are written once and read once by g(·).
-            (inputs + 2 * partials).saturating_sub(base_in)
+/// What a `parts`-way split along one axis moves, computed from the
+/// operand shapes alone: the decomposers score every candidate axis with
+/// it and build the pieces of the chosen one only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SplitCost {
+    /// Number of pieces.
+    pub pieces: usize,
+    /// Operand bytes summed over the pieces: inputs and outputs of a
+    /// direct split's pieces, inputs only for an output-dependent split.
+    pub operand_bytes: u64,
+    /// Partial-output bytes summed over the pieces (0 for a direct split).
+    pub partial_bytes: u64,
+    /// The first piece's partial-output bytes.
+    pub first_partial_bytes: u64,
+    /// The retrieving operator of an output-dependent split.
+    pub reduce: Option<ReduceKind>,
+}
+
+impl SplitCost {
+    /// Extra bytes the split moves relative to executing `inst` whole:
+    /// replicated or overlapping operands, plus partial buffers (written
+    /// once and read once by `g(·)`). The decomposers minimise this.
+    pub fn overhead_bytes(&self, inst: &Instruction) -> u64 {
+        match self.reduce {
+            None => {
+                self.operand_bytes.saturating_sub(bytes_of(inst.inputs.iter().chain(&inst.outputs)))
+            }
+            Some(_) => self
+                .operand_bytes
+                .saturating_add(self.partial_bytes.saturating_mul(2))
+                .saturating_sub(bytes_of(&inst.inputs)),
         }
     }
 }
 
-/// Picks the axis whose `parts`-way split moves the fewest extra bytes,
-/// returning `(axis, outcome)`. Returns `None` when no axis can be split
-/// (all extents 1, or the opcode is not decomposable).
-pub fn choose_split(inst: &Instruction, parts: usize) -> Option<(AxisInfo, SplitOutcome)> {
-    let mut best: Option<(u64, AxisInfo, SplitOutcome)> = None;
-    for axis in split_axes(inst) {
-        if axis.extent < 2 {
-            continue;
+/// Total bytes of `regions`, saturating at `u64::MAX`.
+fn bytes_of<'a>(regions: impl IntoIterator<Item = &'a Region>) -> u64 {
+    regions.into_iter().fold(0, |sum, r| sum.saturating_add(r.bytes()))
+}
+
+/// Bytes of `r` sliced to `len` along `axis`.
+fn slice_bytes(r: &Region, axis: usize, len: usize) -> u64 {
+    r.bytes() / r.shape().dim(axis) as u64 * len as u64
+}
+
+/// The cost of splitting `inst` `parts` ways along `axis` (one of
+/// [`split_axes`]`(inst)`), without building a piece: equal to what
+/// summing [`apply_split`]'s pieces gives, with byte sums saturating.
+/// `None` exactly where [`apply_split`] errs: `parts == 0`, or a spatial
+/// piece whose window lies wholly in the padding.
+pub fn split_cost(inst: &Instruction, axis: &AxisInfo, parts: usize) -> Option<SplitCost> {
+    if parts == 0 {
+        return None;
+    }
+    let direct = |pieces, operand_bytes| SplitCost {
+        pieces,
+        operand_bytes,
+        partial_bytes: 0,
+        first_partial_bytes: 0,
+        reduce: None,
+    };
+    match axis.cut {
+        Cut::Direct { inputs, out_axis } => {
+            // Sliced operands sum to themselves; whole ones repeat per piece.
+            let pieces = extents(inst.outputs[0].shape().dim(out_axis), parts).count();
+            let whole = inst.inputs.iter().zip(inputs).filter(|(_, a)| a.is_none());
+            let sliced = inst.inputs.iter().zip(inputs).filter(|(_, a)| a.is_some());
+            let bytes = bytes_of(sliced.map(|(r, _)| r).chain(&inst.outputs))
+                .saturating_add(bytes_of(whole.map(|(r, _)| r)).saturating_mul(pieces as u64));
+            Some(direct(pieces, bytes))
         }
-        let Ok(outcome) = apply_split(inst, axis.index, parts) else {
-            continue;
-        };
-        if outcome.len() < 2 {
-            continue;
+        Cut::Spatial { spatial, kernel, stride, pad } => {
+            let axis = spatial + 1;
+            let x = &inst.inputs[0];
+            let in_extent = x.shape().dim(axis);
+            let (mut pieces, mut x_bytes) = (0usize, 0u64);
+            for (start, len) in extents(inst.outputs[0].shape().dim(axis), parts) {
+                let (_, in_len, _) = spatial_slice(in_extent, kernel, stride, pad, start, len);
+                if in_len == 0 {
+                    return None;
+                }
+                pieces += 1;
+                x_bytes = x_bytes.saturating_add(slice_bytes(x, axis, in_len));
+            }
+            let bytes = x_bytes
+                .saturating_add(bytes_of(&inst.outputs))
+                .saturating_add(bytes_of(&inst.inputs[1..]).saturating_mul(pieces as u64));
+            Some(direct(pieces, bytes))
         }
-        let cost = split_overhead_bytes(inst, &outcome);
-        let better = match &best {
-            None => true,
-            Some((c, ..)) => cost < *c,
-        };
-        if better {
-            best = Some((cost, axis, outcome));
+        Cut::Reduce { inputs, partials, kind } => {
+            let extent = inst.inputs[0].shape().dim(inputs[0]);
+            let (pieces, first) = (extents(extent, parts).count(), extent.div_ceil(parts));
+            let (total, first) = match partials {
+                Partials::Output => {
+                    let b = inst.outputs[0].bytes();
+                    (b.saturating_mul(pieces as u64), b)
+                }
+                Partials::Inputs => (
+                    bytes_of(&inst.inputs),
+                    inst.inputs
+                        .iter()
+                        .zip(inputs)
+                        .fold(0u64, |sum, (r, a)| sum.saturating_add(slice_bytes(r, a, first))),
+                ),
+                Partials::Scalar => {
+                    let b = Shape::scalar().bytes();
+                    (b.saturating_mul(pieces as u64), b)
+                }
+            };
+            Some(SplitCost {
+                pieces,
+                operand_bytes: bytes_of(&inst.inputs),
+                partial_bytes: total,
+                first_partial_bytes: first,
+                reduce: Some(kind),
+            })
         }
     }
-    best.map(|(_, a, o)| (a, o))
 }
 
 /// One row of the paper's Table 2 ("Computing primitives analysis").
@@ -765,6 +752,18 @@ mod tests {
         }
     }
 
+    /// The axis whose `parts`-way split moves the fewest extra bytes (the
+    /// first of equals); `None` when no axis splits.
+    fn cheapest_axis(inst: &Instruction, parts: usize) -> Option<AxisInfo> {
+        split_axes(inst)
+            .into_iter()
+            .filter(|axis| axis.extent >= 2)
+            .filter_map(|axis| Some((split_cost(inst, &axis, parts)?, axis)))
+            .filter(|(cost, _)| cost.pieces >= 2)
+            .min_by_key(|(cost, _)| cost.overhead_bytes(inst))
+            .map(|(_, axis)| axis)
+    }
+
     fn filled_memory(n: usize, seed: u64) -> Memory {
         let mut mem = Memory::new(n);
         let t = cf_tensor::gen::DataGen::new(seed).uniform(Shape::new(vec![n]), -2.0, 2.0);
@@ -931,7 +930,7 @@ mod tests {
             vec![reg(1024, &[4, 6, 6, 4])],
         )
         .unwrap();
-        let (axis, _) = choose_split(&inst, 4).unwrap();
+        let axis = cheapest_axis(&inst, 4).unwrap();
         assert_eq!(axis.dependency, Dependency::Independent);
     }
 
@@ -944,7 +943,7 @@ mod tests {
             vec![reg(1024, &[64, 64])],
         )
         .unwrap();
-        let (axis, _) = choose_split(&inst, 4).unwrap();
+        let axis = cheapest_axis(&inst, 4).unwrap();
         assert_ne!(axis.dependency, Dependency::OutputDependent);
     }
 
@@ -957,7 +956,26 @@ mod tests {
             vec![reg(1, &[1])],
         )
         .unwrap();
-        assert!(choose_split(&inst, 4).is_none());
+        assert!(cheapest_axis(&inst, 4).is_none());
+    }
+
+    #[test]
+    fn split_cost_is_none_where_a_piece_reads_only_padding() {
+        // A 1×1 kernel over one row padded by one on each side: the
+        // output's first and last rows read padding only.
+        let inst = Instruction::new(
+            Opcode::Cv2D,
+            OpParams::Conv(ConvParams::same(1, 1)),
+            vec![reg(0, &[1, 1, 1, 1]), reg(1, &[1, 1, 1, 1])],
+            vec![reg(2, &[1, 3, 3, 1])],
+        )
+        .unwrap();
+        let h = split_axes(&inst).into_iter().find(|a| a.label == "spatial-h").unwrap();
+        assert!(apply_split(&inst, h.index, 3).is_err());
+        assert_eq!(split_cost(&inst, &h, 3), None);
+        let whole = split_cost(&inst, &h, 1).unwrap();
+        assert_eq!((whole.pieces, whole.operand_bytes), (1, inst.operand_bytes()));
+        assert_eq!(whole.overhead_bytes(&inst), 0);
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   primitive can be decomposed along, the dependency class of each axis
 //!   (*independent*, *input dependent*, *output dependent*), the retrieving
 //!   operator `g(·)` and the data redundancy (Table 2), plus the region
-//!   arithmetic that actually performs a split.
+//!   arithmetic that actually performs a split ([`fractal::apply_split`])
+//!   and a shape-only scorer of it ([`fractal::split_cost`]: piece count,
+//!   operand and partial bytes, without building a piece), which the
+//!   decomposers use to pick an axis before building its pieces.
 //! * [`cost`] — operation/byte counts per instruction, used by the leaf
 //!   timing model, the decomposition chooser and the Table 1 profiler.
 //!

@@ -1,10 +1,11 @@
 //! The fractal-operation property (paper eq. 1), property-tested: for any
 //! primitive, any decomposition axis and any piece count,
-//! decompose-and-execute must equal direct execution.
+//! decompose-and-execute must equal direct execution. And the planner's
+//! shape-only score of a split equals what the built split's pieces sum to.
 
-use cf_isa::{ConvParams, Instruction, OpParams, Opcode, PoolParams};
+use cf_isa::{infer_output_shapes, ConvParams, Instruction, OpParams, Opcode, Pad, PoolParams};
 use cf_ops::exec::execute_instruction;
-use cf_ops::fractal::{apply_split, split_axes, ReduceKind, SplitOutcome};
+use cf_ops::fractal::{apply_split, split_axes, split_cost, ReduceKind, SplitOutcome};
 use cf_ops::kernels;
 use cf_tensor::{gen::DataGen, Memory, Region, Shape};
 use proptest::prelude::*;
@@ -103,8 +104,109 @@ fn filled(n: usize, seed: u64) -> Memory {
     mem
 }
 
+/// An instance of `op` over small extents `d`, with kernel extents `k`,
+/// stride `stride` and asymmetric padding `pad` for the windowed opcodes
+/// (padding may exceed the kernel, so some spatial pieces see only
+/// padding); `None` when those shapes are not a legal signature.
+fn instance(
+    op: Opcode,
+    d: [usize; 5],
+    k: [usize; 3],
+    stride: usize,
+    pad: (usize, usize),
+    payload: bool,
+) -> Option<Instruction> {
+    let pads = [Pad { before: pad.0, after: pad.1 }, Pad { before: pad.1, after: pad.0 }];
+    let (params, inputs): (OpParams, Vec<Vec<usize>>) = match op {
+        Opcode::Cv2D => (
+            OpParams::Conv(ConvParams { stride, pads: [pads[0], pads[1], pads[0]] }),
+            vec![vec![d[0], d[1], d[2], d[3]], vec![k[0], k[1], d[3], d[4]]],
+        ),
+        Opcode::Cv3D => (
+            OpParams::Conv(ConvParams { stride, pads: [pads[0], pads[1], pads[0]] }),
+            vec![vec![d[0], d[1], d[2], d[1], d[3]], vec![k[0], k[1], k[2], d[3], d[4]]],
+        ),
+        Opcode::Max2D | Opcode::Min2D | Opcode::Avg2D => (
+            OpParams::Pool(PoolParams { kh: k[0], kw: k[1], stride, pads }),
+            vec![vec![d[0], d[1], d[2], d[3]]],
+        ),
+        Opcode::Lrn => (OpParams::None, vec![vec![d[0], d[1], d[2], d[3]]]),
+        Opcode::MatMul => (OpParams::None, vec![vec![d[0], d[1]], vec![d[1], d[2]]]),
+        Opcode::Euclidian1D => (OpParams::None, vec![vec![d[0], d[1]], vec![d[2], d[1]]]),
+        Opcode::Sort1D if payload => (OpParams::None, vec![vec![d[0] * d[1]]; 2]),
+        Opcode::Sort1D | Opcode::Count1D | Opcode::HSum1D | Opcode::HProd1D => {
+            (OpParams::None, vec![vec![d[0] * d[1]]])
+        }
+        Opcode::Add1D | Opcode::Sub1D | Opcode::Mul1D => {
+            (OpParams::None, vec![vec![d[0], d[1], d[2]]; 2])
+        }
+        Opcode::Act1D => (OpParams::None, vec![vec![d[0], d[1], d[2]]]),
+        Opcode::Merge1D => (OpParams::None, vec![vec![d[0]], vec![d[1]]]),
+    };
+    let inputs: Vec<Shape> = inputs.into_iter().map(Shape::new).collect();
+    let outputs = infer_output_shapes(op, &params, &inputs).ok()?;
+    let mut offset = 0;
+    let mut place = |s: Shape| {
+        let r = Region::contiguous(offset, s);
+        offset += r.numel();
+        r
+    };
+    let inputs = inputs.into_iter().map(&mut place).collect();
+    let outputs = outputs.into_iter().map(&mut place).collect();
+    Instruction::new(op, params, inputs, outputs).ok()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    #[test]
+    fn split_cost_equals_the_built_split(
+        d in (1usize..7, 1usize..7, 1usize..7, 1usize..7, 1usize..7),
+        k in (1usize..4, 1usize..4, 1usize..4),
+        stride in 1usize..4, pad in (0usize..4, 0usize..4), payload in 0usize..2,
+    ) {
+        for op in Opcode::ALL {
+            let (d, k) = ([d.0, d.1, d.2, d.3, d.4], [k.0, k.1, k.2]);
+            let Some(inst) = instance(op, d, k, stride, pad, payload == 1) else { continue };
+            for axis in split_axes(&inst) {
+                for parts in 1..=8 {
+                    let what = format!("{op} axis {} x{parts}", axis.label);
+                    let cost = split_cost(&inst, &axis, parts);
+                    let Ok(outcome) = apply_split(&inst, axis.index, parts) else {
+                        prop_assert!(cost.is_none(), "{}: scored a split that errs", what);
+                        continue;
+                    };
+                    prop_assert!(cost.is_some(), "{}: no score for a split that builds", what);
+                    let cost = cost.unwrap();
+                    // The reference: sums over the built pieces.
+                    let bytes = |rs: &[Region]| rs.iter().map(Region::bytes).sum::<u64>();
+                    let (operand, partial, first, overhead, reduce) = match &outcome {
+                        SplitOutcome::Direct(pieces) => {
+                            let operand: u64 =
+                                pieces.iter().map(Instruction::operand_bytes).sum();
+                            (operand, 0, 0, operand.saturating_sub(inst.operand_bytes()), None)
+                        }
+                        SplitOutcome::Reduce { pieces, kind } => {
+                            let operand: u64 = pieces.iter().map(|p| bytes(&p.inputs)).sum();
+                            let partial_of = |p: &cf_ops::fractal::PartialPiece| {
+                                p.partial_shapes.iter().map(Shape::bytes).sum::<u64>()
+                            };
+                            let partial: u64 = pieces.iter().map(partial_of).sum();
+                            let overhead =
+                                (operand + 2 * partial).saturating_sub(bytes(&inst.inputs));
+                            (operand, partial, partial_of(&pieces[0]), overhead, Some(*kind))
+                        }
+                    };
+                    prop_assert_eq!(cost.pieces, outcome.len(), "{}: pieces", what);
+                    prop_assert_eq!(cost.operand_bytes, operand, "{}: operand bytes", what);
+                    prop_assert_eq!(cost.partial_bytes, partial, "{}: partial bytes", what);
+                    prop_assert_eq!(cost.first_partial_bytes, first, "{}: first partial", what);
+                    prop_assert_eq!(cost.overhead_bytes(&inst), overhead, "{}: overhead", what);
+                    prop_assert_eq!(cost.reduce, reduce, "{}: reduce kind", what);
+                }
+            }
+        }
+    }
 
     #[test]
     fn matmul_every_axis(

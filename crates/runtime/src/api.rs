@@ -779,9 +779,10 @@ fn shed_salt() -> u64 {
 }
 
 /// The fleet-routing fingerprint of a `POST /jobs` body: the content
-/// hash of its canonical spec line with `label` left out, so the same
-/// spec lands on the same backend (whose plan cache is then warm for it)
-/// whatever its key order or label. Routing never builds the program:
+/// hash of its canonical spec line with `label` and every key spelled at
+/// its default (`machine=f1`, `mode=simulate`, …) left out, so the same
+/// job lands on the same backend (whose plan cache is then warm for it)
+/// whatever its key order, label or spelling. Routing never builds the program:
 /// the backend that gets the job does that once. Array submissions route
 /// by their first element (all-or-nothing arrays stay on one backend);
 /// anything without a canonical line falls back to a content hash of
@@ -800,8 +801,11 @@ pub fn routing_fingerprint(body: &str) -> u64 {
     let Ok(line) = canonical_line(first) else {
         return fallback();
     };
-    let unlabelled: Vec<&str> = line.split(' ').filter(|kv| !kv.starts_with("label=")).collect();
-    fnv1a(unlabelled.join(" ").as_bytes())
+    let key: Vec<&str> = line
+        .split(' ')
+        .filter(|kv| !kv.starts_with("label=") && !manifest::DEFAULT_KEYS.contains(kv))
+        .collect();
+    fnv1a(key.join(" ").as_bytes())
 }
 
 // ---------------------------------------------------------------------------
@@ -977,6 +981,25 @@ mod tests {
         let d =
             routing_fingerprint(r#"{"workload":"matmul","order":32,"machine":"tiny","label":"x"}"#);
         assert_eq!(a, d);
+    }
+
+    #[test]
+    fn routing_fingerprint_ignores_keys_spelled_at_their_default() {
+        let bare = routing_fingerprint(r#"{"workload":"matmul","order":32}"#);
+        let f1 = routing_fingerprint(r#"{"workload":"matmul","order":32,"machine":"f1"}"#);
+        assert_eq!(bare, f1, "machine=f1 is the default");
+        let spelled = routing_fingerprint(
+            r#"{"workload":"matmul","order":32,"machine":"f1","mode":"simulate","batch":1,"size":"small","seed":51966,"profile":false}"#,
+        );
+        assert_eq!(bare, spelled);
+        let f100 = routing_fingerprint(r#"{"workload":"matmul","order":32,"machine":"f100"}"#);
+        assert_ne!(bare, f100, "another machine routes by its own key");
+        assert_eq!(
+            f100,
+            routing_fingerprint(
+                r#"{"machine":"f100","order":32,"workload":"matmul","mode":"simulate"}"#
+            )
+        );
     }
 
     #[test]

@@ -52,6 +52,19 @@ pub fn machine_by_name(name: &str) -> Option<MachineConfig> {
 pub(crate) const WORKLOAD_NAMES: [&str; 8] =
     ["matmul", "vgg16", "resnet152", "alexnet", "mlp3", "knn", "kmeans", "svm"];
 
+/// Every key spelled at its default value, as a canonical spec line
+/// renders it: a line describes the same job with or without any of them.
+pub(crate) const DEFAULT_KEYS: [&str; 8] = [
+    "machine=f1",
+    "mode=simulate",
+    "seed=51966",
+    "batch=1",
+    "order=256",
+    "size=small",
+    "profile=false",
+    "profile=0",
+];
+
 /// What a job does with its program.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobKind {
@@ -620,6 +633,15 @@ mod tests {
                 size: "small".into()
             }
         );
+    }
+
+    #[test]
+    fn default_keys_describe_the_same_job() {
+        let bare = parse_manifest("workload=matmul label=m").unwrap();
+        for key in DEFAULT_KEYS {
+            let spelled = parse_manifest(&format!("workload=matmul label=m {key}")).unwrap();
+            assert_eq!(spelled, bare, "{key}");
+        }
     }
 
     #[test]

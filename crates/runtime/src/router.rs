@@ -3,7 +3,8 @@
 //! parent node.
 //!
 //! Jobs are **consistent-hashed by canonical spec** (the hash of the
-//! `POST /jobs` body's canonical spec line without its label, from
+//! `POST /jobs` body's canonical spec line without its label or keys
+//! spelled at their defaults, from
 //! [`api::routing_fingerprint`]; the router never builds the program)
 //! onto a [`Ring`] of backends, so every instance's plan cache stays
 //! warm for the specs it owns. Robustness
