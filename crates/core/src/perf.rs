@@ -1430,8 +1430,8 @@ mod tests {
         // multiple unique signatures to fan out.
         let mut b = ProgramBuilder::new();
         for n in [256usize, 384, 512] {
-            let a = b.alloc(&format!("a{n}"), vec![n, n]);
-            let w = b.alloc(&format!("w{n}"), vec![n, n]);
+            let a = b.alloc(format!("a{n}"), vec![n, n]);
+            let w = b.alloc(format!("w{n}"), vec![n, n]);
             b.apply(Opcode::MatMul, [a, w]).unwrap();
         }
         let p = b.build();

@@ -25,17 +25,17 @@ fn program_of(ops: &[u8], rows: usize, cols: usize) -> Program {
     for (i, &op) in ops.iter().enumerate() {
         cur = match op % 4 {
             0 => {
-                let w = b.alloc(&format!("w{i}"), vec![c, rows]);
+                let w = b.alloc(format!("w{i}"), vec![c, rows]);
                 c = rows;
                 b.apply(Opcode::MatMul, [cur, w]).unwrap()[0]
             }
             1 => {
-                let y = b.alloc(&format!("y{i}"), vec![r, c]);
+                let y = b.alloc(format!("y{i}"), vec![r, c]);
                 b.apply(Opcode::Mul1D, [cur, y]).unwrap()[0]
             }
             2 => b.apply(Opcode::Act1D, [cur]).unwrap()[0],
             _ => {
-                let y = b.alloc(&format!("a{i}"), vec![r, c]);
+                let y = b.alloc(format!("a{i}"), vec![r, c]);
                 b.apply(Opcode::Add1D, [cur, y]).unwrap()[0]
             }
         };

@@ -18,12 +18,14 @@
 //!   is journaled; an overloaded pool answers `503` with a
 //!   `Retry-After` derived from how far past the limit the pool is,
 //!   instead of queueing unboundedly.
-//! * **Cross-request coalescing.** Two concurrent submissions of the
-//!   same `(machine fingerprint, program content hash)` pair — the plan
-//!   cache key — run as *one* computation: the second joins the first
-//!   as a subscriber, gets its own durable id and record, and the
+//! * **Cross-request coalescing.** A submission whose
+//!   `(machine fingerprint, program content hash)` pair — the plan cache
+//!   key — is already queued or running parks in the [`Runtime`]'s
+//!   single-flight, like a repeated manifest line: it takes no worker,
+//!   runs once the job ahead of it settles, and answers from the cache
+//!   that job filled, under its own durable id and record. The
 //!   [`RuntimeStats::api_coalesced`](crate::RuntimeStats::api_coalesced)
-//!   counter ticks once per joined request.
+//!   counter ticks once per submission that parked.
 //!
 //! The byte-exact record contract: a job submitted over the API and the
 //! identical manifest line produce byte-identical result records. Both
@@ -47,7 +49,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::cache::CacheKey;
 use crate::fault::fnv1a;
 use crate::job::{JobError, JobHandle, JobOptions};
 use crate::journal::{AcceptedEntry, JobEntry, Journal, JournalError, RunHeader, JOURNAL_VERSION};
@@ -142,9 +143,6 @@ struct ApiJob {
     /// message (exactly what the journal persists), replayed as
     /// [`JobError::Journaled`] so records stay byte-identical.
     outcome: Option<Result<JobOutput, String>>,
-    /// Coalesced subscriber ids to settle when this (leader) job
-    /// finishes.
-    followers: Vec<u64>,
     /// This job's distributed trace context (a per-job child of the
     /// `X-CF-Trace` request context), echoed on every response about
     /// the job.
@@ -168,7 +166,6 @@ impl ApiJob {
             machine,
             mode,
             outcome: None,
-            followers: Vec::new(),
             trace: None,
             accepted_at: Instant::now(),
             admission_us: 0,
@@ -182,26 +179,12 @@ struct ApiState {
     next_id: u64,
     jobs: HashMap<u64, ApiJob>,
     journal: Option<Journal>,
-    /// Live coalescing leaders by plan-cache identity.
-    leaders: HashMap<CacheKey, u64>,
-}
-
-impl ApiState {
-    /// Journals completions with one write and one fdatasync; a failed
-    /// append loses durability for these records but must not take down
-    /// the completion path (the in-memory outcomes still answer the
-    /// client).
-    fn journal_entries(&mut self, entries: &[JobEntry]) {
-        if let Some(journal) = self.journal.as_mut() {
-            let _ = journal.append_all(entries);
-        }
-    }
 }
 
 /// The HTTP job subsystem: validates specs, journals acceptance before
-/// acknowledging, coalesces identical concurrent submissions, runs jobs
-/// on the shared [`Runtime`], and renders finished records (see the
-/// module docs).
+/// acknowledging, runs jobs on the shared [`Runtime`] (whose
+/// single-flight coalesces identical concurrent submissions), and
+/// renders finished records (see the module docs).
 pub struct JobApi {
     runtime: Arc<Runtime>,
     state: Mutex<ApiState>,
@@ -235,12 +218,7 @@ impl JobApi {
     pub fn new(runtime: Arc<Runtime>, max_body: usize) -> Arc<JobApi> {
         Arc::new(JobApi {
             runtime,
-            state: Mutex::new(ApiState {
-                next_id: 0,
-                jobs: HashMap::new(),
-                journal: None,
-                leaders: HashMap::new(),
-            }),
+            state: Mutex::new(ApiState { next_id: 0, jobs: HashMap::new(), journal: None }),
             done: Condvar::new(),
             max_body,
         })
@@ -288,12 +266,7 @@ impl JobApi {
 
         let api = Arc::new(JobApi {
             runtime,
-            state: Mutex::new(ApiState {
-                next_id,
-                jobs,
-                journal: Some(journal),
-                leaders: HashMap::new(),
-            }),
+            state: Mutex::new(ApiState { next_id, jobs, journal: Some(journal) }),
             done: Condvar::new(),
             max_body,
         });
@@ -378,8 +351,8 @@ impl JobApi {
     }
 
     /// Accepts validated `(canonical line, job)` pairs: front-door
-    /// admission on the total cost, then per job either coalesce onto a
-    /// live leader or journal an accept and [`run_job`](JobApi::run_job).
+    /// admission on the total cost, one journaled accept per job, then
+    /// [`run_job`](JobApi::run_job) for each.
     fn submit_parsed(
         self: &Arc<Self>,
         parsed: Vec<(String, Job)>,
@@ -393,10 +366,7 @@ impl JobApi {
             return Err(shed_error(&self.runtime, e));
         }
 
-        let mut ids = Vec::with_capacity(parsed.len());
-        // (id, job, trace) triples that did not coalesce and must
-        // actually run.
-        let mut fresh: Vec<(u64, Job, Option<TraceContext>)> = Vec::new();
+        let mut accepted: Vec<(u64, Job, Option<TraceContext>)> = Vec::with_capacity(parsed.len());
         {
             let mut st = sync::lock(&self.state);
             // Durability before acknowledgement: every accept is on disk
@@ -422,38 +392,21 @@ impl JobApi {
             st.next_id = base + parsed.len() as u64;
             for (offset, (_, job)) in parsed.into_iter().enumerate() {
                 let id = base + offset as u64;
-                let live_leader = job.cache_key.and_then(|key| {
-                    let leader = *st.leaders.get(&key)?;
-                    st.jobs.get(&leader).filter(|j| j.outcome.is_none())?;
-                    Some(leader)
-                });
                 let job_trace = trace.map(|t| t.child());
                 let mut tracked =
                     ApiJob::new(job.label.clone(), job.machine_name.clone(), job.mode());
                 tracked.trace = job_trace;
                 st.jobs.insert(id, tracked);
-                let stats = self.runtime.stats();
-                stats.api_accepted.fetch_add(1, Ordering::Relaxed);
-                match live_leader {
-                    Some(leader) => {
-                        if let Some(l) = st.jobs.get_mut(&leader) {
-                            l.followers.push(id);
-                        }
-                        stats.api_coalesced.fetch_add(1, Ordering::Relaxed);
-                    }
-                    None => {
-                        if let Some(key) = job.cache_key {
-                            st.leaders.insert(key, id);
-                        }
-                        fresh.push((id, job, job_trace));
-                    }
-                }
-                ids.push(id);
+                self.runtime.stats().api_accepted.fetch_add(1, Ordering::Relaxed);
+                accepted.push((id, job, job_trace));
             }
         }
 
-        for (id, job, job_trace) in fresh {
-            self.run_job(id, job, job_trace);
+        let ids = accepted.iter().map(|(id, _, _)| *id).collect();
+        for (id, job, job_trace) in accepted {
+            if self.run_job(id, job, job_trace) {
+                self.runtime.stats().api_coalesced.fetch_add(1, Ordering::Relaxed);
+            }
         }
         Ok(ids)
     }
@@ -474,15 +427,16 @@ impl JobApi {
     /// capacity race between that check and this submit is absorbed with
     /// a few retries, after which the shed becomes the job's terminal
     /// outcome (the accept is durable, so the id must settle either way).
-    fn run_job(self: &Arc<Self>, id: u64, job: Job, trace: Option<TraceContext>) {
+    /// Returns whether the job parked behind a same-key job.
+    fn run_job(self: &Arc<Self>, id: u64, job: Job, trace: Option<TraceContext>) -> bool {
         let mut attempt = 0u32;
         let opts = JobOptions { trace, ..Default::default() };
         loop {
             match self.runtime.submit_job(opts, &job) {
-                Ok(handle) => {
+                Ok((handle, parked)) => {
                     self.note_scheduled(id, handle.id());
                     self.complete_when_done(id, job, handle);
-                    return;
+                    return parked;
                 }
                 Err(JobError::Shed { .. }) if attempt < SUBMIT_RACE_RETRIES => {
                     attempt += 1;
@@ -490,17 +444,16 @@ impl JobApi {
                 }
                 Err(e) => {
                     self.complete(id, Err(e.to_string()), None);
-                    return;
+                    return false;
                 }
             }
         }
     }
 
-    /// Joins `handle` on a parked thread and settles job `id` (and its
-    /// coalesced followers) with the outcome there, so the completion's
-    /// journal write never holds up a scheduler pool worker. Whether the
-    /// result came from the plan cache feeds the attribution's `cached`
-    /// flag.
+    /// Joins `handle` on a parked thread and settles job `id` with the
+    /// outcome there, so the completion's journal write never holds up a
+    /// scheduler pool worker. Whether the result came from the plan
+    /// cache feeds the attribution's `cached` flag.
     fn complete_when_done(self: &Arc<Self>, id: u64, job: Job, handle: JobHandle<JobDone>) {
         let api = Arc::clone(self);
         let started = crate::parked::run(move || match api.runtime.join_job(&job, handle) {
@@ -512,71 +465,34 @@ impl JobApi {
         }
     }
 
-    /// Settles job `id` and every coalesced follower: compute the
-    /// latency attribution from the job's own spans, journal the
-    /// completion records, store the outcome, wake long-pollers.
+    /// Settles job `id`: compute the latency attribution from the job's
+    /// own spans, journal the completion record, store the outcome, wake
+    /// long-pollers. A failed journal append loses durability for the
+    /// record but must not take down the completion path (the in-memory
+    /// outcome still answers the client).
     fn complete(&self, id: u64, outcome: Result<JobOutput, String>, cached: Option<bool>) {
-        let tracer = Arc::clone(self.runtime.tracer());
         let mut st = sync::lock(&self.state);
-        let leader_token = st.jobs.get(&id).and_then(|job| job.sched_token);
-        let Some(entry) = ({
-            let job = st.jobs.get_mut(&id);
-            job.map(|job| {
-                job.outcome = Some(outcome.clone());
-                if job.trace.is_some() {
-                    job.attribution = Some(render_attribution(
-                        &tracer,
-                        job.accepted_at,
-                        job.admission_us,
-                        job.sched_token,
-                        cached,
-                    ));
-                }
-                JobEntry {
-                    index: id,
-                    label: job.label.clone(),
-                    machine: job.machine.clone(),
-                    mode: job.mode,
-                    outcome: outcome.clone(),
-                }
-            })
-        }) else {
-            return;
-        };
-        let followers = match st.jobs.get_mut(&id) {
-            Some(job) => std::mem::take(&mut job.followers),
-            None => Vec::new(),
-        };
-        st.leaders.retain(|_, leader| *leader != id);
-        let mut entries = vec![entry];
-        for fid in followers {
-            let follower_entry = st.jobs.get_mut(&fid).map(|f| {
-                f.outcome = Some(outcome.clone());
-                if f.trace.is_some() {
-                    // Coalesced followers rode the leader's computation:
-                    // their stage durations are the leader's spans, their
-                    // wait is their own accept window.
-                    f.attribution = Some(render_attribution(
-                        &tracer,
-                        f.accepted_at,
-                        f.admission_us,
-                        leader_token,
-                        cached,
-                    ));
-                }
-                JobEntry {
-                    index: fid,
-                    label: f.label.clone(),
-                    machine: f.machine.clone(),
-                    mode: f.mode,
-                    outcome: outcome.clone(),
-                }
-            });
-            entries.extend(follower_entry);
+        let Some(job) = st.jobs.get_mut(&id) else { return };
+        if job.trace.is_some() {
+            job.attribution = Some(render_attribution(
+                self.runtime.tracer(),
+                job.accepted_at,
+                job.admission_us,
+                job.sched_token,
+                cached,
+            ));
         }
-        // The leader and its followers reach disk together, before the
-        // state lock (and so any of their records) is released.
-        st.journal_entries(&entries);
+        let entry = JobEntry {
+            index: id,
+            label: job.label.clone(),
+            machine: job.machine.clone(),
+            mode: job.mode,
+            outcome: outcome.clone(),
+        };
+        job.outcome = Some(outcome);
+        if let Some(journal) = st.journal.as_mut() {
+            let _ = journal.append(&entry);
+        }
         drop(st);
         self.done.notify_all();
     }
@@ -668,12 +584,12 @@ fn duration_us(d: Duration) -> u64 {
 
 /// Computes a settled job's latency [`Attribution`] from its own spans:
 /// `total_us` is the measured accept → settle wall time; `queue_us`,
-/// `run_us` and `retry_us` are mined from the span ring by scheduler
-/// token and clipped into that window latest-first (a coalesced
-/// follower owns only the tail of its leader's spans); `other_us` is
-/// the remainder, so the execution components sum to `total_us`
-/// exactly. With tracing disabled the mined stages read 0 and
-/// `other_us` absorbs the whole window.
+/// `run_us` and `retry_us` are mined from the span ring by the job's own
+/// scheduler token and clipped into that window latest-first; `other_us`
+/// is the remainder (for a job that parked behind a same-key job, the
+/// parked time), so the execution components sum to `total_us` exactly.
+/// With tracing disabled the mined stages read 0 and `other_us` absorbs
+/// the whole window.
 fn render_attribution(
     tracer: &Tracer,
     accepted_at: Instant,
@@ -814,7 +730,7 @@ pub fn routing_fingerprint(body: &str) -> u64 {
 
 /// The canonical key order of a rendered spec line: deterministic
 /// regardless of JSON key order, so identical specs produce identical
-/// journal records and coalesce keys.
+/// journal records and cache keys.
 const SPEC_KEYS: [&str; 10] = [
     "workload", "program", "machine", "mode", "seed", "batch", "order", "size", "label", "profile",
 ];
@@ -1135,8 +1051,8 @@ mod tests {
     #[test]
     fn concurrent_identical_submits_coalesce_to_one_computation() {
         let runtime = test_runtime(LoadPolicy::default());
-        // Block the single worker so the leader cannot finish before the
-        // follower arrives.
+        // Block the single worker so the first job is still queued when
+        // the second arrives.
         let (hold_tx, hold_rx) = mpsc::channel::<()>();
         let blocker = runtime.submit_task(move || {
             let _ = hold_rx.recv();
@@ -1159,9 +1075,12 @@ mod tests {
             ra.replace(&format!("\"job\":{a}"), "\"job\":X"),
             rb.replace(&format!("\"job\":{b}"), "\"job\":X"),
         );
-        // Exactly one cold simulation ran for the pair.
+        // Exactly one cold simulation ran for the pair; the parked job
+        // read what it filled.
         assert_eq!(stats.api_accepted.load(Ordering::Relaxed), 2);
         assert_eq!(stats.api_coalesced.load(Ordering::Relaxed), 1);
+        let snap = stats.snapshot();
+        assert_eq!((snap.cache_misses, snap.cache_hits), (1, 1), "{snap:?}");
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //! on the contents of external memory, which is not part of the key (see
 //! DESIGN.md §6).
 //!
-//! The key also defines *identity* beyond the cache: concurrent
-//! simulations of the same key run once behind a single-flight guard in
-//! the scheduler, and the HTTP job API ([`api`](crate::api)) coalesces
-//! concurrently submitted identical specs by this key — one cold
-//! computation, N subscribers, each with its own durable job id (see
-//! DESIGN.md §9).
+//! The key also defines *identity* beyond the cache: it is the
+//! scheduler's single-flight, under which a job whose key is already
+//! queued or running parks until that job settles and then reads its
+//! fill — one cold computation for manifest repeats and concurrent
+//! `POST /jobs` duplicates alike, each with its own job id (see
+//! DESIGN.md §6 and §9).
 
 use std::collections::HashMap;
 use std::sync::Mutex;

@@ -57,7 +57,8 @@
 //! * [`api`] — the HTTP job subsystem behind `POST /jobs`: JSON job
 //!   specs accepted over the status listener, journaled durably
 //!   *before* the id is acknowledged, coalesced across requests by
-//!   plan-cache identity, shed at the front door under overload
+//!   the runtime's single-flight on plan-cache identity, shed at the
+//!   front door under overload
 //!   (`503` + `Retry-After`), and streamed back from
 //!   `GET /jobs/<id>` byte-identically to the manifest serving path.
 //!   See DESIGN.md §9.

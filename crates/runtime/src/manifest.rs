@@ -139,7 +139,7 @@ pub struct Job {
     pub(crate) trace_json: Option<String>,
     /// The plan-cache key, `Some` exactly for a cacheable job (simulate,
     /// not profiled): what the scheduler looks the report up under and
-    /// what the HTTP job API coalesces concurrent submissions on.
+    /// parks same-key jobs on.
     pub(crate) cache_key: Option<CacheKey>,
 }
 

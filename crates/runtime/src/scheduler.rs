@@ -26,6 +26,13 @@
 //!   recomputation (counted in [`RuntimeStats`]). Functional-execution
 //!   jobs bypass the cache by construction (their results depend on
 //!   memory contents, which the key does not cover).
+//! * **Single-flight** — a cache-using simulate job whose key is already
+//!   queued or running *parks* at submit: it takes no queue slot, no
+//!   worker and no in-flight or queued-bytes charge. When the job holding
+//!   the key settles — ran, failed, cancelled, expired or shut down — the
+//!   earliest parked job moves to the queue front and runs as usual, so
+//!   its verified cache read answers it, and jobs with one key read the
+//!   cache in submission order at any worker count.
 //! * **Supervision** — simulation/execution jobs (idempotent by
 //!   construction) run under the [`supervisor`](crate::supervisor):
 //!   transient failures retry with exponential backoff inside a budget, a
@@ -147,6 +154,9 @@ type SettleFn = Box<dyn FnOnce(Disposition, &dyn Fn(bool)) -> Option<bool> + Sen
 struct QueuedJob {
     /// The job's submission id — the token fault/jitter decisions key on.
     id: u64,
+    /// The single-flight key of a cache-using simulate job.
+    key: Option<CacheKey>,
+    /// When the job entered the queue (a parked job: when it was released).
     enqueued: Instant,
     deadline: Option<Instant>,
     /// Bytes charged against the queued-bytes gauge while queued.
@@ -159,33 +169,10 @@ struct QueuedJob {
 
 struct QueueState {
     jobs: VecDeque<QueuedJob>,
+    /// One entry per single-flight key a job holds (queued or running):
+    /// the jobs parked behind it, earliest first.
+    parked: HashMap<CacheKey, VecDeque<QueuedJob>>,
     closed: bool,
-}
-
-/// Single-flight marker: the first job to miss on a key becomes the
-/// *leader* and simulates; concurrent same-key jobs wait here for the
-/// cache fill instead of duplicating the planner run.
-#[derive(Default)]
-struct Inflight {
-    done: Mutex<bool>,
-    cv: Condvar,
-}
-
-/// Removes the inflight marker and releases its waiters even if the
-/// leader's simulation panics (without this, an unwinding leader would
-/// strand every waiter forever).
-struct InflightGuard<'a> {
-    inner: &'a PoolInner,
-    key: CacheKey,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        if let Some(w) = sync::lock(&self.inner.inflight).remove(&self.key) {
-            *sync::lock(&w.done) = true;
-            w.cv.notify_all();
-        }
-    }
 }
 
 struct PoolInner {
@@ -197,7 +184,6 @@ struct PoolInner {
     /// Construction time — the origin of the run-level deadline budget.
     started: Instant,
     cache: PlanCache,
-    inflight: Mutex<HashMap<CacheKey, Arc<Inflight>>>,
     /// Shared so an [`Obs`](crate::Obs) hub can read the live counters
     /// (including the in-flight/queued-bytes gauges) from other threads.
     stats: Arc<RuntimeStats>,
@@ -308,14 +294,17 @@ impl Runtime {
         let workers = config.workers.max(1);
         let tracer = config.tracer.unwrap_or_else(|| Arc::new(Tracer::disabled()));
         let inner = Arc::new(PoolInner {
-            queue: Mutex::new(QueueState { jobs: VecDeque::new(), closed: false }),
+            queue: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                parked: HashMap::new(),
+                closed: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             queue_capacity: config.queue_capacity.max(1),
             load: config.load,
             started: Instant::now(),
             cache: PlanCache::with_tracer(config.cache_capacity, Arc::clone(&tracer)),
-            inflight: Mutex::new(HashMap::new()),
             stats: Arc::new(RuntimeStats::new(workers)),
             tracer: Arc::clone(&tracer),
             supervisor: Supervisor {
@@ -420,7 +409,7 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.submit_with_id(JobOptions::default(), move |_| Ok(f())).0
+        self.submit_with_id(JobOptions::default(), None, move |_| Ok(f())).0
     }
 
     /// Submits a cached performance simulation of `program` on `machine`
@@ -434,8 +423,9 @@ impl Runtime {
         let opts = charge_default_cost(opts, &program);
         let inner = Arc::clone(&self.inner);
         let bypass = opts.bypass_cache;
-        self.submit_supervised(opts, move |_id, _attempt| {
-            simulate_once(&inner, &machine, &program, CacheKey::new(&machine, &program), bypass)
+        let key = CacheKey::new(&machine, &program);
+        self.submit_supervised(opts, self.flight_key(opts, Some(key)), move |_id, _attempt| {
+            simulate_once(&inner, &machine, &program, key, bypass)
         })
         .0
     }
@@ -454,7 +444,7 @@ impl Runtime {
     ) -> JobHandle<ExecResult> {
         let opts = charge_default_cost(JobOptions::default(), &program);
         let inner = Arc::clone(&self.inner);
-        self.submit_supervised(opts, move |id, attempt| {
+        self.submit_supervised(opts, None, move |id, attempt| {
             let mem = exec_once(&inner, &machine, &program, seed, id, attempt)?;
             Ok(ExecResult { memory: mem.as_slice().to_vec() })
         })
@@ -467,39 +457,53 @@ impl Runtime {
     /// planner (a cached report carries no fresh attribution) and
     /// returns its attribution with the output; an exec job runs under
     /// the fault plan's DMA faults. Join the handle with
-    /// `join_job`.
+    /// `join_job`. The flag is whether the job parked behind a same-key
+    /// job (see the module docs).
     ///
     /// # Errors
     ///
     /// The admission-control or shutdown error the job was refused with;
     /// it never entered the queue.
-    pub fn submit_job(&self, opts: JobOptions, job: &Job) -> Result<JobHandle<JobDone>, JobError> {
+    pub fn submit_job(
+        &self,
+        opts: JobOptions,
+        job: &Job,
+    ) -> Result<(JobHandle<JobDone>, bool), JobError> {
         let opts = charge_default_cost(opts, &job.program);
         let inner = Arc::clone(&self.inner);
         let machine = job.machine.clone();
         let program = Arc::clone(&job.program);
         let bypass = opts.bypass_cache;
+        let flight = self.flight_key(opts, job.cache_key);
         let (handle, admitted) = match (job.kind, job.cache_key) {
-            (JobKind::Simulate, Some(key)) => self.submit_supervised(opts, move |_, _| {
+            (JobKind::Simulate, Some(key)) => self.submit_supervised(opts, flight, move |_, _| {
                 let sim = simulate_once(&inner, &machine, &program, key, bypass)?;
                 let output = JobOutput::from_report(&sim.report);
                 Ok(JobDone { output, cache_hit: Some(sim.cache_hit), profile: None })
             }),
             // Keyless simulate jobs are the profiled ones.
-            (JobKind::Simulate, None) => self.submit_supervised(opts, move |_, _| {
+            (JobKind::Simulate, None) => self.submit_supervised(opts, None, move |_, _| {
                 let (report, profile) = Machine::new(machine.clone())
                     .simulate_profiled(&program, PROFILE_TOP_SIGNATURES)
                     .map_err(JobError::Sim)?;
                 let output = JobOutput::from_report(&report);
                 Ok(JobDone { output, cache_hit: None, profile: Some(Arc::new(profile)) })
             }),
-            (JobKind::Exec { seed }, _) => self.submit_supervised(opts, move |id, attempt| {
-                let mem = exec_once(&inner, &machine, &program, seed, id, attempt)?;
-                let output = JobOutput::from_memory(mem.as_slice());
-                Ok(JobDone { output, cache_hit: None, profile: None })
-            }),
+            (JobKind::Exec { seed }, _) => {
+                self.submit_supervised(opts, None, move |id, attempt| {
+                    let mem = exec_once(&inner, &machine, &program, seed, id, attempt)?;
+                    let output = JobOutput::from_memory(mem.as_slice());
+                    Ok(JobDone { output, cache_hit: None, profile: None })
+                })
+            }
         };
-        admitted.map(|()| handle)
+        admitted.map(|parked| (handle, parked))
+    }
+
+    /// The single-flight key of a simulate job keyed `key`: `None` when it
+    /// does not use the cache (bypass, or caching disabled).
+    fn flight_key(&self, opts: JobOptions, key: Option<CacheKey>) -> Option<CacheKey> {
+        key.filter(|_| !opts.bypass_cache && self.inner.cache.capacity() > 0)
     }
 
     /// Joins a [`submit_job`](Runtime::submit_job) handle, folding a
@@ -539,13 +543,22 @@ impl Runtime {
             let mut q = sync::lock(&self.inner.queue);
             q.closed = true;
             if discard_queued {
+                let stats = &self.inner.stats;
                 for job in q.jobs.drain(..) {
-                    self.inner.stats.queued_bytes.fetch_sub(job.cost as u64, Ordering::Relaxed);
-                    (job.run)(Disposition::Shutdown, &|_| {});
-                    self.inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+                    stats.queued_bytes.fetch_sub(job.cost as u64, Ordering::Relaxed);
+                    stats.in_flight.fetch_sub(1, Ordering::Relaxed);
                     // Discarded before starting: a cancellation, so
                     // `submitted == finished() + in_flight` still holds.
-                    self.inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                    stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                    (job.run)(Disposition::Shutdown, &|_| {});
+                }
+                // Parked jobs were never counted in: count each in and
+                // cancel it at once. A running key holder then releases
+                // nothing.
+                for job in q.parked.drain().flat_map(|(_, parked)| parked) {
+                    stats.submitted.fetch_add(1, Ordering::Relaxed);
+                    stats.cancelled.fetch_add(1, Ordering::Relaxed);
+                    (job.run)(Disposition::Shutdown, &|_| {});
                 }
             }
             self.inner.not_empty.notify_all();
@@ -566,28 +579,31 @@ impl Runtime {
     fn submit_supervised<T, F>(
         &self,
         opts: JobOptions,
+        key: Option<CacheKey>,
         attempt_body: F,
-    ) -> (JobHandle<T>, Result<(), JobError>)
+    ) -> (JobHandle<T>, Result<bool, JobError>)
     where
         T: Send + 'static,
         F: Fn(u64, u32) -> Result<T, JobError> + Send + 'static,
     {
         let inner = Arc::clone(&self.inner);
-        self.submit_with_id(opts, move |id| {
+        self.submit_with_id(opts, key, move |id| {
             inner.supervisor.supervise(&inner.stats, id, |attempt| attempt_body(id, attempt))
         })
     }
 
     /// The one submission path; the body receives the job's submission
-    /// id (the supervision/fault token). The call waits for queue space
-    /// (backpressure). In every `Err` case (shed, shutdown) the handle is
-    /// already resolved to the same error, so plain submitters can ignore
-    /// the second slot.
+    /// id (the supervision/fault token). A job whose single-flight `key`
+    /// a queued or running job holds parks behind it (`Ok(true)`);
+    /// otherwise the call waits for queue space (backpressure). In every
+    /// `Err` case (shed, shutdown) the handle is already resolved to the
+    /// same error, so plain submitters can ignore the second slot.
     fn submit_with_id<T, F>(
         &self,
         opts: JobOptions,
+        key: Option<CacheKey>,
         body: F,
-    ) -> (JobHandle<T>, Result<(), JobError>)
+    ) -> (JobHandle<T>, Result<bool, JobError>)
     where
         T: Send + 'static,
         F: FnOnce(u64) -> Result<T, JobError> + Send + 'static,
@@ -648,26 +664,65 @@ impl Runtime {
                 }
             }) as SettleFn
         };
-        let cost = opts.cost_bytes;
-        let job = QueuedJob { id, enqueued: now, deadline, cost, cancelled, run };
+        let job =
+            QueuedJob { id, key, enqueued: now, deadline, cost: opts.cost_bytes, cancelled, run };
 
         let mut q = sync::lock(&self.inner.queue);
-        while !q.closed && q.jobs.len() >= self.inner.queue_capacity {
+        loop {
+            if q.closed {
+                drop(q);
+                shared.complete(Err(JobError::Shutdown));
+                return (handle, Err(JobError::Shutdown));
+            }
+            if let Some(parked) = key.and_then(|key| q.parked.get_mut(&key)) {
+                parked.push_back(job);
+                return (handle, Ok(true));
+            }
+            if q.jobs.len() < self.inner.queue_capacity {
+                break;
+            }
             q = sync::wait(&self.inner.not_full, q);
         }
-        if q.closed {
-            drop(q);
-            shared.complete(Err(JobError::Shutdown));
-            return (handle, Err(JobError::Shutdown));
+        if let Some(key) = key {
+            q.parked.insert(key, VecDeque::new());
         }
-        q.jobs.push_back(job);
+        enqueue(&self.inner, &mut q, job, false);
         drop(q);
-        self.inner.stats.in_flight.fetch_add(1, Ordering::Relaxed);
-        self.inner.stats.queued_bytes.fetch_add(cost as u64, Ordering::Relaxed);
-        self.inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.inner.tracer.record(SpanKind::JobSubmit, id, None, || format!("cost_bytes={cost}"));
         self.inner.not_empty.notify_one();
-        (handle, Ok(()))
+        (handle, Ok(false))
+    }
+}
+
+/// Puts `job` on the queue — at the front when it comes off a parked
+/// list — and counts it in: submitted, in flight, its queued bytes.
+fn enqueue(inner: &PoolInner, q: &mut QueueState, mut job: QueuedJob, front: bool) {
+    let (id, cost) = (job.id, job.cost);
+    job.enqueued = Instant::now();
+    inner.stats.in_flight.fetch_add(1, Ordering::Relaxed);
+    inner.stats.queued_bytes.fetch_add(cost as u64, Ordering::Relaxed);
+    inner.stats.submitted.fetch_add(1, Ordering::Relaxed);
+    inner.tracer.record(SpanKind::JobSubmit, id, None, || format!("cost_bytes={cost}"));
+    if front {
+        q.jobs.push_front(job);
+    } else {
+        q.jobs.push_back(job);
+    }
+}
+
+/// Hands a settled job's single-flight key on: the earliest job parked
+/// behind it goes to the queue front and holds the key in turn; with
+/// none parked the key is free.
+fn release(inner: &PoolInner, key: CacheKey) {
+    let mut q = sync::lock(&inner.queue);
+    match q.parked.get_mut(&key).and_then(VecDeque::pop_front) {
+        Some(next) => {
+            enqueue(inner, &mut q, next, true);
+            drop(q);
+            inner.not_empty.notify_one();
+        }
+        None => {
+            q.parked.remove(&key);
+        }
     }
 }
 
@@ -677,9 +732,10 @@ impl Drop for Runtime {
     }
 }
 
-/// One simulation attempt: cache lookup (checksum-verified), single-flight
-/// leadership, planner run and cache fill, with deterministic
-/// corruption injection on the fill when a fault plan says so.
+/// One simulation attempt: cache lookup (checksum-verified), planner run
+/// on a miss or a corrupt entry, and cache fill, with deterministic
+/// corruption injection on the fill when a fault plan says so. No other
+/// job with the key runs meanwhile: same-key jobs park at submit.
 fn simulate_once(
     inner: &PoolInner,
     machine: &MachineConfig,
@@ -691,55 +747,21 @@ fn simulate_once(
         let report = Arc::new(cold_simulate(inner, machine, program, false)?);
         return Ok(SimResult { report, cache_hit: false, key });
     }
-    loop {
-        match inner.cache.get_verified(&key) {
-            CacheLookup::Hit(report) => {
-                inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(SimResult { report, cache_hit: true, key });
-            }
-            CacheLookup::Corrupt => {
-                // Checksum mismatch: the entry has been evicted; fall
-                // through and recompute (the next loop iteration misses).
-                inner.stats.cache_corruptions.fetch_add(1, Ordering::Relaxed);
-            }
-            CacheLookup::Miss => {}
+    match inner.cache.get_verified(&key) {
+        CacheLookup::Hit(report) => {
+            inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(SimResult { report, cache_hit: true, key });
         }
-        // Single-flight: the first job to miss on this key becomes the
-        // leader; concurrent same-key jobs wait for its cache fill
-        // instead of re-running the planner.
-        let waiter = {
-            let mut inflight = sync::lock(&inner.inflight);
-            match inflight.get(&key) {
-                Some(w) => Some(Arc::clone(w)),
-                None => {
-                    inflight.insert(key, Arc::new(Inflight::default()));
-                    None
-                }
-            }
-        };
-        let Some(waiter) = waiter else {
-            // Leader. The guard releases waiters even if the planner
-            // panics below.
-            let _guard = InflightGuard { inner, key };
-            // Re-check the cache first: a previous leader may have filled
-            // it between this job's miss and its registration.
-            if let CacheLookup::Hit(report) = inner.cache.get_verified(&key) {
-                inner.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(SimResult { report, cache_hit: true, key });
-            }
-            // Simulate, fill, release the waiters (guard drop).
-            let report = Arc::new(cold_simulate(inner, machine, program, true)?);
-            inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-            fill_cache(inner, key, &report);
-            return Ok(SimResult { report, cache_hit: false, key });
-        };
-        let mut done = sync::lock(&waiter.done);
-        while !*done {
-            done = sync::wait(&waiter.cv, done);
+        // Checksum mismatch: the entry has been evicted; recompute.
+        CacheLookup::Corrupt => {
+            inner.stats.cache_corruptions.fetch_add(1, Ordering::Relaxed);
         }
-        // Loop to re-check the cache: if the leader failed, this job
-        // takes over as the next leader.
+        CacheLookup::Miss => {}
     }
+    let report = Arc::new(cold_simulate(inner, machine, program, true)?);
+    inner.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+    fill_cache(inner, key, &report);
+    Ok(SimResult { report, cache_hit: false, key })
 }
 
 /// One functional-execution attempt: seeds the program's external memory
@@ -848,8 +870,8 @@ fn release_freed_memory() {
 /// [`RuntimeStats`]. The report is byte-identical to a fresh sequential
 /// `Machine::simulate` — every kept entry is a pure function of the
 /// machine and its key, and the parallel pass only pre-warms the outcome
-/// cache — so cache fills and single-flight followers observe the exact
-/// same value either way.
+/// cache — so a cache fill and the same-key jobs that read it observe
+/// the exact same value either way.
 fn cold_simulate(
     inner: &PoolInner,
     machine: &MachineConfig,
@@ -935,55 +957,69 @@ fn worker_loop(inner: &PoolInner, worker_index: usize) {
         };
         let Some(job) = job else { return };
         inner.not_full.notify_one();
-        inner.stats.queued_bytes.fetch_sub(job.cost as u64, Ordering::Relaxed);
-        let queue_wait = job.enqueued.elapsed();
-        inner.stats.queue_wait_nanos.fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
-        inner.tracer.observe(Stage::QueueWait, queue_wait);
-
-        if job.cancelled.load(Ordering::SeqCst) {
-            (job.run)(Disposition::Cancelled, &|_| {});
-            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
-            inner.tracer.record(SpanKind::JobSettle, job.id, None, || "cancelled".to_string());
-            continue;
-        }
-        if let Some(deadline) = job.deadline {
-            let now = Instant::now();
-            if now > deadline {
-                (job.run)(Disposition::Expired { late_by: now - deadline }, &|_| {});
-                inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-                inner.stats.expired.fetch_add(1, Ordering::Relaxed);
-                inner.tracer.record(SpanKind::JobSettle, job.id, None, || "expired".to_string());
-                continue;
-            }
-        }
-        let id = job.id;
-        inner
-            .tracer
-            .record(SpanKind::JobStart, id, Some(queue_wait), || format!("worker={worker_index}"));
-        let t0 = Instant::now();
-        // Recorded before the handle resolves: a completion thread that
-        // renders the job's attribution must find its settle span.
-        let settle = |ok: bool| {
-            let busy = t0.elapsed();
-            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
-            inner.stats.record_run(worker_index, busy, ok);
-            inner.tracer.observe(Stage::Run, busy);
-            inner.tracer.record(SpanKind::JobSettle, id, Some(busy), || format!("ok={ok}"));
-        };
-        if (job.run)(Disposition::Run, &settle).is_none() {
-            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        let (id, key) = (job.id, job.key);
+        let ran = dispatch(inner, worker_index, job);
+        // However the job settled, the next job parked on its key goes.
+        if let Some(key) = key {
+            release(inner, key);
         }
         // Worker-kill injection: panic the loop *after* the job handle
         // resolved, exercising the respawn path without stranding
         // joiners. Deterministic per job id.
-        if let Some(plan) = &inner.supervisor.plan {
+        if let Some(plan) = inner.supervisor.plan.as_ref().filter(|_| ran) {
             if plan.fires(FaultSite::WorkerKill, id, 0) {
                 inner.stats.faults_injected.fetch_add(1, Ordering::Relaxed);
                 resume_unwind_quietly();
             }
         }
     }
+}
+
+/// Settles one dequeued job: resolves it cancelled or expired without
+/// running it, or runs it and records the run. Returns whether it ran.
+fn dispatch(inner: &PoolInner, worker_index: usize, job: QueuedJob) -> bool {
+    inner.stats.queued_bytes.fetch_sub(job.cost as u64, Ordering::Relaxed);
+    let queue_wait = job.enqueued.elapsed();
+    inner.stats.queue_wait_nanos.fetch_add(queue_wait.as_nanos() as u64, Ordering::Relaxed);
+    inner.tracer.observe(Stage::QueueWait, queue_wait);
+
+    // Counted before the handle resolves, as a run is (`settle` below):
+    // a joiner then reads counters that already include its job.
+    if job.cancelled.load(Ordering::SeqCst) {
+        inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        inner.stats.cancelled.fetch_add(1, Ordering::Relaxed);
+        inner.tracer.record(SpanKind::JobSettle, job.id, None, || "cancelled".to_string());
+        (job.run)(Disposition::Cancelled, &|_| {});
+        return false;
+    }
+    if let Some(deadline) = job.deadline {
+        let now = Instant::now();
+        if now > deadline {
+            inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+            inner.stats.expired.fetch_add(1, Ordering::Relaxed);
+            inner.tracer.record(SpanKind::JobSettle, job.id, None, || "expired".to_string());
+            (job.run)(Disposition::Expired { late_by: now - deadline }, &|_| {});
+            return false;
+        }
+    }
+    let id = job.id;
+    inner
+        .tracer
+        .record(SpanKind::JobStart, id, Some(queue_wait), || format!("worker={worker_index}"));
+    let t0 = Instant::now();
+    // Recorded before the handle resolves: a completion thread that
+    // renders the job's attribution must find its settle span.
+    let settle = |ok: bool| {
+        let busy = t0.elapsed();
+        inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+        inner.stats.record_run(worker_index, busy, ok);
+        inner.tracer.observe(Stage::Run, busy);
+        inner.tracer.record(SpanKind::JobSettle, id, Some(busy), || format!("ok={ok}"));
+    };
+    if (job.run)(Disposition::Run, &settle).is_none() {
+        inner.stats.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+    true
 }
 
 /// Unwinds the worker loop without going through `panic!` (no panic-hook

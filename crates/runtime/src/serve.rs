@@ -445,7 +445,7 @@ pub fn serve_specs_on(
         let first_try = Instant::now();
         loop {
             match runtime.submit_job(JobOptions::default(), job) {
-                Ok(handle) => {
+                Ok((handle, _)) => {
                     pending.push_back((index, handle));
                     break;
                 }

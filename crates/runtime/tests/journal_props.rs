@@ -238,9 +238,8 @@ proptest! {
 
 /// Journal `n` jobs through a real file: every job is accepted, then
 /// each one whose bit in `done` is set completes. `batched` writes the
-/// accepts as one batch and the completions in batches of `batch`
-/// (leader plus followers, as the job API settles them); otherwise
-/// every record is its own append. Returns the file bytes.
+/// accepts as one batch and the completions in batches of `batch`;
+/// otherwise every record is its own append. Returns the file bytes.
 fn journal_jobs(path: &std::path::Path, entries: &[JobEntry], batched: Option<usize>) -> Vec<u8> {
     let mut journal = Journal::create(path, &header(entries.len() as u64)).unwrap();
     let accepts: Vec<AcceptedEntry> = entries

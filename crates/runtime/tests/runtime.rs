@@ -4,11 +4,14 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cf_core::{Machine, MachineConfig};
 use cf_isa::Program;
-use cf_runtime::{JobError, JobHandle, JobOptions, Runtime, RuntimeConfig, SimResult};
+use cf_runtime::{
+    FaultPlan, FaultSite, FaultSpec, JobError, JobHandle, JobOptions, RetryPolicy, Runtime,
+    RuntimeConfig, SimResult,
+};
 use cf_workloads::nets;
 
 fn small_runtime(workers: usize) -> Runtime {
@@ -304,4 +307,122 @@ fn warm_cache_answers_repeated_mix_without_resimulating() {
     // count is exactly the number of distinct (machine, program) pairs.
     assert_eq!(snap.cache_misses, distinct, "misses {}", snap.cache_misses);
     assert_eq!(snap.cache_hits, jobs.len() as u64 - distinct);
+}
+
+/// A runtime whose every supervised attempt first sleeps `hold` on its
+/// worker (a timing-only fault: records are unchanged), so a keyed
+/// simulate job stays queued or running for as long as a test needs.
+fn held_runtime(workers: usize, hold: Duration) -> Runtime {
+    let spec = FaultSpec::parse(&format!("latency=1,latency_ms={}", hold.as_millis())).unwrap();
+    Runtime::new(RuntimeConfig {
+        workers,
+        fault_plan: Some(FaultPlan::new(0, spec)),
+        ..Default::default()
+    })
+}
+
+/// `[A, A, B]` on two workers: the second A parks behind the first
+/// instead of taking worker 1, so B runs while A's leader is still held,
+/// and the parked A then answers from the cache its leader filled.
+#[test]
+fn a_same_key_job_parks_instead_of_holding_a_worker() {
+    let hold = Duration::from_millis(600);
+    let rt = held_runtime(2, hold);
+    let (cfg, program) = (MachineConfig::cambricon_f1(), Arc::new(nets::matmul_program(64)));
+    let t0 = Instant::now();
+    let leader = rt.submit_simulate(JobOptions::default(), cfg.clone(), Arc::clone(&program));
+    let follower = rt.submit_simulate(JobOptions::default(), cfg, program);
+    let b = rt.submit_task(move || t0.elapsed());
+    let b_done = b.join().unwrap();
+    let lead = leader.join().unwrap();
+    let lead_done = t0.elapsed();
+    assert!(lead_done >= hold, "the leader settled after {lead_done:?}");
+    assert!(b_done < hold / 2, "B waited {b_done:?} behind a same-key duplicate");
+    let follow = follower.join().unwrap();
+    assert!(!lead.cache_hit && follow.cache_hit);
+    assert!(Arc::ptr_eq(&lead.report, &follow.report));
+    let snap = rt.stats().snapshot();
+    assert_eq!((snap.cache_misses, snap.cache_hits), (1, 1), "{snap:?}");
+}
+
+/// Holds a runtime's one worker until the returned sender fires (or is
+/// dropped), so the jobs submitted next stay queued or parked.
+fn hold_worker(rt: &Runtime) -> (mpsc::Sender<()>, JobHandle<()>) {
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let busy = rt.submit_task(move || {
+        let _ = release_rx.recv();
+    });
+    (release_tx, busy)
+}
+
+/// A key holder that fails terminally still hands its key on: the job
+/// parked behind it runs, misses the cache and computes.
+#[test]
+fn a_failed_key_holder_releases_the_parked_job_to_compute() {
+    // Job 0 holds the worker; the faulted holder is job 1, the parked
+    // job 2. Find a seed that panics job 1's only attempt, not job 2's.
+    let spec = FaultSpec::parse("panic=0.5").unwrap();
+    let seed = (0..1000u64)
+        .find(|&s| {
+            let plan = FaultPlan::new(s, spec.clone());
+            plan.fires(FaultSite::WorkerPanic, 1, 0) && !plan.fires(FaultSite::WorkerPanic, 2, 0)
+        })
+        .expect("a seed that fails only the key holder");
+    let rt = Runtime::new(RuntimeConfig {
+        workers: 1,
+        retry: RetryPolicy { max_retries: 0, ..Default::default() },
+        fault_plan: Some(FaultPlan::new(seed, spec)),
+        ..Default::default()
+    });
+    let (release, busy) = hold_worker(&rt);
+    let (cfg, program) = (MachineConfig::cambricon_f1(), Arc::new(nets::matmul_program(64)));
+    let holder = rt.submit_simulate(JobOptions::default(), cfg.clone(), Arc::clone(&program));
+    let parked = rt.submit_simulate(JobOptions::default(), cfg, program);
+    release.send(()).unwrap();
+    busy.join().unwrap();
+    assert!(matches!(holder.join(), Err(JobError::Panicked(_))));
+    let computed = parked.join().unwrap();
+    assert!(!computed.cache_hit);
+    let snap = rt.stats().snapshot();
+    assert_eq!((snap.cache_misses, snap.cache_hits, snap.failed), (1, 0, 1), "{snap:?}");
+}
+
+/// `shutdown_now` resolves a parked job to `Shutdown` without waiting
+/// for the running key holder, and the parked job leaves no hole in the
+/// counters.
+#[test]
+fn shutdown_now_resolves_a_parked_job_to_shutdown() {
+    let rt = held_runtime(1, Duration::from_millis(200));
+    let (cfg, program) = (MachineConfig::cambricon_f1(), Arc::new(nets::matmul_program(64)));
+    let holder = rt.submit_simulate(JobOptions::default(), cfg.clone(), Arc::clone(&program));
+    let parked = rt.submit_simulate(JobOptions::default(), cfg, program);
+    let stats = rt.stats_arc();
+    rt.shutdown_now();
+    assert_eq!(parked.join().unwrap_err(), JobError::Shutdown);
+    // The holder was running or queued when the runtime closed.
+    let holder = holder.join();
+    assert!(matches!(holder, Ok(_) | Err(JobError::Shutdown)), "{holder:?}");
+    let snap = stats.snapshot();
+    assert_eq!(snap.submitted, 2, "{snap:?}");
+    assert_eq!(snap.submitted, snap.finished() + snap.in_flight, "{snap:?}");
+    assert_eq!(snap.in_flight, 0, "{snap:?}");
+}
+
+/// A parked job cancelled before its key holder settles resolves to
+/// `Cancelled` when released, without running.
+#[test]
+fn a_parked_job_cancelled_before_release_resolves_cancelled() {
+    let rt = small_runtime(1);
+    let (release, busy) = hold_worker(&rt);
+    let (cfg, program) = (MachineConfig::cambricon_f1(), Arc::new(nets::matmul_program(64)));
+    let holder = rt.submit_simulate(JobOptions::default(), cfg.clone(), Arc::clone(&program));
+    let parked = rt.submit_simulate(JobOptions::default(), cfg, program);
+    parked.cancel();
+    release.send(()).unwrap();
+    busy.join().unwrap();
+    assert!(!holder.join().unwrap().cache_hit);
+    assert_eq!(parked.join().unwrap_err(), JobError::Cancelled);
+    let snap = rt.stats().snapshot();
+    assert_eq!((snap.cache_misses, snap.cache_hits, snap.cancelled), (1, 0, 1), "{snap:?}");
+    assert_eq!(snap.submitted, snap.finished() + snap.in_flight, "{snap:?}");
 }

@@ -182,11 +182,12 @@ fn overlapping_submit_window_is_capped_to_close_the_sum() {
     assert_eq!(attr.push_router_view(1000, 300, 0), (0, 0));
 }
 
-/// A coalesced follower rides its leader's computation but is accepted
-/// later, so its attribution must stay inside its own accept → settle
-/// window — else the router's sum overshoots the client's clock. Every
-/// job sleeps 200 ms in an injected latency fault, so a follower
-/// accepted 50 ms after its leader always coalesces.
+/// A coalesced follower is accepted after its leader and parks until
+/// the leader settles, so its attribution must stay inside its own
+/// accept → settle window — else the router's sum overshoots the
+/// client's clock — and be mined from its own spans. Every job sleeps
+/// 200 ms in an injected latency fault, so a follower accepted 50 ms
+/// after its leader always coalesces.
 #[test]
 fn coalesced_follower_attribution_stays_inside_its_own_window() {
     let spec =
@@ -222,10 +223,11 @@ fn coalesced_follower_attribution_stays_inside_its_own_window() {
         follow.encode(),
     );
     assert_eq!(follow.execution_sum_us(), follow.total_us(), "{}", follow.encode());
-    assert!(
-        lead.total_us() >= follow.total_us() + 40_000,
-        "{} vs {}",
-        lead.encode(),
-        follow.encode()
-    );
+    // The follower ran under its own scheduler token after the leader
+    // settled: its run is its own 200 ms attempt, read from the cache
+    // the leader filled, and the ~150 ms it spent parked is `other_us`.
+    let (follow_run, follow_other) = (follow.get("run_us"), follow.get("other_us"));
+    assert!(follow_run.is_some_and(|us| us >= 200_000), "{}", follow.encode());
+    assert!(follow_other.is_some_and(|us| us >= 100_000), "{}", follow.encode());
+    assert_eq!((lead.get("cached"), follow.get("cached")), (Some(0), Some(1)));
 }

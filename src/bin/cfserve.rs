@@ -369,8 +369,8 @@ fn main() -> ExitCode {
     if let Some(obs) = obs_handle {
         // Shared-runtime path: the manifest run and the HTTP job API use
         // one pool, one plan cache and one stats registry, so /metrics
-        // tells a single story (cf_api_* included) and coalescing spans
-        // both ingestion paths.
+        // tells a single story (cf_api_* included) and one single-flight
+        // spans both ingestion paths.
         let runtime = Arc::new(Runtime::new(RuntimeConfig {
             workers: opts.workers,
             cache_capacity: opts.cache_capacity,
